@@ -2,38 +2,32 @@
 //! motion matching, RSS scanning, shortest paths.
 //!
 //! The hot-path benchmarks come in pairs — the production path against
-//! the path it replaced. PR 1 pairs: precomputed [`MotionKernel`]
-//! lookup tables vs per-call `Gaussian::new`/`erf` evaluation, plus a
+//! the path it replaced or its naive reference: Eq. 6 over the
+//! precomputed [`MotionKernel`](moloc_motion::kernel::MotionKernel)
+//! lookup tables vs the exact-erf `moloc_verify::oracle` Eq. 5; a
 //! fig. 7 setting localized serially (`MOLOC_THREADS=1`) vs under the
-//! ambient worker pool. PR 2 pairs: the columnar [`FingerprintIndex`]
-//! k-NN vs the generic `dyn` metric scan, the zero-allocation
-//! [`BatchLocalizer`] vs the per-query tracker, the full fig. 7
-//! setting vs a faithful reproduction of the PR 1 serving path, a
-//! cache-fed pipeline run vs one that rebuilds its artifacts, and the
-//! fig. 7 setting end to end (setting + kernel acquisition included)
-//! on the cached PR 2 pipeline vs the rebuild-everything PR 1 path.
-//! PR 4 pair: the batched engine with the metrics recorder disabled vs
-//! enabled, pricing the observability layer on the hottest path. The
-//! final group target writes all measurements and the derived speedups
-//! to `BENCH_pr2.json` at the repository root (PR 1 names are kept
-//! verbatim so `bench_check` can diff the two files).
+//! ambient worker pool; the columnar [`FingerprintIndex`] k-NN vs the
+//! generic `dyn` metric scan; a cache-fed pipeline run vs one that
+//! rebuilds its artifacts; and the [`BatchLocalizer`] step with the
+//! metrics recorder disabled vs enabled, pricing the observability
+//! layer on the hottest path. The final group target writes all
+//! measurements and the derived speedups to `BENCH_pr2.json` at the
+//! repository root (arm names match `BENCH_pr1.json`, so `bench_check`
+//! can diff the two files).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use moloc_bench::{bench_world, light_criterion};
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
-use moloc_core::matching::{build_kernel, set_motion_probability, set_motion_probability_kernel};
-use moloc_core::tracker::MoLocTracker;
-use moloc_eval::pipeline::{analyze_trace_exact, EvalWorld, PassOutcome, Setting};
+use moloc_core::matching::build_kernel;
 use moloc_eval::ScenarioCache;
-use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
 use moloc_fingerprint::knn::k_nearest;
 use moloc_fingerprint::metric::Euclidean;
 use moloc_geometry::shortest_path::{all_pairs, dijkstra};
 use moloc_geometry::LocationId;
-use moloc_motion::kernel::MotionKernel;
+use moloc_verify::oracle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -85,42 +79,64 @@ fn bench_micro(c: &mut Criterion) {
     let mut sources = setting.motion_db.neighbors_of(to);
     sources.truncate(7);
     sources.push(to);
-    let prev = CandidateSet::from_weights(
-        sources
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, 1.0 / (i + 1) as f64))
-            .collect(),
-    )
-    .unwrap();
+    let total: f64 = (1..=sources.len()).map(|i| 1.0 / i as f64).sum();
+    let prev: Vec<(LocationId, f64)> = sources
+        .iter()
+        .enumerate()
+        .map(|(i, &l)| (l, 1.0 / (i + 1) as f64 / total))
+        .collect();
     let trained = setting
         .motion_db
         .get(sources[0], to)
         .expect("neighbor pair is trained");
     let (dir, off) = (trained.direction.mean(), trained.offset.mean());
 
-    c.bench_function("micro/eq6_set_motion_probability_naive", |b| {
-        b.iter(|| {
-            black_box(set_motion_probability(
-                &setting.motion_db,
-                black_box(&prev),
-                to,
+    // The naive arm: Eq. 6 over the exact-erf oracle Eq. 5, resolving
+    // each pair's statistics from the motion database per call.
+    let exact_pair = |from: LocationId| -> f64 {
+        if from == to {
+            return oracle::stationary_probability(
+                off,
+                config.alpha_deg,
+                config.beta_m,
+                config.stationary_offset_std_m,
+            );
+        }
+        match setting.motion_db.get(from, to) {
+            Some(stats) => oracle::pair_probability(
+                stats.direction.mean(),
+                stats.direction.std(),
+                stats.offset.mean(),
+                stats.offset.std(),
                 dir,
                 off,
-                &config,
-            ))
+                config.alpha_deg,
+                config.beta_m,
+            ),
+            None => config.missing_pair_prob,
+        }
+    };
+    c.bench_function("micro/eq6_set_motion_probability_naive", |b| {
+        b.iter(|| {
+            black_box(
+                black_box(&prev)
+                    .iter()
+                    .map(|&(from, p)| p * exact_pair(from))
+                    .sum::<f64>(),
+            )
         })
     });
+    // The production arm: the same sum over the kernel's lookup
+    // tables, as the engine's Eq. 7 loop evaluates it.
     let kernel = build_kernel(&setting.motion_db, &config);
     c.bench_function("micro/eq6_set_motion_probability", |b| {
         b.iter(|| {
-            black_box(set_motion_probability_kernel(
-                &kernel,
-                black_box(&prev),
-                to,
-                dir,
-                off,
-            ))
+            black_box(
+                black_box(&prev)
+                    .iter()
+                    .map(|&(from, p)| p * kernel.pair_probability(from, to, dir, off))
+                    .sum::<f64>(),
+            )
         })
     });
 
@@ -162,35 +178,6 @@ fn bench_micro(c: &mut Criterion) {
         moloc_core::viterbi::ViterbiLocalizer::new(&setting.fdb, &setting.motion_db, config);
     c.bench_function("micro/viterbi_decode_full_trace", |b| {
         b.iter(|| black_box(viterbi.localize_trace(black_box(&queries)).unwrap()))
-    });
-
-    // Both tracker variants are constructed once and reset per
-    // iteration, so the comparison isolates the per-observation motion
-    // matching (neither arm pays a kernel build inside the loop).
-    let mut exact_tracker =
-        moloc_core::tracker::MoLocTracker::new(&setting.fdb, &setting.motion_db, config)
-            .with_exact_matching();
-    c.bench_function("micro/moloc_tracker_full_trace_naive", |b| {
-        b.iter(|| {
-            exact_tracker.reset();
-            for (fp, m) in &queries {
-                black_box(exact_tracker.observe(fp, *m).unwrap());
-            }
-        })
-    });
-    let mut kernel_tracker = moloc_core::tracker::MoLocTracker::new_with_kernel(
-        &setting.fdb,
-        &setting.motion_db,
-        config,
-        &kernel,
-    );
-    c.bench_function("micro/moloc_tracker_full_trace", |b| {
-        b.iter(|| {
-            kernel_tracker.reset();
-            for (fp, m) in &queries {
-                black_box(kernel_tracker.observe(fp, *m).unwrap());
-            }
-        })
     });
 
     // The batched engine over the same trace: shared index + kernel,
@@ -261,14 +248,6 @@ fn bench_micro(c: &mut Criterion) {
         })
     });
 
-    // The PR 1 serving path, reproduced faithfully under the same
-    // ambient pool: per-pass NN estimates from the generic dyn-metric
-    // scan and a per-query tracker on the exact k-NN walk (with the
-    // same precomputed-kernel motion matching PR 1 shipped).
-    c.bench_function("eval/localize_moloc_fig7_setting_pr1_path", |b| {
-        b.iter(|| black_box(localize_moloc_pr1_path(&world, &setting, config, &kernel)))
-    });
-
     // The cache-fed pipeline: identical localization work, but the
     // fingerprint index and motion kernel arrive prebuilt (as a
     // `ScenarioCache` hands them to every experiment) instead of being
@@ -282,19 +261,8 @@ fn bench_micro(c: &mut Criterion) {
     });
 
     // The fig. 7 setting end to end, as the experiments actually
-    // execute it. PR 1's `fig7::run` rebuilt the setting (fingerprint
-    // sanitation + motion-database construction) and the motion kernel
-    // inside every call before localizing; the PR 2 pipeline serves
-    // both from a warm `ScenarioCache` and localizes through the
-    // columnar index and the batched engine. This pair measures the
-    // whole difference a caller observes per experiment run.
-    c.bench_function("eval/fig7_setting_end_to_end_pr1_path", |b| {
-        b.iter(|| {
-            let setting = world.setting(6);
-            let kernel = build_kernel(&setting.motion_db, &config);
-            black_box(localize_moloc_pr1_path(&world, &setting, config, &kernel))
-        })
-    });
+    // execute it: setting and kernel served from a warm `ScenarioCache`,
+    // localization through the columnar index and the batched engine.
     let cache = ScenarioCache::new(&world);
     cache.artifacts(6);
     cache.kernel(6, &config);
@@ -313,60 +281,10 @@ fn bench_micro(c: &mut Criterion) {
     });
 }
 
-/// The end-to-end MoLoc localization loop exactly as PR 1 ran it:
-/// exact-scan trace analysis, per-trace tracker sessions on the `dyn`
-/// metric heap path, one fresh candidate set allocated per observation.
-fn localize_moloc_pr1_path(
-    world: &EvalWorld,
-    setting: &Setting,
-    config: MoLocConfig,
-    kernel: &MotionKernel,
-) -> Vec<Vec<PassOutcome>> {
-    let detector = moloc_sensors::steps::StepDetector::default();
-    moloc_eval::parallel::par_run(world.corpus.test.len(), |trace_index| {
-        let trace = &world.corpus.test[trace_index];
-        let analysis = analyze_trace_exact(
-            trace,
-            &setting.fdb,
-            &world.hall,
-            &detector,
-            setting.counting,
-            setting.n_aps,
-        );
-        let mut tracker =
-            MoLocTracker::new_with_kernel(&setting.fdb, &setting.motion_db, config, kernel)
-                .with_exact_scan();
-        trace
-            .passes
-            .iter()
-            .zip(&trace.scans)
-            .enumerate()
-            .map(|(pass_index, (pass, scan))| {
-                let query = Fingerprint::new(scan[..setting.n_aps].to_vec());
-                let motion = if pass_index == 0 {
-                    None
-                } else {
-                    analysis.measurements[pass_index - 1]
-                };
-                let estimate = tracker
-                    .observe(&query, motion)
-                    .expect("query length matches database");
-                PassOutcome {
-                    trace_index,
-                    pass_index,
-                    truth: pass.location,
-                    estimate,
-                    error_m: world.hall.grid.distance(pass.location, estimate),
-                }
-            })
-            .collect()
-    })
-}
-
 /// Final group target: serializes every recorded measurement plus the
-/// derived speedups (kernel vs naive, index vs scan, batch vs
-/// per-query, new pipeline vs PR 1 path, cached vs rebuilt) to
-/// `BENCH_pr2.json` at the repository root.
+/// derived speedups (kernel vs naive, index vs scan, parallel vs
+/// serial, recorder off vs on, cached vs rebuilt) to `BENCH_pr2.json`
+/// at the repository root.
 fn emit_bench_json(c: &mut Criterion) {
     // The parallel arm's speedup is bounded by the worker count, so
     // record it alongside the measurements (a 1-CPU host reports ~1x),
@@ -393,20 +311,12 @@ fn emit_bench_json(c: &mut Criterion) {
             "micro/eq6_set_motion_probability_naive",
         ),
         (
-            "micro/moloc_tracker_full_trace",
-            "micro/moloc_tracker_full_trace_naive",
-        ),
-        (
             "eval/localize_moloc_fig7_setting_parallel",
             "eval/localize_moloc_fig7_setting_serial",
         ),
         (
             "micro/knn_k8_index_over_28_locations",
             "micro/knn_k8_over_28_locations",
-        ),
-        (
-            "micro/batch_localizer_full_trace",
-            "micro/moloc_tracker_full_trace",
         ),
         // Recorder overhead: disabled vs enabled on the same engine
         // (a speedup near 1.0x means metrics are effectively free).
@@ -415,16 +325,8 @@ fn emit_bench_json(c: &mut Criterion) {
             "micro/batch_localizer_full_trace_obs_enabled",
         ),
         (
-            "eval/localize_moloc_fig7_setting_parallel",
-            "eval/localize_moloc_fig7_setting_pr1_path",
-        ),
-        (
             "eval/localize_moloc_fig7_setting_cached",
             "eval/localize_moloc_fig7_setting_parallel",
-        ),
-        (
-            "eval/fig7_setting_end_to_end_cached",
-            "eval/fig7_setting_end_to_end_pr1_path",
         ),
     ];
     for (i, (name, baseline)) in pairs.iter().enumerate() {

@@ -1,10 +1,15 @@
-//! The zero-allocation batched localization engine.
+//! The MoLoc localization step (Sec. V-C): the only production
+//! implementation of Eq. 4–7.
 //!
-//! [`crate::tracker::MoLocTracker`] allocates per observation: a fresh
-//! neighbor vector from k-NN, a [`CandidateSet`] for Eq. 4, a weight
-//! vector plus another set for Eq. 7. Fine for one query; wasteful for
-//! trace-driven evaluation and the "millions of users" serving target,
-//! where the same small buffers are needed over and over.
+//! Each query yields `k` fingerprint candidates (Eq. 3) with
+//! inverse-dissimilarity probabilities (Eq. 4); from the second query
+//! on, the retained posterior and the motion measured during the
+//! interval reweight them through the precomputed [`MotionKernel`]
+//! (Eq. 5/6) and Eq. 7; the top candidate is the estimate and the
+//! posterior is retained for the next query. The naive reference is
+//! `moloc_verify::oracle` (`k_nearest` → `candidate_probabilities` →
+//! `fuse_posterior`), and `moloc-audit` gates this engine against it
+//! bit for bit.
 //!
 //! [`BatchLocalizer`] owns every per-step buffer — the k-NN selection
 //! heap, the neighbor list, the candidate and posterior tables — and
@@ -12,11 +17,6 @@
 //! the buffers up, a full trace of localization steps performs **zero
 //! heap allocations** (asserted by `tests/zero_alloc.rs` with a
 //! counting allocator).
-//!
-//! The arithmetic replicates the tracker's kernel path exactly — same
-//! expressions, same iteration order, same tie-breaks — so estimates
-//! are bit-identical to `MoLocTracker::observe` with the Euclidean
-//! metric (proven by the digest test in `crates/eval/tests/`).
 
 use crate::config::MoLocConfig;
 use crate::error::DegradationFlags;
@@ -33,16 +33,12 @@ use moloc_motion::matrix::MotionDb;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-#[cfg(doc)]
-use moloc_fingerprint::candidates::CandidateSet;
-
-/// A resource the engine either owns, borrows from a caller who shares
-/// it across engines (one build per setting, not per trace), or holds
-/// reference-counted so a live-update publisher can retire the backing
-/// snapshot while readers finish their current step on it.
+/// A resource the engine either borrows from a caller who shares it
+/// across engines (one build per setting, not per trace) or co-owns
+/// reference-counted, so a live-update publisher can retire the
+/// backing snapshot while readers finish their current step on it.
 #[derive(Debug)]
 enum Resource<'a, T> {
-    Owned(Box<T>),
     Shared(&'a T),
     Counted(Arc<T>),
 }
@@ -50,7 +46,6 @@ enum Resource<'a, T> {
 impl<T> Resource<'_, T> {
     fn get(&self) -> &T {
         match self {
-            Resource::Owned(v) => v,
             Resource::Shared(v) => v,
             Resource::Counted(v) => v,
         }
@@ -156,18 +151,12 @@ impl BatchLocalizer<'static> {
         motion_db: &MotionDb,
         config: MoLocConfig,
     ) -> BatchLocalizer<'static> {
-        config.validate();
-        let index = FingerprintIndex::build(fingerprint_db);
         let kernel = build_kernel(motion_db, &config);
-        BatchLocalizer {
-            index: Resource::Owned(Box::new(index)),
-            kernel: Resource::Owned(Box::new(kernel)),
+        Self::new_counted(
+            Arc::new(FingerprintIndex::build(fingerprint_db)),
+            Arc::new(kernel),
             config,
-            buf: BatchScratch::for_k(config.k),
-            has_previous: false,
-            last_flags: DegradationFlags::empty(),
-            folds: ObsFolds::default(),
-        }
+        )
     }
 
     /// An engine over reference-counted artifacts — the live-update
@@ -200,9 +189,9 @@ impl BatchLocalizer<'static> {
 impl<'a> BatchLocalizer<'a> {
     /// An engine over caller-shared artifacts: the index and kernel are
     /// built once per `(fingerprint db, motion db, config)` and shared
-    /// across the per-trace engines, exactly like
-    /// `MoLocTracker::new_with_kernel`. The kernel must have been built
-    /// from the same motion database and config (see [`build_kernel`]).
+    /// across the per-trace (or per-session) engines. The kernel must
+    /// have been built from the same motion database and config (see
+    /// [`build_kernel`]).
     ///
     /// # Panics
     ///
@@ -308,8 +297,13 @@ impl<'a> BatchLocalizer<'a> {
         self.last_flags
     }
 
-    /// Processes one localization query; same contract as
-    /// `MoLocTracker::observe`.
+    /// Processes one localization query.
+    ///
+    /// `motion` is the RLM measured since the previous observation;
+    /// pass `None` for the first query of a session (or whenever the
+    /// motion pipeline could not produce a measurement — the step then
+    /// behaves like plain fingerprinting, as the paper's initial
+    /// localization does).
     ///
     /// # Errors
     ///
@@ -442,9 +436,9 @@ impl<'a> BatchLocalizer<'a> {
     /// the neighbor buffer and the k-NN degradation flags, both set by
     /// the caller.
     fn posterior_step(&mut self, motion: Option<MotionMeasurement>) -> LocationId {
-        // Eq. 4 into the reusable candidate table — the same arithmetic
-        // as `CandidateSet::from_neighbors`, including the exact-match
-        // branch and the iterator summation order.
+        // Eq. 4 into the reusable candidate table — the arithmetic and
+        // summation order of `oracle::candidate_probabilities`, with an
+        // exact match absorbing all mass.
         self.buf.current.clear();
         let exact = self
             .buf
@@ -490,8 +484,8 @@ impl<'a> BatchLocalizer<'a> {
             }
         }
 
-        // Eq. 7 when both history and motion exist — mirrors
-        // `evaluate_candidates_kernel` over the retained buffers.
+        // Eq. 7 when both history and motion exist — the arithmetic of
+        // `oracle::fuse_posterior` fed the kernel's Eq. 5 values.
         let reweighted = match motion {
             Some(m) if self.has_previous => {
                 // Eq. 7 propagation cost: the k x k transition products
@@ -526,11 +520,16 @@ impl<'a> BatchLocalizer<'a> {
                 }
                 let total: f64 = self.buf.weights.iter().map(|(_, w)| w).sum();
                 // Degradation rung 1 (fingerprint-only): degenerate or
-                // non-finite totals fall back to the fingerprint-only
-                // distribution, as `evaluate_candidates_kernel` does. A
-                // NaN total would slip past a plain `<=` floor check
-                // and normalize into a NaN posterior.
+                // non-finite totals — all motion evidence contradicting
+                // all fingerprint evidence — fall back to the
+                // fingerprint-only distribution. A NaN total would slip
+                // past a plain `<=` floor check and normalize into a
+                // NaN posterior.
                 if total.is_finite() && total > self.config.degenerate_total_floor {
+                    moloc_verify::check_weights(
+                        "core.batch.weights",
+                        self.buf.weights.iter().copied(),
+                    );
                     for entry in &mut self.buf.weights {
                         entry.1 /= total;
                     }
@@ -549,7 +548,7 @@ impl<'a> BatchLocalizer<'a> {
         };
         moloc_verify::check_posterior("core.batch.posterior", posterior.iter().copied());
 
-        // `CandidateSet::top`: highest probability, ties to lower id.
+        // Top pick: highest probability, ties to lower id.
         // `total_cmp` orders identically to `partial_cmp` here (the
         // guards above keep every retained probability finite and
         // non-negative, and no path produces -0.0) without a panicking
@@ -815,9 +814,9 @@ fn record_rung_occupancy(flags: DegradationFlags) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::MoLocTracker;
     use moloc_motion::matrix::PairStats;
     use moloc_stats::gaussian::Gaussian;
+    use moloc_verify::oracle;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -827,21 +826,31 @@ mod tests {
         Fingerprint::new(v.to_vec())
     }
 
-    /// The tracker module's twin world: L1/L3 fingerprint twins on an
-    /// eastward corridor through L2.
+    fn east(offset_m: f64) -> PairStats {
+        PairStats {
+            direction: Gaussian::new(90.0, 5.0).unwrap(),
+            offset: Gaussian::new(offset_m, 0.3).unwrap(),
+            sample_count: 10,
+        }
+    }
+
+    fn walk(direction_deg: f64, offset_m: f64) -> Option<MotionMeasurement> {
+        Some(MotionMeasurement {
+            direction_deg,
+            offset_m,
+        })
+    }
+
+    /// Three locations in a row, 4 m apart going east; L1 and L3 are
+    /// fingerprint twins, L2 is distinctive.
     fn world() -> (FingerprintDb, MotionDb) {
         let fdb = FingerprintDb::from_fingerprints(vec![
             (l(1), fp(&[-50.0, -50.0])),
             (l(2), fp(&[-40.0, -70.0])),
-            (l(3), fp(&[-50.0, -50.1])),
+            (l(3), fp(&[-50.0, -50.1])), // near-twin of L1
         ])
         .unwrap();
         let mut mdb = MotionDb::new(3);
-        let east = |mu_o: f64| PairStats {
-            direction: Gaussian::new(90.0, 5.0).unwrap(),
-            offset: Gaussian::new(mu_o, 0.3).unwrap(),
-            sample_count: 10,
-        };
         mdb.insert(l(1), l(2), east(4.0));
         mdb.insert(l(2), l(3), east(4.0));
         mdb.insert(l(1), l(3), east(8.0));
@@ -851,64 +860,188 @@ mod tests {
     fn queries() -> Vec<(Fingerprint, Option<MotionMeasurement>)> {
         vec![
             (fp(&[-40.0, -70.0]), None),
-            (
-                fp(&[-50.0, -50.05]),
-                Some(MotionMeasurement {
-                    direction_deg: 91.0,
-                    offset_m: 4.1,
-                }),
-            ),
-            (
-                fp(&[-41.0, -69.5]),
-                Some(MotionMeasurement {
-                    direction_deg: 270.0,
-                    offset_m: 4.0,
-                }),
-            ),
+            (fp(&[-50.0, -50.05]), walk(91.0, 4.1)),
+            (fp(&[-41.0, -69.5]), walk(270.0, 4.0)),
             (fp(&[-50.0, -50.0]), None),
         ]
     }
 
-    #[test]
-    fn matches_tracker_estimates() {
-        let (fdb, mdb) = world();
-        let config = MoLocConfig::default();
-        let mut tracker = MoLocTracker::new(&fdb, &mdb, config);
-        let expected: Vec<LocationId> = queries()
-            .iter()
-            .map(|(q, m)| tracker.observe(q, *m).unwrap())
-            .collect();
-        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
-        assert_eq!(engine.localize_trace(&queries()).unwrap(), expected);
+    fn bits(posterior: &[(LocationId, f64)]) -> Vec<(LocationId, u64)> {
+        posterior.iter().map(|&(l, p)| (l, p.to_bits())).collect()
     }
 
     #[test]
-    fn shared_index_matches_owned() {
+    fn motion_resolves_the_east_twin() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        // Start confidently at L2 (fingerprint only on the first query).
+        assert_eq!(engine.observe(&fp(&[-41.0, -69.0]), None).unwrap(), l(2));
+        // Walk east 4 m → must be L3 even though L1's fingerprint is an
+        // equally good match for the twin query.
+        let est = engine
+            .observe(&fp(&[-50.0, -50.05]), walk(91.0, 4.1))
+            .unwrap();
+        assert_eq!(est, l(3));
+    }
+
+    #[test]
+    fn west_walk_picks_the_other_twin() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        engine.observe(&fp(&[-40.0, -70.0]), None).unwrap();
+        let est = engine
+            .observe(&fp(&[-50.0, -50.05]), walk(270.0, 4.0))
+            .unwrap();
+        assert_eq!(est, l(1));
+        // Without motion the twins tie on fingerprints alone and the
+        // nearer one (L1) wins.
+        engine.reset();
+        engine.observe(&fp(&[-40.0, -70.0]), None).unwrap();
+        assert_eq!(engine.observe(&fp(&[-50.0, -50.0]), None).unwrap(), l(1));
+    }
+
+    #[test]
+    fn fig1c_wrong_initial_estimate_recovers() {
+        // Fig. 1(b)/(c): p (L1) has twins q (L2, 4 m west) and q′ (L3,
+        // 4 m east). The retained candidates split between p and q′
+        // with the wrong one (q′) ahead; walking 4 m west matches only
+        // p → q, so the retained runner-up rescues the estimate.
+        let fdb = FingerprintDb::from_fingerprints(vec![
+            (l(1), fp(&[-40.0, -70.0])),
+            (l(2), fp(&[-50.0, -50.0])),
+            (l(3), fp(&[-50.0, -50.0])),
+        ])
+        .unwrap();
+        let mut mdb = MotionDb::new(3);
+        mdb.insert(
+            l(1),
+            l(2),
+            PairStats {
+                direction: Gaussian::new(270.0, 5.0).unwrap(),
+                offset: Gaussian::new(4.0, 0.3).unwrap(),
+                sample_count: 8,
+            },
+        );
+        mdb.insert(l(1), l(3), east(4.0));
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        engine.restore_posterior(&[(l(1), 0.45), (l(3), 0.55)], DegradationFlags::empty());
+        let est = engine
+            .observe(&fp(&[-50.0, -49.0]), walk(270.0, 4.0))
+            .unwrap();
+        assert_eq!(est, l(2));
+        assert!(engine.last_flags().is_empty(), "{}", engine.last_flags());
+    }
+
+    #[test]
+    fn posterior_is_retained_with_fused_probabilities() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        assert!(engine.posterior().is_empty());
+        engine.observe(&fp(&[-40.0, -70.0]), None).unwrap();
+        assert!(!engine.posterior().is_empty());
+        engine
+            .observe(&fp(&[-50.0, -50.05]), walk(90.0, 4.0))
+            .unwrap();
+        let posterior = engine.posterior();
+        let total: f64 = posterior.iter().map(|(_, p)| p).sum();
+        assert!((total - 1.0).abs() < 1e-9, "total {total}");
+        let p3 = posterior
+            .iter()
+            .find(|(loc, _)| *loc == l(3))
+            .map_or(0.0, |&(_, p)| p);
+        assert!(p3 > 0.9, "P(L3) = {p3}");
+    }
+
+    #[test]
+    fn trace_matches_stepwise_observe() {
+        let (fdb, mdb) = world();
+        let config = MoLocConfig::default();
+        let mut stepwise = BatchLocalizer::new(&fdb, &mdb, config);
+        let expected: Vec<LocationId> = queries()
+            .iter()
+            .map(|(q, m)| stepwise.observe(q, *m).unwrap())
+            .collect();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
+        assert_eq!(engine.localize_trace(&queries()).unwrap(), expected);
+        assert_eq!(bits(engine.posterior()), bits(stepwise.posterior()));
+    }
+
+    #[test]
+    fn mid_trace_error_keeps_the_blocked_prefix_output() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        // A length-mismatched query at step 1 ends the blocked prefix;
+        // the error must surface exactly where the stepwise loop's
+        // would, with step 0's estimate and posterior kept.
+        let mut out = Vec::new();
+        let err = engine
+            .localize_trace_into(
+                &[
+                    (fp(&[-40.0, -70.0]), None),
+                    (fp(&[-40.0]), None),
+                    (fp(&[-50.0, -50.0]), None),
+                ],
+                &mut out,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TrackError::QueryLength {
+                expected: 2,
+                found: 1
+            }
+        );
+        assert_eq!(out, vec![l(2)]);
+        assert!(!engine.posterior().is_empty());
+    }
+
+    #[test]
+    fn posterior_matches_the_oracle_chain() {
+        // The naive reference chain — exhaustive k-NN, Eq. 4, Eq. 7
+        // fed the kernel's Eq. 5 values — reproduces every retained
+        // posterior bit for bit.
+        let (fdb, mdb) = world();
+        let config = MoLocConfig::default();
+        let kernel = build_kernel(&mdb, &config);
+        let rows: Vec<(LocationId, Vec<f64>)> = fdb
+            .iter()
+            .map(|(id, f)| (id, f.values().to_vec()))
+            .collect();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
+        let mut previous: Vec<(LocationId, f64)> = Vec::new();
+        for (q, m) in &queries() {
+            engine.observe(q, *m).unwrap();
+            let neighbors = oracle::k_nearest(
+                rows.iter().map(|(id, r)| (*id, r.as_slice())),
+                q.values(),
+                config.k,
+            );
+            let current = oracle::candidate_probabilities(&neighbors).unwrap();
+            previous = match m {
+                Some(m) if !previous.is_empty() => oracle::fuse_posterior(
+                    &current,
+                    &previous,
+                    |from, to| kernel.pair_probability(from, to, m.direction_deg, m.offset_m),
+                    config.degenerate_total_floor,
+                ),
+                _ => current,
+            };
+            assert_eq!(bits(engine.posterior()), bits(&previous));
+        }
+    }
+
+    #[test]
+    fn shared_index_matches_built_engine() {
         let (fdb, mdb) = world();
         let config = MoLocConfig::default();
         let index = FingerprintIndex::build(&fdb);
         let kernel = build_kernel(&mdb, &config);
-        let mut owned = BatchLocalizer::new(&fdb, &mdb, config);
+        let mut built = BatchLocalizer::new(&fdb, &mdb, config);
         let mut shared = BatchLocalizer::new_with_index(&index, &kernel, config);
         assert_eq!(
-            owned.localize_trace(&queries()).unwrap(),
+            built.localize_trace(&queries()).unwrap(),
             shared.localize_trace(&queries()).unwrap()
         );
-    }
-
-    #[test]
-    fn posterior_matches_tracker_candidates() {
-        let (fdb, mdb) = world();
-        let config = MoLocConfig::default();
-        let mut tracker = MoLocTracker::new(&fdb, &mdb, config);
-        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
-        assert!(engine.posterior().is_empty());
-        for (q, m) in &queries() {
-            tracker.observe(q, *m).unwrap();
-            engine.observe(q, *m).unwrap();
-            let tracked: Vec<(LocationId, f64)> = tracker.candidates().unwrap().iter().collect();
-            assert_eq!(engine.posterior(), tracked.as_slice());
-        }
     }
 
     #[test]
@@ -954,30 +1087,20 @@ mod tests {
             }
             assert_eq!(estimates, expected, "cut at {cut} diverged");
             if cut == queries.len() {
-                let bits = |p: &[(LocationId, f64)]| {
-                    p.iter().map(|(l, v)| (*l, v.to_bits())).collect::<Vec<_>>()
-                };
                 assert_eq!(bits(resumed.posterior()), bits(reference.posterior()));
             }
         }
     }
 
     #[test]
-    fn counted_engine_matches_owned_and_adopt_preserves_posterior() {
+    fn adopt_counted_preserves_the_posterior() {
+        // Mid-trace adoption of the *same* artifacts behind fresh Arcs
+        // must be invisible: identical posterior before and after, and
+        // the continuation matches an unswapped engine bit-for-bit.
         let (fdb, mdb) = world();
         let config = MoLocConfig::default();
         let index = Arc::new(FingerprintIndex::build(&fdb));
         let kernel = Arc::new(build_kernel(&mdb, &config));
-        let mut owned = BatchLocalizer::new(&fdb, &mdb, config);
-        let mut counted = BatchLocalizer::new_counted(Arc::clone(&index), Arc::clone(&kernel), config);
-        assert_eq!(
-            owned.localize_trace(&queries()).unwrap(),
-            counted.localize_trace(&queries()).unwrap()
-        );
-
-        // Mid-trace adoption of the *same* artifacts behind fresh Arcs
-        // must be invisible: identical posterior before and after, and
-        // the continuation matches an unswapped engine bit-for-bit.
         let queries = queries();
         let mut reference =
             BatchLocalizer::new_counted(Arc::clone(&index), Arc::clone(&kernel), config);
@@ -987,18 +1110,13 @@ mod tests {
             reference.observe(q, *m).unwrap();
             swapped.observe(q, *m).unwrap();
         }
-        let before: Vec<(LocationId, u64)> = swapped
-            .posterior()
-            .iter()
-            .map(|&(l, p)| (l, p.to_bits()))
-            .collect();
+        let before = bits(swapped.posterior());
         swapped.adopt_counted(Arc::new(FingerprintIndex::build(&fdb)), Arc::clone(&kernel));
-        let after: Vec<(LocationId, u64)> = swapped
-            .posterior()
-            .iter()
-            .map(|&(l, p)| (l, p.to_bits()))
-            .collect();
-        assert_eq!(before, after, "adopt must not touch the posterior");
+        assert_eq!(
+            before,
+            bits(swapped.posterior()),
+            "adopt must not touch the posterior"
+        );
         for (q, m) in &queries[2..] {
             assert_eq!(
                 reference.observe(q, *m).unwrap(),
@@ -1008,7 +1126,7 @@ mod tests {
     }
 
     #[test]
-    fn error_contract_matches_tracker() {
+    fn rejects_bad_queries_and_measurements() {
         let (fdb, mdb) = world();
         let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
         assert_eq!(
@@ -1020,13 +1138,7 @@ mod tests {
         );
         assert_eq!(
             engine
-                .observe(
-                    &fp(&[-40.0, -70.0]),
-                    Some(MotionMeasurement {
-                        direction_deg: f64::NAN,
-                        offset_m: 1.0,
-                    })
-                )
+                .observe(&fp(&[-40.0, -70.0]), walk(f64::NAN, 1.0))
                 .unwrap_err(),
             TrackError::BadMeasurement
         );
@@ -1099,13 +1211,7 @@ mod tests {
         let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
         engine.observe_slice(&[-40.0, -70.0], None).unwrap();
         let estimate = engine
-            .observe_slice(
-                &[-50.0, -50.05],
-                Some(MotionMeasurement {
-                    direction_deg: 91.0,
-                    offset_m: 4.1,
-                }),
-            )
+            .observe_slice(&[-50.0, -50.05], walk(91.0, 4.1))
             .unwrap();
         assert!(engine
             .last_flags()
@@ -1121,20 +1227,8 @@ mod tests {
         let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
         let traces: [(&[f64], Option<MotionMeasurement>); 4] = [
             (&[-40.0, -70.0], None),
-            (
-                &[f64::NAN, -50.05],
-                Some(MotionMeasurement {
-                    direction_deg: 91.0,
-                    offset_m: 4.1,
-                }),
-            ),
-            (
-                &[f64::NAN, f64::NAN],
-                Some(MotionMeasurement {
-                    direction_deg: 270.0,
-                    offset_m: 4.0,
-                }),
-            ),
+            (&[f64::NAN, -50.05], walk(91.0, 4.1)),
+            (&[f64::NAN, f64::NAN], walk(270.0, 4.0)),
             (&[-50.0, -50.0], None),
         ];
         for (query, motion) in traces {

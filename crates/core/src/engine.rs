@@ -2,12 +2,12 @@
 //!
 //! [`MoLoc`] bundles the fingerprint database, motion database, and
 //! configuration into one deployable unit — the thing a venue operator
-//! would ship — and hands out per-session [`MoLocTracker`]s.
+//! would ship — and hands out per-session [`BatchLocalizer`]s.
 
 use crate::batch::BatchLocalizer;
 use crate::config::MoLocConfig;
 use crate::matching::build_kernel;
-use crate::tracker::{MoLocTracker, MotionMeasurement, TrackError};
+use crate::tracker::{MotionMeasurement, TrackError};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
@@ -18,9 +18,8 @@ use moloc_motion::matrix::MotionDb;
 /// A deployed MoLoc system.
 ///
 /// Construction precomputes the two serving artifacts — the columnar
-/// [`FingerprintIndex`] and the [`MotionKernel`] — once; every tracker
-/// and batch engine handed out shares them instead of rebuilding per
-/// session.
+/// [`FingerprintIndex`] and the [`MotionKernel`] — once; every
+/// per-session engine handed out shares them instead of rebuilding.
 ///
 /// # Examples
 ///
@@ -103,22 +102,10 @@ impl MoLoc {
         &self.kernel
     }
 
-    /// A fresh per-session tracker sharing the prebuilt kernel and
-    /// index (no per-session artifact builds).
-    pub fn tracker(&self) -> MoLocTracker<'_> {
-        MoLocTracker::new_with_kernel(
-            &self.fingerprint_db,
-            &self.motion_db,
-            self.config,
-            &self.kernel,
-        )
-        .with_shared_index(&self.index)
-    }
-
-    /// A fresh per-session batch engine sharing the prebuilt kernel
-    /// and index; its scratch buffers make repeated observations
-    /// allocation-free.
-    pub fn batch_localizer(&self) -> BatchLocalizer<'_> {
+    /// A fresh per-session localizer sharing the prebuilt kernel and
+    /// index (no per-session artifact builds); its scratch buffers make
+    /// repeated observations allocation-free.
+    pub fn tracker(&self) -> BatchLocalizer<'_> {
         BatchLocalizer::new_with_index(&self.index, &self.kernel, self.config)
     }
 
@@ -133,7 +120,7 @@ impl MoLoc {
         &self,
         queries: &[(Fingerprint, Option<MotionMeasurement>)],
     ) -> Result<Vec<LocationId>, TrackError> {
-        self.batch_localizer().localize_trace(queries)
+        self.tracker().localize_trace(queries)
     }
 }
 
@@ -199,14 +186,11 @@ mod tests {
         let moloc = system();
         let mut a = moloc.tracker();
         let mut b = moloc.tracker();
-        a.observe(&fp(&[-41.0, -69.0]), None).unwrap();
-        assert!(a.candidates().is_some());
-        assert!(b.candidates().is_none());
-        b.observe(&fp(&[-69.0, -41.0]), None).unwrap();
-        assert_ne!(
-            a.candidates().unwrap().top().location,
-            b.candidates().unwrap().top().location
-        );
+        let at_a = a.observe(&fp(&[-41.0, -69.0]), None).unwrap();
+        assert!(!a.posterior().is_empty());
+        assert!(b.posterior().is_empty());
+        let at_b = b.observe(&fp(&[-69.0, -41.0]), None).unwrap();
+        assert_ne!(at_a, at_b);
     }
 
     #[test]

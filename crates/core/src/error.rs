@@ -26,8 +26,6 @@ pub enum MolocError {
     },
     /// The motion measurement is not finite (or has a negative offset).
     BadMeasurement,
-    /// No usable fingerprint candidates could be formed for the query.
-    EmptyCandidates,
     /// A configuration value was rejected by validation (e.g. a
     /// non-positive sanitation threshold, or a malformed `MOLOC_*`
     /// environment variable).
@@ -65,9 +63,6 @@ impl std::fmt::Display for MolocError {
                 write!(f, "query has {found} APs, database expects {expected}")
             }
             MolocError::BadMeasurement => write!(f, "motion measurement must be finite"),
-            MolocError::EmptyCandidates => {
-                write!(f, "no usable fingerprint candidates for the query")
-            }
             MolocError::InvalidConfig { field, value } => match value {
                 Some(value) => write!(f, "invalid configuration: {field}={value:?}"),
                 None => write!(f, "invalid configuration: {field}"),
@@ -191,9 +186,6 @@ mod tests {
         };
         assert!(q.to_string().contains("6"));
         assert!(MolocError::BadMeasurement.to_string().contains("finite"));
-        assert!(MolocError::EmptyCandidates
-            .to_string()
-            .contains("candidates"));
         assert!(MolocError::invalid_config("fine_sigma")
             .to_string()
             .contains("fine_sigma"));

@@ -15,15 +15,18 @@
 //!   malformed values are typed [`error::MolocError::InvalidConfig`]
 //!   errors carrying the offending string, never silent fallbacks.
 //! * [`matching`] — motion matching (Eq. 5: `P_{i,j}(d, o) =
-//!   D_{i,j}(d)·O_{i,j}(o)`) and its extension over candidate sets
-//!   (Eq. 6).
-//! * [`evaluate`] — the posterior candidate evaluation (Eq. 7).
-//! * [`tracker`] — [`tracker::MoLocTracker`], the stateful localizer
-//!   that retains the candidate set between queries.
-//! * [`batch`] — [`batch::BatchLocalizer`], the trace-oriented engine
-//!   with reusable scratch buffers (zero allocations after warm-up).
+//!   D_{i,j}(d)·O_{i,j}(o)`, Eq. 6 over candidate sets):
+//!   [`matching::build_kernel`] precomputes the lookup tables.
+//! * [`tracker`] — [`tracker::MotionMeasurement`], the per-interval
+//!   motion input of a localization step.
+//! * [`batch`] — [`batch::BatchLocalizer`], the one implementation of
+//!   the Sec. V-C step (Eq. 4 candidates, Eq. 5/6 motion matching,
+//!   Eq. 7 fusion, top pick, retained posterior) with reusable scratch
+//!   buffers (zero allocations after warm-up). `moloc_verify::oracle`
+//!   is its naive reference.
 //! * [`engine`] — [`engine::MoLoc`], the owning facade bundling the
-//!   fingerprint database, motion database, and configuration.
+//!   fingerprint database, motion database, and configuration, which
+//!   hands out one [`batch::BatchLocalizer`] per session.
 //! * [`viterbi`] — an offline HMM comparator over the same databases
 //!   (the related-work baseline the paper argues against).
 //! * [`particle`] — a sequential Monte Carlo comparator: the "delicate"
@@ -69,7 +72,6 @@ pub mod config;
 pub mod engine;
 pub mod env;
 pub mod error;
-pub mod evaluate;
 pub mod matching;
 pub mod particle;
 pub mod tracker;
@@ -79,4 +81,4 @@ pub use batch::BatchLocalizer;
 pub use config::MoLocConfig;
 pub use engine::MoLoc;
 pub use error::{DegradationFlags, MolocError};
-pub use tracker::{MoLocTracker, MotionMeasurement};
+pub use tracker::MotionMeasurement;

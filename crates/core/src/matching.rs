@@ -14,86 +14,19 @@
 //! ```text
 //! P_{S,j}(d, o) = Σ_{i ∈ S} P(x = i) · P_{i,j}(d, o)
 //! ```
+//!
+//! Eq. 5 is served by a precomputed [`MotionKernel`] (built here from a
+//! [`MoLocConfig`]); Eq. 6 is the inner sum of the Eq. 7 step in
+//! [`crate::batch::BatchLocalizer`]. The naive reference for both is
+//! `moloc_verify::oracle` (`pair_probability`, `stationary_probability`,
+//! `fuse_posterior`).
 
 use crate::config::MoLocConfig;
-use moloc_fingerprint::candidates::CandidateSet;
-use moloc_geometry::LocationId;
 use moloc_motion::kernel::MotionKernel;
 use moloc_motion::matrix::MotionDb;
-use moloc_stats::circular::signed_diff_deg;
-use moloc_stats::erf::std_normal_cdf;
-use moloc_stats::gaussian::Gaussian;
 
-/// The stay-in-place probability `P_{i,i}(d, o)`: uninformative
-/// direction (`α/360`) times the `β` window of a zero-mean offset
-/// Gaussian with [`MoLocConfig::stationary_offset_std_m`].
-///
-/// Evaluated directly through the standard normal CDF so the per-call
-/// path constructs no [`Gaussian`] (the old code validated and built
-/// one per invocation).
-#[inline]
-fn stationary_probability(offset_m: f64, config: &MoLocConfig) -> f64 {
-    let inv_std = 1.0 / config.stationary_offset_std_m;
-    let lo = (offset_m - config.beta_m / 2.0) * inv_std;
-    let hi = (offset_m + config.beta_m / 2.0) * inv_std;
-    let o_mass = (std_normal_cdf(hi) - std_normal_cdf(lo)).max(0.0);
-    (config.alpha_deg / 360.0).min(1.0) * o_mass
-}
-
-/// The pairwise motion probability `P_{i,j}(d, o)` (Eq. 5).
-///
-/// * For a trained pair, the direction mass is evaluated on the signed
-///   deviation from the pair's mean direction so the 0°/360° wrap never
-///   splits a window.
-/// * For the same location (`i == j`), a stay-in-place model applies:
-///   uninformative direction (`α/360`) times a zero-mean offset
-///   Gaussian.
-/// * For an untrained pair, [`MoLocConfig::missing_pair_prob`] applies.
-pub fn pair_motion_probability(
-    db: &MotionDb,
-    from: LocationId,
-    to: LocationId,
-    direction_deg: f64,
-    offset_m: f64,
-    config: &MoLocConfig,
-) -> f64 {
-    if from == to {
-        return stationary_probability(offset_m, config);
-    }
-    match db.get(from, to) {
-        Some(stats) => {
-            // Evaluate the direction window on the wrapped deviation:
-            // center a zero-mean Gaussian with the pair's σᵈ on the
-            // signed difference to μᵈ.
-            let dev = signed_diff_deg(stats.direction.mean(), direction_deg);
-            let dir_gauss =
-                Gaussian::new(0.0, stats.direction.std()).expect("db stds are positive");
-            let d_mass = dir_gauss.window_mass(dev, config.alpha_deg);
-            let o_mass = stats.offset.window_mass(offset_m, config.beta_m);
-            d_mass * o_mass
-        }
-        None => config.missing_pair_prob,
-    }
-}
-
-/// The set-extended motion probability `P_{S,j}(d, o)` (Eq. 6).
-pub fn set_motion_probability(
-    db: &MotionDb,
-    previous: &CandidateSet,
-    to: LocationId,
-    direction_deg: f64,
-    offset_m: f64,
-    config: &MoLocConfig,
-) -> f64 {
-    previous
-        .iter()
-        .map(|(from, p)| p * pair_motion_probability(db, from, to, direction_deg, offset_m, config))
-        .sum()
-}
-
-/// Precomputes a [`MotionKernel`] for `db` under `config` — the
-/// lookup-table form of [`pair_motion_probability`] used by the online
-/// localizers.
+/// Precomputes the [`MotionKernel`] for `db` under `config`: the
+/// lookup-table form of Eq. 5 every localizer reads.
 ///
 /// # Panics
 ///
@@ -103,165 +36,42 @@ pub fn build_kernel(db: &MotionDb, config: &MoLocConfig) -> MotionKernel {
     MotionKernel::build(db, &config.kernel_config())
 }
 
-/// Eq. 6 over a precomputed kernel: identical to
-/// [`set_motion_probability`] within the kernel's documented `1e-6`
-/// per-pair tolerance, with no map lookups or `erfc` evaluations.
-pub fn set_motion_probability_kernel(
-    kernel: &MotionKernel,
-    previous: &CandidateSet,
-    to: LocationId,
-    direction_deg: f64,
-    offset_m: f64,
-) -> f64 {
-    previous
-        .iter()
-        .map(|(from, p)| p * kernel.pair_probability(from, to, direction_deg, offset_m))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moloc_geometry::LocationId;
     use moloc_motion::matrix::PairStats;
+    use moloc_stats::gaussian::Gaussian;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
     }
 
-    fn db() -> MotionDb {
-        let mut db = MotionDb::new(4);
-        db.insert(
-            l(1),
-            l(2),
-            PairStats {
-                direction: Gaussian::new(90.0, 5.0).unwrap(),
-                offset: Gaussian::new(5.0, 0.3).unwrap(),
-                sample_count: 10,
-            },
-        );
-        db
-    }
-
-    fn cfg() -> MoLocConfig {
-        MoLocConfig::default()
-    }
-
-    #[test]
-    fn matching_motion_scores_high() {
-        let p = pair_motion_probability(&db(), l(1), l(2), 90.0, 5.0, &cfg());
-        assert!(p > 0.8, "p = {p}");
-    }
-
-    #[test]
-    fn wrong_direction_scores_low() {
-        let right = pair_motion_probability(&db(), l(1), l(2), 90.0, 5.0, &cfg());
-        let wrong = pair_motion_probability(&db(), l(1), l(2), 270.0, 5.0, &cfg());
-        assert!(wrong < right * 1e-6, "wrong {wrong} vs right {right}");
+    fn pair(direction: f64) -> PairStats {
+        PairStats {
+            direction: Gaussian::new(direction, 5.0).unwrap(),
+            offset: Gaussian::new(5.0, 0.3).unwrap(),
+            sample_count: 10,
+        }
     }
 
     #[test]
     fn wrong_offset_scores_low() {
-        let right = pair_motion_probability(&db(), l(1), l(2), 90.0, 5.0, &cfg());
-        let wrong = pair_motion_probability(&db(), l(1), l(2), 90.0, 9.0, &cfg());
-        assert!(wrong < right * 1e-3);
-    }
-
-    #[test]
-    fn reverse_walk_uses_mirrored_entry() {
-        let p = pair_motion_probability(&db(), l(2), l(1), 270.0, 5.0, &cfg());
-        assert!(p > 0.8, "p = {p}");
-        let bad = pair_motion_probability(&db(), l(2), l(1), 90.0, 5.0, &cfg());
-        assert!(bad < 1e-6);
+        let mut db = MotionDb::new(4);
+        db.insert(l(1), l(2), pair(90.0));
+        let kernel = build_kernel(&db, &MoLocConfig::default());
+        let right = kernel.pair_probability(l(1), l(2), 90.0, 5.0);
+        let wrong = kernel.pair_probability(l(1), l(2), 90.0, 9.0);
+        assert!(wrong < right * 1e-3, "wrong {wrong} vs right {right}");
     }
 
     #[test]
     fn direction_window_handles_wraparound() {
         let mut db = MotionDb::new(4);
-        db.insert(
-            l(1),
-            l(2),
-            PairStats {
-                direction: Gaussian::new(0.5, 5.0).unwrap(), // nearly north
-                offset: Gaussian::new(5.0, 0.3).unwrap(),
-                sample_count: 5,
-            },
-        );
+        db.insert(l(1), l(2), pair(0.5)); // nearly north
+        let kernel = build_kernel(&db, &MoLocConfig::default());
         // A measurement at 359.5° is only 1° away across the wrap.
-        let p = pair_motion_probability(&db, l(1), l(2), 359.5, 5.0, &cfg());
+        let p = kernel.pair_probability(l(1), l(2), 359.5, 5.0);
         assert!(p > 0.8, "p = {p}");
-    }
-
-    #[test]
-    fn missing_pair_uses_epsilon() {
-        let p = pair_motion_probability(&db(), l(1), l(3), 90.0, 5.0, &cfg());
-        assert_eq!(p, cfg().missing_pair_prob);
-    }
-
-    #[test]
-    fn stationary_model_prefers_small_offsets() {
-        let near = pair_motion_probability(&db(), l(1), l(1), 10.0, 0.1, &cfg());
-        let far = pair_motion_probability(&db(), l(1), l(1), 10.0, 4.0, &cfg());
-        assert!(near > 100.0 * far);
-    }
-
-    #[test]
-    fn eq6_weights_by_prior() {
-        let db = db();
-        let config = cfg();
-        // Previous candidates: L1 with 0.9, L3 with 0.1.
-        let prev = CandidateSet::from_weights(vec![(l(1), 0.9), (l(3), 0.1)]).unwrap();
-        let p_set = set_motion_probability(&db, &prev, l(2), 90.0, 5.0, &config);
-        let p_pair = pair_motion_probability(&db, l(1), l(2), 90.0, 5.0, &config);
-        let expected = 0.9 * p_pair + 0.1 * config.missing_pair_prob;
-        assert!((p_set - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kernel_matches_exact_computation() {
-        let db = db();
-        let config = cfg();
-        let kernel = build_kernel(&db, &config);
-        for from in 1..=4u32 {
-            for to in 1..=4u32 {
-                for dir in [0.0, 45.0, 90.0, 269.5, 359.9] {
-                    for off in [0.0, 0.4, 5.0, 12.0] {
-                        let exact = pair_motion_probability(&db, l(from), l(to), dir, off, &config);
-                        let fast = kernel.pair_probability(l(from), l(to), dir, off);
-                        assert!(
-                            (exact - fast).abs() <= 1e-6,
-                            "({from}→{to}, {dir}°, {off} m): exact {exact} vs kernel {fast}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_eq6_matches_exact_eq6() {
-        let db = db();
-        let config = cfg();
-        let kernel = build_kernel(&db, &config);
-        let prev = CandidateSet::from_weights(vec![(l(1), 0.6), (l(2), 0.3), (l(4), 0.1)]).unwrap();
-        for to in 1..=4u32 {
-            let exact = set_motion_probability(&db, &prev, l(to), 91.0, 5.2, &config);
-            let fast = set_motion_probability_kernel(&kernel, &prev, l(to), 91.0, 5.2);
-            assert!(
-                (exact - fast).abs() <= 1e-6,
-                "to = {to}: exact {exact} vs kernel {fast}"
-            );
-        }
-    }
-
-    #[test]
-    fn probabilities_are_in_unit_interval() {
-        let db = db();
-        let config = cfg();
-        for dir in [0.0, 45.0, 90.0, 180.0, 270.0] {
-            for off in [0.0, 1.0, 5.0, 10.0] {
-                let p = pair_motion_probability(&db, l(1), l(2), dir, off, &config);
-                assert!((0.0..=1.0).contains(&p), "p = {p}");
-            }
-        }
     }
 }

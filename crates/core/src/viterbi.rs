@@ -10,9 +10,9 @@
 //! * emissions — the fingerprint evidence of Eq. 4 extended to every
 //!   location;
 //! * transitions — the motion matching of Eq. 5 (with the same
-//!   missing-pair and stationary conventions as the tracker).
+//!   missing-pair and stationary conventions as the online step).
 //!
-//! Unlike [`crate::tracker::MoLocTracker`], Viterbi decodes a whole
+//! Unlike [`crate::batch::BatchLocalizer`], Viterbi decodes a whole
 //! trace at once (it needs the full observation sequence) and its cost
 //! per step is `O(n²)` in the number of locations versus MoLoc's
 //! `O(k²)` — the efficiency argument of Sec. V quantified by the

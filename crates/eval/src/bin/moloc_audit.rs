@@ -12,13 +12,17 @@
 //! * `kernel.pair` / `kernel.stay` — the tabulated-CDF motion kernel
 //!   vs the exact `erf` evaluation (documented accuracy 1e-6; gate at
 //!   2e-6).
-//! * `eq4.candidates` — the engine's inverse-dissimilarity candidate
-//!   probabilities vs the Eq. 4 oracle (1e-12).
-//! * `eq7.exact` / `eq7.kernel` — posterior fusion vs the Eq. 7
-//!   oracle. The kernel arm inherits the per-pair 1e-6 and can have it
-//!   amplified by normalization when the total mass is tiny, so it
-//!   gates at 1e-3 — divergence here means a wrong *decision*, not a
-//!   wrong ulp.
+//! * `eq4.engine` / `eq7.engine` / `eq7.trace` — the production
+//!   `BatchLocalizer` step vs the oracle chain (exhaustive k-NN →
+//!   Eq. 4 → Eq. 7 fed the kernel's Eq. 5 values): first observations
+//!   and restored-posterior fusions through `observe_slice` (clean,
+//!   masked, blind and exact-match queries), whole traces through the
+//!   blocked `localize_scans_into`. Posteriors must be bit-identical
+//!   and estimates equal.
+//! * `eq7.exact` — the same fusions vs the oracle with the exact-erf
+//!   Eq. 5. The kernel's per-pair 1e-6 can be amplified by
+//!   normalization when the total mass is tiny, so it gates at 1e-3 —
+//!   divergence here means a wrong *decision*, not a wrong ulp.
 //! * `parallel.width` — the work-stealing evaluation runtime at worker
 //!   widths 1 vs 4 (bit-identical estimates required).
 //! * `live.rebuild` — incremental epoch publication vs a from-scratch
@@ -32,20 +36,21 @@
 //!
 //! Divergences and invariant violations are reported as structured
 //! JSON; the process exits nonzero unless the report is clean.
-//! `--self-test` plants a known divergence (a perturbed oracle input)
-//! and is expected to exit nonzero — CI runs it negated to prove the
-//! gate can actually fail.
+//! `--self-test` perturbs one oracle query in `knn.scalar` and one in
+//! `eq7.engine` and is expected to exit nonzero with a divergence in
+//! both — CI checks the report to prove each gate can actually fail.
 
+use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
-use moloc_core::evaluate::{evaluate_candidates, evaluate_candidates_kernel};
+use moloc_core::error::DegradationFlags;
 use moloc_core::matching::build_kernel;
+use moloc_core::tracker::MotionMeasurement;
 use moloc_eval::parallel::{par_run, set_worker_override};
 use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use moloc_faults::rng::{hash, unit};
 use moloc_fingerprint::block::{
     set_block_override, set_mirror_override, BlockNeighbors, BlockScratch, QueryBlock,
 };
-use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, ShardCandidate};
 use moloc_fingerprint::knn::Neighbor;
 use moloc_fingerprint::SquaredEuclidean;
@@ -106,7 +111,15 @@ fn main() {
 
     knn_suites(&setting, &queries, seed, self_test, &mut report);
     kernel_suites(&setting.motion_db, &config, seed, &mut report);
-    eq_suites(&setting, &queries, &config, seed, &mut report);
+    eq_suites(
+        &world,
+        &setting,
+        &queries,
+        &config,
+        seed,
+        self_test,
+        &mut report,
+    );
     parallel_suite(&world, &setting, &mut report);
     live_suite(&world, &setting, seed, &mut report);
     session_suite(&world, &setting, &mut report);
@@ -194,7 +207,7 @@ fn pairs_of(neighbors: &[Neighbor]) -> Vec<(LocationId, f64)> {
 fn fmt_pairs(pairs: &[(LocationId, f64)]) -> String {
     let body: Vec<String> = pairs
         .iter()
-        .map(|(id, v)| format!("({}, {v:.12e})", id.get()))
+        .map(|(id, v)| format!("({}, {v:e})", id.get()))
         .collect();
     format!("[{}]", body.join(", "))
 }
@@ -515,63 +528,155 @@ fn kernel_suites(db: &MotionDb, config: &MoLocConfig, seed: u64, report: &mut Au
 }
 
 // ---------------------------------------------------------------------
-// Eq. 4 / Eq. 7 suites.
+// Eq. 4 / Eq. 7 suites: the production step vs the oracle chain.
 // ---------------------------------------------------------------------
 
+/// One step of the oracle chain: exhaustive k-NN (masked when an AP is
+/// missing) → Eq. 4 → Eq. 7 from `previous` through `motion` (the
+/// step's `P_{from,to}(d, o)`), with the engine's documented fallbacks:
+/// a uniform reset over the neighbors when the Eq. 4 total is
+/// degenerate, the fingerprint-only prior when the Eq. 7 total is.
+fn oracle_step(
+    rows: &[(LocationId, Vec<f64>)],
+    query: &[f64],
+    k: usize,
+    previous: &[(LocationId, f64)],
+    motion: Option<&dyn Fn(LocationId, LocationId) -> f64>,
+    floor: f64,
+) -> Vec<(LocationId, f64)> {
+    let rows = rows.iter().map(|(id, r)| (*id, r.as_slice()));
+    let neighbors = if query.iter().all(|v| v.is_finite()) {
+        oracle::k_nearest(rows, query, k)
+    } else {
+        oracle::k_nearest_masked(rows, query, k).0
+    };
+    let Some(current) = oracle::candidate_probabilities(&neighbors) else {
+        let p = 1.0 / neighbors.len() as f64;
+        return neighbors.iter().map(|&(id, _)| (id, p)).collect();
+    };
+    match motion {
+        Some(motion) if !previous.is_empty() => {
+            oracle::fuse_posterior(&current, previous, motion, floor)
+        }
+        _ => current,
+    }
+}
+
+/// The estimate a posterior yields: highest probability, ties to the
+/// lower location id.
+fn top(posterior: &[(LocationId, f64)]) -> Option<LocationId> {
+    posterior
+        .iter()
+        .copied()
+        .reduce(|best, c| {
+            if c.1 > best.1 || (c.1 == best.1 && c.0 < best.0) {
+                c
+            } else {
+                best
+            }
+        })
+        .map(|(id, _)| id)
+}
+
+/// Whether two posteriors hold the same ids with the same IEEE-754 bits.
+fn same_bits(a: &[(LocationId, f64)], b: &[(LocationId, f64)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(&(ai, av), &(bi, bv))| ai == bi && av.to_bits() == bv.to_bits())
+}
+
+/// Compares one engine step against the oracle chain bit for bit: the
+/// retained posterior and the estimate.
+fn compare_step(
+    suite: &str,
+    case: String,
+    expected: &[(LocationId, f64)],
+    estimate: LocationId,
+    posterior: &[(LocationId, f64)],
+    divergences: &mut Vec<Divergence>,
+) {
+    if !same_bits(expected, posterior) || top(expected) != Some(estimate) {
+        divergences.push(Divergence {
+            suite: suite.to_string(),
+            case,
+            expected: format!(
+                "{:?} {}",
+                top(expected).map(|l| l.get()),
+                fmt_pairs(expected)
+            ),
+            actual: format!("Some({}) {}", estimate.get(), fmt_pairs(posterior)),
+        });
+    }
+}
+
 fn eq_suites(
+    world: &EvalWorld,
     setting: &Setting,
     queries: &[Vec<f64>],
     config: &MoLocConfig,
     seed: u64,
+    self_test: bool,
     report: &mut AuditReport,
 ) {
-    eprintln!("moloc-audit: Eq. 4 / Eq. 7 suites");
+    eprintln!("moloc-audit: Eq. 4 / Eq. 7 engine suites");
     let index = FingerprintIndex::build(&setting.fdb);
     let kernel = build_kernel(&setting.motion_db, config);
-    let mut scratch = KnnScratch::new();
-    let mut out: Vec<Neighbor> = Vec::new();
+    let rows: Vec<(LocationId, Vec<f64>)> = setting
+        .fdb
+        .iter()
+        .map(|(id, fp)| (id, fp.values().to_vec()))
+        .collect();
+    let (k, floor) = (config.k, config.degenerate_total_floor);
+    let mut engine = BatchLocalizer::new_with_index(&index, &kernel, *config);
 
-    // Eq. 4: engine candidate probabilities vs the oracle, plus the
-    // synthetic exact-match branch (a query equal to a stored row).
-    let mut divs = Vec::new();
-    let mut candidate_sets: Vec<CandidateSet> = Vec::new();
+    // Eq. 4: first observations (empty posterior) through `observe_slice`
+    // — every corpus query clean and masked, the blind query, and the
+    // exact-match branch (a query equal to a stored row).
+    let mut step_queries: Vec<(String, Vec<f64>)> = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_into::<SquaredEuclidean>(query, config.k, &mut scratch, &mut out);
-        let set = CandidateSet::from_neighbors(&out).expect("k >= 1 neighbors");
-        let expected =
-            oracle::candidate_probabilities(&pairs_of(&out)).expect("non-degenerate neighbors");
-        compare_pairs(
-            "eq4.candidates",
-            format!("query {qi}"),
-            &expected,
-            &set.iter().collect::<Vec<_>>(),
-            1e-12,
-            &mut divs,
-        );
-        candidate_sets.push(set);
+        step_queries.push((format!("query {qi}"), query.clone()));
+        step_queries.push((
+            format!("masked query {qi}"),
+            masked_query(query, seed, qi as u64),
+        ));
     }
-    let mut cases = queries.len() as u64;
+    step_queries.push(("all-NaN query".to_string(), vec![f64::NAN; N_APS]));
     if let Some((id, fp)) = setting.fdb.iter().next() {
-        index.k_nearest_into::<SquaredEuclidean>(fp.values(), config.k, &mut scratch, &mut out);
-        let set = CandidateSet::from_neighbors(&out).expect("k >= 1 neighbors");
-        let expected =
-            oracle::candidate_probabilities(&pairs_of(&out)).expect("non-degenerate neighbors");
-        compare_pairs(
-            "eq4.candidates",
+        step_queries.push((
             format!("exact-match query at {}", id.get()),
+            fp.values().to_vec(),
+        ));
+    }
+    let mut divs = Vec::new();
+    for (case, query) in &step_queries {
+        engine.reset();
+        let estimate = engine.observe_slice(query, None).expect("valid query");
+        let expected = oracle_step(&rows, query, k, &[], None, floor);
+        compare_step(
+            "eq4.engine",
+            case.clone(),
             &expected,
-            &set.iter().collect::<Vec<_>>(),
-            0.0,
+            estimate,
+            engine.posterior(),
             &mut divs,
         );
-        cases += 1;
     }
-    report.finish_suite("eq4.candidates", cases, divs);
+    report.finish_suite("eq4.engine", step_queries.len() as u64, divs);
 
-    // Eq. 7 exact: database-path fusion vs the oracle with the exact
-    // motion closure.
+    // Eq. 7: each case restores the previous query's Eq. 4 posterior
+    // and fuses the next query (every third one masked, plus a blind
+    // one) under a seeded motion. Even cases walk a trained pair out of
+    // the previous estimate (its mean direction and offset, jittered)
+    // so the fusion carries real motion mass; odd cases draw a uniform
+    // motion, which mostly lands on the fingerprint-only fallback. The
+    // gate is bit-identity with the oracle fed the kernel's Eq. 5
+    // values, and the decision-level 1e-3 with the exact-erf oracle
+    // (the kernel's per-pair 1e-6 can be amplified by normalization
+    // when the total mass is tiny). In self-test mode the first case
+    // feeds the oracle a perturbed query.
     let db = &setting.motion_db;
-    let motion_oracle = |from: LocationId, to: LocationId, d: f64, o: f64| -> f64 {
+    let exact_pair = |from: LocationId, to: LocationId, d: f64, o: f64| -> f64 {
         if from == to {
             return oracle::stationary_probability(
                 o,
@@ -594,45 +699,160 @@ fn eq_suites(
             None => config.missing_pair_prob,
         }
     };
+    let mut divs_engine = Vec::new();
     let mut divs_exact = Vec::new();
-    let mut divs_kernel = Vec::new();
-    let mut cases = 0u64;
-    for w in candidate_sets.windows(2) {
-        let (previous, current) = (&w[0], &w[1]);
-        let direction = 360.0 * unit(hash(seed, 0xD0, cases, 0));
-        let offset = 0.5 + 3.0 * unit(hash(seed, 0xD1, cases, 0));
-        let fused = evaluate_candidates(db, previous, current, direction, offset, config);
-        let expected = oracle::fuse_posterior(
-            &current.iter().collect::<Vec<_>>(),
-            &previous.iter().collect::<Vec<_>>(),
-            |from, to| motion_oracle(from, to, direction, offset),
-            config.degenerate_total_floor,
+    for (ci, w) in queries.windows(2).enumerate() {
+        let case = ci as u64;
+        let previous = oracle_step(&rows, &w[0], k, &[], None, floor);
+        let current = if ci + 2 == queries.len() {
+            vec![f64::NAN; N_APS]
+        } else if ci % 3 == 2 {
+            masked_query(&w[1], seed, 0x100 + case)
+        } else {
+            w[1].clone()
+        };
+        let from = top(&previous).expect("k >= 1 neighbors");
+        let trained = db.neighbors_of(from);
+        let (direction, offset) = match trained.len() {
+            n if n > 0 && ci % 2 == 0 => {
+                let to = trained[hash(seed, 0xD2, case, 0) as usize % n];
+                let stats = db.get(from, to).expect("trained neighbor");
+                (
+                    (stats.direction.mean() + 10.0 * unit(hash(seed, 0xD3, case, 0)) - 5.0)
+                        .rem_euclid(360.0),
+                    (stats.offset.mean() + unit(hash(seed, 0xD4, case, 0)) - 0.5).max(0.0),
+                )
+            }
+            _ => (
+                360.0 * unit(hash(seed, 0xD0, case, 0)),
+                0.5 + 3.0 * unit(hash(seed, 0xD1, case, 0)),
+            ),
+        };
+        engine.restore_posterior(&previous, DegradationFlags::empty());
+        let estimate = engine
+            .observe_slice(
+                &current,
+                Some(MotionMeasurement {
+                    direction_deg: direction,
+                    offset_m: offset,
+                }),
+            )
+            .expect("valid query and motion");
+        let oracle_query = if self_test && ci == 0 {
+            let mut q = current.clone();
+            q[0] += 1.0;
+            q
+        } else {
+            current.clone()
+        };
+        let with_kernel = |from, to| kernel.pair_probability(from, to, direction, offset);
+        let expected = oracle_step(
+            &rows,
+            &oracle_query,
+            k,
+            &previous,
+            Some(&with_kernel),
+            floor,
         );
+        let label = format!("step {ci} d={direction:.3} o={offset:.3}");
+        compare_step(
+            "eq7.engine",
+            label.clone(),
+            &expected,
+            estimate,
+            engine.posterior(),
+            &mut divs_engine,
+        );
+        let with_exact = |from, to| exact_pair(from, to, direction, offset);
+        let exact = oracle_step(&rows, &current, k, &previous, Some(&with_exact), floor);
         compare_pairs(
             "eq7.exact",
-            format!("step {cases} d={direction:.3} o={offset:.3}"),
-            &expected,
-            &fused.iter().collect::<Vec<_>>(),
-            1e-9,
+            label,
+            &exact,
+            engine.posterior(),
+            1e-3,
             &mut divs_exact,
         );
-        // Eq. 7 kernel vs exact: the 1e-6 per-pair kernel error can be
-        // amplified by normalization when the total motion mass is
-        // tiny, so this arm gates at the decision level (1e-3).
-        let fused_kernel =
-            evaluate_candidates_kernel(&kernel, previous, current, direction, offset, config);
-        compare_pairs(
-            "eq7.kernel",
-            format!("step {cases} d={direction:.3} o={offset:.3}"),
-            &fused.iter().collect::<Vec<_>>(),
-            &fused_kernel.iter().collect::<Vec<_>>(),
-            1e-3,
-            &mut divs_kernel,
-        );
-        cases += 1;
     }
+    let cases = queries.len().saturating_sub(1) as u64;
+    report.finish_suite("eq7.engine", cases, divs_engine);
     report.finish_suite("eq7.exact", cases, divs_exact);
-    report.finish_suite("eq7.kernel", cases, divs_kernel);
+
+    // Whole traces through `localize_scans_into` with the blocked k-NN
+    // precompute forced on (every fourth scan masked, so clean and
+    // masked lanes share blocks): every prefix's estimates and final
+    // posterior vs the sequential oracle chain.
+    set_block_override(Some(true));
+    let detector = StepDetector::default();
+    let mut divs = Vec::new();
+    let mut cases = 0u64;
+    for (ti, trace) in world.corpus.test.iter().take(12).enumerate() {
+        let analysis = analyze_trace_indexed(
+            trace,
+            &setting.fdb,
+            &index,
+            &world.hall,
+            &detector,
+            setting.counting,
+            setting.n_aps,
+        );
+        let scans: Vec<Vec<f64>> = trace
+            .scans
+            .iter()
+            .enumerate()
+            .map(|(i, scan)| {
+                let scan = &scan[..setting.n_aps];
+                if i % 4 == 3 {
+                    masked_query(scan, seed, 0x200 + (ti * 1000 + i) as u64)
+                } else {
+                    scan.to_vec()
+                }
+            })
+            .collect();
+        let motions: Vec<Option<MotionMeasurement>> = (0..scans.len())
+            .map(|i| {
+                if i == 0 {
+                    None
+                } else {
+                    analysis.measurements[i - 1]
+                }
+            })
+            .collect();
+        let mut posteriors: Vec<Vec<(LocationId, f64)>> = Vec::with_capacity(scans.len());
+        for (scan, motion) in scans.iter().zip(&motions) {
+            let previous = posteriors.last().map_or(&[][..], Vec::as_slice);
+            let step = match motion {
+                Some(m) => {
+                    let with_kernel =
+                        |from, to| kernel.pair_probability(from, to, m.direction_deg, m.offset_m);
+                    oracle_step(&rows, scan, k, previous, Some(&with_kernel), floor)
+                }
+                None => oracle_step(&rows, scan, k, previous, None, floor),
+            };
+            posteriors.push(step);
+        }
+        let expected: Vec<Option<LocationId>> = posteriors.iter().map(|p| top(p)).collect();
+        let views: Vec<&[f64]> = scans.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::with_capacity(scans.len());
+        for end in 1..=scans.len() {
+            engine
+                .localize_scans_into(&views[..end], &motions[..end], &mut out)
+                .expect("valid trace");
+            let estimates: Vec<Option<LocationId>> = out.iter().copied().map(Some).collect();
+            let last = &posteriors[end - 1];
+            if estimates != expected[..end] || !same_bits(last, engine.posterior()) {
+                divs.push(Divergence {
+                    suite: "eq7.trace".to_string(),
+                    case: format!("trace {ti} prefix {end}"),
+                    expected: format!("{:?} {}", &expected[..end], fmt_pairs(last)),
+                    actual: format!("{estimates:?} {}", fmt_pairs(engine.posterior())),
+                });
+            }
+            cases += 1;
+        }
+    }
+    set_block_override(None);
+    report.finish_suite("eq7.trace", cases, divs);
 }
 
 // ---------------------------------------------------------------------

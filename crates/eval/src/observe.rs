@@ -96,8 +96,6 @@ pub const HISTOGRAMS: &[&str] = &[
     // Timing spans, per stage.
     "core.batch.localize_trace",
     "core.batch.observe",
-    "core.tracker.observe",
-    "core.tracker.observe_trace",
     "core.particle.observe",
     "core.viterbi.localize_trace",
     "eval.pipeline.build_setting",

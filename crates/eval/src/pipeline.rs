@@ -235,21 +235,6 @@ pub fn analyze_trace_indexed(
     analyze_trace_with(trace, &localizer, hall, detector, counting, n_aps)
 }
 
-/// [`analyze_trace`] with the pre-index NN scan (generic `dyn` metric
-/// walk instead of the columnar index). Kept as the reference arm for
-/// the benchmark suite's old-path comparisons; results are identical.
-pub fn analyze_trace_exact(
-    trace: &SensorTrace,
-    fdb: &FingerprintDb,
-    hall: &OfficeHall,
-    detector: &StepDetector,
-    counting: CountingMethod,
-    n_aps: usize,
-) -> TraceAnalysis {
-    let localizer = NnLocalizer::with_metric(fdb, moloc_fingerprint::metric::Euclidean);
-    analyze_trace_with(trace, &localizer, hall, detector, counting, n_aps)
-}
-
 fn analyze_trace_with(
     trace: &SensorTrace,
     localizer: &NnLocalizer<'_>,
@@ -401,8 +386,8 @@ pub fn localize_moloc(
 /// results land in disjoint pre-sized slots. Each trace's engine
 /// session is independent and the scratch is cleared at every engine
 /// handoff, so the result is identical to a serial run at every worker
-/// count and chunk size — and the batch engine reproduces the per-query
-/// tracker path bit-for-bit (see `tests/determinism.rs`).
+/// count and chunk size — and the engine reproduces the naive
+/// `moloc_verify::oracle` chain bit-for-bit (see `tests/determinism.rs`).
 ///
 /// `index` must be built from `setting.fdb` and `kernel` from
 /// `setting.motion_db` under `config`'s kernel fields.

@@ -14,10 +14,11 @@
 
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
-use moloc_core::tracker::MoLocTracker;
 use moloc_eval::parallel::{par_run, set_worker_override, thread_count};
 use moloc_eval::pipeline::{analyze_trace, localize_moloc, localize_wifi, EvalWorld, PassOutcome};
+use moloc_geometry::LocationId;
 use moloc_sensors::steps::StepDetector;
+use moloc_verify::oracle;
 
 #[test]
 fn thread_count_env_contract() {
@@ -63,7 +64,7 @@ fn localize_wifi_single_trace(
 #[test]
 fn repeated_parallel_moloc_runs_are_identical() {
     // Two runs under the ambient thread count: scheduling differs,
-    // output must not. (The per-trace tracker sessions share only
+    // output must not. (The per-trace engine sessions share only
     // read-only state — databases, kernel — and PassOutcome derives
     // PartialEq over every field, so this is a full bitwise check of
     // estimates and errors.)
@@ -251,14 +252,32 @@ fn outcome_digest() -> String {
     digest(&localize_moloc(&world, &setting, MoLocConfig::paper()))
 }
 
+/// The top candidate of a posterior: highest probability, ties to the
+/// lower location id.
+fn top(posterior: &[(LocationId, f64)]) -> LocationId {
+    posterior
+        .iter()
+        .copied()
+        .reduce(|best, c| {
+            if c.1 > best.1 || (c.1 == best.1 && c.0 < best.0) {
+                c
+            } else {
+                best
+            }
+        })
+        .expect("non-empty posterior")
+        .0
+}
+
 #[test]
-fn batch_engine_digest_matches_exact_scan_tracker() {
-    // The pipeline now runs each trace through the zero-allocation
-    // `BatchLocalizer` over the columnar `FingerprintIndex`. The
-    // reference arm below is the pre-index path: a serial, per-query
-    // `MoLocTracker` forced onto the exact `dyn Dissimilarity` scan.
-    // Identical digests prove the optimized engine is bit-identical,
-    // not merely statistically equivalent.
+fn batch_engine_digest_matches_oracle_chain() {
+    // The pipeline runs each trace through the zero-allocation
+    // `BatchLocalizer` (blocked k-NN over the columnar index, Eq. 4–7
+    // in reused buffers). The reference arm is the naive oracle chain:
+    // exhaustive sorted k-NN → Eq. 4 → Eq. 7 fed the kernel's Eq. 5
+    // values, one fresh allocation per step. Identical digests prove
+    // the production step is bit-identical, not merely statistically
+    // equivalent.
     let world = EvalWorld::small(2013);
     let setting = world.setting(6);
     let config = MoLocConfig::paper();
@@ -266,6 +285,11 @@ fn batch_engine_digest_matches_exact_scan_tracker() {
 
     let detector = StepDetector::default();
     let kernel = build_kernel(&setting.motion_db, &config);
+    let rows: Vec<(LocationId, Vec<f64>)> = setting
+        .fdb
+        .iter()
+        .map(|(id, fp)| (id, fp.values().to_vec()))
+        .collect();
     let reference: Vec<Vec<PassOutcome>> = (0..world.corpus.test.len())
         .map(|trace_index| {
             let trace = &world.corpus.test[trace_index];
@@ -277,26 +301,37 @@ fn batch_engine_digest_matches_exact_scan_tracker() {
                 setting.counting,
                 setting.n_aps,
             );
-            let mut tracker =
-                MoLocTracker::new_with_kernel(&setting.fdb, &setting.motion_db, config, &kernel)
-                    .with_exact_scan();
+            let mut posterior: Vec<(LocationId, f64)> = Vec::new();
             trace
                 .passes
                 .iter()
                 .zip(&trace.scans)
                 .enumerate()
                 .map(|(pass_index, (pass, scan))| {
-                    let query = moloc_fingerprint::fingerprint::Fingerprint::new(
-                        scan[..setting.n_aps].to_vec(),
+                    let neighbors = oracle::k_nearest(
+                        rows.iter().map(|(id, r)| (*id, r.as_slice())),
+                        &scan[..setting.n_aps],
+                        config.k,
                     );
+                    let current = oracle::candidate_probabilities(&neighbors)
+                        .expect("finite survey dissimilarities");
                     let motion = if pass_index == 0 {
                         None
                     } else {
                         analysis.measurements[pass_index - 1]
                     };
-                    let estimate = tracker
-                        .observe(&query, motion)
-                        .expect("query length matches database");
+                    posterior = match motion {
+                        Some(m) if !posterior.is_empty() => oracle::fuse_posterior(
+                            &current,
+                            &posterior,
+                            |from, to| {
+                                kernel.pair_probability(from, to, m.direction_deg, m.offset_m)
+                            },
+                            config.degenerate_total_floor,
+                        ),
+                        _ => current,
+                    };
+                    let estimate = top(&posterior);
                     PassOutcome {
                         trace_index,
                         pass_index,
@@ -312,7 +347,7 @@ fn batch_engine_digest_matches_exact_scan_tracker() {
     assert_eq!(
         digest(&batch),
         digest(&reference),
-        "batched index path diverged from the per-query exact-scan path"
+        "production step diverged from the oracle chain"
     );
 }
 

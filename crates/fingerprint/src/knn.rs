@@ -74,9 +74,7 @@ pub fn k_nearest(
 }
 
 /// [`k_nearest`] into a caller-owned buffer (cleared first): with a
-/// warmed `out` the scan performs zero heap allocations, so per-query
-/// callers like the tracker's exact-scan backend stop paying one
-/// `Vec` (and, previously, one `BinaryHeap`) per observation.
+/// warmed `out` the scan performs zero heap allocations.
 ///
 /// Selection keeps `out` as a bounded sorted buffer of the best `k`
 /// seen so far — most candidates are rejected by a single comparison

@@ -16,8 +16,6 @@
 //!   cache-blocked Q×L scan kernels and the f32 quantized index mirror
 //!   (bit-identical to per-query scans; see DESIGN.md §15).
 //! * [`knn`] — k-nearest-neighbor retrieval (Eq. 3).
-//! * [`candidates`] — candidate sets with inverse-dissimilarity
-//!   probabilities (Eq. 4).
 //! * [`nn_localizer`] — the plain WiFi fingerprinting baseline the paper
 //!   compares against (Eq. 2).
 //! * [`centroid`] — the weighted-centroid k-NN refinement (continuous
@@ -44,7 +42,6 @@
 //! ```
 
 pub mod block;
-pub mod candidates;
 pub mod centroid;
 pub mod db;
 pub mod fingerprint;
@@ -55,7 +52,6 @@ pub mod metric;
 pub mod nn_localizer;
 
 pub use block::{BlockNeighbors, BlockScratch, QueryBlock};
-pub use candidates::{Candidate, CandidateSet};
 pub use db::FingerprintDb;
 pub use fingerprint::Fingerprint;
 pub use index::{FingerprintIndex, KnnScratch, MetricKernel, SquaredEuclidean};

@@ -1,7 +1,6 @@
 //! Property-based tests for the fingerprinting engine.
 
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
-use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
@@ -138,53 +137,6 @@ proptest! {
                     "excluded entry nearer than kept one"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn candidate_probabilities_normalize_and_order_by_dissimilarity(
-        ms in prop::collection::vec(0.001..100.0f64, 1..10),
-    ) {
-        let neighbors: Vec<Neighbor> = ms
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| Neighbor {
-                location: LocationId::from_index(i),
-                dissimilarity: m,
-            })
-            .collect();
-        let set = CandidateSet::from_neighbors(&neighbors).unwrap();
-        prop_assert!((set.total_probability() - 1.0).abs() < 1e-9);
-        // Smaller dissimilarity ⇒ larger probability (Eq. 4).
-        for i in 0..ms.len() {
-            for j in 0..ms.len() {
-                if ms[i] < ms[j] {
-                    prop_assert!(
-                        set.probability_of(LocationId::from_index(i))
-                            >= set.probability_of(LocationId::from_index(j)) - 1e-12
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_weights_are_scale_invariant(
-        ws in prop::collection::vec(0.01..10.0f64, 1..8),
-        scale in 0.1..100.0f64,
-    ) {
-        let base: Vec<(LocationId, f64)> = ws
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (LocationId::from_index(i), w))
-            .collect();
-        let scaled: Vec<(LocationId, f64)> =
-            base.iter().map(|&(id, w)| (id, w * scale)).collect();
-        let a = CandidateSet::from_weights(base).unwrap();
-        let b = CandidateSet::from_weights(scaled).unwrap();
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert_eq!(x.0, y.0);
-            prop_assert!((x.1 - y.1).abs() < 1e-9);
         }
     }
 

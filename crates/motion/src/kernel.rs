@@ -15,8 +15,8 @@
 //! # Accuracy
 //!
 //! For every pair and measurement, [`MotionKernel::pair_probability`]
-//! agrees with the exact Gaussian-window computation (the
-//! `pair_motion_probability` path in `moloc-core`) within `1e-6`
+//! agrees with the exact Gaussian-window computation (the exact-erf
+//! `moloc_verify::oracle::pair_probability`) within `1e-6`
 //! absolute: each window mass is a difference of two interpolated CDF
 //! reads (each within `1.3e-7` of the exact CDF), and the
 //! direction/offset masses are both at most 1, so their product

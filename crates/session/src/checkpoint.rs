@@ -250,8 +250,10 @@ impl CheckpointState {
     }
 
     /// Deserializes a record payload. `None` on any structural
-    /// violation (short buffer, zero location id, trailing garbage) —
-    /// recovery treats that as [`CorruptionKind::Undecodable`].
+    /// violation (short buffer, zero location id, a posterior
+    /// probability that is NaN, infinite or negative, trailing
+    /// garbage) — recovery treats that as
+    /// [`CorruptionKind::Undecodable`].
     pub fn decode(bytes: &[u8]) -> Option<CheckpointState> {
         let mut pos = 0;
         let ingested = take_u64(bytes, &mut pos)?;
@@ -287,6 +289,9 @@ impl CheckpointState {
                 return None; // LocationId is 1-based; 0 is corruption.
             }
             let p = f64::from_bits(take_u64(bytes, &mut pos)?);
+            if !(p.is_finite() && p >= 0.0) {
+                return None; // restore would seed Eq. 7 with a poisoned prior.
+            }
             posterior.push((LocationId::new(raw), p));
         }
         if has_previous == posterior.is_empty() {

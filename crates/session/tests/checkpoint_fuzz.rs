@@ -234,6 +234,38 @@ fn huge_checksummed_posterior_length_is_rejected_without_allocation() {
     }
 }
 
+/// A posterior probability that survives checksumming but is not a
+/// probability (re-framed into a valid record) must be rejected by
+/// `decode`: `StreamingSession::restore` would otherwise seed Eq. 7
+/// with a NaN, infinite or negative prior.
+#[test]
+fn non_probability_posterior_behind_valid_checksum_is_rejected() {
+    let payload = state(1).encode().expect("encodes");
+    // The first posterior entry follows the length at offset 66: a u32
+    // location id, then the probability's IEEE-754 bits.
+    const P0_OFFSET: usize = 66 + 4 + 4;
+    let p0 = f64::from_bits(u64::from_le_bytes(
+        payload[P0_OFFSET..P0_OFFSET + 8].try_into().unwrap(),
+    ));
+    assert_eq!(
+        p0,
+        state(1).posterior[0].1,
+        "fixture layout moved; update P0_OFFSET"
+    );
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.25] {
+        let mut mutated = payload.clone();
+        mutated[P0_OFFSET..P0_OFFSET + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        let record = frame_record(&mutated);
+        let (payloads, report) = scan_records(&record);
+        assert_eq!(payloads.len(), 1, "checksummed frame must scan");
+        assert_eq!(report.corruption, None);
+        assert!(
+            CheckpointState::decode(&payloads[0]).is_none(),
+            "posterior probability {bad} decoded"
+        );
+    }
+}
+
 #[test]
 fn random_garbage_is_rejected_not_decoded() {
     for case in 0..200u64 {

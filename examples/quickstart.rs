@@ -80,10 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("after walking another 4 m west: {far_west}");
     assert_eq!(far_west, LocationId::new(1));
 
-    // The retained candidate set is exposed for inspection.
-    let candidates = tracker.candidates().expect("tracker has history");
+    // The retained candidate set (the Eq. 7 posterior) is exposed for
+    // inspection.
     println!("final candidate probabilities:");
-    for (loc, p) in candidates.iter() {
+    for (loc, p) in tracker.posterior() {
         println!("  {loc}: {p:.4}");
     }
     Ok(())

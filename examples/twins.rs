@@ -160,12 +160,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             offset_m: 6.1,
         }),
     )?;
-    let candidates = tracker_c.candidates().expect("has history");
+    let posterior_of = |id: u32| {
+        tracker_c
+            .posterior()
+            .iter()
+            .find(|(loc, _)| *loc == LocationId::new(id))
+            .map_or(0.0, |&(_, p)| p)
+    };
     println!(
         "(c) wrong initial estimate {wrong_initial}, after walking 6 m east: {recovered} \
          (posterior q = {:.3}, q′ = {:.3})",
-        candidates.probability_of(LocationId::new(3)),
-        candidates.probability_of(LocationId::new(4)),
+        posterior_of(3),
+        posterior_of(4),
     );
     assert_eq!(
         recovered,

@@ -12,7 +12,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `moloc-core` | the MoLoc algorithm (Eq. 5–7, tracker, engine) |
+//! | [`core`] | `moloc-core` | the MoLoc algorithm (the Eq. 4–7 step, engine) |
 //! | [`fingerprint`] | `moloc-fingerprint` | fingerprint DB, metrics, k-NN, WiFi & Horus baselines |
 //! | [`motion`] | `moloc-motion` | the motion database and its crowdsourced construction |
 //! | [`sensors`] | `moloc-sensors` | IMU synthesis & processing: steps (DSC/CSC), heading |
@@ -92,9 +92,8 @@ pub mod prelude {
     pub use moloc_core::config::MoLocConfig;
     pub use moloc_core::engine::MoLoc;
     pub use moloc_core::error::{DegradationFlags, MolocError};
-    pub use moloc_core::tracker::{MoLocTracker, MotionMeasurement};
+    pub use moloc_core::tracker::MotionMeasurement;
     pub use moloc_faults::plan::{FaultPlan, FaultSuite};
-    pub use moloc_fingerprint::candidates::CandidateSet;
     pub use moloc_fingerprint::db::FingerprintDb;
     pub use moloc_fingerprint::fingerprint::Fingerprint;
     pub use moloc_fingerprint::nn_localizer::NnLocalizer;

@@ -92,10 +92,52 @@ fn motion_measurement_round_trips() {
 
 #[test]
 fn candidate_set_round_trips_normalized() {
-    let set = CandidateSet::from_weights(vec![(l(1), 3.0), (l(2), 1.0)]).unwrap();
+    // The retained candidate set is the engine's Eq. 7 posterior: it
+    // survives serialization bit for bit, still normalized, and an
+    // engine restored from the copy continues identically.
+    let fdb = FingerprintDb::from_fingerprints(vec![
+        (l(1), Fingerprint::new(vec![-40.0, -70.0])),
+        (l(2), Fingerprint::new(vec![-55.0, -55.0])),
+        (l(3), Fingerprint::new(vec![-70.0, -40.0])),
+    ])
+    .unwrap();
+    let mut mdb = MotionDb::new(3);
+    let east = PairStats {
+        direction: Gaussian::new(90.0, 5.0).unwrap(),
+        offset: Gaussian::new(4.0, 0.3).unwrap(),
+        sample_count: 9,
+    };
+    mdb.insert(l(1), l(2), east);
+    mdb.insert(l(2), l(3), east);
+    let system = MoLoc::builder(fdb, mdb).build();
+    let walk = Some(MotionMeasurement {
+        direction_deg: 91.0,
+        offset_m: 4.1,
+    });
+    let mut tracker = system.tracker();
+    tracker
+        .observe(&Fingerprint::new(vec![-41.0, -69.0]), None)
+        .unwrap();
+    tracker
+        .observe(&Fingerprint::new(vec![-54.0, -56.0]), walk)
+        .unwrap();
+
+    let set: Vec<(LocationId, f64)> = tracker.posterior().to_vec();
     let back = round_trip(&set);
-    assert_eq!(back, set);
-    assert!((back.total_probability() - 1.0).abs() < 1e-12);
+    let bits = |s: &[(LocationId, f64)]| {
+        s.iter()
+            .map(|&(id, p)| (id, p.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&back), bits(&set));
+    let total: f64 = back.iter().map(|(_, p)| p).sum();
+    assert!((total - 1.0).abs() < 1e-12, "total {total}");
+
+    let mut resumed = system.tracker();
+    resumed.restore_posterior(&back, tracker.last_flags());
+    let next = Fingerprint::new(vec![-69.0, -41.0]);
+    assert_eq!(resumed.observe(&next, walk), tracker.observe(&next, walk));
+    assert_eq!(bits(resumed.posterior()), bits(tracker.posterior()));
 }
 
 #[test]
