@@ -22,7 +22,7 @@ use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_eval::ScenarioCache;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::k_nearest;
 use moloc_fingerprint::metric::Euclidean;
 use moloc_geometry::shortest_path::{all_pairs, dijkstra};
@@ -56,12 +56,7 @@ fn bench_micro(c: &mut Criterion) {
     let mut neighbors = Vec::with_capacity(8);
     c.bench_function("micro/knn_k8_index_over_28_locations", |b| {
         b.iter(|| {
-            index.k_nearest_into::<SquaredEuclidean>(
-                black_box(query.values()),
-                8,
-                &mut scratch,
-                &mut neighbors,
-            );
+            index.k_nearest_into(black_box(query.values()), 8, &mut scratch, &mut neighbors);
             black_box(&neighbors);
         })
     });

@@ -1,47 +1,25 @@
-//! Cache-blocked multi-query k-NN benchmarks (PR 7).
+//! Multi-query block k-NN benchmarks.
 //!
-//! Three question groups, each pairing a production path against the
-//! path it replaced:
-//!
-//! * **Blocked vs looped** — 32 queries against a 2048-location
-//!   synthetic survey through `k_nearest_block_into`, once with the
-//!   block kernel disabled (`MOLOC_BLOCK=0` semantics: the per-query
-//!   loop every caller ran before this PR) and once on the defaults
-//!   (register-blocked lane kernel + f32 mirror prefilter with exact
-//!   f64 rescore). Results are bit-identical by construction; only the
-//!   time differs.
-//! * **f32 mirror vs f64 lanes** — the same blocked scan with the
-//!   mirror disabled, isolating what the half-bandwidth quantized pass
-//!   buys over the pure-f64 lane kernel.
-//! * **Sharded single-query k-NN** — the PR 6 pair, re-run under the
-//!   `MOLOC_KNN_SHARD_MIN` work threshold: at 2048 rows x 1 query the
-//!   sharded driver now falls back to the serial mirror scan instead of
-//!   paying dispatch overhead, so the pair can be gated >= 1.0x. The
-//!   arm names match `BENCH_pr6.json` so `bench_check` diffs them
-//!   directly.
-//!
-//! A fourth informational arm runs the query-range-sharded
-//! `par_k_nearest_block` driver at width 4 (2048 x 32 clears the work
-//! threshold, so the dispatch is real); on few-core hosts its speedup
-//! honestly approaches the oversubscription penalty, so it is recorded
-//! but not gated.
+//! One question, pairing the production block path against the loop it
+//! replaced: 32 queries against a 2048-location synthetic survey, once
+//! as an explicit per-query `k_nearest_into` loop and once through
+//! `k_nearest_block_into`, whose shape (6 APs, k = 8, f32-safe values)
+//! selects the f32 mirror prefilter with exact f64 rescore. Results are
+//! bit-identical by construction; only the time differs. A single-query
+//! `k_nearest_into` arm is recorded alongside for reference.
 //!
 //! The final target writes every measurement and the derived speedups
 //! to `BENCH_pr7.json` at the repository root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use moloc_bench::light_criterion;
-use moloc_eval::parallel::{par_k_nearest, par_k_nearest_block, set_worker_override};
-use moloc_fingerprint::block::{
-    set_block_override, set_mirror_override, BlockNeighbors, BlockScratch, QueryBlock,
-};
+use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_geometry::LocationId;
 
-/// Survey size: large enough that a scan is bandwidth-shaped, and the
-/// same 2048 used by the PR 6 sharded pair so the arm names align.
+/// Survey size: large enough that a scan is bandwidth-shaped.
 const ROWS: u32 = 2048;
 /// Queries per block: a full trace's worth, matching the batch
 /// localizer's per-trace block.
@@ -94,89 +72,44 @@ fn bench_query_block(c: &mut Criterion) {
     assert!(index.has_mirror(), "survey values must be f32-safe");
     let queries = query_set(QUERIES);
 
-    // --- Sharded single-query pair (PR 6 arm names) --------------
+    // --- Single-query reference scan ------------------------------
     let single = [-45.0, -52.0, -47.0, -60.0, -44.0, -58.0];
     let mut scratch = KnnScratch::with_k(K);
     let mut neighbors = Vec::with_capacity(K);
     c.bench_function("knn/serial_scan_2048", |b| {
         b.iter(|| {
-            index.k_nearest_into::<SquaredEuclidean>(
-                black_box(&single[..]),
-                K,
-                &mut scratch,
-                &mut neighbors,
-            );
+            index.k_nearest_into(black_box(&single[..]), K, &mut scratch, &mut neighbors);
             black_box(&neighbors);
         })
     });
-    // 2048 rows x 1 query sits far below `KNN_SHARD_MIN_WORK`, so this
-    // arm measures the threshold fallback: a serial mirror-accelerated
-    // scan instead of the PR 6 dispatch that lost to plain serial.
-    set_worker_override(Some(4));
-    c.bench_function("knn/sharded_scan_2048_w4", |b| {
+
+    // --- Blocked vs looped ---------------------------------------
+    // The pre-block path: 32 independent single-query scans.
+    c.bench_function("block/looped_scan_2048x32", |b| {
         b.iter(|| {
-            black_box(par_k_nearest::<SquaredEuclidean>(
-                &index,
-                black_box(&single[..]),
-                K,
-            ))
+            for q in &queries {
+                index.k_nearest_into(black_box(q), K, &mut scratch, &mut neighbors);
+                black_box(&neighbors);
+            }
         })
     });
-    set_worker_override(None);
-
-    // --- Blocked vs looped vs f64-only, same entry point ---------
+    // The production block path: f32 mirror + exact f64 rescore.
     let mut block = QueryBlock::new(6);
     for q in &queries {
         block.push(q);
     }
     let mut block_scratch = BlockScratch::new();
     let mut out = BlockNeighbors::new();
-    let mut run_block = |c: &mut Criterion, name: &str| {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                index.k_nearest_block_into::<SquaredEuclidean>(
-                    black_box(&mut block),
-                    K,
-                    &mut block_scratch,
-                    &mut out,
-                );
-                black_box(&out);
-            })
-        });
-    };
-    // The pre-PR path: 32 independent single-query scans.
-    set_block_override(Some(false));
-    run_block(c, "block/looped_scan_2048x32");
-    // The production defaults: lane kernel + f32 mirror + f64 rescore.
-    set_block_override(None);
-    run_block(c, "block/blocked_scan_2048x32");
-    // Mirror off: the blocked f64 lane kernel alone.
-    set_mirror_override(Some(false));
-    run_block(c, "block/blocked_f64_scan_2048x32");
-    set_mirror_override(None);
-
-    // --- Query-range-sharded block driver (informational) --------
-    // 2048 x 32 = 65536 clears the work threshold, so width 4 really
-    // dispatches; per-query selection is independent, so results are
-    // identical at any width.
-    let flat: Vec<f64> = queries.iter().flat_map(|q| q.iter().copied()).collect();
-    set_worker_override(Some(4));
-    c.bench_function("block/par_block_scan_2048x32_w4", |b| {
+    c.bench_function("block/blocked_scan_2048x32", |b| {
         b.iter(|| {
-            black_box(par_k_nearest_block::<SquaredEuclidean>(
-                &index,
-                black_box(&flat),
-                K,
-            ))
+            index.k_nearest_block_into(black_box(&mut block), K, &mut block_scratch, &mut out);
+            black_box(&out);
         })
     });
-    set_worker_override(None);
 }
 
 /// Final group target: serializes every measurement plus the derived
-/// speedups to `BENCH_pr7.json` at the repository root. The f32-vs-f64
-/// pair gets its own comparison label because its fast arm is the same
-/// benchmark the headline blocked-vs-looped pair gates.
+/// speedup to `BENCH_pr7.json` at the repository root.
 fn emit_bench_json(c: &mut Criterion) {
     let mut out = moloc_bench::bench_header(7);
     let measurements = c.measurements();
@@ -202,26 +135,6 @@ fn emit_bench_json(c: &mut Criterion) {
             "block/blocked_scan_2048x32",
             "block/blocked_scan_2048x32",
             "block/looped_scan_2048x32",
-        ),
-        // The mirror's own contribution: full blocked path over the
-        // blocked path with the f32 pass disabled (CI gates >= 1.05x).
-        (
-            "block/mirror_f32_vs_f64_2048x32",
-            "block/blocked_scan_2048x32",
-            "block/blocked_f64_scan_2048x32",
-        ),
-        // The repaired PR 6 pair (CI gates >= 1.0x).
-        (
-            "knn/sharded_scan_2048_w4",
-            "knn/sharded_scan_2048_w4",
-            "knn/serial_scan_2048",
-        ),
-        // Informational: the width-4 query-range dispatch against the
-        // in-thread blocked scan (not gated; honest on few-core hosts).
-        (
-            "block/par_block_scan_2048x32_w4",
-            "block/par_block_scan_2048x32_w4",
-            "block/blocked_scan_2048x32",
         ),
     ];
     for (i, (label, name, baseline)) in pairs.iter().enumerate() {

@@ -15,8 +15,8 @@
 //! * **Obs overhead** — the batch localizer with the recorder off vs
 //!   on, pricing the thread-local buffered-delta path (gated ≤ 1.2x by
 //!   CI via `bench_check --max-speedup`).
-//! * **Sharded k-NN** — one query over a ≥ 1024-location synthetic
-//!   survey, serial columnar scan vs the intra-query sharded driver.
+//! * **k-NN reference** — one query over a 2048-location synthetic
+//!   survey through the serial columnar scan (recorded, not compared).
 //!
 //! The final target writes every measurement and the derived speedups
 //! to `BENCH_pr6.json` at the repository root. On few-core hosts the
@@ -31,12 +31,11 @@ use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
 use moloc_eval::parallel::{
-    default_chunk, par_k_nearest, par_run, par_shards_with_workers, set_worker_override,
-    thread_count,
+    default_chunk, par_run, par_shards_with_workers, set_worker_override, thread_count,
 };
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_geometry::LocationId;
 use std::sync::Mutex;
 
@@ -56,12 +55,11 @@ fn item_work(i: usize) -> u64 {
     acc
 }
 
-/// A deterministic synthetic survey large enough to clear
-/// `SHARDED_KNN_MIN_LOCATIONS`: RSSI means on a dBm lattice plus a
-/// sub-dBm per-cell offset, with every 32nd location cloning the row
-/// 17 back — planted fingerprint twins whose rank ties cross shard
-/// boundaries. The same generator as the `query_block` bench, so the
-/// shared `knn/*` arm names measure the same workload.
+/// A deterministic synthetic survey: RSSI means on a dBm lattice plus
+/// a sub-dBm per-cell offset, with every 32nd location cloning the row
+/// 17 back — planted fingerprint twins, so exact-tie breaking stays on
+/// the measured path. The same generator as the `query_block` bench,
+/// so the shared `knn/*` arm names measure the same workload.
 fn synthetic_index(locations: u32) -> FingerprintIndex {
     let fps = (0..locations)
         .map(|i| {
@@ -231,33 +229,17 @@ fn bench_scaling(c: &mut Criterion) {
     moloc_obs::set_enabled(false);
     moloc_obs::reset();
 
-    // --- Sharded k-NN over a large synthetic survey --------------
+    // --- k-NN over a large synthetic survey ----------------------
     let big = synthetic_index(2048);
     let query = [-45.0, -52.0, -47.0, -60.0, -44.0, -58.0];
     let mut scratch = KnnScratch::with_k(8);
     let mut neighbors = Vec::with_capacity(8);
     c.bench_function("knn/serial_scan_2048", |b| {
         b.iter(|| {
-            big.k_nearest_into::<SquaredEuclidean>(
-                black_box(&query[..]),
-                8,
-                &mut scratch,
-                &mut neighbors,
-            );
+            big.k_nearest_into(black_box(&query[..]), 8, &mut scratch, &mut neighbors);
             black_box(&neighbors);
         })
     });
-    set_worker_override(Some(4));
-    c.bench_function("knn/sharded_scan_2048_w4", |b| {
-        b.iter(|| {
-            black_box(par_k_nearest::<SquaredEuclidean>(
-                &big,
-                black_box(&query[..]),
-                8,
-            ))
-        })
-    });
-    set_worker_override(None);
 }
 
 /// Final group target: serializes every measurement plus the derived
@@ -312,8 +294,6 @@ fn emit_bench_json(c: &mut Criterion) {
             "micro/batch_localizer_full_trace",
             "micro/batch_localizer_full_trace_obs_enabled",
         ),
-        // Intra-query sharded k-NN over the serial columnar scan.
-        ("knn/sharded_scan_2048_w4", "knn/serial_scan_2048"),
     ];
     for (i, (name, baseline)) in pairs.iter().enumerate() {
         let fast = c.measurement(name).expect("benchmark ran").mean_ns;

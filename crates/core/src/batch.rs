@@ -25,7 +25,7 @@ use crate::tracker::{MotionMeasurement, TrackError};
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
 use moloc_geometry::LocationId;
 use moloc_motion::kernel::MotionKernel;
@@ -71,25 +71,40 @@ pub struct BatchScratch {
     previous: Vec<(LocationId, f64)>,
     /// Per-trace query batch for the blocked k-NN precompute
     /// (DESIGN.md §15): all of a trace's steps localize as one
-    /// cache-blocked scan before the sequential Eq. 4/7 recursion.
+    /// block scan before the sequential Eq. 4/7 recursion.
     block: QueryBlock,
     block_scratch: BlockScratch,
     block_out: BlockNeighbors,
 }
 
 impl BatchScratch {
-    /// A fresh working set sized for `k` neighbors.
-    pub fn for_k(k: usize) -> Self {
+    /// A fresh, empty working set for engines with `k` neighbors.
+    ///
+    /// Nothing is allocated here. No more than `index.len()` candidates
+    /// can exist, so the engine that takes this scratch reserves
+    /// `min(k, index.len())` entries per buffer, and the k-NN buffers
+    /// grow on first use — an oversized `k` (say from a deserialized
+    /// config) never allocates more than the index can fill.
+    pub fn for_k(_k: usize) -> Self {
         BatchScratch {
-            scratch: KnnScratch::with_k(k),
-            neighbors: Vec::with_capacity(k),
-            current: Vec::with_capacity(k),
-            weights: Vec::with_capacity(k),
-            previous: Vec::with_capacity(k),
+            scratch: KnnScratch::new(),
+            neighbors: Vec::new(),
+            current: Vec::new(),
+            weights: Vec::new(),
+            previous: Vec::new(),
             block: QueryBlock::default(),
             block_scratch: BlockScratch::new(),
             block_out: BlockNeighbors::new(),
         }
+    }
+
+    /// Reserves room for `k` candidates in the per-step tables —
+    /// a no-op on a scratch that is already that warm.
+    fn reserve(&mut self, k: usize) {
+        self.neighbors.reserve(k);
+        self.current.reserve(k);
+        self.weights.reserve(k);
+        self.previous.reserve(k);
     }
 
     /// Clears every buffer's contents, keeping capacity. Engines call
@@ -174,11 +189,13 @@ impl BatchLocalizer<'static> {
         config: MoLocConfig,
     ) -> BatchLocalizer<'static> {
         config.validate();
+        let mut buf = BatchScratch::for_k(config.k);
+        buf.reserve(config.k.min(index.len()));
         BatchLocalizer {
             index: Resource::Counted(index),
             kernel: Resource::Counted(kernel),
             config,
-            buf: BatchScratch::for_k(config.k),
+            buf,
             has_previous: false,
             last_flags: DegradationFlags::empty(),
             folds: ObsFolds::default(),
@@ -220,6 +237,7 @@ impl<'a> BatchLocalizer<'a> {
     ) -> BatchLocalizer<'a> {
         config.validate();
         buf.clear();
+        buf.reserve(config.k.min(index.len()));
         BatchLocalizer {
             index: Resource::Shared(index),
             kernel: Resource::Shared(kernel),
@@ -369,7 +387,7 @@ impl<'a> BatchLocalizer<'a> {
         // queries keep the bit-exact monomorphized hot path — the
         // branch condition, not the arithmetic, is the only addition.
         if query.iter().all(|v| v.is_finite()) {
-            index.k_nearest_into::<SquaredEuclidean>(
+            index.k_nearest_into(
                 query,
                 self.config.k,
                 &mut self.buf.scratch,
@@ -642,14 +660,15 @@ impl<'a> BatchLocalizer<'a> {
         out.clear();
         // Blocked k-NN precompute (DESIGN.md §15): candidate
         // generation depends only on the query, so the whole trace's
-        // k-NN runs as one cache-blocked multi-query scan before the
-        // sequential Eq. 4/7 recursion — bit-identical results, one
-        // streaming pass over the index instead of one per step. The
-        // block stops at the first length-invalid query so the
-        // first-error-with-partial-results contract is untouched
-        // (later steps, if any run, use the per-query path and report
-        // the error exactly where the serial loop would).
-        let precomputed = if moloc_fingerprint::block::block_enabled() && len > 0 {
+        // k-NN runs as one multi-query block scan before the
+        // sequential Eq. 4/7 recursion — bit-identical results, and
+        // where the block's shape allows the f32 mirror, one pass over
+        // the index instead of one per step. The block stops at the
+        // first length-invalid query so the first-error-with-partial-
+        // results contract is untouched (later steps, if any run, use
+        // the per-query path and report the error exactly where the
+        // serial loop would).
+        let precomputed = if len > 0 {
             let index = self.index.get();
             let ap = index.ap_count();
             let block = &mut self.buf.block;
@@ -664,7 +683,7 @@ impl<'a> BatchLocalizer<'a> {
             if block.is_empty() {
                 0
             } else {
-                index.k_nearest_block_into::<SquaredEuclidean>(
+                index.k_nearest_block_into(
                     block,
                     self.config.k,
                     &mut self.buf.block_scratch,

@@ -1,7 +1,7 @@
 //! Strict parsing for `MOLOC_*` environment knobs.
 //!
 //! Historically every runtime knob (`MOLOC_THREADS`, `MOLOC_CHUNK`,
-//! `MOLOC_KNN_SHARD_MIN`, the `MOLOC_CHECKPOINT_*` family) silently
+//! the `MOLOC_CHECKPOINT_*` family) silently
 //! fell back to its default when the variable held garbage — a typo'd
 //! `MOLOC_THREADS=fuor` ran the whole evaluation serial without a word.
 //! The helpers here are the strict counterparts: a **set but
@@ -60,10 +60,10 @@ pub fn parse_positive_usize(
     }
 }
 
-/// Parses an optional boolean-ish toggle: `0`/`1` only (the workspace
-/// convention for `MOLOC_BLOCK`, `MOLOC_MIRROR`, and
-/// `MOLOC_CHECKPOINT_FSYNC`). Anything else is an error carrying the
-/// raw string.
+/// Parses an optional boolean toggle: `0`/`1` only, the workspace
+/// convention for boolean knobs (today just `MOLOC_CHECKPOINT_FSYNC`).
+/// Anything else — `true`, `off`, a typo — is an error carrying the
+/// raw string, never a silent default.
 ///
 /// # Errors
 ///
@@ -110,7 +110,6 @@ mod tests {
 
     #[test]
     fn well_formed_values_parse_with_whitespace() {
-        assert_eq!(parse_usize("MOLOC_KNN_SHARD_MIN", Some("0")), Ok(Some(0)));
         assert_eq!(parse_usize("MOLOC_THREADS", Some(" 6 ")), Ok(Some(6)));
         assert_eq!(
             parse_positive_usize("MOLOC_CHUNK", Some("128")),
@@ -131,7 +130,7 @@ mod tests {
         for (field, raw) in [
             ("MOLOC_THREADS", "fuor"),
             ("MOLOC_CHUNK", ""),
-            ("MOLOC_KNN_SHARD_MIN", "-3"),
+            ("MOLOC_REORDER_CAPACITY", "-3"),
             ("MOLOC_CHECKPOINT_INTERVAL", "1e3"),
         ] {
             let err = parse_usize(field, Some(raw)).unwrap_err();
@@ -148,8 +147,11 @@ mod tests {
             err,
             MolocError::invalid_config_value("MOLOC_CHECKPOINT_INTERVAL", "0")
         );
-        // ...but fine where zero is meaningful.
-        assert_eq!(parse_usize("MOLOC_KNN_SHARD_MIN", Some("0")), Ok(Some(0)));
+        // ...while the plain parser accepts it.
+        assert_eq!(
+            parse_usize("MOLOC_CHECKPOINT_INTERVAL", Some("0")),
+            Ok(Some(0))
+        );
     }
 
     #[test]

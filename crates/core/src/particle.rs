@@ -26,7 +26,7 @@
 use crate::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, SquaredEuclidean};
+use moloc_fingerprint::index::FingerprintIndex;
 use moloc_fingerprint::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::{LocationId, ReferenceGrid, Vec2};
 use moloc_motion::kernel::MotionKernel;
@@ -171,7 +171,7 @@ impl<'a> ParticleLocalizer<'a> {
     /// per-particle path performed, so the table lookup is bit-exact.
     fn precompute_emissions(&mut self, query: &Fingerprint) {
         if let Some(index) = &self.index {
-            index.rank_all_into::<SquaredEuclidean>(query.values(), &mut self.emission_table);
+            index.rank_all_into(query.values(), &mut self.emission_table);
         }
     }
 

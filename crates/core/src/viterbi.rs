@@ -21,10 +21,9 @@
 use crate::config::MoLocConfig;
 use crate::matching::build_kernel;
 use crate::tracker::MotionMeasurement;
-use moloc_fingerprint::block::QueryBlock;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, SquaredEuclidean};
+use moloc_fingerprint::index::FingerprintIndex;
 use moloc_fingerprint::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::LocationId;
 use moloc_motion::kernel::MotionKernel;
@@ -109,26 +108,23 @@ impl<'a> ViterbiLocalizer<'a> {
         log_emissions_from_distances(&distances)
     }
 
-    /// Log emission probabilities for every step of a trace at once:
-    /// the columnar index ranks all Q queries against all L rows in one
-    /// cache-blocked Q×L pass (DESIGN.md §15), then each step's
-    /// distance row is normalized independently. Bit-identical to the
-    /// old per-step indexed walk — the blocked kernel preserves the
-    /// scalar accumulation order.
+    /// Log emission probabilities for every step of a trace: the
+    /// columnar index ranks each step's query against every row
+    /// ([`FingerprintIndex::rank_all_into`], bit-identical to the
+    /// per-fingerprint metric walk) and the distance row is normalized
+    /// independently.
     fn log_emissions_indexed(
         &self,
         index: &FingerprintIndex,
         queries: &[(Fingerprint, Option<MotionMeasurement>)],
     ) -> Vec<Vec<f64>> {
-        let rows = index.len();
-        let mut block = QueryBlock::new(index.ap_count());
-        for (query, _) in queries {
-            block.push(query.values());
-        }
-        let mut ranks = Vec::new();
-        index.rank_all_block_into::<SquaredEuclidean>(&mut block, &mut ranks);
-        (0..queries.len())
-            .map(|s| log_emissions_from_distances(&ranks[s * rows..(s + 1) * rows]))
+        let mut distances = Vec::with_capacity(index.len());
+        queries
+            .iter()
+            .map(|(query, _)| {
+                index.rank_all_into(query.values(), &mut distances);
+                log_emissions_from_distances(&distances)
+            })
             .collect()
     }
 
@@ -159,9 +155,7 @@ impl<'a> ViterbiLocalizer<'a> {
         let states: Vec<LocationId> = self.fingerprint_db.locations().collect();
         let n = states.len();
 
-        // All steps' emissions up front: the indexed path amortizes one
-        // blocked Q×L scan over the whole trace instead of Q separate
-        // row walks.
+        // All steps' emissions up front.
         let mut all_emissions: Vec<Vec<f64>> = match &self.index {
             Some(index) => self.log_emissions_indexed(index, queries),
             None => queries

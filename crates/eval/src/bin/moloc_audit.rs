@@ -4,11 +4,14 @@
 //! `moloc-verify` oracle on seeded inputs drawn from the evaluation
 //! world, with the runtime invariant layer recording throughout:
 //!
-//! * `knn.scalar` / `knn.masked` / `knn.blocked` / `knn.mirror` /
-//!   `knn.sharded` — every k-NN execution strategy vs the exhaustive
-//!   sorted scan (ids exact, dissimilarities to 1e-9; the contracts
-//!   document bit-identity, the slack merely decouples the gate from
-//!   libm).
+//! * `knn.scalar` / `knn.masked` / `knn.blocked` — every k-NN
+//!   strategy vs the exhaustive sorted scan (ids exact,
+//!   dissimilarities to 1e-9; the contracts document bit-identity,
+//!   the slack merely decouples the gate from libm). The strategies
+//!   are reached through input shape alone: `knn.blocked` mixes clean
+//!   and masked lanes at the paper's k (the f32 mirror path) and adds
+//!   a k = 17 block and a block holding a 1e16 value (both the
+//!   per-query fallback).
 //! * `kernel.pair` / `kernel.stay` — the tabulated-CDF motion kernel
 //!   vs the exact `erf` evaluation (documented accuracy 1e-6; gate at
 //!   2e-6).
@@ -48,12 +51,9 @@ use moloc_core::tracker::MotionMeasurement;
 use moloc_eval::parallel::{par_run, set_worker_override};
 use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use moloc_faults::rng::{hash, unit};
-use moloc_fingerprint::block::{
-    set_block_override, set_mirror_override, BlockNeighbors, BlockScratch, QueryBlock,
-};
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, ShardCandidate};
+use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
-use moloc_fingerprint::SquaredEuclidean;
 use moloc_geometry::LocationId;
 use moloc_live::{SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
@@ -264,7 +264,7 @@ fn knn_suites(
     // perturbed query — a planted divergence the gate must catch.
     let mut divs = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_into::<SquaredEuclidean>(query, k, &mut scratch, &mut out);
+        index.k_nearest_into(query, k, &mut scratch, &mut out);
         let oracle_query: Vec<f64> = if self_test && qi == 0 {
             let mut q = query.clone();
             q[0] += 1.0;
@@ -340,41 +340,56 @@ fn knn_suites(
     cases += 1;
     report.finish_suite("knn.masked", cases, divs);
 
-    // Blocked path (forced on), mixing clean and masked queries per
-    // block — each lane must match the per-query oracle result.
-    set_block_override(Some(true));
+    // Blocked path, every branch of its shape dispatch: blocks of
+    // eight mixing clean and masked lanes at the paper's k take the
+    // f32 mirror; a k = 17 block (one past the mirror's 16 bound
+    // lanes) and a block holding a 1e16 value (beyond f32-safe) take
+    // the per-query fallback. Each lane must match the per-query
+    // oracle result.
+    let mut blocks: Vec<(String, usize, Vec<Vec<f64>>)> = queries
+        .chunks(8)
+        .enumerate()
+        .map(|(bi, chunk)| {
+            let lanes = chunk
+                .iter()
+                .enumerate()
+                .map(|(li, query)| {
+                    if li % 3 == 2 {
+                        masked_query(query, seed, (bi * 8 + li) as u64)
+                    } else {
+                        query.clone()
+                    }
+                })
+                .collect();
+            (format!("block {bi}"), k, lanes)
+        })
+        .collect();
+    let first = blocks[0].2.clone();
+    blocks.push(("k = 17 block".to_string(), 17, first.clone()));
+    let mut huge = first;
+    huge[0][0] = 1e16;
+    blocks.push(("1e16 block".to_string(), k, huge));
     let mut divs = Vec::new();
     let mut cases = 0u64;
     let mut block = QueryBlock::new(N_APS);
     let mut block_scratch = BlockScratch::new();
     let mut block_out = BlockNeighbors::new();
-    for (bi, chunk) in queries.chunks(8).enumerate() {
+    for (name, block_k, lanes) in &blocks {
         block.reset(N_APS);
-        let mut lane_queries: Vec<Vec<f64>> = Vec::with_capacity(chunk.len());
-        for (li, query) in chunk.iter().enumerate() {
-            let lane = if li % 3 == 2 {
-                masked_query(query, seed, (bi * 8 + li) as u64)
-            } else {
-                query.clone()
-            };
-            block.push(&lane);
-            lane_queries.push(lane);
+        for lane in lanes {
+            block.push(lane);
         }
-        index.k_nearest_block_into::<SquaredEuclidean>(
-            &mut block,
-            k,
-            &mut block_scratch,
-            &mut block_out,
-        );
-        for (li, lane) in lane_queries.iter().enumerate() {
+        index.k_nearest_block_into(&mut block, *block_k, &mut block_scratch, &mut block_out);
+        for (li, lane) in lanes.iter().enumerate() {
+            let rows = rows.iter().map(|(id, r)| (*id, r.as_slice()));
             let expected = if lane.iter().all(|v| v.is_finite()) {
-                oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), lane, k)
+                oracle::k_nearest(rows, lane, *block_k)
             } else {
-                oracle::k_nearest_masked(rows.iter().map(|(id, r)| (*id, r.as_slice())), lane, k).0
+                oracle::k_nearest_masked(rows, lane, *block_k).0
             };
             compare_pairs(
                 "knn.blocked",
-                format!("block {bi} lane {li}"),
+                format!("{name} lane {li}"),
                 &expected,
                 &pairs_of(block_out.query(li)),
                 1e-9,
@@ -383,58 +398,7 @@ fn knn_suites(
             cases += 1;
         }
     }
-    set_block_override(None);
     report.finish_suite("knn.blocked", cases, divs);
-
-    // Mirror path (forced on): the f32 prefilter must be invisible —
-    // the exact f64 rescore decides every retained rank.
-    set_mirror_override(Some(true));
-    let mut divs = Vec::new();
-    for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_mirror_into::<SquaredEuclidean>(query, k, &mut block_scratch, &mut out);
-        let expected = oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), query, k);
-        compare_pairs(
-            "knn.mirror",
-            format!("query {qi}"),
-            &expected,
-            &pairs_of(&out),
-            1e-9,
-            &mut divs,
-        );
-    }
-    set_mirror_override(None);
-    report.finish_suite("knn.mirror", queries.len() as u64, divs);
-
-    // Sharded path: per-shard candidates merged across an uneven
-    // 3-way partition must reproduce the serial selection.
-    let mut divs = Vec::new();
-    let n = index.len();
-    let cuts = [0, n / 3, 2 * n / 3 + 1, n];
-    for (qi, query) in queries.iter().enumerate() {
-        let mut candidates: Vec<ShardCandidate> = Vec::new();
-        let mut shard_out = Vec::new();
-        for w in cuts.windows(2) {
-            index.shard_candidates::<SquaredEuclidean>(
-                query,
-                k,
-                w[0]..w[1],
-                &mut scratch,
-                &mut shard_out,
-            );
-            candidates.extend(shard_out.iter().copied());
-        }
-        index.merge_shard_candidates::<SquaredEuclidean>(k, &mut candidates, &mut out);
-        let expected = oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), query, k);
-        compare_pairs(
-            "knn.sharded",
-            format!("query {qi}"),
-            &expected,
-            &pairs_of(&out),
-            1e-9,
-            &mut divs,
-        );
-    }
-    report.finish_suite("knn.sharded", queries.len() as u64, divs);
 }
 
 // ---------------------------------------------------------------------
@@ -778,11 +742,10 @@ fn eq_suites(
     report.finish_suite("eq7.engine", cases, divs_engine);
     report.finish_suite("eq7.exact", cases, divs_exact);
 
-    // Whole traces through `localize_scans_into` with the blocked k-NN
-    // precompute forced on (every fourth scan masked, so clean and
-    // masked lanes share blocks): every prefix's estimates and final
-    // posterior vs the sequential oracle chain.
-    set_block_override(Some(true));
+    // Whole traces through `localize_scans_into`, whose blocked k-NN
+    // precompute runs the f32 mirror at 6 APs (every fourth scan
+    // masked, so clean and masked lanes share blocks): every prefix's
+    // estimates and final posterior vs the sequential oracle chain.
     let detector = StepDetector::default();
     let mut divs = Vec::new();
     let mut cases = 0u64;
@@ -851,7 +814,6 @@ fn eq_suites(
             cases += 1;
         }
     }
-    set_block_override(None);
     report.finish_suite("eq7.trace", cases, divs);
 }
 

@@ -18,13 +18,12 @@ pub const COUNTERS: &[&str] = &[
     "fingerprint.knn.queries",
     "fingerprint.knn.masked_queries",
     "fingerprint.knn.candidates_scanned",
-    // Cache-blocked multi-query scans (DESIGN.md §15): one `block_scans`
-    // tick per Q×L dispatch, `block_queries` per query inside one, and
-    // the f32 mirror's prefilter traffic (`mirror_queries` prefiltered,
-    // `mirror_survivors` exactly rescored in f64).
+    // Multi-query block scans (DESIGN.md §15): one `block_scans` tick
+    // per block, `block_queries` per query inside one, and the rows
+    // the f32 mirror prefilter passes on to the exact f64 rescore
+    // (`mirror_survivors`).
     "fingerprint.knn.block_scans",
     "fingerprint.knn.block_queries",
-    "fingerprint.knn.mirror_queries",
     "fingerprint.knn.mirror_survivors",
     // Degradation-rung occupancy: one `observations` tick per batch
     // observation, plus one tick per rung flagged on that observation
@@ -51,10 +50,6 @@ pub const COUNTERS: &[&str] = &[
     "eval.runtime.deadline_expired",
     "eval.runtime.stalls_detected",
     "eval.runtime.quarantined",
-    // Intra-query sharded k-NN dispatches (large synthetic surveys)
-    // and multi-query block scans fanned out over query ranges.
-    "eval.knn.sharded_queries",
-    "eval.knn.block_dispatches",
     // Streaming session layer (moloc-session): transport, checkpoint,
     // recovery, admission, and watchdog events.
     "session.stream.ingested",

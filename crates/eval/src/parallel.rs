@@ -42,10 +42,6 @@
 
 use crate::runtime::{shard_ranges, Runtime, SlotVec};
 use moloc_core::error::MolocError;
-use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, MetricKernel, ShardCandidate};
-use moloc_fingerprint::knn::Neighbor;
-use std::cell::RefCell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,22 +58,6 @@ pub use crate::runtime::{
 /// `MOLOC_THREADS=1000000`) would try to spawn that many OS threads
 /// and abort the process on stack exhaustion long before doing work.
 pub const MAX_OVERSUBSCRIPTION: usize = 4;
-
-/// Index count below which a sharded/parallel k-NN scan cannot pay for
-/// its scheduling: smaller indexes always use the serial scan. The
-/// threshold matches the "large synthetic survey" regime (the paper's
-/// 28-location hall never shards).
-pub const SHARDED_KNN_MIN_LOCATIONS: usize = 512;
-
-/// Default minimum rows×queries work product for a parallel k-NN
-/// dispatch. PR 6's per-row sharding regressed on mid-size indexes
-/// (`knn/sharded_scan_2048_w4` shipped below 1.0×): a single
-/// 2048-row query is far too little work to amortize a pool dispatch
-/// plus the per-shard merge, so anything under this product now takes
-/// the serial (mirror-accelerated) scan. Override with the
-/// `MOLOC_KNN_SHARD_MIN` environment variable (parsed once, like
-/// `MOLOC_THREADS`) or per process via [`set_shard_min_override`].
-pub const KNN_SHARD_MIN_WORK: usize = 32_768;
 
 /// Number of worker threads the evaluation pool uses.
 ///
@@ -188,50 +168,11 @@ fn worker_override() -> Option<usize> {
     }
 }
 
-/// Shard-min override: `usize::MAX` means "not armed" (0 is a valid
-/// override — it forces sharding for any work product).
-static SHARD_MIN_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Arms (`Some(n)`) or disarms (`None`) the process-global minimum
-/// work product consulted by [`par_k_nearest`] and
-/// [`par_k_nearest_block`]. Intended for bench harnesses and tests
-/// that must exercise the sharded path on indexes below the
-/// [`KNN_SHARD_MIN_WORK`] default; results are dispatch-invariant, so
-/// the override only moves the serial/parallel crossover.
-pub fn set_shard_min_override(min_work: Option<usize>) {
-    SHARD_MIN_OVERRIDE.store(min_work.unwrap_or(usize::MAX), Ordering::Relaxed);
-}
-
-/// The minimum rows×queries product for a parallel k-NN dispatch:
-/// override, then `MOLOC_KNN_SHARD_MIN` (parsed once), then
-/// [`KNN_SHARD_MIN_WORK`].
-fn knn_shard_min() -> usize {
-    match SHARD_MIN_OVERRIDE.load(Ordering::Relaxed) {
-        usize::MAX => {
-            static CACHED: OnceLock<usize> = OnceLock::new();
-            *CACHED.get_or_init(|| {
-                match resolve_shard_min(std::env::var("MOLOC_KNN_SHARD_MIN").ok().as_deref()) {
-                    Ok(n) => n,
-                    Err(e) => panic!("{e}"),
-                }
-            })
-        }
-        n => n,
-    }
-}
-
-/// The pure resolution rule behind `MOLOC_KNN_SHARD_MIN`: any integer
-/// (including 0 — "always shard") wins; unset keeps the default; a
-/// set-but-malformed value is a typed error.
-fn resolve_shard_min(raw: Option<&str>) -> Result<usize, MolocError> {
-    Ok(moloc_core::env::parse_usize("MOLOC_KNN_SHARD_MIN", raw)?.unwrap_or(KNN_SHARD_MIN_WORK))
-}
-
 /// Strictly validates every `MOLOC_*` knob this module reads
-/// (`MOLOC_THREADS`, `MOLOC_CHUNK`, `MOLOC_KNN_SHARD_MIN`). Entry
-/// points call this before touching the pool so a typo'd variable is a
-/// typed, actionable error — not a setting silently replaced by a
-/// default, and not a mid-run panic from the cached resolver.
+/// (`MOLOC_THREADS`, `MOLOC_CHUNK`). Entry points call this before
+/// touching the pool so a typo'd variable is a typed, actionable error
+/// — not a setting silently replaced by a default, and not a mid-run
+/// panic from the cached resolver.
 ///
 /// # Errors
 ///
@@ -243,15 +184,7 @@ pub fn validate_env() -> Result<(), MolocError> {
         .unwrap_or(1);
     resolve_thread_count(std::env::var("MOLOC_THREADS").ok().as_deref(), available)?;
     resolve_chunk(std::env::var("MOLOC_CHUNK").ok().as_deref())?;
-    resolve_shard_min(std::env::var("MOLOC_KNN_SHARD_MIN").ok().as_deref())?;
     Ok(())
-}
-
-thread_local! {
-    /// Per-worker scratch for the serial mirror-accelerated k-NN
-    /// fallback and the blocked per-shard scans: reused across calls so
-    /// both stay allocation-free after warm-up on every pool thread.
-    static BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::new());
 }
 
 /// The default shard size for `n` items on `workers` workers: four
@@ -389,121 +322,6 @@ where
     Runtime::global().run_shards(workers.min(n), shard_ranges(n, chunk), &shard_fn);
 }
 
-/// Intra-query parallel k-NN: shards the index rows across the worker
-/// pool, scans each shard independently, and merges the per-shard
-/// survivors — output identical to the serial
-/// [`FingerprintIndex::k_nearest_into`] scan, tie order included, for
-/// every worker count (locked in by the fingerprint crate's property
-/// tests over `k_nearest_sharded`, the serial form of this driver).
-///
-/// Sharding only pays off when a single scan is long enough to amortize
-/// a pool dispatch: indexes smaller than [`SHARDED_KNN_MIN_LOCATIONS`]
-/// — including the paper's 28-location hall — work products (rows ×
-/// queries; one query here) under the `MOLOC_KNN_SHARD_MIN` threshold,
-/// and single-worker configurations take the serial path
-/// unconditionally. The serial path goes through the f32 mirror
-/// prefilter ([`FingerprintIndex::k_nearest_mirror_into`], bit-identical
-/// output), so falling back never costs more than the plain scan. The
-/// large synthetic surveys of the scaling benchmarks are the intended
-/// sharded workload.
-pub fn par_k_nearest<K: MetricKernel>(
-    index: &FingerprintIndex,
-    query: &[f64],
-    k: usize,
-) -> Vec<Neighbor> {
-    let n = index.len();
-    let workers = thread_count();
-    let mut out = Vec::with_capacity(k);
-    if n < SHARDED_KNN_MIN_LOCATIONS || n < knn_shard_min() || workers <= 1 {
-        BLOCK_SCRATCH.with(|scratch| {
-            index.k_nearest_mirror_into::<K>(query, k, &mut scratch.borrow_mut(), &mut out);
-        });
-        return out;
-    }
-    if moloc_obs::is_enabled() {
-        moloc_obs::counter_add("eval.knn.sharded_queries", 1);
-    }
-    let rows_per_shard = n.div_ceil(workers);
-    let n_shards = n.div_ceil(rows_per_shard);
-    // One shard per pool slot: each scans its own row range.
-    let per_shard: Vec<Vec<ShardCandidate>> = par_run_chunked(n_shards, 1, |s| {
-        let rows = s * rows_per_shard..((s + 1) * rows_per_shard).min(n);
-        let mut scratch = KnnScratch::with_k(k);
-        let mut survivors = Vec::with_capacity(k);
-        index.shard_candidates::<K>(query, k, rows, &mut scratch, &mut survivors);
-        survivors
-    });
-    let mut merged: Vec<ShardCandidate> = per_shard.into_iter().flatten().collect();
-    index.merge_shard_candidates::<K>(k, &mut merged, &mut out);
-    out
-}
-
-/// Multi-query parallel k-NN: shards **blocks of queries** (not rows of
-/// one query) across the worker pool, each shard running one
-/// cache-blocked Q×L scan ([`FingerprintIndex::k_nearest_block_into`],
-/// DESIGN.md §15). `queries` is a flat row-major `Q × ap_count` buffer;
-/// the result holds one neighbor list per query, in query order,
-/// **bit-identical** to Q serial [`FingerprintIndex::k_nearest_into`]
-/// scans (each query's selection is independent, so the shard
-/// boundaries never affect results).
-///
-/// Query sharding fixes the grain-size problem of per-row sharding:
-/// each unit of work is a full Q'×L tile scan with register-blocked
-/// accumulators, so the pool dispatch amortizes even on mid-size
-/// indexes. Work products (rows × queries) under the
-/// `MOLOC_KNN_SHARD_MIN` threshold, single-query inputs, and
-/// single-worker configurations run one blocked scan in the caller.
-///
-/// # Panics
-///
-/// Panics when `ap_count` is zero, `queries.len()` is not a multiple of
-/// it, or `k` is zero.
-pub fn par_k_nearest_block<K: MetricKernel>(
-    index: &FingerprintIndex,
-    queries: &[f64],
-    k: usize,
-) -> Vec<Vec<Neighbor>> {
-    let ap = index.ap_count();
-    assert!(ap > 0, "blocked parallel k-NN needs at least one AP");
-    assert_eq!(
-        queries.len() % ap,
-        0,
-        "flat query buffer must be a multiple of the AP count"
-    );
-    let q_count = queries.len() / ap;
-    if q_count == 0 {
-        return Vec::new();
-    }
-    let workers = thread_count();
-    let scan_range = |range: Range<usize>| -> Vec<Vec<Neighbor>> {
-        BLOCK_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let mut block = QueryBlock::new(ap);
-            for q in range.clone() {
-                block.push(&queries[q * ap..(q + 1) * ap]);
-            }
-            let mut out = BlockNeighbors::new();
-            index.k_nearest_block_into::<K>(&mut block, k, scratch, &mut out);
-            (0..range.len()).map(|q| out.query(q).to_vec()).collect()
-        })
-    };
-    let work = index.len().saturating_mul(q_count);
-    if workers <= 1 || q_count <= 1 || work < knn_shard_min() {
-        return scan_range(0..q_count);
-    }
-    if moloc_obs::is_enabled() {
-        moloc_obs::counter_add("eval.knn.block_dispatches", 1);
-    }
-    let per_shard = q_count.div_ceil(workers.min(q_count));
-    let n_shards = q_count.div_ceil(per_shard);
-    par_run_chunked(n_shards, 1, |s| {
-        scan_range(s * per_shard..((s + 1) * per_shard).min(q_count))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Order-preserving parallel map over a slice: `par_map(items, f)` is
 /// `items.iter().map(f).collect()` spread over the worker pool.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
@@ -621,108 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn par_k_nearest_matches_serial_scan_above_and_below_threshold() {
-        use moloc_fingerprint::db::FingerprintDb;
-        use moloc_fingerprint::fingerprint::Fingerprint;
-        use moloc_fingerprint::index::SquaredEuclidean;
-        use moloc_geometry::LocationId;
-
-        let _gate = OVERRIDE_GATE.lock().unwrap_or_else(|e| e.into_inner());
-        // Deterministic synthetic survey with deliberate rank ties
-        // (values quantized to a small alphabet).
-        let build = |locations: u32| {
-            let fps = (0..locations)
-                .map(|i| {
-                    let v = (0..6)
-                        .map(|a| -40.0 - f64::from((i * 7 + a * 13) % 23))
-                        .collect::<Vec<f64>>();
-                    (LocationId::new(i + 1), Fingerprint::new(v))
-                })
-                .collect::<Vec<_>>();
-            moloc_fingerprint::index::FingerprintIndex::build(
-                &FingerprintDb::from_fingerprints(fps).expect("valid db"),
-            )
-        };
-        let query = [-45.0, -52.0, -47.0, -60.0, -44.0, -58.0];
-        // shard_min 0 forces the row-sharded path wherever the location
-        // floor allows it; the default keeps mid-size indexes serial.
-        for shard_min in [None, Some(0)] {
-            for locations in [64u32, 1024] {
-                let index = build(locations);
-                let mut scratch = KnnScratch::with_k(8);
-                let mut serial = Vec::new();
-                index.k_nearest_into::<SquaredEuclidean>(&query, 8, &mut scratch, &mut serial);
-                for workers in [1usize, 2, 4, 8] {
-                    set_worker_override(Some(workers));
-                    set_shard_min_override(shard_min);
-                    let sharded = par_k_nearest::<SquaredEuclidean>(&index, &query, 8);
-                    assert_eq!(
-                        sharded, serial,
-                        "{locations} locations, {workers} workers, {shard_min:?} shard min"
-                    );
-                }
-                set_worker_override(None);
-                set_shard_min_override(None);
-            }
-        }
-    }
-
-    #[test]
-    fn par_k_nearest_block_matches_serial_scans_at_any_width() {
-        use moloc_fingerprint::db::FingerprintDb;
-        use moloc_fingerprint::fingerprint::Fingerprint;
-        use moloc_fingerprint::index::SquaredEuclidean;
-        use moloc_geometry::LocationId;
-
-        let _gate = OVERRIDE_GATE.lock().unwrap_or_else(|e| e.into_inner());
-        let fps = (0..300u32)
-            .map(|i| {
-                let v = (0..6)
-                    .map(|a| -40.0 - f64::from((i * 7 + a * 13) % 23))
-                    .collect::<Vec<f64>>();
-                (LocationId::new(i + 1), Fingerprint::new(v))
-            })
-            .collect::<Vec<_>>();
-        let index = moloc_fingerprint::index::FingerprintIndex::build(
-            &FingerprintDb::from_fingerprints(fps).expect("valid db"),
-        );
-        let queries: Vec<f64> = (0..17u32)
-            .flat_map(|q| (0..6).map(move |a| -41.0 - f64::from((q * 11 + a * 5) % 19)))
-            .collect();
-        let mut scratch = KnnScratch::with_k(8);
-        let serial: Vec<Vec<Neighbor>> = (0..17)
-            .map(|q| {
-                let mut out = Vec::new();
-                index.k_nearest_into::<SquaredEuclidean>(
-                    &queries[q * 6..(q + 1) * 6],
-                    8,
-                    &mut scratch,
-                    &mut out,
-                );
-                out
-            })
-            .collect();
-        for (workers, shard_min) in [(1, None), (2, Some(0)), (4, Some(0)), (8, None)] {
-            set_worker_override(Some(workers));
-            set_shard_min_override(shard_min);
-            let blocked = par_k_nearest_block::<SquaredEuclidean>(&index, &queries, 8);
-            assert_eq!(
-                blocked, serial,
-                "{workers} workers, {shard_min:?} shard min"
-            );
-        }
-        set_worker_override(None);
-        set_shard_min_override(None);
-    }
-
-    #[test]
-    fn resolve_shard_min_accepts_any_integer_and_defaults_when_unset() {
-        assert_eq!(resolve_shard_min(Some("0")), Ok(0));
-        assert_eq!(resolve_shard_min(Some(" 4096 ")), Ok(4096));
-        assert_eq!(resolve_shard_min(None), Ok(KNN_SHARD_MIN_WORK));
-    }
-
-    #[test]
     fn resolve_honors_sane_env_values() {
         assert_eq!(resolve_thread_count(Some("1"), 8), Ok(1));
         assert_eq!(resolve_thread_count(Some(" 6 "), 8), Ok(6));
@@ -769,16 +485,6 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn malformed_shard_min_is_a_typed_error() {
-        let err = resolve_shard_min(Some("-3")).unwrap_err();
-        assert_eq!(
-            err,
-            MolocError::invalid_config_value("MOLOC_KNN_SHARD_MIN", "-3")
-        );
-        assert!(err.to_string().contains("-3"));
     }
 
     #[test]

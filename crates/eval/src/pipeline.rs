@@ -421,7 +421,7 @@ pub fn localize_moloc_with(
             );
             let mut engine = BatchLocalizer::with_scratch(index, kernel, config, scratch);
             // Whole-trace localization: the engine batches every pass's
-            // k-NN through the cache-blocked multi-query scan
+            // k-NN through the multi-query block scan
             // (DESIGN.md §15) before the sequential Eq. 4/7 recursion —
             // bit-identical estimates to the old per-pass observe loop.
             let scans: Vec<&[f64]> = trace

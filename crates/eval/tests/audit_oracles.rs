@@ -20,14 +20,11 @@ use moloc_core::config::MoLocConfig;
 use moloc_core::error::DegradationFlags;
 use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
-use moloc_fingerprint::block::{
-    set_block_override, set_mirror_override, BlockNeighbors, BlockScratch, QueryBlock,
-};
+use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, ShardCandidate};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
-use moloc_fingerprint::SquaredEuclidean;
 use moloc_geometry::LocationId;
 use moloc_motion::matrix::MotionDb;
 use moloc_verify::oracle;
@@ -83,38 +80,22 @@ fn tied_rows_resolve_by_ascending_id_on_every_knn_path() {
 
     let mut scratch = KnnScratch::new();
     let mut out = Vec::new();
-    index.k_nearest_into::<SquaredEuclidean>(&query, k, &mut scratch, &mut out);
+    index.k_nearest_into(&query, k, &mut scratch, &mut out);
     assert_eq!(pairs(&out), expected, "scalar path broke the tie contract");
 
-    let mut block_scratch = BlockScratch::new();
-    set_mirror_override(Some(true));
-    index.k_nearest_mirror_into::<SquaredEuclidean>(&query, k, &mut block_scratch, &mut out);
-    set_mirror_override(None);
-    assert_eq!(pairs(&out), expected, "mirror path broke the tie contract");
-
-    set_block_override(Some(true));
+    // Blocked: 6 APs, k <= 16 and RSS-range values put the block on
+    // the f32 mirror prefilter, whose exact rescore must keep id order.
+    assert!(index.has_mirror());
     let mut block = QueryBlock::new(N_APS);
     block.push(&query);
+    let mut block_scratch = BlockScratch::new();
     let mut block_out = BlockNeighbors::new();
-    index.k_nearest_block_into::<SquaredEuclidean>(&mut block, k, &mut block_scratch, &mut block_out);
-    set_block_override(None);
+    index.k_nearest_block_into(&mut block, k, &mut block_scratch, &mut block_out);
     assert_eq!(
         pairs(block_out.query(0)),
         expected,
         "blocked path broke the tie contract"
     );
-
-    // Sharded: a cut straight through the tied run (rows 2,4,5 live at
-    // positions 1,3,4) so the merge must re-establish id order across
-    // shard boundaries.
-    let mut candidates: Vec<ShardCandidate> = Vec::new();
-    let mut shard_out = Vec::new();
-    for range in [0..2, 2..4, 4..index.len()] {
-        index.shard_candidates::<SquaredEuclidean>(&query, k, range, &mut scratch, &mut shard_out);
-        candidates.extend(shard_out.iter().copied());
-    }
-    index.merge_shard_candidates::<SquaredEuclidean>(k, &mut candidates, &mut out);
-    assert_eq!(pairs(&out), expected, "sharded merge broke the tie contract");
 }
 
 #[test]

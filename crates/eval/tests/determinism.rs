@@ -137,30 +137,21 @@ fn outcome_digest_is_invariant_across_worker_counts() {
 }
 
 #[test]
-fn serial_child_digest_survives_thread_chunk_and_block_settings() {
-    // Environment-level matrix: MOLOC_THREADS, MOLOC_CHUNK, and the
-    // blocked-scan toggles are parsed once per process, so each cell
-    // runs as a clean child. Chunk size shifts shard boundaries
-    // (including chunk=1, maximal stealing, and a chunk larger than
-    // the trace count, one shard); MOLOC_BLOCK=0 forces the per-query
-    // k-NN loop and MOLOC_MIRROR=0 the pure-f64 blocked kernel. None
-    // of them may leak into outcomes.
+fn serial_child_digest_survives_thread_and_chunk_settings() {
+    // Environment-level matrix: MOLOC_THREADS and MOLOC_CHUNK are
+    // parsed once per process, so each cell runs as a clean child.
+    // Chunk size shifts shard boundaries (including chunk=1, maximal
+    // stealing, and a chunk larger than the trace count, one shard).
+    // None of them may leak into outcomes.
     let digest = outcome_digest();
     let exe = std::env::current_exe().expect("test binary path");
-    for (threads, chunk, block, mirror) in [
-        ("2", None, None, None),
-        ("3", None, None, None),
-        ("8", None, None, None),
-        ("2", Some("1"), None, None),
-        ("3", Some("7"), None, None),
-        ("2", Some("1024"), None, None),
-        // Blocked path disabled entirely: per-query scans only.
-        ("2", None, Some("0"), None),
-        ("3", Some("7"), Some("0"), None),
-        // Blocked path on, f32 mirror off: pure-f64 lane kernel.
-        ("2", None, Some("1"), Some("0")),
-        // Both explicitly on (the defaults, spelled out).
-        ("3", None, Some("1"), Some("1")),
+    for (threads, chunk) in [
+        ("2", None),
+        ("3", None),
+        ("8", None),
+        ("2", Some("1")),
+        ("3", Some("7")),
+        ("2", Some("1024")),
     ] {
         let mut cmd = std::process::Command::new(&exe);
         cmd.args(["helper_print_outcome_digest", "--exact", "--nocapture"])
@@ -170,18 +161,10 @@ fn serial_child_digest_survives_thread_chunk_and_block_settings() {
             Some(c) => cmd.env("MOLOC_CHUNK", c),
             None => cmd.env_remove("MOLOC_CHUNK"),
         };
-        match block {
-            Some(b) => cmd.env("MOLOC_BLOCK", b),
-            None => cmd.env_remove("MOLOC_BLOCK"),
-        };
-        match mirror {
-            Some(m) => cmd.env("MOLOC_MIRROR", m),
-            None => cmd.env_remove("MOLOC_MIRROR"),
-        };
         let out = cmd.output().expect("spawn digest child");
         assert!(
             out.status.success(),
-            "child {threads}/{chunk:?}/{block:?}/{mirror:?} failed: {out:?}"
+            "child {threads}/{chunk:?} failed: {out:?}"
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         let child_digest = stdout
@@ -195,33 +178,7 @@ fn serial_child_digest_survives_thread_chunk_and_block_settings() {
             .expect("child printed a digest");
         assert_eq!(
             child_digest, digest,
-            "MOLOC_THREADS={threads} MOLOC_CHUNK={chunk:?} MOLOC_BLOCK={block:?} \
-             MOLOC_MIRROR={mirror:?} diverged from the parent"
-        );
-    }
-}
-
-#[test]
-fn outcome_digest_is_invariant_across_block_and_mirror_toggles() {
-    // The blocked multi-query scan and its f32 mirror are throughput
-    // knobs, never output knobs: flipping them in-process (the
-    // override shadows the once-parsed env toggles) must reproduce the
-    // ambient digest bit-for-bit.
-    use moloc_fingerprint::block::{set_block_override, set_mirror_override};
-    let baseline = outcome_digest();
-    for (block, mirror) in [
-        (Some(false), None),
-        (Some(true), Some(false)),
-        (Some(true), Some(true)),
-    ] {
-        set_block_override(block);
-        set_mirror_override(mirror);
-        let digest = outcome_digest();
-        set_block_override(None);
-        set_mirror_override(None);
-        assert_eq!(
-            digest, baseline,
-            "block={block:?} mirror={mirror:?} diverged from ambient"
+            "MOLOC_THREADS={threads} MOLOC_CHUNK={chunk:?} diverged from the parent"
         );
     }
 }

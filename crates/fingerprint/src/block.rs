@@ -2,99 +2,36 @@
 //!
 //! A [`QueryBlock`] packs Q query fingerprints into a structure-of-
 //! arrays layout (one contiguous *lane* per AP holding that AP's value
-//! for every query), so the index can evaluate Q×L tiles with
-//! register-blocked accumulators instead of scanning one query at a
-//! time (`FingerprintIndex::k_nearest_block_into` in [`crate::index`]).
-//! [`BlockScratch`] owns every intermediate buffer the blocked kernels
-//! need and [`BlockNeighbors`] collects the per-query results; with all
-//! three warmed a block scan performs zero heap allocations
-//! (`crates/fingerprint/tests/block_alloc.rs`).
+//! for every query), so the index can evaluate a whole block against
+//! its f32 mirror in one column-major pass instead of scanning one
+//! query at a time (`FingerprintIndex::k_nearest_block_into` in
+//! [`crate::index`]). [`BlockScratch`] owns every intermediate buffer
+//! the blocked scan needs and [`BlockNeighbors`] collects the per-query
+//! results; with all three warmed a block scan performs zero heap
+//! allocations (`crates/fingerprint/tests/block_alloc.rs`).
 //!
-//! # Toggles
-//!
-//! Two process-wide switches gate the fast paths, both **result-
-//! invariant** — the blocked kernels are bit-identical to the per-query
-//! scan (accumulation order per (query, row) is exactly
-//! [`crate::metric::euclidean_sq`]'s, and the f32 mirror is a
-//! *prefilter* whose survivors are exactly rescored in f64), so
-//! flipping them can change throughput but never output:
-//!
-//! * `MOLOC_BLOCK` — `0`/`false`/`off`/`no` routes block entry points
-//!   through the legacy per-query loop (default: blocked kernels on).
-//! * `MOLOC_MIRROR` — same values disable the f32 quantized mirror
-//!   prefilter inside the blocked path (default: mirror on).
-//!
-//! Benchmarks and tests flip the same switches in-process via
-//! [`set_block_override`] / [`set_mirror_override`].
+//! The blocked scan is bit-identical to the per-query scan, and it
+//! chooses its strategy per call from the block's shape (AP width,
+//! `k`, finite or not, value magnitude), so nothing here is switchable
+//! at runtime.
 
 use crate::index::RankEntry;
 use crate::knn::Neighbor;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
-/// Tri-state runtime override: 0 = follow the environment, 1 = forced
-/// off, 2 = forced on.
-static BLOCK_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static MIRROR_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// `MOLOC_BLOCK` / `MOLOC_MIRROR`, parsed once per process.
-static BLOCK_ENV: OnceLock<bool> = OnceLock::new();
-static MIRROR_ENV: OnceLock<bool> = OnceLock::new();
-
-fn parse_toggle(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
-
-fn toggled(override_flag: &AtomicU8, env: &OnceLock<bool>, var: &str) -> bool {
-    match override_flag.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *env.get_or_init(|| parse_toggle(var)),
-    }
-}
-
-/// Whether blocked multi-query kernels are enabled (`MOLOC_BLOCK`,
-/// default on). Purely a throughput switch: disabled blocks fall back
-/// to per-query scans with bit-identical results.
+/// Always `true`. The k-NN strategy is chosen per call from the query
+/// shape (see [`crate::index`]), so the blocked scan cannot be turned
+/// off; this remains only for the serving benchmark's run header.
 #[inline]
 pub fn block_enabled() -> bool {
-    toggled(&BLOCK_OVERRIDE, &BLOCK_ENV, "MOLOC_BLOCK")
+    true
 }
 
-/// Whether the f32 quantized index mirror may prefilter blocked scans
-/// (`MOLOC_MIRROR`, default on). Result-invariant like
-/// [`block_enabled`].
+/// Always `true`. The f32 mirror prefilter runs whenever a block's
+/// shape allows it (see [`crate::index`]); like [`block_enabled`], this
+/// remains only for the serving benchmark's run header.
 #[inline]
 pub fn mirror_enabled() -> bool {
-    toggled(&MIRROR_OVERRIDE, &MIRROR_ENV, "MOLOC_MIRROR")
-}
-
-/// Forces the blocked path on/off (`Some`) or re-arms the environment
-/// setting (`None`). For benchmarks and tests; process-global.
-pub fn set_block_override(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    BLOCK_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Forces the f32 mirror on/off (`Some`) or re-arms the environment
-/// setting (`None`). For benchmarks and tests; process-global.
-pub fn set_mirror_override(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    MIRROR_OVERRIDE.store(v, Ordering::Relaxed);
+    true
 }
 
 /// A reusable structure-of-arrays batch of query fingerprints.
@@ -102,7 +39,7 @@ pub fn set_mirror_override(on: Option<bool>) {
 /// Queries are pushed in *query-major* form (each `push` keeps an
 /// exact copy for rescoring and per-query fallbacks) and transposed
 /// into AP-major lanes — `lanes[a * len() + q]` is AP `a` of query `q`
-/// — when a blocked kernel seals the block. All buffers keep their
+/// — when the blocked scan seals the block. All buffers keep their
 /// capacity across [`QueryBlock::reset`], so a warm block refilled with
 /// the same shape allocates nothing.
 #[derive(Debug, Default)]
@@ -111,8 +48,9 @@ pub struct QueryBlock {
     /// Query-major copies: query `q` occupies
     /// `queries[q * ap_count .. (q + 1) * ap_count]`.
     queries: Vec<f64>,
-    /// Whether every value of query `q` is finite (clean queries take
-    /// the lane kernels; degraded ones the masked per-query path).
+    /// Whether every value of query `q` is finite (clean queries may
+    /// take the mirror prefilter; degraded ones the masked per-query
+    /// path).
     clean: Vec<bool>,
     /// AP-major lanes, rebuilt by [`QueryBlock::seal`] when stale.
     lanes: Vec<f64>,
@@ -219,23 +157,21 @@ impl QueryBlock {
 
 /// Reusable state for blocked scans: per-query selection tables, the
 /// f32 lane/rank buffers of the mirror prefilter, and the scratch the
-/// per-query fallback paths borrow. Like [`crate::index::KnnScratch`],
-/// every buffer survives across scans, so warm blocks allocate nothing.
+/// per-query paths borrow. Like [`crate::index::KnnScratch`], every
+/// buffer survives across scans, so warm blocks allocate nothing.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
-    /// Scratch for per-query fallback scans (masked queries, non-block
-    /// kernels, `MOLOC_BLOCK=0`).
+    /// Scratch for per-query scans (masked queries, and blocks whose
+    /// shape rules out the mirror).
     pub(crate) knn: crate::index::KnnScratch,
-    /// Per-query neighbor staging buffer for fallback scans.
+    /// Per-query neighbor staging buffer.
     pub(crate) tmp_out: Vec<Neighbor>,
     /// Flat per-query slot tables: query `q` owns
     /// `slots[q * k .. (q + 1) * k]`.
     pub(crate) slots: Vec<RankEntry>,
     /// Per-query count of filled slots.
     pub(crate) filled: Vec<u32>,
-    /// Per-query index of the worst filled slot (valid once full).
-    pub(crate) worst_at: Vec<u32>,
-    /// Per-query cached worst rank (valid once full).
+    /// Per-query bound on the k-th smallest f32 rank.
     pub(crate) worst: Vec<f64>,
     /// f32 copies of the query lanes for the mirror pass.
     pub(crate) lanes32: Vec<f32>,
@@ -244,10 +180,6 @@ pub struct BlockScratch {
     pub(crate) ranks32: Vec<f32>,
     /// Row positions surviving the f32 threshold for one query.
     pub(crate) survivors: Vec<u32>,
-    /// One L-tile × Q-tile of f64 ranks (`[i * QT + q]`), written by
-    /// the branchless compute phase and consumed by the selection
-    /// phase of the blocked f64 kernel.
-    pub(crate) tile_ranks: Vec<f64>,
 }
 
 impl BlockScratch {
@@ -372,19 +304,5 @@ mod tests {
         assert_eq!(out.observed(1), 0);
         out.clear();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn overrides_take_precedence_over_default() {
-        // Serialized implicitly: this is the only test in this crate
-        // touching the overrides, and it restores them.
-        set_block_override(Some(false));
-        assert!(!block_enabled());
-        set_block_override(Some(true));
-        assert!(block_enabled());
-        set_block_override(None);
-        set_mirror_override(Some(false));
-        assert!(!mirror_enabled());
-        set_mirror_override(None);
     }
 }

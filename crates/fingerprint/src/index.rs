@@ -1,124 +1,45 @@
-//! A columnar (structure-of-arrays) fingerprint index.
+//! A columnar (structure-of-arrays) fingerprint index and the k-NN
+//! candidate generator of Eq. 3.
 //!
-//! [`FingerprintDb`] stores one heap-allocated [`Fingerprint`] per
-//! location, so a k-NN scan chases a pointer per candidate and pays a
-//! virtual `dyn Dissimilarity` call plus a square root per comparison.
+//! [`FingerprintDb`] stores one heap-allocated
+//! [`Fingerprint`](crate::fingerprint::Fingerprint) per location, so a
+//! k-NN scan chases a pointer per candidate and pays a virtual
+//! `dyn Dissimilarity` call plus a square root per comparison.
 //! [`FingerprintIndex`] flattens the database once into a dense
-//! row-major `locations × APs` matrix with precomputed per-location
-//! squared norms, and ranks candidates through monomorphized
-//! [`MetricKernel`]s on *squared* distance — the square root is
-//! deferred to the k survivors.
+//! row-major `locations × APs` matrix and ranks candidates on
+//! *squared* Euclidean distance ([`euclidean_sq`]) — the square root
+//! is deferred to the k survivors.
 //!
 //! Ranking on squared Euclidean distance reproduces the legacy
 //! [`crate::knn::k_nearest`] ordering exactly: the squared sum is
-//! accumulated in the same slice order as [`crate::metric::Euclidean`]
-//! (see [`crate::metric::euclidean_sq`]), `sqrt` is monotone, and ties
-//! break by lower location id in both paths.
+//! accumulated in the same slice order as [`crate::metric::Euclidean`],
+//! `sqrt` is monotone, and ties break by lower location id in both
+//! paths.
+//!
+//! # Four entry points, chosen by shape
+//!
+//! * [`FingerprintIndex::k_nearest_into`] — one clean query: the scalar
+//!   selection scan at any AP width (fully unrolled for 4–8 APs).
+//! * [`FingerprintIndex::k_nearest_masked_into`] — one query with
+//!   non-finite values: the degradation path.
+//! * [`FingerprintIndex::k_nearest_block_into`] — a
+//!   [`crate::block::QueryBlock`] of queries: the f32-mirror prefilter
+//!   plus an exact f64 rescore when the width is 4–8 APs, `k ≤ 16` and
+//!   every value is f32-safe; any other block loops over the two
+//!   methods above.
+//! * [`FingerprintIndex::rank_all_into`] — every row's distance to one
+//!   query, for full-state emission models.
+//!
+//! Both strategies of the block method are bit-identical to the
+//! per-query scans, and which one runs follows from the input alone:
+//! AP width, `k`, finite or not, and value magnitude. There is no
+//! runtime switch.
 
 use crate::db::FingerprintDb;
-use crate::fingerprint::Fingerprint;
 use crate::knn::Neighbor;
-use crate::metric::{cosine, euclidean_sq, manhattan, masked_euclidean_sq};
+use crate::metric::{euclidean_sq, masked_euclidean_sq};
 use moloc_geometry::LocationId;
 use std::cmp::Ordering;
-use std::ops::Range;
-
-/// A monomorphized ranking metric for index scans.
-///
-/// `rank` produces the value candidates are *ordered* by; `finalize`
-/// converts a survivor's rank into the reported dissimilarity. For
-/// Euclidean this splits `φ = sqrt(Σ d²)` so the scan never takes a
-/// square root; metrics without a cheap monotone surrogate rank on the
-/// full dissimilarity and finalize with the identity.
-pub trait MetricKernel: Copy + Send + Sync + 'static {
-    /// The ordering value for one candidate row.
-    fn rank(query: &[f64], row: &[f64]) -> f64;
-
-    /// The reported dissimilarity of a surviving candidate.
-    fn finalize(rank: f64) -> f64;
-
-    /// A short human-readable name for reports.
-    fn name() -> &'static str;
-
-    /// Whether `rank` is exactly [`crate::metric::euclidean_sq`] —
-    /// a sum of per-AP squared differences accumulated in slice order.
-    /// Only such kernels may take the blocked lane path (whose
-    /// register-blocked accumulators reproduce that accumulation order
-    /// bit-for-bit) and the f32 mirror prefilter (whose conservative
-    /// error bound assumes the squared-difference form). Kernels that
-    /// keep the default `false` are evaluated per query inside the
-    /// block entry points, with identical results.
-    fn block_compatible() -> bool {
-        false
-    }
-}
-
-/// Euclidean ranking on squared distance, `sqrt` deferred to survivors.
-///
-/// Bit-identical to [`crate::metric::Euclidean`]: both accumulate
-/// [`crate::metric::euclidean_sq`] and apply `sqrt` to the same sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SquaredEuclidean;
-
-impl MetricKernel for SquaredEuclidean {
-    #[inline]
-    fn rank(query: &[f64], row: &[f64]) -> f64 {
-        euclidean_sq(query, row)
-    }
-
-    #[inline]
-    fn finalize(rank: f64) -> f64 {
-        rank.sqrt()
-    }
-
-    fn name() -> &'static str {
-        "euclidean"
-    }
-
-    fn block_compatible() -> bool {
-        true
-    }
-}
-
-/// Manhattan (L1) ranking; the rank already is the dissimilarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ManhattanKernel;
-
-impl MetricKernel for ManhattanKernel {
-    #[inline]
-    fn rank(query: &[f64], row: &[f64]) -> f64 {
-        manhattan(query, row)
-    }
-
-    #[inline]
-    fn finalize(rank: f64) -> f64 {
-        rank
-    }
-
-    fn name() -> &'static str {
-        "manhattan"
-    }
-}
-
-/// Cosine ranking; the rank already is the dissimilarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CosineKernel;
-
-impl MetricKernel for CosineKernel {
-    #[inline]
-    fn rank(query: &[f64], row: &[f64]) -> f64 {
-        cosine(query, row)
-    }
-
-    #[inline]
-    fn finalize(rank: f64) -> f64 {
-        rank
-    }
-
-    fn name() -> &'static str {
-        "cosine"
-    }
-}
 
 /// One retained scan candidate: rank ascending, ties broken by lower
 /// row position (rows are stored in location-id order, so position
@@ -153,20 +74,6 @@ impl Ord for RankEntry {
     }
 }
 
-/// One survivor of a per-shard top-k scan: the pre-`finalize` rank and
-/// the **global** row position. Kept in rank space (not finalized
-/// dissimilarity) so the cross-shard merge orders by exactly the key
-/// the serial scan selects by — `finalize` can collapse distinct ranks
-/// onto one float, which would let a merge on dissimilarities break
-/// ties differently than the serial scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardCandidate {
-    /// The candidate's `K::rank` value (finite).
-    pub rank: f64,
-    /// Row position in the full index (location-id order).
-    pub position: u32,
-}
-
 /// Reusable k-NN selection state: a bounded candidate table whose
 /// backing allocation survives across queries. After the first query at
 /// a given `k`, selection performs no heap allocations.
@@ -180,7 +87,8 @@ pub struct KnnScratch {
 }
 
 impl KnnScratch {
-    /// An empty scratch; capacity grows to `k` on first use.
+    /// An empty scratch; capacity grows to `min(k, index.len())` on
+    /// first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -244,15 +152,14 @@ fn worst_slot(slots: &[RankEntry]) -> usize {
 
 /// The flattened, cache-friendly view of a [`FingerprintDb`].
 ///
-/// Rows are stored contiguously in location-id order; `sq_norms[i]`
-/// caches `Σ rowᵢ²` for norm-based pruning and diagnostics.
+/// Rows are stored contiguously in location-id order.
 ///
 /// # Examples
 ///
 /// ```
 /// use moloc_fingerprint::db::FingerprintDb;
 /// use moloc_fingerprint::fingerprint::Fingerprint;
-/// use moloc_fingerprint::index::FingerprintIndex;
+/// use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 /// use moloc_geometry::LocationId;
 ///
 /// let db = FingerprintDb::from_fingerprints(vec![
@@ -260,20 +167,20 @@ fn worst_slot(slots: &[RankEntry]) -> usize {
 ///     (LocationId::new(2), Fingerprint::new(vec![-70.0, -40.0])),
 /// ])?;
 /// let index = FingerprintIndex::build(&db);
-/// let query = Fingerprint::new(vec![-42.0, -69.0]);
-/// assert_eq!(index.nearest(query.values()), LocationId::new(1));
+/// let (mut scratch, mut nearest) = (KnnScratch::new(), Vec::new());
+/// index.k_nearest_into(&[-42.0, -69.0], 1, &mut scratch, &mut nearest);
+/// assert_eq!(nearest[0].location, LocationId::new(1));
 /// # Ok::<(), moloc_fingerprint::db::DbError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintIndex {
     ids: Vec<LocationId>,
     matrix: Vec<f64>,
-    sq_norms: Vec<f64>,
     ap_count: usize,
     /// f32 quantized copy of `matrix` in *column-major* (AP-major)
-    /// layout — `mirror[a * len() + row]` — used by the blocked scans
+    /// layout — `mirror[a * len() + row]` — used by the blocked scan
     /// as a half-bandwidth *prefilter*: contiguous per-AP columns let
-    /// the f32 kernels vectorize across rows, and survivors are exactly
+    /// the f32 kernel vectorize across rows, and survivors are exactly
     /// rescored from `matrix`, so quantization can never change a
     /// result. `None` when values are too large to quantize safely
     /// (see [`F32_SAFE_LIMIT`]).
@@ -298,11 +205,9 @@ impl FingerprintIndex {
         let ap_count = db.ap_count();
         let mut ids = Vec::with_capacity(db.len());
         let mut matrix = Vec::with_capacity(db.len() * ap_count);
-        let mut sq_norms = Vec::with_capacity(db.len());
         for (id, fp) in db.iter() {
             ids.push(id);
             matrix.extend_from_slice(fp.values());
-            sq_norms.push(fp.values().iter().map(|v| v * v).sum());
         }
         let max_abs = matrix.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let mirror = if max_abs < F32_SAFE_LIMIT {
@@ -320,7 +225,6 @@ impl FingerprintIndex {
         Self {
             ids,
             matrix,
-            sq_norms,
             ap_count,
             mirror,
             max_abs,
@@ -359,44 +263,20 @@ impl FingerprintIndex {
         &self.matrix[position * self.ap_count..(position + 1) * self.ap_count]
     }
 
-    /// The precomputed squared norm `Σ rowᵢ²` at `position`.
-    pub fn sq_norm(&self, position: usize) -> f64 {
-        self.sq_norms[position]
-    }
-
     /// The row position of a location id, if indexed.
     pub fn position_of(&self, id: LocationId) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
 
-    /// The single nearest location by Euclidean distance, ties broken
-    /// by lower id (the strict `<` keeps the earliest row, and rows are
-    /// in id order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query length does not match the index's AP count.
-    pub fn nearest(&self, query: &[f64]) -> LocationId {
-        self.check_query(query);
-        let mut best = 0u32;
-        let mut best_rank = f64::INFINITY;
-        self.scan_rows::<SquaredEuclidean>(query, |position, rank| {
-            if rank < best_rank {
-                best = position;
-                best_rank = rank;
-            }
-        });
-        self.ids[best as usize]
-    }
-
-    /// The `k` nearest locations under kernel `K`, ascending by
+    /// The `k` nearest locations by Euclidean distance, ascending by
     /// dissimilarity with ties broken by lower id, written into `out`
     /// (cleared first). With a warm `scratch` and `out`, the scan
-    /// performs zero heap allocations.
+    /// performs zero heap allocations. `k = 1` is the nearest-neighbor
+    /// rule of Eq. 2.
     ///
-    /// Matches [`crate::knn::k_nearest`] output exactly for
-    /// [`SquaredEuclidean`] vs [`crate::metric::Euclidean`] (see the
-    /// module docs for why the squared ranking preserves order).
+    /// Matches [`crate::knn::k_nearest`] under
+    /// [`crate::metric::Euclidean`] exactly (see the module docs for
+    /// why the squared ranking preserves order).
     ///
     /// Selection keeps the best `k` candidates in an unsorted slot
     /// table with a cached worst rank: rows are visited in ascending
@@ -411,7 +291,26 @@ impl FingerprintIndex {
     /// index's AP count (same contract as [`crate::knn::k_nearest`]),
     /// or a NaN rank lands among the retained `k` (ranks must be
     /// finite; a NaN outside the retained set is never selected).
-    pub fn k_nearest_into<K: MetricKernel>(
+    pub fn k_nearest_into(
+        &self,
+        query: &[f64],
+        k: usize,
+        scratch: &mut KnnScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        self.select_into(query, k, scratch, out);
+        moloc_obs::counter_add_batch(&[
+            ("fingerprint.knn.queries", 1),
+            ("fingerprint.knn.candidates_scanned", self.len() as u64),
+        ]);
+    }
+
+    /// [`FingerprintIndex::k_nearest_into`] without the
+    /// `fingerprint.knn.*` counters, which count Eq. 3 candidate
+    /// generation. The WiFi baseline's Eq. 2 pick
+    /// ([`crate::nn_localizer::NnLocalizer`], `k = 1`) is trace
+    /// analysis, so it scans through here.
+    pub(crate) fn select_into(
         &self,
         query: &[f64],
         k: usize,
@@ -420,37 +319,21 @@ impl FingerprintIndex {
     ) {
         assert!(k > 0, "k must be positive");
         self.check_query(query);
-        moloc_obs::counter_add_batch(&[
-            ("fingerprint.knn.queries", 1),
-            ("fingerprint.knn.candidates_scanned", self.len() as u64),
-        ]);
         let slots = &mut scratch.slots;
         slots.clear();
         slots.reserve(k.min(self.len()));
         // Dispatch to a standalone monomorphic selection per row width:
-        // keeping each unrolled scan in its own (deliberately
-        // non-inlined) function avoids one seven-armed giant whose
-        // register pressure slows every arm.
+        // keeping each unrolled scan in its own function avoids one
+        // six-armed giant whose register pressure slows every arm.
         match self.ap_count {
-            4 => self.k_select::<K, 4>(query, k, slots),
-            5 => self.k_select::<K, 5>(query, k, slots),
-            6 => self.k_select::<K, 6>(query, k, slots),
-            7 => self.k_select::<K, 7>(query, k, slots),
-            8 => self.k_select::<K, 8>(query, k, slots),
-            _ => self.k_select_dyn::<K>(query, k, slots),
+            4 => self.k_select::<4>(query, k, slots),
+            5 => self.k_select::<5>(query, k, slots),
+            6 => self.k_select::<6>(query, k, slots),
+            7 => self.k_select::<7>(query, k, slots),
+            8 => self.k_select::<8>(query, k, slots),
+            _ => self.k_select_dyn(query, k, slots),
         }
-        // One final sort of k entries replaces per-row ordering work;
-        // `RankEntry`'s total order panics on NaN ranks here.
-        slots.sort_unstable();
-        out.clear();
-        out.extend(slots.iter().map(|entry| Neighbor {
-            location: self.ids[entry.position as usize],
-            dissimilarity: K::finalize(entry.rank),
-        }));
-        moloc_verify::check_knn_ranks(
-            "fingerprint.knn.ranks",
-            out.iter().map(|n| (n.location, n.dissimilarity)),
-        );
+        self.finish("fingerprint.knn.ranks", slots, out);
     }
 
     /// Masked k-NN for queries with missing (non-finite) APs: a
@@ -478,12 +361,25 @@ impl FingerprintIndex {
         scratch: &mut KnnScratch,
         out: &mut Vec<Neighbor>,
     ) -> usize {
-        assert!(k > 0, "k must be positive");
-        self.check_query(query);
+        let observed = self.select_masked_into(query, k, scratch, out);
         moloc_obs::counter_add_batch(&[
             ("fingerprint.knn.masked_queries", 1),
             ("fingerprint.knn.candidates_scanned", self.len() as u64),
         ]);
+        observed
+    }
+
+    /// [`FingerprintIndex::k_nearest_masked_into`] without the
+    /// counters; see [`FingerprintIndex::select_into`].
+    pub(crate) fn select_masked_into(
+        &self,
+        query: &[f64],
+        k: usize,
+        scratch: &mut KnnScratch,
+        out: &mut Vec<Neighbor>,
+    ) -> usize {
+        assert!(k > 0, "k must be positive");
+        self.check_query(query);
         let observed = query.iter().filter(|v| v.is_finite()).count();
         let scale = if observed == 0 {
             0.0
@@ -505,215 +401,59 @@ impl FingerprintIndex {
                 slots,
             );
         }
-        slots.sort_unstable();
-        out.clear();
-        out.extend(slots.iter().map(|entry| Neighbor {
-            location: self.ids[entry.position as usize],
-            dissimilarity: SquaredEuclidean::finalize(entry.rank),
-        }));
-        moloc_verify::check_knn_ranks(
-            "fingerprint.knn.masked.ranks",
-            out.iter().map(|n| (n.location, n.dissimilarity)),
-        );
+        self.finish("fingerprint.knn.masked.ranks", slots, out);
         observed
     }
 
-    /// The single nearest location under the masked metric of
-    /// [`FingerprintIndex::k_nearest_masked_into`], ties broken by
-    /// lower id. With no observable dimension every row ranks 0 and
-    /// the lowest id wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query length does not match the index's AP count.
-    pub fn nearest_masked(&self, query: &[f64]) -> LocationId {
-        self.check_query(query);
-        if self.ap_count == 0 {
-            return self.ids[0];
-        }
-        let mut best = 0usize;
-        let mut best_rank = f64::INFINITY;
-        for (position, row) in self.matrix.chunks_exact(self.ap_count).enumerate() {
-            let (rank, _) = masked_euclidean_sq(query, row);
-            if rank < best_rank {
-                best = position;
-                best_rank = rank;
-            }
-        }
-        self.ids[best]
-    }
-
-    /// Per-shard top-`k` for the parallel scan path: ranks only the
-    /// rows in `rows` and writes up to `k` survivors into `out`
-    /// (cleared first), each carrying its **global** row position,
-    /// sorted by (rank ascending, position ascending).
-    ///
-    /// Workers run this over disjoint row ranges concurrently; the
-    /// caller combines their outputs with
-    /// [`FingerprintIndex::merge_shard_candidates`]. Because the total
-    /// order is on pre-`finalize` ranks and global positions — exactly
-    /// the order the serial [`FingerprintIndex::k_nearest_into`] scan
-    /// selects by — the merged result is identical to the serial scan,
-    /// ties included, for any sharding of the rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero, the query length does not match the
-    /// index's AP count, `rows` is out of bounds, or a NaN rank lands
-    /// among the retained `k`.
-    pub fn shard_candidates<K: MetricKernel>(
-        &self,
-        query: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        scratch: &mut KnnScratch,
-        out: &mut Vec<ShardCandidate>,
-    ) {
-        assert!(k > 0, "k must be positive");
-        self.check_query(query);
-        assert!(
-            rows.start <= rows.end && rows.end <= self.len(),
-            "shard rows out of bounds"
-        );
-        let slots = &mut scratch.slots;
-        slots.clear();
-        slots.reserve(k.min(rows.len()));
-        match self.ap_count {
-            4 => self.shard_select::<K, 4>(query, k, rows.clone(), slots),
-            5 => self.shard_select::<K, 5>(query, k, rows.clone(), slots),
-            6 => self.shard_select::<K, 6>(query, k, rows.clone(), slots),
-            7 => self.shard_select::<K, 7>(query, k, rows.clone(), slots),
-            8 => self.shard_select::<K, 8>(query, k, rows.clone(), slots),
-            _ => self.shard_select_dyn::<K>(query, k, rows.clone(), slots),
-        }
-        slots.sort_unstable();
-        out.clear();
-        out.extend(slots.iter().map(|entry| ShardCandidate {
-            rank: entry.rank,
-            position: entry.position + rows.start as u32,
-        }));
-    }
-
-    /// Combines per-shard candidate lists into the final top-`k`
-    /// neighbor list, bit-identical (order, ties, and finalized
-    /// dissimilarities) to a serial
-    /// [`FingerprintIndex::k_nearest_into`] over the whole index —
-    /// provided the shards partition the rows and each list came from
-    /// [`FingerprintIndex::shard_candidates`] with the same query, `k`,
-    /// and kernel.
-    ///
-    /// `candidates` is consumed as a scratch buffer (sorted in place);
-    /// `out` receives the merged neighbors, cleared first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or any candidate rank is NaN.
-    pub fn merge_shard_candidates<K: MetricKernel>(
-        &self,
-        k: usize,
-        candidates: &mut Vec<ShardCandidate>,
-        out: &mut Vec<Neighbor>,
-    ) {
-        assert!(k > 0, "k must be positive");
-        // The global top-k under (rank, position) is contained in the
-        // union of per-shard top-k's under the same order, so sorting
-        // the union and truncating reproduces the serial selection.
-        candidates.sort_unstable_by(|a, b| {
-            a.rank
-                .partial_cmp(&b.rank)
-                .expect("ranks are finite")
-                .then_with(|| a.position.cmp(&b.position))
-        });
-        candidates.truncate(k);
-        out.clear();
-        out.extend(candidates.iter().map(|c| Neighbor {
-            location: self.ids[c.position as usize],
-            dissimilarity: K::finalize(c.rank),
-        }));
-        moloc_verify::check_knn_ranks(
-            "fingerprint.knn.sharded.ranks",
-            out.iter().map(|n| (n.location, n.dissimilarity)),
-        );
-    }
-
-    /// [`FingerprintIndex::k_select`] over a row range, positions
-    /// relative to `rows.start` (rebased by the caller).
-    fn shard_select<K: MetricKernel, const N: usize>(
-        &self,
-        query: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        slots: &mut Vec<RankEntry>,
-    ) {
-        let query: &[f64; N] = query.try_into().expect("query length checked");
-        let sub = &self.matrix[rows.start * N..rows.end * N];
-        select(
-            sub.chunks_exact(N).map(|row| {
-                let row: &[f64; N] = row.try_into().expect("chunks are N wide");
-                K::rank(query, row)
-            }),
-            k,
-            slots,
-        );
-    }
-
-    /// [`FingerprintIndex::shard_select`] for uncommon row widths (and
-    /// the zero-AP degenerate index).
-    fn shard_select_dyn<K: MetricKernel>(
-        &self,
-        query: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        slots: &mut Vec<RankEntry>,
-    ) {
-        if self.ap_count == 0 {
-            select(rows.map(|_| K::rank(query, &[])), k, slots);
-        } else {
-            let sub = &self.matrix[rows.start * self.ap_count..rows.end * self.ap_count];
-            select(
-                sub.chunks_exact(self.ap_count)
-                    .map(|row| K::rank(query, row)),
-                k,
-                slots,
-            );
-        }
-    }
-
-    /// Convenience wrapper over [`FingerprintIndex::k_nearest_into`]
-    /// with the Euclidean kernel and throwaway buffers.
-    pub fn k_nearest(&self, query: &Fingerprint, k: usize) -> Vec<Neighbor> {
-        let mut scratch = KnnScratch::with_k(k);
-        let mut out = Vec::with_capacity(k);
-        self.k_nearest_into::<SquaredEuclidean>(query.values(), k, &mut scratch, &mut out);
-        out
-    }
-
-    /// The finalized dissimilarity of every row to `query`, in row
+    /// The Euclidean dissimilarity of every row to `query`, in row
     /// order, written into `out` (cleared first). Used for full-state
-    /// emission models (Viterbi) that need all distances anyway.
+    /// emission models (Viterbi, the particle filter) that need all
+    /// distances anyway; each value is bit-identical to
+    /// [`crate::metric::Euclidean`] on the same pair.
     ///
     /// # Panics
     ///
     /// Panics if the query length does not match the index's AP count.
-    pub fn rank_all_into<K: MetricKernel>(&self, query: &[f64], out: &mut Vec<f64>) {
+    pub fn rank_all_into(&self, query: &[f64], out: &mut Vec<f64>) {
         self.check_query(query);
         out.clear();
         out.reserve(self.len());
-        self.scan_rows::<K>(query, |_, rank| out.push(K::finalize(rank)));
+        // Common AP counts take a const-width loop: with the row (and
+        // query) length known at compile time the distance loop fully
+        // unrolls and the row iterator carries no per-row bounds checks.
+        match self.ap_count {
+            // A zero-AP index still has `len()` (empty) rows.
+            0 => out.extend((0..self.len()).map(|_| euclidean_sq(query, &[]).sqrt())),
+            4 => self.rank_rows::<4>(query, out),
+            5 => self.rank_rows::<5>(query, out),
+            6 => self.rank_rows::<6>(query, out),
+            7 => self.rank_rows::<7>(query, out),
+            8 => self.rank_rows::<8>(query, out),
+            ap => out.extend(
+                self.matrix
+                    .chunks_exact(ap)
+                    .map(|row| euclidean_sq(query, row).sqrt()),
+            ),
+        }
+    }
+
+    /// [`FingerprintIndex::rank_all_into`] over rows of compile-time
+    /// width `N`.
+    fn rank_rows<const N: usize>(&self, query: &[f64], out: &mut Vec<f64>) {
+        let query: &[f64; N] = query.try_into().expect("query length checked");
+        out.extend(self.matrix.chunks_exact(N).map(|row| {
+            let row: &[f64; N] = row.try_into().expect("chunks are N wide");
+            euclidean_sq(query, row).sqrt()
+        }));
     }
 
     /// K-smallest selection over rows of compile-time width `N`.
-    fn k_select<K: MetricKernel, const N: usize>(
-        &self,
-        query: &[f64],
-        k: usize,
-        slots: &mut Vec<RankEntry>,
-    ) {
+    fn k_select<const N: usize>(&self, query: &[f64], k: usize, slots: &mut Vec<RankEntry>) {
         let query: &[f64; N] = query.try_into().expect("query length checked");
         select(
             self.matrix.chunks_exact(N).map(|row| {
                 let row: &[f64; N] = row.try_into().expect("chunks are N wide");
-                K::rank(query, row)
+                euclidean_sq(query, row)
             }),
             k,
             slots,
@@ -722,57 +462,34 @@ impl FingerprintIndex {
 
     /// K-smallest selection for uncommon row widths (and the zero-AP
     /// degenerate index, whose `len()` rows are all empty).
-    fn k_select_dyn<K: MetricKernel>(&self, query: &[f64], k: usize, slots: &mut Vec<RankEntry>) {
+    fn k_select_dyn(&self, query: &[f64], k: usize, slots: &mut Vec<RankEntry>) {
         if self.ap_count == 0 {
-            select((0..self.len()).map(|_| K::rank(query, &[])), k, slots);
+            select((0..self.len()).map(|_| euclidean_sq(query, &[])), k, slots);
         } else {
             select(
                 self.matrix
                     .chunks_exact(self.ap_count)
-                    .map(|row| K::rank(query, row)),
+                    .map(|row| euclidean_sq(query, row)),
                 k,
                 slots,
             );
         }
     }
 
-    /// Applies `f(position, K::rank(query, row))` to every row.
-    ///
-    /// Common AP counts dispatch to a const-width loop: with the row
-    /// (and query) length known at compile time the distance loop fully
-    /// unrolls, and the row iterator carries no per-row bounds checks —
-    /// together roughly a 3x faster scan than indexing `row(position)`.
-    /// The caller must have validated `query` via `check_query`.
-    #[inline(always)]
-    fn scan_rows<K: MetricKernel>(&self, query: &[f64], mut f: impl FnMut(u32, f64)) {
-        match self.ap_count {
-            // A zero-AP index still has `len()` (empty) rows.
-            0 => (0..self.len()).for_each(|p| f(p as u32, K::rank(query, &[]))),
-            4 => self.scan_rows_const::<K, 4>(query, f),
-            5 => self.scan_rows_const::<K, 5>(query, f),
-            6 => self.scan_rows_const::<K, 6>(query, f),
-            7 => self.scan_rows_const::<K, 7>(query, f),
-            8 => self.scan_rows_const::<K, 8>(query, f),
-            ap => self
-                .matrix
-                .chunks_exact(ap)
-                .enumerate()
-                .for_each(|(p, row)| f(p as u32, K::rank(query, row))),
-        }
-    }
-
-    /// [`FingerprintIndex::scan_rows`] monomorphized on the row width.
-    #[inline(always)]
-    fn scan_rows_const<K: MetricKernel, const N: usize>(
-        &self,
-        query: &[f64],
-        mut f: impl FnMut(u32, f64),
-    ) {
-        let query: &[f64; N] = query.try_into().expect("query length checked");
-        for (position, row) in self.matrix.chunks_exact(N).enumerate() {
-            let row: &[f64; N] = row.try_into().expect("chunks are N wide");
-            f(position as u32, K::rank(query, row));
-        }
+    /// Sorts a finished selection table (`RankEntry`'s total order
+    /// panics on a retained NaN rank) and writes it into `out`
+    /// (cleared first) with each survivor's squared rank finalized to
+    /// its Euclidean dissimilarity. One sort of `k` entries replaces
+    /// per-row ordering work during the scan.
+    #[inline]
+    fn finish(&self, check: &'static str, slots: &mut [RankEntry], out: &mut Vec<Neighbor>) {
+        slots.sort_unstable();
+        out.clear();
+        out.extend(slots.iter().map(|entry| Neighbor {
+            location: self.ids[entry.position as usize],
+            dissimilarity: entry.rank.sqrt(),
+        }));
+        moloc_verify::check_knn_ranks(check, out.iter().map(|n| (n.location, n.dissimilarity)));
     }
 
     fn check_query(&self, query: &[f64]) {
@@ -785,32 +502,16 @@ impl FingerprintIndex {
 }
 
 // ---------------------------------------------------------------------
-// Blocked multi-query kernels (DESIGN.md §15).
+// The blocked multi-query scan (DESIGN.md §15).
 //
-// A `QueryBlock` of Q queries is evaluated against the index in
-// cache-blocked Q×L tiles: an L-tile of rows is kept L1-resident while
-// register-blocked accumulator lanes walk a Q-tile of queries over it,
-// one independent accumulator per query so the compiler vectorizes
-// across the query dimension. Per (query, row) the rank is accumulated
-// in exactly `euclidean_sq`'s slice order, so the blocked scan is
-// bit-identical to the per-query scan. The optional f32 mirror runs
-// the same tiling at half the memory bandwidth as a *prefilter*: every
-// row within a conservative quantization-error bound of the k-th
-// smallest f32 rank survives to an exact f64 rescore under the serial
+// A `QueryBlock` of Q queries runs against the column-major f32 mirror
+// at half the memory bandwidth of the f64 matrix: contiguous per-AP
+// columns feed a rows × queries accumulator panel, and every row within
+// a conservative quantization-error bound of a query's k-th smallest
+// f32 rank survives to an exact f64 rescore under the serial
 // comparator, which provably retains the true top-k (contents and tie
-// order).
+// order). The result is bit-identical to the per-query scan.
 // ---------------------------------------------------------------------
-
-/// Rows per L-tile: 128 rows × 8 APs × 8 B = 8 KiB of matrix plus an
-/// 8 KiB tile-rank buffer — together at most half a typical L1d, so
-/// one row tile stays resident while every query sub-tile revisits it.
-const TILE_ROWS: usize = 128;
-
-/// Query lanes per f64 register tile; the remainder runs narrower
-/// const-width tiles so every tile stays a compile-time constant. Eight
-/// lanes give the compute phase enough independent accumulators to
-/// saturate the FP pipes across vector widths.
-const TILE_Q: usize = 8;
 
 /// Query lanes per f32 mirror register tile: 4 queries × a
 /// [`MIRROR_CHUNK`]-row accumulator panel fits the vector register
@@ -823,20 +524,15 @@ const MIRROR_TILE_Q: usize = 4;
 /// resident with room for the column loads.
 const MIRROR_CHUNK: usize = 16;
 
-/// Rows per chunk of the single-query mirror scan: one query offers no
-/// cross-query parallelism, so the row panel is widened until the
-/// accumulator dependency chains stop mattering.
-const SINGLE_CHUNK: usize = 64;
-
 /// Lanes of the strided running-minimum sweep that bounds a query's
 /// k-th smallest f32 rank (so the mirror path requires
-/// `k <= BOUND_LANES`; larger k routes to the f64 lane kernel). 16
-/// f32 lanes are two AVX2 registers of pure vertical `min` — the
-/// whole bound costs a branchless pass over the rank row plus a
-/// 16-element sort.
+/// `k <= BOUND_LANES`; larger k takes the per-query loop). 16 f32
+/// lanes are two AVX2 registers of pure vertical `min` — the whole
+/// bound costs a branchless pass over the rank row plus a 16-element
+/// sort.
 const BOUND_LANES: usize = 16;
 
-/// One selection step of the blocked scan, replicating [`select`]'s
+/// One selection step of the rescore pass, replicating [`select`]'s
 /// semantics for a single query with caller-held state: fill the first
 /// `k` offers unconditionally, then replace the cached worst slot only
 /// on a *strictly* smaller rank (equal ranks lose the position
@@ -877,23 +573,23 @@ impl FingerprintIndex {
     /// dissimilarity, ties to lower id) plus its observed AP count in
     /// `out` (cleared first), in query order.
     ///
-    /// **Bit-identical** to calling
-    /// [`FingerprintIndex::k_nearest_into`] per clean query and
-    /// [`FingerprintIndex::k_nearest_masked_into`] per degraded
-    /// (non-finite) query — the blocked lane kernel reproduces the
-    /// scalar accumulation order, the f32 mirror only prefilters ahead
-    /// of an exact f64 rescore, and masked queries are routed through
-    /// the per-query masked path unchanged. Kernels whose
-    /// [`MetricKernel::block_compatible`] is false, row widths without
-    /// an unrolled lane kernel, and `MOLOC_BLOCK=0` all take the
-    /// per-query loop with identical results. With warm `block`,
-    /// `scratch`, and `out` the scan performs zero heap allocations.
+    /// The block's shape picks the strategy. With 4–8 APs, `k ≤ 16`
+    /// and every value f32-safe (the index carries its mirror and no
+    /// query value reaches 1e15 in magnitude), clean queries run the
+    /// f32 mirror prefilter ahead of an exact f64 rescore. Any other
+    /// block takes the per-query loop. Either way the output is
+    /// **bit-identical** to calling [`FingerprintIndex::k_nearest_into`]
+    /// per clean query and [`FingerprintIndex::k_nearest_masked_into`]
+    /// per degraded (non-finite) query: the mirror only prefilters,
+    /// and masked queries always take the per-query masked path. With
+    /// warm `block`, `scratch`, and `out` the scan performs zero heap
+    /// allocations.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero or the block's width does not match the
     /// index's AP count.
-    pub fn k_nearest_block_into<K: MetricKernel>(
+    pub fn k_nearest_block_into(
         &self,
         block: &mut crate::block::QueryBlock,
         k: usize,
@@ -915,14 +611,17 @@ impl FingerprintIndex {
             ("fingerprint.knn.block_scans", 1),
             ("fingerprint.knn.block_queries", q_count as u64),
         ]);
-        let lane_width = (4..=8).contains(&self.ap_count);
-        if !(K::block_compatible() && crate::block::block_enabled() && lane_width) {
+        let use_mirror = self.mirror.is_some()
+            && (4..=8).contains(&self.ap_count)
+            && k <= BOUND_LANES
+            && block.max_abs() < F32_SAFE_LIMIT;
+        if !use_mirror {
             // Per-query loop: exactly the calls the caller would have
             // made without a block (which also keeps their counters).
             for q in 0..q_count {
                 let query = block.query(q);
                 let observed = if block.is_clean(q) {
-                    self.k_nearest_into::<K>(query, k, &mut scratch.knn, &mut scratch.tmp_out);
+                    self.k_nearest_into(query, k, &mut scratch.knn, &mut scratch.tmp_out);
                     self.ap_count
                 } else {
                     self.k_nearest_masked_into(query, k, &mut scratch.knn, &mut scratch.tmp_out)
@@ -941,9 +640,10 @@ impl FingerprintIndex {
                 (clean_count * self.len()) as u64,
             ),
         ]);
-        // Reset the per-query selection tables. Masked queries get
-        // lane slots too (their NaN ranks park harmlessly in the fill
-        // phase); their lane results are discarded at emit.
+        // Reset the per-query selection tables (`k ≤ BOUND_LANES`
+        // slots each). Masked queries get slots too (their NaN ranks
+        // are never selected); their results come from the per-query
+        // masked scan at emit.
         scratch.slots.clear();
         scratch.slots.resize(
             q_count * k,
@@ -954,32 +654,17 @@ impl FingerprintIndex {
         );
         scratch.filled.clear();
         scratch.filled.resize(q_count, 0);
-        scratch.worst_at.clear();
-        scratch.worst_at.resize(q_count, 0);
         scratch.worst.clear();
         scratch.worst.resize(q_count, f64::INFINITY);
-        let use_mirror = self.mirror.is_some()
-            && crate::block::mirror_enabled()
-            && block.max_abs() < F32_SAFE_LIMIT
-            && k <= BOUND_LANES;
-        if use_mirror {
-            self.block_pass_f32(block, k, scratch);
-            self.block_rescore(block, k, scratch);
-        } else {
-            self.block_select_f64(block, k, scratch);
-        }
+        self.block_pass_f32(block, k, scratch);
+        self.block_rescore(block, k, scratch);
         for q in 0..q_count {
             if block.is_clean(q) {
-                let slots = &mut scratch.slots[q * k..q * k + scratch.filled[q] as usize];
-                slots.sort_unstable();
-                scratch.tmp_out.clear();
-                scratch.tmp_out.extend(slots.iter().map(|entry| Neighbor {
-                    location: self.ids[entry.position as usize],
-                    dissimilarity: K::finalize(entry.rank),
-                }));
-                moloc_verify::check_knn_ranks(
+                let filled = scratch.filled[q] as usize;
+                self.finish(
                     "fingerprint.knn.block.ranks",
-                    scratch.tmp_out.iter().map(|n| (n.location, n.dissimilarity)),
+                    &mut scratch.slots[q * k..q * k + filled],
+                    &mut scratch.tmp_out,
                 );
                 out.push_query(&scratch.tmp_out, self.ap_count);
             } else {
@@ -992,164 +677,6 @@ impl FingerprintIndex {
                 out.push_query(&scratch.tmp_out, observed);
             }
         }
-    }
-
-    /// The finalized dissimilarity of every row to every query in the
-    /// block, written query-major into `out` (cleared first):
-    /// `out[q * self.len() + row]`. The blocked counterpart of
-    /// [`FingerprintIndex::rank_all_into`] for full-state emission
-    /// models (Viterbi), bit-identical to the per-query path; always
-    /// ranks in f64 (every value is reported, so the f32 prefilter
-    /// cannot help).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block's width does not match the index's AP count.
-    pub fn rank_all_block_into<K: MetricKernel>(
-        &self,
-        block: &mut crate::block::QueryBlock,
-        out: &mut Vec<f64>,
-    ) {
-        assert_eq!(
-            block.ap_count(),
-            self.ap_count,
-            "query block width must match database"
-        );
-        let q_count = block.len();
-        let rows = self.len();
-        out.clear();
-        let lane_width = (4..=8).contains(&self.ap_count);
-        if !(K::block_compatible() && crate::block::block_enabled() && lane_width) {
-            out.reserve(q_count * rows);
-            for q in 0..q_count {
-                self.scan_rows::<K>(block.query(q), |_, rank| out.push(K::finalize(rank)));
-            }
-            return;
-        }
-        block.seal();
-        out.resize(q_count * rows, 0.0);
-        match self.ap_count {
-            4 => self.rank_all_tiles::<K, 4>(block, out),
-            5 => self.rank_all_tiles::<K, 5>(block, out),
-            6 => self.rank_all_tiles::<K, 6>(block, out),
-            7 => self.rank_all_tiles::<K, 7>(block, out),
-            8 => self.rank_all_tiles::<K, 8>(block, out),
-            _ => unreachable!("lane path requires 4..=8 APs"),
-        }
-    }
-
-    /// Single-query k-NN through the f32 mirror prefilter: one
-    /// half-bandwidth f32 scan ranks every row and keeps the k-th
-    /// smallest f32 rank, a second linear pass over the (tiny) f32 rank
-    /// buffer collects every row within the quantization-error bound of
-    /// it, and the survivors are exactly rescored in f64 under the
-    /// serial comparator — **bit-identical** to
-    /// [`FingerprintIndex::k_nearest_into`], typically ~1.5–2× faster.
-    /// Falls back to `k_nearest_into` (same results) when the kernel is
-    /// not [`MetricKernel::block_compatible`], the mirror is absent or
-    /// disabled (`MOLOC_MIRROR=0`), the row width has no unrolled
-    /// kernel, or the query has non-finite or f32-unsafe values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or the query length does not match the
-    /// index's AP count.
-    pub fn k_nearest_mirror_into<K: MetricKernel>(
-        &self,
-        query: &[f64],
-        k: usize,
-        scratch: &mut crate::block::BlockScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        assert!(k > 0, "k must be positive");
-        self.check_query(query);
-        let safe = K::block_compatible()
-            && crate::block::mirror_enabled()
-            && self.mirror.is_some()
-            && (4..=8).contains(&self.ap_count)
-            && k <= BOUND_LANES
-            && query
-                .iter()
-                .all(|v| v.is_finite() && v.abs() < F32_SAFE_LIMIT);
-        if !safe {
-            self.k_nearest_into::<K>(query, k, &mut scratch.knn, out);
-            return;
-        }
-        moloc_obs::counter_add_batch(&[
-            ("fingerprint.knn.queries", 1),
-            ("fingerprint.knn.candidates_scanned", self.len() as u64),
-            ("fingerprint.knn.mirror_queries", 1),
-        ]);
-        let rows = self.len();
-        // Grow-only: the scan writes every entry in `[..rows]` before
-        // it is read, so warm runs skip the re-zeroing memset entirely.
-        if scratch.ranks32.len() < rows {
-            scratch.ranks32.resize(rows, 0.0);
-        }
-        scratch.slots.clear();
-        scratch.slots.resize(
-            k,
-            RankEntry {
-                rank: 0.0,
-                position: 0,
-            },
-        );
-        match self.ap_count {
-            4 => self.mirror_scan_single::<4>(query, scratch),
-            5 => self.mirror_scan_single::<5>(query, scratch),
-            6 => self.mirror_scan_single::<6>(query, scratch),
-            7 => self.mirror_scan_single::<7>(query, scratch),
-            8 => self.mirror_scan_single::<8>(query, scratch),
-            _ => unreachable!("mirror path requires 4..=8 APs"),
-        }
-        // Upper bound on the k-th smallest f32 rank (branchless lane
-        // minima, no selection table); the exact rescore below
-        // re-selects among every row within the quantization band of
-        // it, so the bound's slack only admits extra survivors.
-        let u = kth_rank_bound(&scratch.ranks32[..rows], k);
-        let tau = if u.is_finite() {
-            u + 2.0 * self.quantization_bound(query_max_abs(query))
-        } else {
-            // Fewer than k finite f32 ranks: everything survives.
-            f64::INFINITY
-        };
-        {
-            let crate::block::BlockScratch {
-                ref ranks32,
-                ref mut survivors,
-                ..
-            } = *scratch;
-            survivors.clear();
-            // Packed sweep for the survivors; the rounded-up f32 bound
-            // can only admit extra rows, which the exact f64 rescore
-            // below sorts out.
-            for_each_below::<false>(&ranks32[..rows], f32_upper_bound(tau), |r| {
-                survivors.push(r as u32);
-            });
-        }
-        moloc_obs::counter_add(
-            "fingerprint.knn.mirror_survivors",
-            scratch.survivors.len() as u64,
-        );
-        let slots = &mut scratch.slots[..k];
-        let mut filled = 0u32;
-        let mut worst_at = 0u32;
-        let mut worst = f64::INFINITY;
-        for &row in &scratch.survivors {
-            let rank = euclidean_sq(query, self.row(row as usize));
-            offer(slots, &mut filled, &mut worst_at, &mut worst, k, rank, row);
-        }
-        let slots = &mut slots[..filled as usize];
-        slots.sort_unstable();
-        out.clear();
-        out.extend(slots.iter().map(|entry| Neighbor {
-            location: self.ids[entry.position as usize],
-            dissimilarity: K::finalize(entry.rank),
-        }));
-        moloc_verify::check_knn_ranks(
-            "fingerprint.knn.mirror.ranks",
-            out.iter().map(|n| (n.location, n.dissimilarity)),
-        );
     }
 
     /// Conservative bound `E` on `|f32 rank − f64 rank|` for squared-
@@ -1168,150 +695,6 @@ impl FingerprintIndex {
         let m = self.max_abs.max(query_max_abs);
         let n = self.ap_count as f64;
         8.0 * n * (n + 2.0) * m * m * f64::from(f32::EPSILON)
-    }
-
-    /// Dispatches the f64 lane kernel over L-tiles × Q-tiles, feeding
-    /// each query's selection table.
-    fn block_select_f64(
-        &self,
-        block: &crate::block::QueryBlock,
-        k: usize,
-        scratch: &mut crate::block::BlockScratch,
-    ) {
-        match self.ap_count {
-            4 => self.block_select_f64_const::<4>(block, k, scratch),
-            5 => self.block_select_f64_const::<5>(block, k, scratch),
-            6 => self.block_select_f64_const::<6>(block, k, scratch),
-            7 => self.block_select_f64_const::<7>(block, k, scratch),
-            8 => self.block_select_f64_const::<8>(block, k, scratch),
-            _ => unreachable!("lane path requires 4..=8 APs"),
-        }
-    }
-
-    fn block_select_f64_const<const N: usize>(
-        &self,
-        block: &crate::block::QueryBlock,
-        k: usize,
-        scratch: &mut crate::block::BlockScratch,
-    ) {
-        let q_count = block.len();
-        let rows = self.len();
-        let mut base = 0usize;
-        while base < rows {
-            let end = (base + TILE_ROWS).min(rows);
-            let mut q0 = 0usize;
-            while q0 < q_count {
-                let qt = (q_count - q0).min(TILE_Q);
-                match qt {
-                    8 => self.lane_tile_f64::<N, 8>(block, q0, base..end, k, scratch),
-                    7 => self.lane_tile_f64::<N, 7>(block, q0, base..end, k, scratch),
-                    6 => self.lane_tile_f64::<N, 6>(block, q0, base..end, k, scratch),
-                    5 => self.lane_tile_f64::<N, 5>(block, q0, base..end, k, scratch),
-                    4 => self.lane_tile_f64::<N, 4>(block, q0, base..end, k, scratch),
-                    3 => self.lane_tile_f64::<N, 3>(block, q0, base..end, k, scratch),
-                    2 => self.lane_tile_f64::<N, 2>(block, q0, base..end, k, scratch),
-                    _ => self.lane_tile_f64::<N, 1>(block, q0, base..end, k, scratch),
-                }
-                q0 += qt;
-            }
-            base = end;
-        }
-    }
-
-    /// One Q-tile over one L-tile in f64, in two phases. The *compute*
-    /// phase is branchless: per (query, row) the rank is
-    /// `Σₐ (queryₐ − rowₐ)²` accumulated in ascending AP order — the
-    /// exact operation sequence of [`euclidean_sq`], so ranks (and
-    /// therefore selections) are bit-identical to the scalar scan — and
-    /// is spilled to the L1-resident tile-rank buffer while a running
-    /// per-lane minimum is tracked, with `QT` independent accumulators
-    /// so the compiler vectorizes across the query lanes. The
-    /// *selection* phase then walks the buffered ranks in ascending row
-    /// order, skipping any lane whose tile minimum cannot strictly beat
-    /// its cached worst (equal ranks never enter, so the skip is
-    /// result-exact) and skipping masked lanes outright (their results
-    /// are replaced by the per-query masked scan at emit).
-    #[inline(always)]
-    fn lane_tile_f64<const N: usize, const QT: usize>(
-        &self,
-        block: &crate::block::QueryBlock,
-        q0: usize,
-        rows: Range<usize>,
-        k: usize,
-        scratch: &mut crate::block::BlockScratch,
-    ) {
-        let q_count = block.len();
-        let lanes = block.lanes();
-        let tile = &self.matrix[rows.start * N..rows.end * N];
-        let tile_len = rows.end - rows.start;
-        let mut qv = [[0.0f64; QT]; N];
-        for (a, lane) in qv.iter_mut().enumerate() {
-            lane.copy_from_slice(&lanes[a * q_count + q0..a * q_count + q0 + QT]);
-        }
-        let crate::block::BlockScratch {
-            ref mut tile_ranks,
-            ref mut slots,
-            ref mut filled,
-            ref mut worst_at,
-            ref mut worst,
-            ..
-        } = *scratch;
-        // Grow-only: the compute kernel overwrites every entry it
-        // reads back, so the buffer is never re-zeroed on warm scans.
-        if tile_ranks.len() < tile_len * QT {
-            tile_ranks.resize(tile_len * QT, 0.0);
-        }
-        let mut tmin = [f64::INFINITY; QT];
-        lane_tile_compute_f64::<N, QT>(tile, &qv, &mut tile_ranks[..tile_len * QT], &mut tmin);
-        for q in 0..QT {
-            let qi = q0 + q;
-            if !block.is_clean(qi) {
-                continue;
-            }
-            let ranks = &tile_ranks[..tile_len * QT];
-            if (filled[qi] as usize) < k {
-                // Still filling (first tile for any practical k):
-                // every rank enters the table serially.
-                for i in 0..tile_len {
-                    offer(
-                        &mut slots[qi * k..(qi + 1) * k],
-                        &mut filled[qi],
-                        &mut worst_at[qi],
-                        &mut worst[qi],
-                        k,
-                        ranks[i * QT + q],
-                        (rows.start + i) as u32,
-                    );
-                }
-                continue;
-            }
-            if tmin[q] >= worst[qi] {
-                continue;
-            }
-            // Full table: strided sweep of the lane's ranks for the
-            // strictly-improving ones, offering in ascending row order
-            // exactly like the serial scan. The bound lives in a
-            // register and is re-read only after an accepted offer, so
-            // the hot loop is one load and one compare; it can only
-            // skip ranks the serial scan would reject, and `offer`
-            // re-applies the exact test.
-            let mut w = worst[qi];
-            for i in 0..tile_len {
-                let rank = ranks[i * QT + q];
-                if rank < w {
-                    offer(
-                        &mut slots[qi * k..(qi + 1) * k],
-                        &mut filled[qi],
-                        &mut worst_at[qi],
-                        &mut worst[qi],
-                        k,
-                        rank,
-                        (rows.start + i) as u32,
-                    );
-                    w = worst[qi];
-                }
-            }
-        }
     }
 
     /// Pass 1 of the mirror path, in two phases. The *compute* phase
@@ -1375,7 +758,7 @@ impl FingerprintIndex {
     /// changes the result. Masked queries are skipped outright; the
     /// emit loop replaces their results with the per-query masked
     /// scan. Requires `k <= BOUND_LANES` (the caller routes larger k
-    /// to the f64 lane kernel).
+    /// to the per-query loop).
     fn block_select_f32(
         &self,
         block: &crate::block::QueryBlock,
@@ -1467,130 +850,11 @@ impl FingerprintIndex {
         }
         moloc_obs::counter_add("fingerprint.knn.mirror_survivors", survivors_total);
     }
-
-    /// Pass 1 of the single-query mirror path: the branchless f32
-    /// column kernel over [`SINGLE_CHUNK`]-row panels, recording every
-    /// rank (accumulated per row in ascending AP order, exactly
-    /// [`crate::metric::euclidean_sq_f32`]'s sequence) for the
-    /// selection and survivor sweeps.
-    fn mirror_scan_single<const N: usize>(
-        &self,
-        query: &[f64],
-        scratch: &mut crate::block::BlockScratch,
-    ) {
-        let mirror = self
-            .mirror
-            .as_deref()
-            .expect("mirror presence checked by caller");
-        let rows = self.len();
-        let mut q32 = [0.0f32; N];
-        for (a, v) in q32.iter_mut().enumerate() {
-            *v = query[a] as f32;
-        }
-        mirror_single_compute::<N>(mirror, rows, &q32, &mut scratch.ranks32[..rows]);
-    }
-
-    /// Q-tiled all-rows ranking: writes `K::finalize` of every (query,
-    /// row) rank into `out[q * rows + row]`, accumulating each rank in
-    /// [`euclidean_sq`]'s order (bit-identical to the per-query scan).
-    fn rank_all_tiles<K: MetricKernel, const N: usize>(
-        &self,
-        block: &crate::block::QueryBlock,
-        out: &mut [f64],
-    ) {
-        let q_count = block.len();
-        let lanes = block.lanes();
-        let rows = self.len();
-        let mut base = 0usize;
-        while base < rows {
-            let end = (base + TILE_ROWS).min(rows);
-            let mut q0 = 0usize;
-            while q0 < q_count {
-                let qt = (q_count - q0).min(TILE_Q);
-                match qt {
-                    8 => rank_all_tile::<K, N, 8>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                    7 => rank_all_tile::<K, N, 7>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                    6 => rank_all_tile::<K, N, 6>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                    5 => rank_all_tile::<K, N, 5>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                    4 => rank_all_tile::<K, N, 4>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                    3 => rank_all_tile::<K, N, 3>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                    2 => rank_all_tile::<K, N, 2>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                    _ => rank_all_tile::<K, N, 1>(
-                        &self.matrix,
-                        lanes,
-                        rows,
-                        q_count,
-                        q0,
-                        base..end,
-                        out,
-                    ),
-                }
-                q0 += qt;
-            }
-            base = end;
-        }
-    }
 }
 
 /// `true` when the host supports AVX2 and the wide recompilations of
-/// the tile kernels below may be entered. `std`'s detection macro
-/// caches the CPUID result in an atomic, so the per-tile cost is one
+/// the kernels below may be entered. `std`'s detection macro
+/// caches the CPUID result in an atomic, so the per-call cost is one
 /// relaxed load.
 #[inline]
 fn avx2_available() -> bool {
@@ -1621,13 +885,6 @@ fn f32_upper_bound(x: f64) -> f32 {
     }
 }
 
-/// Calls `f(i)` for every `i` with `vals[i] < bound` (`STRICT`) or
-/// `vals[i] <= bound` (`!STRICT`), in ascending order. On AVX2 hosts
-/// the predicate runs as a packed compare + movemask sweep, eight
-/// lanes per iteration; the visited set is exactly the scalar
-/// predicate's (comparison only, no arithmetic; NaN compares false in
-/// both forms). This is the workhorse of the selection and survivor
-/// passes: candidates are sparse, so almost every iteration is a
 /// Upper bound on the k-th smallest value of `vals` (`k` at most
 /// [`BOUND_LANES`]), as an exact `f64`: [`BOUND_LANES`] strided
 /// running minima over the buffer — pure vertical `min`, no branches,
@@ -1760,110 +1017,51 @@ unsafe fn for_each_below_avx2<const STRICT: bool>(
     for_each_below_generic::<STRICT>(&vals[i..], bound, |j| f(i + j));
 }
 
-/// Declares one multiversioned tile kernel: `$name` dispatches at
-/// runtime between the baseline-target compilation of `$generic` and
-/// an AVX2 recompilation of the same `#[inline(always)]` body.
+/// Full f32 compute pass over the column-major mirror: Q-tile outer
+/// (the query lanes are hoisted into registers once per tile),
+/// [`MIRROR_CHUNK`]-row panels inner — the mirror is half the f64
+/// matrix and typically cache-resident, so re-streaming it per query
+/// tile is cheap. Each row's rank is accumulated in ascending AP order
+/// (bit-identical to [`crate::metric::euclidean_sq_f32`]) and spilled
+/// row-contiguously into the query-major `ranks32` buffer. Branchless
+/// — no selection state is touched here.
 ///
-/// Bit-exactness across the two compilations is structural: each
-/// (query, row) rank is a *sequential* accumulation over the AP axis —
-/// SIMD width only changes how many independent accumulators advance
-/// per instruction, never the order of operations within one — and
-/// FMA is deliberately **not** enabled, so no contraction can alter a
-/// single rounding. IEEE 754 then guarantees identical bits from
-/// identical operation sequences, which is what the determinism digest
-/// and the cross-path proptests rely on.
-macro_rules! multiversion_kernel {
-    (
-        $(#[$doc:meta])*
-        fn $name:ident / $avx2:ident / $generic:ident
-        <$(const $cp:ident: usize),+>
-        ($($arg:ident: $ty:ty),* $(,)?)
-    ) => {
-        $(#[$doc])*
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        fn $name<$(const $cp: usize),+>($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
-                // SAFETY: guarded by runtime AVX2 detection above.
-                return unsafe { $avx2::<$($cp),+>($($arg),*) };
-            }
-            $generic::<$($cp),+>($($arg),*)
-        }
-
-        /// AVX2 recompilation of the `#[inline(always)]` kernel body;
-        /// see [`multiversion_kernel`] for the bit-exactness argument.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx2<$(const $cp: usize),+>($($arg: $ty),*) {
-            $generic::<$($cp),+>($($arg),*)
-        }
-    };
-}
-
-multiversion_kernel! {
-    /// Compute phase of [`FingerprintIndex::lane_tile_f64`]: ranks one
-    /// L-tile × Q-tile into `tile_ranks[i * QT + q]` and tracks each
-    /// lane's tile minimum. Branchless — no selection state here.
-    fn lane_tile_compute_f64 / lane_tile_compute_f64_avx2 / lane_tile_compute_f64_generic
-    <const N: usize, const QT: usize>(
-        tile: &[f64],
-        qv: &[[f64; QT]; N],
-        tile_ranks: &mut [f64],
-        tmin: &mut [f64; QT],
-    )
-}
-
-#[inline(always)]
-fn lane_tile_compute_f64_generic<const N: usize, const QT: usize>(
-    tile: &[f64],
-    qv: &[[f64; QT]; N],
-    tile_ranks: &mut [f64],
-    tmin: &mut [f64; QT],
+/// Dispatches at runtime between the baseline-target compilation of
+/// [`mirror_pass_f32_generic`] and an AVX2 recompilation of the same
+/// `#[inline(always)]` body. The two are bit-identical: each (query,
+/// row) rank is a *sequential* accumulation over the AP axis — SIMD
+/// width only changes how many independent accumulators advance per
+/// instruction, never the order of operations within one — and FMA is
+/// deliberately **not** enabled, so no contraction can alter a single
+/// rounding.
+#[inline]
+fn mirror_pass_f32<const N: usize>(
+    mirror: &[f32],
+    lanes32: &[f32],
+    rows: usize,
+    q_count: usize,
+    ranks32: &mut [f32],
 ) {
-    for (i, row) in tile.chunks_exact(N).enumerate() {
-        let mut acc = [0.0f64; QT];
-        for (a, qa) in qv.iter().enumerate() {
-            let rv = row[a];
-            for q in 0..QT {
-                let d = qa[q] - rv;
-                acc[q] += d * d;
-            }
-        }
-        // Interleaved stores (`[i * QT + q]`): one row's QT ranks land
-        // in a single contiguous burst, and the q-loop vectorizes
-        // across the accumulator panel — lane-major stores (strided by
-        // tile length) defeat that and cost ~3x on the whole kernel.
-        // The selection phase walks the buffer strided instead.
-        let out = &mut tile_ranks[i * QT..(i + 1) * QT];
-        for q in 0..QT {
-            out[q] = acc[q];
-            // `<` selection (not `f64::min`): a NaN rank from a masked
-            // lane can never become the minimum.
-            tmin[q] = if acc[q] < tmin[q] { acc[q] } else { tmin[q] };
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: guarded by runtime AVX2 detection above.
+        return unsafe { mirror_pass_f32_avx2::<N>(mirror, lanes32, rows, q_count, ranks32) };
     }
+    mirror_pass_f32_generic::<N>(mirror, lanes32, rows, q_count, ranks32)
 }
 
-multiversion_kernel! {
-    /// Full f32 compute pass over the column-major mirror: Q-tile
-    /// outer (the query lanes are hoisted into registers once per
-    /// tile), [`MIRROR_CHUNK`]-row panels inner — the mirror is half
-    /// the f64 matrix and typically cache-resident, so re-streaming it
-    /// per query tile is cheap. Each row's rank is accumulated in
-    /// ascending AP order (bit-identical to
-    /// [`crate::metric::euclidean_sq_f32`]) and spilled
-    /// row-contiguously into the query-major `ranks32` buffer.
-    /// Branchless — no selection state is touched here.
-    fn mirror_pass_f32 / mirror_pass_f32_avx2 / mirror_pass_f32_generic
-    <const N: usize>(
-        mirror: &[f32],
-        lanes32: &[f32],
-        rows: usize,
-        q_count: usize,
-        ranks32: &mut [f32],
-    )
+/// AVX2 recompilation of [`mirror_pass_f32_generic`]; see
+/// [`mirror_pass_f32`] for the bit-exactness argument.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mirror_pass_f32_avx2<const N: usize>(
+    mirror: &[f32],
+    lanes32: &[f32],
+    rows: usize,
+    q_count: usize,
+    ranks32: &mut [f32],
+) {
+    mirror_pass_f32_generic::<N>(mirror, lanes32, rows, q_count, ranks32)
 }
 
 #[inline(always)]
@@ -1950,151 +1148,13 @@ fn mirror_lane_f32<const N: usize, const QT: usize>(
         base += MIRROR_CHUNK;
     }
 }
-
-multiversion_kernel! {
-    /// Compute pass of the single-query mirror scan: ranks every row of
-    /// the column-major f32 mirror over [`SINGLE_CHUNK`]-row panels
-    /// (each row's rank accumulated in ascending AP order, exactly
-    /// [`crate::metric::euclidean_sq_f32`]'s sequence) into `ranks32`.
-    fn mirror_single_compute / mirror_single_compute_avx2 / mirror_single_compute_generic
-    <const N: usize>(
-        mirror: &[f32],
-        rows: usize,
-        q32: &[f32; N],
-        ranks32: &mut [f32],
-    )
-}
-
-#[inline(always)]
-fn mirror_single_compute_generic<const N: usize>(
-    mirror: &[f32],
-    rows: usize,
-    q32: &[f32; N],
-    ranks32: &mut [f32],
-) {
-    let main = rows - rows % SINGLE_CHUNK;
-    let mut base = 0usize;
-    while base < main {
-        // Elementwise panel stores, like the blocked kernel: the
-        // accumulator's address never escapes, so it stays in vector
-        // registers.
-        let mut acc = [0.0f32; SINGLE_CHUNK];
-        for (a, &qa) in q32.iter().enumerate() {
-            let col: &[f32; SINGLE_CHUNK] = mirror[a * rows + base..a * rows + base + SINGLE_CHUNK]
-                .try_into()
-                .expect("full chunk");
-            for r in 0..SINGLE_CHUNK {
-                let d = qa - col[r];
-                acc[r] += d * d;
-            }
-        }
-        let out = &mut ranks32[base..base + SINGLE_CHUNK];
-        // NOT `copy_from_slice`: see `mirror_lane_f32` — the panel
-        // must stay address-free to live in registers.
-        #[allow(clippy::manual_memcpy)]
-        for r in 0..SINGLE_CHUNK {
-            out[r] = acc[r];
-        }
-        base += SINGLE_CHUNK;
-    }
-    if main < rows {
-        for r in main..rows {
-            let mut acc = 0.0f32;
-            for (a, &qa) in q32.iter().enumerate() {
-                let d = qa - mirror[a * rows + r];
-                acc += d * d;
-            }
-            ranks32[r] = acc;
-        }
-    }
-}
-
-/// One Q-tile over one L-tile of the all-rows ranking; runtime-
-/// dispatched by hand (the kernel is additionally generic over the
-/// metric, which [`multiversion_kernel`] does not cover). The same
-/// bit-exactness argument applies: AVX2 only widens the lanes.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn rank_all_tile<K: MetricKernel, const N: usize, const QT: usize>(
-    matrix: &[f64],
-    lanes: &[f64],
-    total_rows: usize,
-    q_count: usize,
-    q0: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: guarded by runtime AVX2 detection above.
-        return unsafe {
-            rank_all_tile_avx2::<K, N, QT>(matrix, lanes, total_rows, q_count, q0, rows, out)
-        };
-    }
-    rank_all_tile_generic::<K, N, QT>(matrix, lanes, total_rows, q_count, q0, rows, out)
-}
-
-/// AVX2 recompilation of the all-rows tile kernel body.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn rank_all_tile_avx2<K: MetricKernel, const N: usize, const QT: usize>(
-    matrix: &[f64],
-    lanes: &[f64],
-    total_rows: usize,
-    q_count: usize,
-    q0: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    rank_all_tile_generic::<K, N, QT>(matrix, lanes, total_rows, q_count, q0, rows, out)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn rank_all_tile_generic<K: MetricKernel, const N: usize, const QT: usize>(
-    matrix: &[f64],
-    lanes: &[f64],
-    total_rows: usize,
-    q_count: usize,
-    q0: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    let tile = &matrix[rows.start * N..rows.end * N];
-    let mut qv = [[0.0f64; QT]; N];
-    for (a, lane) in qv.iter_mut().enumerate() {
-        lane.copy_from_slice(&lanes[a * q_count + q0..a * q_count + q0 + QT]);
-    }
-    for (i, row) in tile.chunks_exact(N).enumerate() {
-        let mut acc = [0.0f64; QT];
-        for a in 0..N {
-            let rv = row[a];
-            for q in 0..QT {
-                let d = qv[a][q] - rv;
-                acc[q] += d * d;
-            }
-        }
-        for q in 0..QT {
-            out[(q0 + q) * total_rows + rows.start + i] = K::finalize(acc[q]);
-        }
-    }
-}
-
-/// Largest |value| of a (finite) query; non-finite entries are skipped
-/// so masked queries still get a meaningful bound.
-fn query_max_abs(query: &[f64]) -> f64 {
-    query
-        .iter()
-        .filter(|v| v.is_finite())
-        .fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{BlockNeighbors, BlockScratch, QueryBlock};
+    use crate::fingerprint::Fingerprint;
     use crate::knn::k_nearest;
-    use crate::metric::{Cosine, Dissimilarity, Euclidean, Manhattan};
+    use crate::metric::{Dissimilarity, Euclidean};
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -2109,6 +1169,21 @@ mod tests {
         .unwrap()
     }
 
+    /// [`FingerprintIndex::k_nearest_into`] with throwaway buffers.
+    fn scan(index: &FingerprintIndex, query: &[f64], k: usize) -> Vec<Neighbor> {
+        let mut out = Vec::new();
+        index.k_nearest_into(query, k, &mut KnnScratch::new(), &mut out);
+        out
+    }
+
+    fn assert_same_bits(a: &[Neighbor], b: &[Neighbor]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.location, y.location);
+            assert_eq!(x.dissimilarity.to_bits(), y.dissimilarity.to_bits());
+        }
+    }
+
     #[test]
     fn layout_is_row_major_in_id_order() {
         let index = FingerprintIndex::build(&db());
@@ -2117,7 +1192,6 @@ mod tests {
         assert_eq!(index.ids(), &[l(1), l(3), l(7)]);
         assert_eq!(index.row(0), &[-40.0, -70.0]);
         assert_eq!(index.row(2), &[-70.0, -40.0]);
-        assert_eq!(index.sq_norm(0), 40.0 * 40.0 + 70.0 * 70.0);
         assert_eq!(index.position_of(l(3)), Some(1));
         assert_eq!(index.position_of(l(2)), None);
     }
@@ -2128,7 +1202,7 @@ mod tests {
         let index = FingerprintIndex::build(&database);
         let q = Fingerprint::new(vec![-48.0, -61.0]);
         let legacy = k_nearest(&database, &q, 1, &Euclidean)[0].location;
-        assert_eq!(index.nearest(q.values()), legacy);
+        assert_eq!(scan(&index, q.values(), 1)[0].location, legacy);
     }
 
     #[test]
@@ -2138,12 +1212,7 @@ mod tests {
         let q = Fingerprint::new(vec![-41.0, -69.0]);
         for k in 1..=4 {
             let legacy = k_nearest(&database, &q, k, &Euclidean);
-            let fast = index.k_nearest(&q, k);
-            assert_eq!(fast.len(), legacy.len());
-            for (a, b) in fast.iter().zip(&legacy) {
-                assert_eq!(a.location, b.location);
-                assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-            }
+            assert_same_bits(&scan(&index, q.values(), k), &legacy);
         }
     }
 
@@ -2155,9 +1224,8 @@ mod tests {
         ])
         .unwrap();
         let index = FingerprintIndex::build(&tied);
-        let q = Fingerprint::new(vec![-40.0]);
-        assert_eq!(index.nearest(q.values()), l(2));
-        let nn = index.k_nearest(&q, 2);
+        assert_eq!(scan(&index, &[-40.0], 1)[0].location, l(2));
+        let nn = scan(&index, &[-40.0], 2);
         assert_eq!(nn[0].location, l(2));
         assert_eq!(nn[1].location, l(5));
     }
@@ -2167,33 +1235,14 @@ mod tests {
         let index = FingerprintIndex::build(&db());
         let mut scratch = KnnScratch::with_k(2);
         let mut out = Vec::with_capacity(2);
-        let q1 = Fingerprint::new(vec![-41.0, -69.0]);
-        let q2 = Fingerprint::new(vec![-69.0, -41.0]);
-        index.k_nearest_into::<SquaredEuclidean>(q1.values(), 2, &mut scratch, &mut out);
+        let q1 = [-41.0, -69.0];
+        let q2 = [-69.0, -41.0];
+        index.k_nearest_into(&q1, 2, &mut scratch, &mut out);
         let first: Vec<_> = out.clone();
-        index.k_nearest_into::<SquaredEuclidean>(q2.values(), 2, &mut scratch, &mut out);
+        index.k_nearest_into(&q2, 2, &mut scratch, &mut out);
         assert_eq!(out[0].location, l(7));
-        index.k_nearest_into::<SquaredEuclidean>(q1.values(), 2, &mut scratch, &mut out);
+        index.k_nearest_into(&q1, 2, &mut scratch, &mut out);
         assert_eq!(out, first);
-    }
-
-    #[test]
-    fn manhattan_and_cosine_kernels_match_trait_metrics() {
-        let database = db();
-        let index = FingerprintIndex::build(&database);
-        let q = Fingerprint::new(vec![-45.0, -63.0]);
-        let mut scratch = KnnScratch::new();
-        let mut out = Vec::new();
-        index.k_nearest_into::<ManhattanKernel>(q.values(), 3, &mut scratch, &mut out);
-        for (a, b) in out.iter().zip(&k_nearest(&database, &q, 3, &Manhattan)) {
-            assert_eq!(a.location, b.location);
-            assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-        }
-        index.k_nearest_into::<CosineKernel>(q.values(), 3, &mut scratch, &mut out);
-        for (a, b) in out.iter().zip(&k_nearest(&database, &q, 3, &Cosine)) {
-            assert_eq!(a.location, b.location);
-            assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-        }
     }
 
     #[test]
@@ -2202,7 +1251,7 @@ mod tests {
         let index = FingerprintIndex::build(&database);
         let q = Fingerprint::new(vec![-44.0, -66.0]);
         let mut out = Vec::new();
-        index.rank_all_into::<SquaredEuclidean>(q.values(), &mut out);
+        index.rank_all_into(q.values(), &mut out);
         assert_eq!(out.len(), 3);
         for (position, (_, fp)) in database.iter().enumerate() {
             assert_eq!(
@@ -2216,12 +1265,10 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         let index = FingerprintIndex::build(&db());
-        let mut scratch = KnnScratch::new();
-        let mut out = Vec::new();
-        index.k_nearest_into::<SquaredEuclidean>(&[-40.0, -70.0], 0, &mut scratch, &mut out);
+        scan(&index, &[-40.0, -70.0], 0);
     }
 
-    /// A 6-AP survey wide enough to exercise the lane kernels' tile
+    /// A 6-AP survey wide enough to exercise the mirror kernel's chunk
     /// remainders (the deterministic value pattern creates ties).
     fn wide_db(locations: u32) -> FingerprintDb {
         FingerprintDb::from_fingerprints(
@@ -2249,29 +1296,22 @@ mod tests {
 
     #[test]
     fn block_scan_matches_per_query_scan_bits() {
+        // k ≤ 16 takes the mirror; k = 500 takes the per-query loop.
         let index = FingerprintIndex::build(&wide_db(300));
         assert!(index.has_mirror());
-        let mut block = crate::block::QueryBlock::new(6);
+        let mut block = QueryBlock::new(6);
         let queries = block_queries(9);
         for q in &queries {
             block.push(q);
         }
-        let mut scratch = crate::block::BlockScratch::new();
-        let mut out = crate::block::BlockNeighbors::new();
-        let mut knn = KnnScratch::new();
-        let mut serial = Vec::new();
+        let mut scratch = BlockScratch::new();
+        let mut out = BlockNeighbors::new();
         for k in [1, 3, 8, 500] {
-            index.k_nearest_block_into::<SquaredEuclidean>(&mut block, k, &mut scratch, &mut out);
+            index.k_nearest_block_into(&mut block, k, &mut scratch, &mut out);
             assert_eq!(out.query_count(), queries.len());
             for (q, query) in queries.iter().enumerate() {
-                index.k_nearest_into::<SquaredEuclidean>(query, k, &mut knn, &mut serial);
-                let blocked = out.query(q);
-                assert_eq!(blocked.len(), serial.len());
                 assert_eq!(out.observed(q), 6);
-                for (a, b) in blocked.iter().zip(&serial) {
-                    assert_eq!(a.location, b.location);
-                    assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-                }
+                assert_same_bits(out.query(q), &scan(&index, query, k));
             }
         }
     }
@@ -2279,124 +1319,36 @@ mod tests {
     #[test]
     fn block_scan_routes_masked_queries_through_masked_path() {
         let index = FingerprintIndex::build(&wide_db(64));
-        let mut block = crate::block::QueryBlock::new(6);
+        let mut block = QueryBlock::new(6);
         let clean = block_queries(1).remove(0);
         let mut masked = clean.clone();
         masked[2] = f64::NAN;
         masked[5] = f64::INFINITY;
         block.push(&clean);
         block.push(&masked);
-        let mut scratch = crate::block::BlockScratch::new();
-        let mut out = crate::block::BlockNeighbors::new();
-        index.k_nearest_block_into::<SquaredEuclidean>(&mut block, 5, &mut scratch, &mut out);
+        let mut scratch = BlockScratch::new();
+        let mut out = BlockNeighbors::new();
+        index.k_nearest_block_into(&mut block, 5, &mut scratch, &mut out);
         let mut knn = KnnScratch::new();
         let mut serial = Vec::new();
         let observed = index.k_nearest_masked_into(&masked, 5, &mut knn, &mut serial);
         assert_eq!(out.observed(1), observed);
         assert_eq!(observed, 4);
-        for (a, b) in out.query(1).iter().zip(&serial) {
-            assert_eq!(a.location, b.location);
-            assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-        }
-    }
-
-    #[test]
-    fn block_scan_without_mirror_matches_per_query_scan() {
-        // Toggling the mirror must not change a single bit.
-        let index = FingerprintIndex::build(&wide_db(90));
-        let queries = block_queries(5);
-        let mut block = crate::block::QueryBlock::new(6);
-        for q in &queries {
-            block.push(q);
-        }
-        let mut scratch = crate::block::BlockScratch::new();
-        let mut out = crate::block::BlockNeighbors::new();
-        crate::block::set_mirror_override(Some(false));
-        index.k_nearest_block_into::<SquaredEuclidean>(&mut block, 4, &mut scratch, &mut out);
-        crate::block::set_mirror_override(None);
-        let mut knn = KnnScratch::new();
-        let mut serial = Vec::new();
-        for (q, query) in queries.iter().enumerate() {
-            index.k_nearest_into::<SquaredEuclidean>(query, 4, &mut knn, &mut serial);
-            for (a, b) in out.query(q).iter().zip(&serial) {
-                assert_eq!(a.location, b.location);
-                assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-            }
-        }
+        assert_same_bits(out.query(1), &serial);
     }
 
     #[test]
     fn block_scan_handles_non_lane_widths_via_fallback() {
-        // 2-AP index: no unrolled lane kernel, per-query fallback.
+        // 2-AP index: outside the mirror's 4–8 AP widths, per-query loop.
         let index = FingerprintIndex::build(&db());
-        let mut block = crate::block::QueryBlock::new(2);
+        let mut block = QueryBlock::new(2);
         block.push(&[-41.0, -69.0]);
         block.push(&[-69.0, -41.0]);
-        let mut scratch = crate::block::BlockScratch::new();
-        let mut out = crate::block::BlockNeighbors::new();
-        index.k_nearest_block_into::<SquaredEuclidean>(&mut block, 2, &mut scratch, &mut out);
+        let mut scratch = BlockScratch::new();
+        let mut out = BlockNeighbors::new();
+        index.k_nearest_block_into(&mut block, 2, &mut scratch, &mut out);
         assert_eq!(out.query(0)[0].location, l(1));
         assert_eq!(out.query(1)[0].location, l(7));
-    }
-
-    #[test]
-    fn non_block_kernels_loop_per_query_with_identical_results() {
-        let index = FingerprintIndex::build(&wide_db(40));
-        let queries = block_queries(3);
-        let mut block = crate::block::QueryBlock::new(6);
-        for q in &queries {
-            block.push(q);
-        }
-        let mut scratch = crate::block::BlockScratch::new();
-        let mut out = crate::block::BlockNeighbors::new();
-        index.k_nearest_block_into::<ManhattanKernel>(&mut block, 3, &mut scratch, &mut out);
-        let mut knn = KnnScratch::new();
-        let mut serial = Vec::new();
-        for (q, query) in queries.iter().enumerate() {
-            index.k_nearest_into::<ManhattanKernel>(query, 3, &mut knn, &mut serial);
-            for (a, b) in out.query(q).iter().zip(&serial) {
-                assert_eq!(a.location, b.location);
-                assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn rank_all_block_matches_per_query_rank_all() {
-        let index = FingerprintIndex::build(&wide_db(70));
-        let queries = block_queries(5);
-        let mut block = crate::block::QueryBlock::new(6);
-        for q in &queries {
-            block.push(q);
-        }
-        let mut flat = Vec::new();
-        index.rank_all_block_into::<SquaredEuclidean>(&mut block, &mut flat);
-        assert_eq!(flat.len(), queries.len() * index.len());
-        let mut serial = Vec::new();
-        for (q, query) in queries.iter().enumerate() {
-            index.rank_all_into::<SquaredEuclidean>(query, &mut serial);
-            for (row, expect) in serial.iter().enumerate() {
-                assert_eq!(flat[q * index.len() + row].to_bits(), expect.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn mirror_single_query_matches_serial_scan_bits() {
-        let index = FingerprintIndex::build(&wide_db(257));
-        let query = block_queries(1).remove(0);
-        let mut scratch = crate::block::BlockScratch::new();
-        let mut knn = KnnScratch::new();
-        let (mut fast, mut serial) = (Vec::new(), Vec::new());
-        for k in [1, 8, 300] {
-            index.k_nearest_mirror_into::<SquaredEuclidean>(&query, k, &mut scratch, &mut fast);
-            index.k_nearest_into::<SquaredEuclidean>(&query, k, &mut knn, &mut serial);
-            assert_eq!(fast.len(), serial.len());
-            for (a, b) in fast.iter().zip(&serial) {
-                assert_eq!(a.location, b.location);
-                assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -2408,23 +1360,21 @@ mod tests {
         .unwrap();
         let index = FingerprintIndex::build(&huge);
         assert!(!index.has_mirror());
-        // The mirror entry point still answers correctly via fallback.
-        let mut scratch = crate::block::BlockScratch::new();
-        let mut out = Vec::new();
-        index.k_nearest_mirror_into::<SquaredEuclidean>(
-            &[1.0e16, 0.0, 0.0, 0.0],
-            1,
-            &mut scratch,
-            &mut out,
-        );
-        assert_eq!(out[0].location, l(1));
-        assert_eq!(out[0].dissimilarity, 0.0);
+        // The block entry point still answers correctly via the
+        // per-query loop.
+        let mut block = QueryBlock::new(4);
+        block.push(&[1.0e16, 0.0, 0.0, 0.0]);
+        let mut scratch = BlockScratch::new();
+        let mut out = BlockNeighbors::new();
+        index.k_nearest_block_into(&mut block, 1, &mut scratch, &mut out);
+        assert_eq!(out.query(0)[0].location, l(1));
+        assert_eq!(out.query(0)[0].dissimilarity, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "match database")]
     fn wrong_query_length_panics() {
         let index = FingerprintIndex::build(&db());
-        index.nearest(&[-40.0]);
+        scan(&index, &[-40.0], 1);
     }
 }

@@ -6,7 +6,6 @@
 
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
-use crate::index::{FingerprintIndex, KnnScratch, MetricKernel, ShardCandidate};
 use crate::metric::Dissimilarity;
 use moloc_geometry::LocationId;
 use std::cmp::Ordering;
@@ -49,14 +48,22 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The `k` nearest locations to `query`, ascending by dissimilarity
-/// (ties broken by lower location id, making results deterministic).
+/// The `k` nearest locations to `query` under `metric`, ascending by
+/// dissimilarity (ties broken by lower location id, making results
+/// deterministic).
 ///
 /// Returns fewer than `k` entries when the database is smaller than
-/// `k`.
+/// `k`. This is the generic walk over the database behind custom
+/// metrics ([`crate::centroid::CentroidLocalizer`],
+/// [`crate::nn_localizer::NnLocalizer::with_metric`]); the Euclidean
+/// hot path is [`crate::index::FingerprintIndex`].
 ///
-/// Allocates the result; stateful callers on a hot path should keep a
-/// buffer and use [`k_nearest_into_buf`] instead.
+/// Selection keeps the result as a bounded sorted buffer of the best
+/// `k` seen so far — most candidates are rejected by a single
+/// comparison against the current worst, and an accepted one costs a
+/// binary search plus an `O(k)` shift (the (dissimilarity,
+/// location-id) total order is strict, so there is exactly one sorted
+/// arrangement).
 ///
 /// # Panics
 ///
@@ -68,40 +75,13 @@ pub fn k_nearest(
     k: usize,
     metric: &dyn Dissimilarity,
 ) -> Vec<Neighbor> {
-    let mut out = Vec::with_capacity(k);
-    k_nearest_into_buf(db, query, k, metric, &mut out);
-    out
-}
-
-/// [`k_nearest`] into a caller-owned buffer (cleared first): with a
-/// warmed `out` the scan performs zero heap allocations.
-///
-/// Selection keeps `out` as a bounded sorted buffer of the best `k`
-/// seen so far — most candidates are rejected by a single comparison
-/// against the current worst, and an accepted one costs a binary
-/// search plus an `O(k)` shift (for the paper's `k = 8` that beats the
-/// heap it replaced, and the result order is identical: the
-/// (dissimilarity, location-id) total order is strict, so there is
-/// exactly one sorted arrangement).
-///
-/// # Panics
-///
-/// Panics if `k` is zero or the query length does not match the
-/// database's AP count.
-pub fn k_nearest_into_buf(
-    db: &FingerprintDb,
-    query: &Fingerprint,
-    k: usize,
-    metric: &dyn Dissimilarity,
-    out: &mut Vec<Neighbor>,
-) {
     assert!(k > 0, "k must be positive");
     assert_eq!(
         query.len(),
         db.ap_count(),
         "query fingerprint length must match database"
     );
-    out.clear();
+    let mut out: Vec<Neighbor> = Vec::with_capacity(k.min(db.len()));
     for (location, fp) in db.iter() {
         let neighbor = Neighbor {
             location,
@@ -117,42 +97,6 @@ pub fn k_nearest_into_buf(
         let pos = out.partition_point(|&kept| HeapEntry(kept) < HeapEntry(neighbor));
         out.insert(pos, neighbor);
     }
-}
-
-/// Reference sharded k-NN: splits the index rows into shards of
-/// `shard_rows`, scans each shard independently via
-/// [`FingerprintIndex::shard_candidates`], and merges the per-shard
-/// survivors with [`FingerprintIndex::merge_shard_candidates`].
-///
-/// This is the *serial* form of the scan parallel drivers shard across
-/// workers — the property tests compare it (at many shard sizes)
-/// against the full serial scan, locking in that shard boundaries can
-/// never change the result. Parallel drivers reuse the same two
-/// index methods, running shards concurrently.
-///
-/// # Panics
-///
-/// Panics if `k` or `shard_rows` is zero, or the query length does not
-/// match the index's AP count.
-pub fn k_nearest_sharded<K: MetricKernel>(
-    index: &FingerprintIndex,
-    query: &[f64],
-    k: usize,
-    shard_rows: usize,
-) -> Vec<Neighbor> {
-    assert!(shard_rows > 0, "shard_rows must be positive");
-    let mut scratch = KnnScratch::with_k(k);
-    let mut shard_out: Vec<ShardCandidate> = Vec::with_capacity(k);
-    let mut merged: Vec<ShardCandidate> = Vec::new();
-    let mut start = 0usize;
-    while start < index.len() {
-        let end = (start + shard_rows).min(index.len());
-        index.shard_candidates::<K>(query, k, start..end, &mut scratch, &mut shard_out);
-        merged.extend_from_slice(&shard_out);
-        start = end;
-    }
-    let mut out = Vec::with_capacity(k);
-    index.merge_shard_candidates::<K>(k, &mut merged, &mut out);
     out
 }
 
@@ -210,22 +154,6 @@ mod tests {
         let nn = k_nearest(&tied, &q, 2, &Euclidean);
         assert_eq!(nn[0].location, l(2));
         assert_eq!(nn[1].location, l(5));
-    }
-
-    #[test]
-    fn into_buf_clears_and_matches_allocating_path() {
-        let db = db();
-        let q1 = Fingerprint::new(vec![-41.0, -69.0]);
-        let q2 = Fingerprint::new(vec![-69.0, -41.0]);
-        let mut buf = Vec::new();
-        k_nearest_into_buf(&db, &q1, 2, &Euclidean, &mut buf);
-        assert_eq!(buf, k_nearest(&db, &q1, 2, &Euclidean));
-        // A reused (dirty, differently-sized) buffer gives the same
-        // answer as a fresh one.
-        k_nearest_into_buf(&db, &q2, 3, &Euclidean, &mut buf);
-        assert_eq!(buf, k_nearest(&db, &q2, 3, &Euclidean));
-        k_nearest_into_buf(&db, &q1, 1, &Euclidean, &mut buf);
-        assert_eq!(buf, k_nearest(&db, &q1, 1, &Euclidean));
     }
 
     #[test]

@@ -10,12 +10,17 @@
 //! * [`db`] — the fingerprint database mapping reference locations to
 //!   surveyed fingerprints.
 //! * [`index`] — the columnar [`index::FingerprintIndex`]: a flattened
-//!   structure-of-arrays view of the database with monomorphized metric
-//!   kernels for allocation-free squared-distance k-NN scans.
-//! * [`block`] — multi-query [`block::QueryBlock`] batches for the
-//!   cache-blocked Q×L scan kernels and the f32 quantized index mirror
-//!   (bit-identical to per-query scans; see DESIGN.md §15).
-//! * [`knn`] — k-nearest-neighbor retrieval (Eq. 3).
+//!   structure-of-arrays view of the database and the k-NN candidate
+//!   generator of Eq. 3. Four methods make up the whole k-NN layer —
+//!   `k_nearest_into` (one clean query), `k_nearest_masked_into` (one
+//!   query with missing APs), `k_nearest_block_into` (a block of
+//!   queries) and `rank_all_into` (every row's distance) — and each
+//!   picks its strategy from the query's shape.
+//! * [`block`] — multi-query [`block::QueryBlock`] batches for the f32
+//!   quantized index mirror's prefilter-and-rescore scan (bit-identical
+//!   to per-query scans; see DESIGN.md §15).
+//! * [`knn`] — the [`knn::Neighbor`] result type and the generic
+//!   k-nearest walk for custom metrics.
 //! * [`nn_localizer`] — the plain WiFi fingerprinting baseline the paper
 //!   compares against (Eq. 2).
 //! * [`centroid`] — the weighted-centroid k-NN refinement (continuous
@@ -54,5 +59,5 @@ pub mod nn_localizer;
 pub use block::{BlockNeighbors, BlockScratch, QueryBlock};
 pub use db::FingerprintDb;
 pub use fingerprint::Fingerprint;
-pub use index::{FingerprintIndex, KnnScratch, MetricKernel, SquaredEuclidean};
+pub use index::{FingerprintIndex, KnnScratch};
 pub use metric::{Dissimilarity, Euclidean};

@@ -6,11 +6,20 @@
 
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
-use crate::index::FingerprintIndex;
-use crate::knn::k_nearest;
+use crate::index::{FingerprintIndex, KnnScratch};
+use crate::knn::{k_nearest, Neighbor};
 use crate::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::LocationId;
 use std::borrow::Cow;
+use std::cell::RefCell;
+
+thread_local! {
+    /// The k = 1 selection buffers of the index path. `localize_slice`
+    /// takes `&self` and one localizer serves every pool worker, so the
+    /// buffers live with the thread: after its first query a thread
+    /// localizes without touching the heap.
+    static NEAREST: RefCell<(KnnScratch, Vec<Neighbor>)> = RefCell::default();
+}
 
 /// Nearest-neighbor WiFi localizer (Eq. 2).
 ///
@@ -124,15 +133,24 @@ impl<'a> NnLocalizer<'a> {
         // Euclidean metric regardless of the configured one —
         // per-metric masking is undefined, and a NaN entering the
         // clean paths would poison the ranking (or panic
-        // `Fingerprint::new`). Clean queries never take this branch.
-        if query.iter().any(|v| !v.is_finite()) {
-            return Ok(match &self.index {
-                Some(index) => index.nearest_masked(query),
-                None => nearest_masked_scan(self.db, query),
-            });
-        }
+        // `Fingerprint::new`). Clean queries never take the masked
+        // branches.
+        let masked = query.iter().any(|v| !v.is_finite());
         if let Some(index) = &self.index {
-            return Ok(index.nearest(query));
+            // The index's k-NN scan at k = 1: the strict `<` of the
+            // selection keeps the lowest id among equal distances.
+            return Ok(NEAREST.with(|buffers| {
+                let (scratch, nearest) = &mut *buffers.borrow_mut();
+                if masked {
+                    index.select_masked_into(query, 1, scratch, nearest);
+                } else {
+                    index.select_into(query, 1, scratch, nearest);
+                }
+                nearest[0].location
+            }));
+        }
+        if masked {
+            return Ok(nearest_masked_scan(self.db, query));
         }
         let query = Fingerprint::new(query.to_vec());
         Ok(k_nearest(self.db, &query, 1, self.metric.as_ref())[0].location)

@@ -1,15 +1,14 @@
 //! Proof of the blocked-scan scratch-reuse contract: after one warm-up
 //! pass fills the `QueryBlock`/`BlockScratch`/`BlockNeighbors` buffers,
-//! repeating cache-blocked multi-query scans — masked queries and the
-//! f32 mirror prefilter included — and single-query mirror scans must
-//! not touch the heap at all. A counting global allocator wraps the
+//! repeating multi-query block scans — masked queries and the f32
+//! mirror prefilter included — must not touch the heap at all. A counting global allocator wraps the
 //! system allocator; this file holds exactly one test so no concurrent
 //! test can perturb the counter.
 
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, SquaredEuclidean};
+use moloc_fingerprint::index::FingerprintIndex;
 use moloc_geometry::LocationId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,8 +56,8 @@ fn warm_block_scans_allocate_nothing() {
     let index = FingerprintIndex::build(&survey());
     assert!(index.has_mirror(), "survey values must be f32-safe");
     // Nine clean queries plus one masked (NaN) query, so the warm loop
-    // exercises the lane kernels, the mirror rescore, and the masked
-    // per-query fallback inside one block.
+    // exercises the f32 mirror pass, the exact rescore, and the masked
+    // per-query scan inside one block.
     let queries: Vec<Vec<f64>> = (0..10u32)
         .map(|q| {
             (0..6)
@@ -75,29 +74,24 @@ fn warm_block_scans_allocate_nothing() {
     let mut block = QueryBlock::new(6);
     let mut scratch = BlockScratch::new();
     let mut out = BlockNeighbors::new();
-    let mut single = Vec::new();
 
-    let run = |block: &mut QueryBlock,
-               scratch: &mut BlockScratch,
-               out: &mut BlockNeighbors,
-               single: &mut Vec<_>| {
+    let run = |block: &mut QueryBlock, scratch: &mut BlockScratch, out: &mut BlockNeighbors| {
         block.reset(6);
         for q in &queries {
             block.push(q);
         }
-        index.k_nearest_block_into::<SquaredEuclidean>(block, 8, scratch, out);
-        index.k_nearest_mirror_into::<SquaredEuclidean>(&queries[0], 8, scratch, single);
+        index.k_nearest_block_into(block, 8, scratch, out);
     };
 
     // Warm-up: the first pass may grow every scratch buffer.
-    run(&mut block, &mut scratch, &mut out, &mut single);
+    run(&mut block, &mut scratch, &mut out);
     let warm: Vec<_> = (0..out.query_count())
         .map(|q| out.query(q).to_vec())
         .collect();
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..10 {
-        run(&mut block, &mut scratch, &mut out, &mut single);
+        run(&mut block, &mut scratch, &mut out);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "warm block scans must not allocate");

@@ -3,7 +3,7 @@
 
 use moloc_fingerprint::db::{DbError, FingerprintDb};
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::metric::masked_euclidean_sq;
 use moloc_fingerprint::nn_localizer::NnLocalizer;
 use moloc_geometry::LocationId;
@@ -94,7 +94,7 @@ fn masked_knn_matches_clean_knn_on_finite_queries() {
     let query = [-54.0, -56.0, -42.0];
     let mut scratch = KnnScratch::new();
     let (mut clean, mut masked) = (Vec::new(), Vec::new());
-    index.k_nearest_into::<SquaredEuclidean>(&query, 2, &mut scratch, &mut clean);
+    index.k_nearest_into(&query, 2, &mut scratch, &mut clean);
     let observed = index.k_nearest_masked_into(&query, 2, &mut scratch, &mut masked);
     // No masked dimension: identical neighbors, identical ranks.
     assert_eq!(observed, 3);

@@ -3,7 +3,7 @@
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::{k_nearest, Neighbor};
 use moloc_fingerprint::metric::{Cosine, Dissimilarity, Euclidean, Manhattan};
 use moloc_geometry::LocationId;
@@ -159,7 +159,7 @@ proptest! {
         let legacy = k_nearest(&db, &query, k, &Euclidean);
         let mut scratch = KnnScratch::with_k(k);
         let mut fast = Vec::new();
-        index.k_nearest_into::<SquaredEuclidean>(query.values(), k, &mut scratch, &mut fast);
+        index.k_nearest_into(query.values(), k, &mut scratch, &mut fast);
         prop_assert_eq!(fast.len(), legacy.len());
         for (a, b) in fast.iter().zip(&legacy) {
             prop_assert_eq!(a.location, b.location);
@@ -186,47 +186,15 @@ proptest! {
         let legacy = k_nearest(&db, &query, k, &Euclidean);
         let mut scratch = KnnScratch::with_k(k);
         let mut fast = Vec::new();
-        index.k_nearest_into::<SquaredEuclidean>(query.values(), k, &mut scratch, &mut fast);
+        index.k_nearest_into(query.values(), k, &mut scratch, &mut fast);
         let fast_pairs: Vec<(LocationId, u64)> =
             fast.iter().map(|n| (n.location, n.dissimilarity.to_bits())).collect();
         let legacy_pairs: Vec<(LocationId, u64)> =
             legacy.iter().map(|n| (n.location, n.dissimilarity.to_bits())).collect();
         prop_assert_eq!(fast_pairs, legacy_pairs);
-        // And the single-nearest scan agrees with k = 1.
-        prop_assert_eq!(index.nearest(query.values()), legacy[0].location);
-    }
-
-    #[test]
-    fn sharded_knn_matches_serial_scan_at_any_shard_size(
-        fps in prop::collection::vec(coarse_fingerprint(2), 2..48),
-        query in coarse_fingerprint(2),
-        k in 1usize..12,
-        shard_rows in 1usize..20,
-    ) {
-        // The per-shard top-k + merge path must reproduce the serial
-        // scan exactly — locations, order, bitwise dissimilarities —
-        // for every shard size, including shards smaller than k and a
-        // final partial shard. Coarse RSS grids make cross-shard rank
-        // ties common, so the (rank, global position) merge order is
-        // exercised for real.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let index = FingerprintIndex::build(&db);
-        let mut scratch = KnnScratch::with_k(k);
-        let mut serial = Vec::new();
-        index.k_nearest_into::<SquaredEuclidean>(query.values(), k, &mut scratch, &mut serial);
-        let sharded = moloc_fingerprint::knn::k_nearest_sharded::<SquaredEuclidean>(
-            &index, query.values(), k, shard_rows,
-        );
-        prop_assert_eq!(sharded.len(), serial.len());
-        for (a, b) in sharded.iter().zip(&serial) {
-            prop_assert_eq!(a.location, b.location);
-            prop_assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-        }
+        // And the k = 1 scan picks the legacy nearest.
+        index.k_nearest_into(query.values(), 1, &mut scratch, &mut fast);
+        prop_assert_eq!(fast[0].location, legacy[0].location);
     }
 
     #[test]
@@ -237,8 +205,8 @@ proptest! {
         ),
         k in 1usize..12,
     ) {
-        // The cache-blocked multi-query scan (f32 mirror prefilter
-        // included — coarse grids keep every value f32-safe) must
+        // The multi-query block scan (f32 mirror prefilter included
+        // for k < 16 — coarse grids keep every value f32-safe) must
         // reproduce the per-query scans exactly, masked queries
         // routed through the masked path with the same observed
         // count. Coarse grids make both cross-query and cross-row
@@ -257,13 +225,13 @@ proptest! {
         }
         let mut scratch = BlockScratch::new();
         let mut out = BlockNeighbors::new();
-        index.k_nearest_block_into::<SquaredEuclidean>(&mut block, k, &mut scratch, &mut out);
+        index.k_nearest_block_into(&mut block, k, &mut scratch, &mut out);
         prop_assert_eq!(out.query_count(), queries.len());
         let mut knn = KnnScratch::with_k(k);
         let mut serial = Vec::new();
         for (qi, q) in queries.iter().enumerate() {
             let observed = if q.iter().all(|v| v.is_finite()) {
-                index.k_nearest_into::<SquaredEuclidean>(q, k, &mut knn, &mut serial);
+                index.k_nearest_into(q, k, &mut knn, &mut serial);
                 index.ap_count()
             } else {
                 index.k_nearest_masked_into(q, k, &mut knn, &mut serial)
@@ -287,7 +255,8 @@ proptest! {
         // The f32 quantized mirror is a *prefilter*: its survivors are
         // exactly rescored in f64, so the top-k indices, values, and
         // tie order must be bitwise equal to the plain f64 scan for
-        // arbitrary surveys.
+        // arbitrary surveys. A one-query block at 6 APs and k < 16 over
+        // RSS-range values takes the mirror path.
         let entries: Vec<(LocationId, Fingerprint)> = fps
             .iter()
             .enumerate()
@@ -296,11 +265,15 @@ proptest! {
         let db = FingerprintDb::from_fingerprints(entries).unwrap();
         let index = FingerprintIndex::build(&db);
         prop_assert!(index.has_mirror());
+        let mut block = QueryBlock::new(6);
+        block.push(query.values());
         let mut scratch = BlockScratch::new();
+        let mut out = BlockNeighbors::new();
+        index.k_nearest_block_into(&mut block, k, &mut scratch, &mut out);
         let mut knn = KnnScratch::with_k(k);
-        let (mut fast, mut serial) = (Vec::new(), Vec::new());
-        index.k_nearest_mirror_into::<SquaredEuclidean>(query.values(), k, &mut scratch, &mut fast);
-        index.k_nearest_into::<SquaredEuclidean>(query.values(), k, &mut knn, &mut serial);
+        let mut serial = Vec::new();
+        index.k_nearest_into(query.values(), k, &mut knn, &mut serial);
+        let fast = out.query(0);
         prop_assert_eq!(fast.len(), serial.len());
         for (a, b) in fast.iter().zip(&serial) {
             prop_assert_eq!(a.location, b.location);
