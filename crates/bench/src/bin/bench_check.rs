@@ -31,7 +31,6 @@ struct BenchFile {
     /// file emitted before then (or when the env pin was unset).
     available_parallelism: Option<u64>,
     moloc_threads: Option<u64>,
-    moloc_chunk: Option<u64>,
     benchmarks: Vec<Benchmark>,
     comparisons: Vec<Comparison>,
 }
@@ -41,11 +40,10 @@ struct BenchFile {
 fn describe_shape(f: &BenchFile) -> String {
     let opt = |v: Option<u64>| v.map_or("unset".to_string(), |n| n.to_string());
     format!(
-        "{} threads, avail {}, MOLOC_THREADS {}, MOLOC_CHUNK {}",
+        "{} threads, avail {}, MOLOC_THREADS {}",
         f.parallel_threads,
         opt(f.available_parallelism),
         opt(f.moloc_threads),
-        opt(f.moloc_chunk),
     )
 }
 

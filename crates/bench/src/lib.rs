@@ -35,20 +35,18 @@ fn env_json_u64(name: &str) -> String {
 /// The common `BENCH_*.json` header up to and including the opening of
 /// the `benchmarks` array. Besides the PR number and the resolved pool
 /// width, it records the machine's actual `available_parallelism()` and
-/// the effective `MOLOC_THREADS`/`MOLOC_CHUNK` pins (`null` when
-/// unset), so a speedup read months later carries the runner shape that
-/// produced it.
+/// the effective `MOLOC_THREADS` pin (`null` when unset), so a speedup
+/// read months later carries the runner shape that produced it.
 pub fn bench_header(pr: u64) -> String {
     format!(
         "{{\n  \"pr\": {pr},\n  \"parallel_threads\": {},\n  \
          \"available_parallelism\": {},\n  \"moloc_threads\": {},\n  \
-         \"moloc_chunk\": {},\n  \"benchmarks\": [\n",
+         \"benchmarks\": [\n",
         moloc_eval::parallel::thread_count(),
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
         env_json_u64("MOLOC_THREADS"),
-        env_json_u64("MOLOC_CHUNK"),
     )
 }
 

@@ -1,7 +1,7 @@
 //! Strict parsing for `MOLOC_*` environment knobs.
 //!
-//! Historically every runtime knob (`MOLOC_THREADS`, `MOLOC_CHUNK`,
-//! the `MOLOC_CHECKPOINT_*` family) silently
+//! Historically every runtime knob (`MOLOC_THREADS`,
+//! `MOLOC_REORDER_CAPACITY`, the `MOLOC_CHECKPOINT_*` family) silently
 //! fell back to its default when the variable held garbage — a typo'd
 //! `MOLOC_THREADS=fuor` ran the whole evaluation serial without a word.
 //! The helpers here are the strict counterparts: a **set but
@@ -40,7 +40,7 @@ pub fn parse_usize(field: &'static str, raw: Option<&str>) -> Result<Option<usiz
 }
 
 /// [`parse_usize`] with a positivity requirement: `0` is rejected like
-/// any other malformed value. Worker counts, chunk sizes, and
+/// any other malformed value. Worker counts, reorder capacities, and
 /// checkpoint intervals are meaningless at zero.
 ///
 /// # Errors
@@ -104,7 +104,10 @@ mod tests {
     #[test]
     fn unset_values_keep_defaults() {
         assert_eq!(parse_usize("MOLOC_THREADS", None), Ok(None));
-        assert_eq!(parse_positive_usize("MOLOC_CHUNK", None), Ok(None));
+        assert_eq!(
+            parse_positive_usize("MOLOC_REORDER_CAPACITY", None),
+            Ok(None)
+        );
         assert_eq!(parse_toggle("MOLOC_CHECKPOINT_FSYNC", None), Ok(None));
     }
 
@@ -112,7 +115,7 @@ mod tests {
     fn well_formed_values_parse_with_whitespace() {
         assert_eq!(parse_usize("MOLOC_THREADS", Some(" 6 ")), Ok(Some(6)));
         assert_eq!(
-            parse_positive_usize("MOLOC_CHUNK", Some("128")),
+            parse_positive_usize("MOLOC_REORDER_CAPACITY", Some("128")),
             Ok(Some(128))
         );
         assert_eq!(
@@ -129,7 +132,7 @@ mod tests {
     fn malformed_values_name_the_knob_and_echo_the_string() {
         for (field, raw) in [
             ("MOLOC_THREADS", "fuor"),
-            ("MOLOC_CHUNK", ""),
+            ("MOLOC_THREADS", ""),
             ("MOLOC_REORDER_CAPACITY", "-3"),
             ("MOLOC_CHECKPOINT_INTERVAL", "1e3"),
         ] {

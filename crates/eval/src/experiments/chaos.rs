@@ -1,7 +1,7 @@
 //! Chaos experiment: the crash-safe streaming session layer under
 //! injected stream and lifecycle faults.
 //!
-//! Four claims are exercised, each mapped to a hard invariant rather
+//! Three claims are exercised, each mapped to a hard invariant rather
 //! than a statistical trend:
 //!
 //! 1. **Stream/batch equivalence** — a zero-fault in-order stream
@@ -16,28 +16,21 @@
 //!    back to the previous verified record and replay still converges
 //!    to the uninterrupted state. A corrupted record is never silently
 //!    loaded.
-//! 4. **Watchdogs fire** — stalled evaluation workers are detected,
-//!    expired deadlines abandon (never half-run) the remaining shards,
-//!    and a poisoned job lands in the quarantine registry with its
-//!    panic payload.
 //!
 //! Any violation panics with the [`FaultPlanSpec::describe`] banner —
 //! the exact JSON plan plus the seed — so every red run reproduces
 //! verbatim. Results serialize to `ROBUST_pr8.json` via
 //! `repro --exp chaos --chaos-out FILE`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
-use crate::parallel::{par_shards_deadline, par_shards_deadline_with_workers, quarantine_log};
 use crate::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use crate::report;
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_faults::spec::FaultPlanSpec;
-use moloc_faults::{CheckpointCorruption, ScanDuplicate, ScanLoss, ScanReorder, WorkerStall};
+use moloc_faults::{CheckpointCorruption, ScanDuplicate, ScanLoss, ScanReorder};
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_motion::kernel::MotionKernel;
 use moloc_sensors::steps::StepDetector;
@@ -78,24 +71,6 @@ pub struct ChaosCase {
     pub recovered_bit_identical: bool,
 }
 
-/// Runtime-watchdog outcomes under [`WorkerStall`] injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WatchdogOutcome {
-    /// Deadline-bearing jobs submitted.
-    pub jobs: usize,
-    /// Jobs whose deadline fired with shards still queued.
-    pub expired_jobs: usize,
-    /// Jobs where a pool worker was flagged stalled past the grace
-    /// period (stays 0 on single-worker hosts — the serial path has no
-    /// pool workers to watch).
-    pub stalls_detected: usize,
-    /// Items abandoned un-run by expired deadlines.
-    pub abandoned_items: usize,
-    /// The deliberately poisoned job landed in the quarantine registry
-    /// with its panic payload.
-    pub quarantined: bool,
-}
-
 /// The full chaos artifact (serialized as `ROBUST_pr8.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Chaos {
@@ -113,8 +88,6 @@ pub struct Chaos {
     pub corruption_recovered_bit_identical: bool,
     /// Claim 2, per fault mix.
     pub cases: Vec<ChaosCase>,
-    /// Claim 4.
-    pub watchdog: WatchdogOutcome,
 }
 
 /// FNV-1a over a byte stream (the workspace's checksum idiom).
@@ -409,112 +382,6 @@ fn corruption_is_loud(
     (detected, identical)
 }
 
-/// Claim 4: deadlines, stall flags, and quarantine under
-/// [`WorkerStall`] injection.
-fn watchdog_outcomes(seed: u64) -> WatchdogOutcome {
-    let mut expired_jobs = 0;
-    let mut stalls_detected = 0;
-    let mut abandoned_items = 0;
-    let mut jobs = 0;
-
-    // Job 0 is the deterministic anchor, dispatched 4-wide explicitly
-    // so the pooled watchdog path runs even on single-core hosts: every
-    // shard a *pool* worker picks up wedges well past the deadline plus
-    // the stall grace period (flagged, not merely late), while the
-    // submitter's shards are slow enough that the 32-shard job cannot
-    // drain before the 20 ms deadline (expiry and abandonment are
-    // guaranteed on every host).
-    jobs += 1;
-    let report = par_shards_deadline_with_workers(
-        4,
-        32,
-        1,
-        Some(Instant::now() + Duration::from_millis(20)),
-        |_range| {
-            let on_pool = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("moloc-worker"));
-            std::thread::sleep(Duration::from_millis(if on_pool { 250 } else { 5 }));
-        },
-    );
-    assert!(
-        report.expired && report.abandoned_items > 0,
-        "the anchor job must expire its deadline (seed {seed})"
-    );
-    assert!(
-        report.stall_detected,
-        "the wedged pool workers must be flagged stalled (seed {seed})"
-    );
-    assert_eq!(
-        report.completed_items + report.abandoned_items,
-        32,
-        "watchdog accounting lost items (seed {seed})"
-    );
-    expired_jobs += usize::from(report.expired);
-    stalls_detected += usize::from(report.stall_detected);
-    abandoned_items += report.abandoned_items;
-
-    // Jobs 1-2 stall probabilistically through the seeded injector.
-    let plans = [
-        WorkerStall { rate: 0.3, stall_ms: 60, seed },
-        WorkerStall { rate: 0.3, stall_ms: 60, seed: seed ^ 1 },
-    ];
-    for (job, plan) in plans.iter().enumerate() {
-        jobs += 1;
-        let report = par_shards_deadline_with_workers(
-            4,
-            32,
-            1,
-            Some(Instant::now() + Duration::from_millis(20)),
-            |range| {
-                for shard in range {
-                    if let Some(stall) = plan.stall(job as u64, shard as u64) {
-                        std::thread::sleep(stall);
-                    }
-                }
-            },
-        );
-        expired_jobs += usize::from(report.expired);
-        stalls_detected += usize::from(report.stall_detected);
-        abandoned_items += report.abandoned_items;
-        assert_eq!(
-            report.completed_items + report.abandoned_items,
-            32,
-            "watchdog accounting lost items (job {job}, seed {seed})"
-        );
-    }
-
-    let marker = format!("chaos-poison-{seed}");
-    // The poison is deliberate: silence the default hook so the run's
-    // output stays clean, then restore it.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let poisoned = catch_unwind(AssertUnwindSafe(|| {
-        par_shards_deadline(8, 1, None, |range| {
-            if range.contains(&3) {
-                panic!("{}", marker.clone());
-            }
-        });
-    }))
-    .is_err();
-    std::panic::set_hook(hook);
-    let quarantined = poisoned
-        && quarantine_log()
-            .iter()
-            .any(|record| record.message.contains(&marker));
-    assert!(
-        quarantined,
-        "poisoned job missing from the quarantine registry (seed {seed})"
-    );
-    WatchdogOutcome {
-        jobs,
-        expired_jobs,
-        stalls_detected,
-        abandoned_items,
-        quarantined,
-    }
-}
-
 /// Runs one fault mix through the kill matrix.
 fn run_case(
     ctx: &Ctx<'_>,
@@ -663,8 +530,6 @@ pub fn run(world: &EvalWorld, seed: u64) -> Chaos {
     let (corruption_detected, corruption_recovered_bit_identical) =
         corruption_is_loud(&ctx, &streams[0], seed);
 
-    let watchdog = watchdog_outcomes(seed);
-
     Chaos {
         seed,
         n_aps,
@@ -672,7 +537,6 @@ pub fn run(world: &EvalWorld, seed: u64) -> Chaos {
         corruption_detected,
         corruption_recovered_bit_identical,
         cases,
-        watchdog,
     }
 }
 
@@ -684,16 +548,10 @@ pub fn render(c: &Chaos) -> String {
     );
     out.push_str(&format!(
         "- zero-fault stream ≡ batch: {}\n- checkpoint corruption detected: {} \
-         (recovery bit-identical: {})\n- watchdog: {}/{} jobs expired, {} stalls flagged, \
-         {} items abandoned, quarantine capture: {}\n\n",
+         (recovery bit-identical: {})\n\n",
         c.zero_fault_matches_batch,
         c.corruption_detected,
         c.corruption_recovered_bit_identical,
-        c.watchdog.expired_jobs,
-        c.watchdog.jobs,
-        c.watchdog.stalls_detected,
-        c.watchdog.abandoned_items,
-        c.watchdog.quarantined,
     ));
     let rows: Vec<Vec<String>> = c
         .cases

@@ -11,7 +11,7 @@
 //! | [`baselines`] | extension: MoLoc vs Horus vs HMM vs particle filter vs WiFi NN |
 //! | [`seeds`] | extension: seed-sensitivity sweep of the headline comparison |
 //! | [`robustness`] | extension: fault-injection sweeps and the degradation ladder |
-//! | [`chaos`] | extension: crash-safe streaming under stream faults, kill matrices, watchdogs |
+//! | [`chaos`] | extension: crash-safe streaming under stream faults, kill matrices, checkpoint corruption |
 //! | [`drift`] | extension: static vs dynamic database under live crowdsourced updates |
 
 pub mod ablations;

@@ -23,7 +23,8 @@
 //!   results are byte-identical to a serial run at every width and
 //!   chunk size).
 //! * [`runtime`] — the process-wide work-stealing worker pool:
-//!   per-worker deques, chunked shards, lock-free slot collection.
+//!   per-worker deques, chunked shards, lock-free slot collection, and
+//!   panics rethrown on the submitter once the job drains.
 //! * [`arena`] — per-worker pools of reusable localization scratch so
 //!   steady-state evaluation does zero hot-path allocation.
 //! * [`report`] — plain-text rendering of tables and CDF series in the

@@ -44,14 +44,8 @@ pub const COUNTERS: &[&str] = &[
     // executed by a worker other than their dealt owner.
     "eval.runtime.jobs",
     "eval.runtime.steals",
-    // Runtime watchdogs: jobs whose deadline fired before every shard
-    // started, workers flagged still-busy past the stall grace period,
-    // and poisoned jobs recorded in the quarantine registry.
-    "eval.runtime.deadline_expired",
-    "eval.runtime.stalls_detected",
-    "eval.runtime.quarantined",
     // Streaming session layer (moloc-session): transport, checkpoint,
-    // recovery, admission, and watchdog events.
+    // and recovery events.
     "session.stream.ingested",
     "session.stream.delivered",
     "session.checkpoint.writes",
@@ -60,9 +54,6 @@ pub const COUNTERS: &[&str] = &[
     "session.recovery.attempts",
     "session.recovery.resumed",
     "session.recovery.corrupt_logs",
-    "session.admission.accepted",
-    "session.admission.shed",
-    "session.watchdog.reaped",
     // Live database updates (moloc-live): snapshot publishes (and the
     // zero-delta skips that short-circuit them), deltas folded per
     // publish, reader epoch adoptions, and stale-holds injected by the
@@ -78,8 +69,6 @@ pub const COUNTERS: &[&str] = &[
 pub const GAUGES: &[&str] = &[
     // Resolved worker-pool width after `MOLOC_THREADS` clamping.
     "eval.parallel.threads",
-    // Live sessions held by the streaming session manager.
-    "session.manager.active",
     // Newest published database epoch and how far behind it the most
     // recently refreshed reader was when it noticed.
     "live.publish.epoch",

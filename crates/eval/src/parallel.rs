@@ -34,11 +34,10 @@
 //! # Chunking
 //!
 //! Items are batched into contiguous shards before hitting the deques;
-//! the default shard size targets four shards per worker (good load
-//! balance for uneven traces without per-item scheduling cost) and can
-//! be pinned process-wide with the `MOLOC_CHUNK` environment variable
-//! (parsed once, like `MOLOC_THREADS`) or per call via
-//! [`par_run_chunked`].
+//! the default shard size ([`default_chunk`]) targets four shards per
+//! worker (good load balance for uneven traces without per-item
+//! scheduling cost). Callers that need another size pass it per call
+//! via [`par_run_chunked`].
 
 use crate::runtime::{shard_ranges, Runtime, SlotVec};
 use moloc_core::error::MolocError;
@@ -48,9 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
-pub use crate::runtime::{
-    clear_quarantine, quarantine_log, JobReport, QuarantineRecord, SlotWriter, MAX_POOL_WORKERS,
-};
+pub use crate::runtime::{SlotWriter, MAX_POOL_WORKERS};
 
 /// Upper bound on requested threads, as a multiple of the machine's
 /// available parallelism. Mild oversubscription can help when traces
@@ -120,25 +117,6 @@ fn resolve_thread_count(raw: Option<&str>, available: usize) -> Result<usize, Mo
     }
 }
 
-/// The process-wide shard-size pin from `MOLOC_CHUNK`, parsed once.
-/// `None` (unset) lets each call compute its own default; malformed
-/// values fail fast like `MOLOC_THREADS`.
-fn chunk_override() -> Option<usize> {
-    static CACHED: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHED.get_or_init(
-        || match resolve_chunk(std::env::var("MOLOC_CHUNK").ok().as_deref()) {
-            Ok(pin) => pin,
-            Err(e) => panic!("{e}"),
-        },
-    )
-}
-
-/// The pure resolution rule behind the `MOLOC_CHUNK` pin: a shard size
-/// must be a positive integer; anything else set is a typed error.
-fn resolve_chunk(raw: Option<&str>) -> Result<Option<usize>, MolocError> {
-    moloc_core::env::parse_positive_usize("MOLOC_CHUNK", raw)
-}
-
 /// Bench-harness worker-count override: `0` means "not armed".
 ///
 /// The scaling benchmarks measure the same workload at 1/2/4/8 workers
@@ -168,11 +146,11 @@ fn worker_override() -> Option<usize> {
     }
 }
 
-/// Strictly validates every `MOLOC_*` knob this module reads
-/// (`MOLOC_THREADS`, `MOLOC_CHUNK`). Entry points call this before
-/// touching the pool so a typo'd variable is a typed, actionable error
-/// — not a setting silently replaced by a default, and not a mid-run
-/// panic from the cached resolver.
+/// Strictly validates `MOLOC_THREADS`, the one knob this module reads.
+/// Entry points call this before touching the pool so a typo'd
+/// variable is a typed, actionable error — not a setting silently
+/// replaced by a default, and not a mid-run panic from the cached
+/// resolver.
 ///
 /// # Errors
 ///
@@ -183,7 +161,6 @@ pub fn validate_env() -> Result<(), MolocError> {
         .map(NonZeroUsize::get)
         .unwrap_or(1);
     resolve_thread_count(std::env::var("MOLOC_THREADS").ok().as_deref(), available)?;
-    resolve_chunk(std::env::var("MOLOC_CHUNK").ok().as_deref())?;
     Ok(())
 }
 
@@ -191,9 +168,6 @@ pub fn validate_env() -> Result<(), MolocError> {
 /// shards per worker, so natural cost imbalance (trace lengths vary)
 /// load-balances through stealing without per-item scheduling.
 pub fn default_chunk(n: usize, workers: usize) -> usize {
-    if let Some(pinned) = chunk_override() {
-        return pinned;
-    }
     n.div_ceil(workers.max(1) * 4).max(1)
 }
 
@@ -262,51 +236,6 @@ where
     }
     let workers = thread_count().min(n);
     Runtime::global().run_shards(workers, shard_ranges(n, chunk), &shard_fn);
-}
-
-/// [`par_shards`] under a watchdog: shards not started by `deadline`
-/// are abandoned (a shard in flight always completes — items are never
-/// interrupted midway), a pool worker still busy past the grace period
-/// is flagged as stalled, and a panicking job is recorded in the
-/// [`quarantine_log`] before its panic is rethrown. Returns the
-/// [`JobReport`] accounting for completed versus abandoned items.
-///
-/// Unlike [`par_shards`], coverage of `0..n` is **not** guaranteed when
-/// the deadline fires: callers own the partial-work policy (retry,
-/// degrade, or fail). The deterministic primitives above never pass a
-/// deadline, so their bit-identical-output contract is unaffected.
-pub fn par_shards_deadline<F>(
-    n: usize,
-    chunk: usize,
-    deadline: Option<std::time::Instant>,
-    shard_fn: F,
-) -> JobReport
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let workers = thread_count().min(n.max(1));
-    par_shards_deadline_with_workers(workers, n, chunk, deadline, shard_fn)
-}
-
-/// [`par_shards_deadline`] with an explicit worker count, ignoring
-/// [`thread_count`] — chaos harnesses use this to exercise the pooled
-/// watchdog path even on single-core hosts.
-pub fn par_shards_deadline_with_workers<F>(
-    workers: usize,
-    n: usize,
-    chunk: usize,
-    deadline: Option<std::time::Instant>,
-    shard_fn: F,
-) -> JobReport
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    Runtime::global().run_shards_deadline(
-        workers.min(n.max(1)),
-        shard_ranges(n, chunk),
-        deadline,
-        &shard_fn,
-    )
 }
 
 /// [`par_shards`] with an explicit worker count, ignoring
@@ -434,6 +363,52 @@ mod tests {
     }
 
     #[test]
+    fn racing_top_level_submitters_match_the_serial_map() {
+        // Four threads submit 4-wide jobs at once, so while one holds the
+        // pool the others find it busy and drain their shards inline.
+        // The explicit width keeps the pooled path in play whatever
+        // `MOLOC_THREADS` says, and one item per call nests a `par_run`.
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Barrier;
+        const SUBMITTERS: u64 = 4;
+        const CALLS: u64 = 200;
+        const N: usize = 37;
+        let mix = |submitter: u64, call: u64, i: u64| {
+            (submitter << 48 | call << 16 | i).wrapping_mul(0x9E3779B97F4A7C15)
+        };
+        let item = |submitter: u64, call: u64, i: usize| {
+            if i as u64 == call % N as u64 {
+                par_run(16, |j| mix(submitter, call, 100 + j as u64))
+                    .into_iter()
+                    .fold(0u64, u64::wrapping_add)
+            } else {
+                mix(submitter, call, i as u64)
+            }
+        };
+        let barrier = Barrier::new(SUBMITTERS as usize);
+        thread::scope(|scope| {
+            for submitter in 0..SUBMITTERS {
+                let (barrier, item) = (&barrier, &item);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for call in 0..CALLS {
+                        let out: Vec<AtomicU64> = (0..N).map(|_| AtomicU64::new(0)).collect();
+                        par_shards_with_workers(4, N, 3, |range| {
+                            for i in range {
+                                out[i].store(item(submitter, call, i), Ordering::Relaxed);
+                            }
+                        });
+                        let serial: Vec<u64> = (0..N).map(|i| item(submitter, call, i)).collect();
+                        let pooled: Vec<u64> =
+                            out.iter().map(|v| v.load(Ordering::Relaxed)).collect();
+                        assert_eq!(pooled, serial, "submitter {submitter} call {call}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn thread_count_is_at_least_one() {
         assert!(thread_count() >= 1);
     }
@@ -474,20 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn resolve_chunk_accepts_positive_integers_and_rejects_the_rest() {
-        assert_eq!(resolve_chunk(Some("4")), Ok(Some(4)));
-        assert_eq!(resolve_chunk(Some(" 12 ")), Ok(Some(12)));
-        assert_eq!(resolve_chunk(None), Ok(None));
-        for bad in ["0", "nope", ""] {
-            assert_eq!(
-                resolve_chunk(Some(bad)),
-                Err(MolocError::invalid_config_value("MOLOC_CHUNK", bad)),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn validate_env_passes_in_a_clean_environment() {
         // CI may legitimately pin these variables; validation must
         // accept whatever the ambient (working) environment holds.
@@ -496,18 +457,9 @@ mod tests {
 
     #[test]
     fn default_chunk_targets_four_shards_per_worker() {
-        // With MOLOC_CHUNK unset the rule is pure arithmetic; when the
-        // ambient process pins it, this test exercises the pin instead.
-        match chunk_override() {
-            None => {
-                assert_eq!(default_chunk(32, 4), 2);
-                assert_eq!(default_chunk(3, 4), 1);
-                assert_eq!(default_chunk(1000, 1), 250);
-                assert_eq!(default_chunk(0, 8), 1);
-            }
-            Some(pinned) => {
-                assert_eq!(default_chunk(32, 4), pinned);
-            }
-        }
+        assert_eq!(default_chunk(32, 4), 2);
+        assert_eq!(default_chunk(3, 4), 1);
+        assert_eq!(default_chunk(1000, 1), 250);
+        assert_eq!(default_chunk(0, 8), 1);
     }
 }

@@ -24,13 +24,9 @@
 //!   to a pre-sized slot keyed by item index ([`SlotVec`]); shards
 //!   cover disjoint index ranges, so no two workers ever write the
 //!   same slot and the job needs no result lock at all.
-//! * **Watchdogs** — a job may carry a deadline
-//!   ([`Runtime::run_shards_deadline`]): shards not started by the
-//!   deadline are abandoned (never interrupted mid-item), workers still
-//!   inside the job past a grace period are flagged as stalled, and a
-//!   poisoned job lands in the process-wide [`quarantine_log`] with its
-//!   panic payload and work accounting before the panic is rethrown.
-//!   Every outcome is a [`JobReport`].
+//! * **Panics drain, then propagate** — a panicking shard poisons the
+//!   job: no further shards are handed out, every participant leaves,
+//!   and the first payload is rethrown on the submitting thread.
 //!
 //! # Determinism
 //!
@@ -56,103 +52,15 @@ use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
 
 /// Hard ceiling on pool threads, whatever `MOLOC_THREADS` or a bench
 /// override asks for. Thread-scaling tables legitimately oversubscribe
 /// (8 workers on a 1-core host), but an unbounded request would abort
 /// the process on stack exhaustion before doing any work.
 pub const MAX_POOL_WORKERS: usize = 64;
-
-/// How long past a job's deadline a still-pending worker counts as
-/// stalled (rather than merely finishing its last shard), and how often
-/// the submitter polls for that condition while waiting on a
-/// deadline-bearing job.
-const STALL_GRACE: Duration = Duration::from_millis(100);
-const STALL_POLL: Duration = Duration::from_millis(25);
-
-/// Quarantine-registry capacity: oldest records are evicted first. A
-/// chaos run that poisons thousands of jobs must not turn the registry
-/// into an unbounded leak.
-const MAX_QUARANTINE: usize = 64;
-
-/// Process-wide job sequence, so quarantine records and reports can be
-/// correlated across the run.
-static JOB_SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// Poisoned jobs, newest last (bounded at [`MAX_QUARANTINE`]).
-static QUARANTINE: Mutex<Vec<QuarantineRecord>> = Mutex::new(Vec::new());
-
-/// What the watchdog knows about one poisoned job: which job, what the
-/// panic said, and how much work was finished versus abandoned when the
-/// poison flag drained the deques.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantineRecord {
-    /// Process-wide job sequence number (see [`JobReport::job_id`]).
-    pub job_id: u64,
-    /// Downcast panic payload (`&str`/`String`), or a placeholder for
-    /// exotic payload types.
-    pub message: String,
-    /// Items completed before the poison flag stopped shard handout.
-    pub completed_items: usize,
-    /// Items abandoned in the deques when the job drained.
-    pub abandoned_items: usize,
-}
-
-/// Snapshot of the quarantine registry, oldest first.
-pub fn quarantine_log() -> Vec<QuarantineRecord> {
-    lock(&QUARANTINE).clone()
-}
-
-/// Empties the quarantine registry (test/experiment isolation).
-pub fn clear_quarantine() {
-    lock(&QUARANTINE).clear();
-}
-
-fn push_quarantine(record: QuarantineRecord) {
-    if moloc_obs::is_enabled() {
-        moloc_obs::counter_add("eval.runtime.quarantined", 1);
-    }
-    let mut log = lock(&QUARANTINE);
-    if log.len() >= MAX_QUARANTINE {
-        log.remove(0);
-    }
-    log.push(record);
-}
-
-/// Best-effort human-readable form of a panic payload.
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
-/// What happened to one job: identity, work accounting, and the
-/// watchdog verdicts. Returned by the deadline-aware submission path so
-/// chaos harnesses can assert on expiry/stall behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobReport {
-    /// Process-wide job sequence number.
-    pub job_id: u64,
-    /// Items whose shard ran to completion.
-    pub completed_items: usize,
-    /// Items abandoned because the job expired or was poisoned.
-    pub abandoned_items: usize,
-    /// The per-job deadline passed while shards were still queued.
-    pub expired: bool,
-    /// A worker was still inside the job [`STALL_GRACE`] past the
-    /// deadline — detected and reported, though the submitter must
-    /// still wait it out (task closures borrow its stack, so the job
-    /// can never be detached).
-    pub stall_detected: bool,
-}
 
 /// A job's task: lifetime-erased reference to the per-shard closure.
 ///
@@ -168,8 +76,6 @@ type TaskRef = &'static (dyn Fn(Range<usize>) + Sync);
 /// completion/panic state.
 struct JobState {
     task: TaskRef,
-    /// Process-wide job sequence number.
-    job_id: u64,
     /// One deque per participating worker (slot 0 is the submitter).
     deques: Vec<Mutex<VecDeque<Range<usize>>>>,
     /// Participating workers, submitter included.
@@ -183,16 +89,10 @@ struct JobState {
     /// Shards executed by a worker other than the one they were dealt
     /// to (advisory, feeds the `eval.runtime.steals` counter).
     steals: AtomicUsize,
-    /// Abandon-remaining-shards instant, if the job carries one.
-    deadline: Option<Instant>,
-    /// Set by the first worker that observes the deadline passed.
-    expired: AtomicBool,
-    /// Items whose shard ran to completion (all workers).
-    completed: AtomicUsize,
 }
 
 // SAFETY: `task` is only dereferenced while the submitter is blocked in
-// `run_job`, which keeps the borrowed closure alive; everything else is
+// `run_shards`, which keeps the borrowed closure alive; everything else is
 // ordinary `Sync` state.
 unsafe impl Send for JobState {}
 unsafe impl Sync for JobState {}
@@ -200,17 +100,11 @@ unsafe impl Sync for JobState {}
 impl JobState {
     /// Pops the next shard for `slot`: own deque front first, then the
     /// back of the first non-empty victim. Returns `None` when every
-    /// deque is empty, the job is poisoned, or its deadline has passed
-    /// (remaining shards are abandoned, never half-run).
+    /// deque is empty or the job is poisoned (remaining shards are
+    /// abandoned, never half-run).
     fn next_shard(&self, slot: usize) -> Option<Range<usize>> {
         if self.poisoned.load(Ordering::Relaxed) {
             return None;
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.expired.store(true, Ordering::Relaxed);
-                return None;
-            }
         }
         if let Some(shard) = lock(&self.deques[slot]).pop_front() {
             return Some(shard);
@@ -244,17 +138,7 @@ impl JobState {
                 items += len;
             }
         }
-        self.completed.fetch_add(items, Ordering::Relaxed);
         items
-    }
-
-    /// Items still sitting in the deques (meaningful once the job has
-    /// drained: they were abandoned by poison or deadline expiry).
-    fn abandoned_items(&self) -> usize {
-        self.deques
-            .iter()
-            .map(|d| lock(d).iter().map(Range::len).sum::<usize>())
-            .sum()
     }
 }
 
@@ -313,39 +197,20 @@ impl Runtime {
     }
 
     /// Runs `shard_fn` over `shards` with up to `workers` threads
-    /// (submitter included). Falls back to inline execution when the
-    /// pool is busy, the caller is nested inside a job, or one worker
-    /// suffices. Shards are executed exactly once each; panics from
-    /// `shard_fn` are rethrown on the calling thread after the job
-    /// fully drains.
+    /// (submitter included). The shards run inline on the calling
+    /// thread when one worker suffices, the caller is nested inside a
+    /// job, or another job holds the pool. Shards are executed exactly
+    /// once each; panics from `shard_fn` are rethrown on the calling
+    /// thread after the job fully drains.
     pub(crate) fn run_shards(
         &'static self,
         workers: usize,
         shards: Vec<Range<usize>>,
         shard_fn: &(dyn Fn(Range<usize>) + Sync),
     ) {
-        self.run_shards_deadline(workers, shards, None, shard_fn);
-    }
-
-    /// [`Runtime::run_shards`] with watchdog semantics: when `deadline`
-    /// is set, shards not yet *started* by that instant are abandoned
-    /// (a shard in flight always runs to completion — work is never
-    /// interrupted mid-item), and a pool worker still inside the job
-    /// [`STALL_GRACE`] past the deadline is flagged as stalled. The
-    /// report accounts for completed versus abandoned items either way;
-    /// a poisoned job is recorded in the quarantine registry before its
-    /// panic is rethrown.
-    pub(crate) fn run_shards_deadline(
-        &'static self,
-        workers: usize,
-        shards: Vec<Range<usize>>,
-        deadline: Option<Instant>,
-        shard_fn: &(dyn Fn(Range<usize>) + Sync),
-    ) -> JobReport {
         let workers = workers.clamp(1, MAX_POOL_WORKERS).min(shards.len().max(1));
-        let job_id = JOB_SEQ.fetch_add(1, Ordering::Relaxed);
         if workers <= 1 || Self::in_job() {
-            return run_shards_serial(job_id, shards, deadline, shard_fn);
+            return run_shards_serial(shards, shard_fn);
         }
 
         // Deal shards round-robin onto per-worker deques so the initial
@@ -356,111 +221,46 @@ impl Runtime {
             deques[i % workers].push_back(shard);
         }
         // SAFETY: the erased borrow is released before this function
-        // returns — `run_job` blocks until every participant has left
-        // the job (see `JobState` safety note).
+        // returns — it blocks until every participant has left the job
+        // (see `JobState` safety note).
         let task: TaskRef =
             unsafe { std::mem::transmute::<&(dyn Fn(Range<usize>) + Sync), TaskRef>(shard_fn) };
         let job = Arc::new(JobState {
             task,
-            job_id,
             deques: deques.into_iter().map(Mutex::new).collect(),
             workers,
-            pending: AtomicUsize::new(workers - 1),
+            pending: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
             steals: AtomicUsize::new(0),
-            deadline,
-            expired: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
         });
 
-        if !self.try_publish(&job) {
-            // The pool is running someone else's job: execute inline.
-            // Shards were already dealt into the job's deques; drain
-            // them through the same path so accounting matches.
-            job.pending.store(0, Ordering::Release);
-            return self.finish_inline(&job);
-        }
-
-        // Participate as worker 0, then wait for the pool workers. A
-        // deadline-bearing job polls so a worker wedged inside a shard
-        // is detected (and reported) even though it cannot be detached:
-        // the task borrows this very stack frame.
+        // Participate as worker 0 — alone, draining every deque, when
+        // the pool is running someone else's job — then wait for the
+        // pool workers.
+        let published = self.try_publish(&job);
         IN_JOB.with(|f| f.set(true));
-        let items = job.work(0);
+        record_items(job.work(0));
         IN_JOB.with(|f| f.set(false));
-        record_items(items);
-        let mut stall_detected = false;
-        {
+        if published {
             let mut slot = lock(&self.slot);
             while job.pending.load(Ordering::Acquire) > 0 {
-                match deadline {
-                    None => {
-                        slot = self.done_cv.wait(slot).unwrap_or_else(|e| e.into_inner());
-                    }
-                    Some(deadline) => {
-                        slot = self
-                            .done_cv
-                            .wait_timeout(slot, STALL_POLL)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                        if !stall_detected
-                            && Instant::now() >= deadline + STALL_GRACE
-                            && job.pending.load(Ordering::Acquire) > 0
-                        {
-                            stall_detected = true;
-                            if moloc_obs::is_enabled() {
-                                moloc_obs::counter_add("eval.runtime.stalls_detected", 1);
-                            }
-                        }
-                    }
-                }
+                slot = self.done_cv.wait(slot).unwrap_or_else(|e| e.into_inner());
             }
             slot.job = None;
-        }
-        if moloc_obs::is_enabled() {
-            moloc_obs::counter_add(
-                "eval.runtime.steals",
-                job.steals.load(Ordering::Relaxed) as u64,
-            );
-            moloc_obs::counter_add("eval.runtime.jobs", 1);
-        }
-        self.settle(&job, stall_detected)
-    }
-
-    /// Drains a job entirely on the calling thread (pool contended).
-    fn finish_inline(&self, job: &Arc<JobState>) -> JobReport {
-        IN_JOB.with(|f| f.set(true));
-        let items = job.work(0);
-        IN_JOB.with(|f| f.set(false));
-        record_items(items);
-        self.settle(job, false)
-    }
-
-    /// Post-drain accounting shared by the pooled and inline paths:
-    /// build the report, quarantine a poisoned job, rethrow its panic.
-    fn settle(&self, job: &Arc<JobState>, stall_detected: bool) -> JobReport {
-        let report = JobReport {
-            job_id: job.job_id,
-            completed_items: job.completed.load(Ordering::Relaxed),
-            abandoned_items: job.abandoned_items(),
-            expired: job.expired.load(Ordering::Relaxed),
-            stall_detected,
-        };
-        if report.expired && moloc_obs::is_enabled() {
-            moloc_obs::counter_add("eval.runtime.deadline_expired", 1);
+            drop(slot);
+            if moloc_obs::is_enabled() {
+                moloc_obs::counter_add(
+                    "eval.runtime.steals",
+                    job.steals.load(Ordering::Relaxed) as u64,
+                );
+                moloc_obs::counter_add("eval.runtime.jobs", 1);
+            }
         }
         let payload = lock(&job.panic).take();
         if let Some(payload) = payload {
-            push_quarantine(QuarantineRecord {
-                job_id: report.job_id,
-                message: payload_message(payload.as_ref()),
-                completed_items: report.completed_items,
-                abandoned_items: report.abandoned_items,
-            });
             resume_unwind(payload);
         }
-        report
     }
 
     /// Publishes `job` to the pool if it is idle, spawning any missing
@@ -535,57 +335,16 @@ fn record_items(items: usize) {
     }
 }
 
-/// The serial path of [`Runtime::run_shards_deadline`]: one worker, or
-/// a submission nested inside a running job. Deadline, poison,
-/// quarantine, and accounting semantics match the pooled path exactly;
-/// only the scheduling differs (shards run inline, in input order).
-fn run_shards_serial(
-    job_id: u64,
-    shards: Vec<Range<usize>>,
-    deadline: Option<Instant>,
-    shard_fn: &(dyn Fn(Range<usize>) + Sync),
-) -> JobReport {
-    let mut completed = 0usize;
-    let mut abandoned = 0usize;
-    let mut expired = false;
-    let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
+/// The serial path of [`Runtime::run_shards`]: one worker, or a
+/// submission nested inside a running job. Shards run inline, in input
+/// order; a panic propagates straight to the caller.
+fn run_shards_serial(shards: Vec<Range<usize>>, shard_fn: &(dyn Fn(Range<usize>) + Sync)) {
+    let mut items = 0usize;
     for shard in shards {
-        if payload.is_some() || expired {
-            abandoned += shard.len();
-            continue;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            expired = true;
-            abandoned += shard.len();
-            continue;
-        }
-        let len = shard.len();
-        match catch_unwind(AssertUnwindSafe(|| shard_fn(shard))) {
-            Ok(()) => completed += len,
-            Err(p) => payload = Some(p),
-        }
+        items += shard.len();
+        shard_fn(shard);
     }
-    record_items(completed);
-    let report = JobReport {
-        job_id,
-        completed_items: completed,
-        abandoned_items: abandoned,
-        expired,
-        stall_detected: false,
-    };
-    if report.expired && moloc_obs::is_enabled() {
-        moloc_obs::counter_add("eval.runtime.deadline_expired", 1);
-    }
-    if let Some(payload) = payload {
-        push_quarantine(QuarantineRecord {
-            job_id,
-            message: payload_message(payload.as_ref()),
-            completed_items: report.completed_items,
-            abandoned_items: report.abandoned_items,
-        });
-        resume_unwind(payload);
-    }
-    report
+    record_items(items);
 }
 
 /// A pre-sized, lock-free output table: slot `i` receives item `i`'s
@@ -769,111 +528,6 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 8 * 120);
-    }
-
-    #[test]
-    fn expired_deadline_abandons_all_shards_without_running_any() {
-        let ran = AtomicU64::new(0);
-        let report = Runtime::global().run_shards_deadline(
-            4,
-            shard_ranges(100, 5),
-            Some(Instant::now()),
-            &|range| {
-                ran.fetch_add(range.len() as u64, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-        assert!(report.expired);
-        assert_eq!(report.completed_items, 0);
-        assert_eq!(report.abandoned_items, 100);
-    }
-
-    #[test]
-    fn distant_deadline_changes_nothing() {
-        let ran = AtomicU64::new(0);
-        let report = Runtime::global().run_shards_deadline(
-            4,
-            shard_ranges(64, 4),
-            Some(Instant::now() + Duration::from_secs(3600)),
-            &|range| {
-                ran.fetch_add(range.len() as u64, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 64);
-        assert!(!report.expired);
-        assert!(!report.stall_detected);
-        assert_eq!(report.completed_items, 64);
-        assert_eq!(report.abandoned_items, 0);
-    }
-
-    #[test]
-    fn serial_path_honors_deadlines_too() {
-        let ran = AtomicU64::new(0);
-        let report = Runtime::global().run_shards_deadline(
-            1,
-            shard_ranges(40, 4),
-            Some(Instant::now()),
-            &|range| {
-                ran.fetch_add(range.len() as u64, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-        assert!(report.expired);
-        assert_eq!(report.abandoned_items, 40);
-    }
-
-    #[test]
-    fn poisoned_job_is_quarantined_with_its_payload() {
-        let marker = "quarantine-probe-7f3a";
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            Runtime::global().run_shards(3, shard_ranges(32, 4), &|range| {
-                if range.contains(&9) {
-                    panic!("{marker}");
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic must still propagate");
-        let log = quarantine_log();
-        let record = log
-            .iter()
-            .rev()
-            .find(|r| r.message.contains(marker))
-            .expect("poisoned job must be quarantined");
-        assert!(record.job_id > 0);
-    }
-
-    #[test]
-    fn stalled_worker_past_deadline_is_detected_and_waited_out() {
-        // Exactly one *pool* worker wedges well past the deadline (the
-        // submitter's shard spins until the wedge is claimed, so the job
-        // cannot drain early); the submitter must flag the stall but
-        // still wait the worker out — the closure borrows this frame.
-        let wedged = AtomicBool::new(false);
-        let report = Runtime::global().run_shards_deadline(
-            4,
-            shard_ranges(8, 1),
-            Some(Instant::now() + Duration::from_millis(50)),
-            &|_range| {
-                let on_pool = thread::current()
-                    .name()
-                    .is_some_and(|n| n.starts_with("moloc-worker"));
-                if on_pool {
-                    if !wedged.swap(true, Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(400));
-                    }
-                } else {
-                    let start = Instant::now();
-                    while !wedged.load(Ordering::SeqCst)
-                        && start.elapsed() < Duration::from_secs(2)
-                    {
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            },
-        );
-        assert!(report.stall_detected, "wedged worker must be flagged");
-        // Whatever was abandoned, nothing may be double-counted.
-        assert!(report.completed_items + report.abandoned_items <= 8);
     }
 
     #[test]

@@ -138,34 +138,20 @@ fn outcome_digest_is_invariant_across_worker_counts() {
 
 #[test]
 fn serial_child_digest_survives_thread_and_chunk_settings() {
-    // Environment-level matrix: MOLOC_THREADS and MOLOC_CHUNK are
-    // parsed once per process, so each cell runs as a clean child.
-    // Chunk size shifts shard boundaries (including chunk=1, maximal
-    // stealing, and a chunk larger than the trace count, one shard).
-    // None of them may leak into outcomes.
+    // Environment-level matrix: MOLOC_THREADS is parsed once per
+    // process, so each width runs as a clean child. The widths also
+    // move shard boundaries, since the default shard size targets four
+    // shards per worker. None of it may leak into outcomes.
     let digest = outcome_digest();
     let exe = std::env::current_exe().expect("test binary path");
-    for (threads, chunk) in [
-        ("2", None),
-        ("3", None),
-        ("8", None),
-        ("2", Some("1")),
-        ("3", Some("7")),
-        ("2", Some("1024")),
-    ] {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(["helper_print_outcome_digest", "--exact", "--nocapture"])
+    for threads in ["2", "3", "8"] {
+        let out = std::process::Command::new(&exe)
+            .args(["helper_print_outcome_digest", "--exact", "--nocapture"])
             .env("MOLOC_THREADS", threads)
-            .env("MOLOC_DIGEST_MODE", "1");
-        match chunk {
-            Some(c) => cmd.env("MOLOC_CHUNK", c),
-            None => cmd.env_remove("MOLOC_CHUNK"),
-        };
-        let out = cmd.output().expect("spawn digest child");
-        assert!(
-            out.status.success(),
-            "child {threads}/{chunk:?} failed: {out:?}"
-        );
+            .env("MOLOC_DIGEST_MODE", "1")
+            .output()
+            .expect("spawn digest child");
+        assert!(out.status.success(), "child {threads} failed: {out:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         let child_digest = stdout
             .split("DIGEST=")
@@ -178,7 +164,7 @@ fn serial_child_digest_survives_thread_and_chunk_settings() {
             .expect("child printed a digest");
         assert_eq!(
             child_digest, digest,
-            "MOLOC_THREADS={threads} MOLOC_CHUNK={chunk:?} diverged from the parent"
+            "MOLOC_THREADS={threads} diverged from the parent"
         );
     }
 }

@@ -20,8 +20,8 @@
 //! * [`stream`] — stream/lifecycle faults for the crash-safe session
 //!   and live-update layers: [`stream::ScanReorder`],
 //!   [`stream::ScanDuplicate`], [`stream::ScanLoss`],
-//!   [`stream::ClockSkew`], [`stream::CheckpointCorruption`],
-//!   [`stream::WorkerStall`], and [`stream::StaleSnapshot`].
+//!   [`stream::ClockSkew`], [`stream::CheckpointCorruption`], and
+//!   [`stream::StaleSnapshot`].
 //! * [`spec`] — [`spec::FaultPlanSpec`], the JSON-round-trippable
 //!   declarative form of a fault composition, printed by chaos tests
 //!   on failure so every red run reproduces from the spec + seed.
@@ -57,5 +57,4 @@ pub use sensor::{SensorGap, TimestampJitter};
 pub use spec::FaultPlanSpec;
 pub use stream::{
     CheckpointCorruption, ClockSkew, ScanDuplicate, ScanLoss, ScanReorder, StaleSnapshot,
-    WorkerStall,
 };

@@ -28,7 +28,6 @@ use crate::rlm::RlmCorruption;
 use crate::sensor::{SensorGap, TimestampJitter};
 use crate::stream::{
     CheckpointCorruption, ClockSkew, ScanDuplicate, ScanLoss, ScanReorder, StaleSnapshot,
-    WorkerStall,
 };
 
 /// A declarative fault composition: one optional slot per injector.
@@ -36,9 +35,9 @@ use crate::stream::{
 /// The content-level slots build a [`FaultSuite`] via
 /// [`FaultPlanSpec::build_suite`]; the stream/lifecycle slots
 /// (`scan_reorder`, `scan_duplicate`, `scan_loss`,
-/// `checkpoint_corruption`, `worker_stall`, `stale_snapshot`) are
-/// consumed by the session/runtime/live layers directly, since they
-/// act on transport and lifecycle rather than on input contents.
+/// `checkpoint_corruption`, `stale_snapshot`) are consumed by the
+/// session and live layers directly, since they act on transport and
+/// lifecycle rather than on input contents.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlanSpec {
     /// Per-reading AP dropout.
@@ -65,8 +64,6 @@ pub struct FaultPlanSpec {
     pub scan_loss: Option<ScanLoss>,
     /// Checkpoint-record bit flips.
     pub checkpoint_corruption: Option<CheckpointCorruption>,
-    /// Evaluation-worker stalls.
-    pub worker_stall: Option<WorkerStall>,
     /// Stale live-database snapshots held at the reader.
     pub stale_snapshot: Option<StaleSnapshot>,
 }
@@ -142,9 +139,6 @@ impl FaultPlanSpec {
         }
         if self.checkpoint_corruption.is_some() {
             names.push("checkpoint_corruption");
-        }
-        if self.worker_stall.is_some() {
-            names.push("worker_stall");
         }
         if self.stale_snapshot.is_some() {
             names.push("stale_snapshot");
@@ -236,11 +230,6 @@ mod tests {
                 rate: 0.5,
                 seed: 11,
             }),
-            worker_stall: Some(WorkerStall {
-                rate: 0.05,
-                stall_ms: 40,
-                seed: 12,
-            }),
             stale_snapshot: Some(StaleSnapshot {
                 rate: 0.15,
                 seed: 13,
@@ -270,20 +259,21 @@ mod tests {
         let a = full_spec().to_json().expect("serializes");
         let b = full_spec().to_json().expect("serializes");
         assert_eq!(a, b);
-        // Field order is declaration order, so dropout precedes stall.
+        // Field order is declaration order, so dropout precedes the
+        // stale snapshot.
         let d = a.find("ap_dropout").expect("present");
-        let w = a.find("worker_stall").expect("present");
-        assert!(d < w);
+        let s = a.find("stale_snapshot").expect("present");
+        assert!(d < s);
     }
 
     #[test]
     fn build_suite_composes_only_content_level_plans() {
         let spec = full_spec();
         let suite = spec.build_suite();
-        // 8 content-level injectors; 6 stream/lifecycle ones are
-        // consumed by the session/runtime/live layers instead.
+        // 8 content-level injectors; 5 stream/lifecycle ones are
+        // consumed by the session and live layers instead.
         assert_eq!(suite.len(), 8);
-        assert_eq!(spec.active().len(), 14);
+        assert_eq!(spec.active().len(), 13);
     }
 
     #[test]

@@ -5,15 +5,13 @@
 //! values, sensor samples, databases). The injectors here corrupt the
 //! *transport and lifecycle* around a streaming session: arrival
 //! order, duplication, loss, device clocks, the checkpoint log on
-//! disk, and the workers driving sessions. They expose per-coordinate
+//! disk, and the live snapshot readers. They expose per-coordinate
 //! decision methods instead of operating on session types directly —
 //! the session/eval layers own the event structs and call down here
 //! for every decision — which keeps this crate free of a dependency
 //! cycle and keeps every decision a pure function of
 //! `(seed, coordinates)` on the same splitmix64 scheme as the content
 //! injectors. Zero intensity is an exact no-op for all of them.
-
-use std::time::Duration;
 
 use crate::plan::FaultPlan;
 use crate::rng::{hash, unit};
@@ -178,30 +176,6 @@ impl CheckpointCorruption {
     }
 }
 
-/// Stalls evaluation workers: each `(job, shard)` is independently
-/// stalled for `stall` with probability `rate`. The runtime's
-/// watchdog must flag the stall; the deadline must bound it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WorkerStall {
-    /// Per-shard stall probability in `[0, 1]`.
-    pub rate: f64,
-    /// Stall duration in milliseconds.
-    pub stall_ms: u64,
-    /// Injection seed.
-    pub seed: u64,
-}
-
-impl WorkerStall {
-    /// How long shard `shard` of job `job` stalls, if at all.
-    pub fn stall(&self, job: u64, shard: u64) -> Option<Duration> {
-        if self.stall_ms > 0 && unit(hash(self.seed, job, shard, 7)) < self.rate {
-            Some(Duration::from_millis(self.stall_ms))
-        } else {
-            None
-        }
-    }
-}
-
 /// Pins live localizers to a stale database snapshot: each
 /// `(trace, step)` refresh decision is independently held with
 /// probability `rate`, so the reader keeps serving its cached epoch
@@ -264,13 +238,6 @@ mod tests {
         let mut bytes = vec![0xAAu8; 64];
         assert!(!corrupt.corrupt(0, 0, &mut bytes));
         assert_eq!(bytes, vec![0xAAu8; 64]);
-
-        let stall = WorkerStall {
-            rate: 1.0,
-            stall_ms: 0,
-            seed: 1,
-        };
-        assert_eq!(stall.stall(0, 0), None);
 
         let stale = StaleSnapshot { rate: 0.0, seed: 1 };
         for step in 0..100 {
@@ -404,19 +371,5 @@ mod tests {
         assert_eq!(accel.t0(), compass.t0(), "one clock per device");
         assert!(plan.offset_s(6).abs() <= 2.0);
         assert_eq!(accel.values(), original.values());
-    }
-
-    #[test]
-    fn worker_stall_is_deterministic_per_shard() {
-        let plan = WorkerStall {
-            rate: 0.5,
-            stall_ms: 25,
-            seed: 31,
-        };
-        let stalled: Vec<u64> = (0..100).filter(|&s| plan.stall(3, s).is_some()).collect();
-        assert!(!stalled.is_empty() && stalled.len() < 100);
-        for &s in &stalled {
-            assert_eq!(plan.stall(3, s), Some(Duration::from_millis(25)));
-        }
     }
 }

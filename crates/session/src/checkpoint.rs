@@ -251,8 +251,9 @@ impl CheckpointState {
 
     /// Deserializes a record payload. `None` on any structural
     /// violation (short buffer, zero location id, a posterior
-    /// probability that is NaN, infinite or negative, trailing
-    /// garbage) — recovery treats that as
+    /// probability that is NaN, infinite or negative, a parked event
+    /// below the watermark or at `u64::MAX`, trailing garbage) —
+    /// recovery treats that as
     /// [`CorruptionKind::Undecodable`].
     pub fn decode(bytes: &[u8]) -> Option<CheckpointState> {
         let mut pos = 0;
@@ -301,8 +302,10 @@ impl CheckpointState {
         let mut pending = Vec::with_capacity(elen.min(1024));
         for _ in 0..elen {
             let event = ScanEvent::decode_from(bytes, &mut pos)?;
-            if event.seq < watermark {
-                return None; // parked events are always ahead of the watermark.
+            if event.seq < watermark || event.seq == u64::MAX {
+                // Parked events are always ahead of the watermark, and
+                // the reorder buffer never parks the last sequence number.
+                return None;
             }
             pending.push(event);
         }

@@ -23,13 +23,9 @@
 //!   replays the arrival stream from its cursor, producing estimates
 //!   **bit-identical** to the uninterrupted run (proof sketch in
 //!   DESIGN.md §16; enforced by the kill-matrix tests).
-//! * [`manager`] — [`manager::SessionManager`], bounded admission
-//!   with load-shedding to fingerprint-only mode and a stall
-//!   watchdog.
 
 pub mod checkpoint;
 pub mod event;
-pub mod manager;
 pub mod reorder;
 pub mod session;
 
@@ -37,7 +33,6 @@ pub use checkpoint::{
     CheckpointError, CheckpointLog, CheckpointState, CorruptionKind, RecoveryReport,
 };
 pub use event::ScanEvent;
-pub use manager::{AdmissionMode, ManagerConfig, SessionManager};
 pub use reorder::{ReorderBuffer, ReorderStats};
 pub use session::{Estimate, Recovered, SessionConfig, StreamingSession};
 

@@ -15,6 +15,8 @@
 //!   delivery is independent of how many copies arrive.
 //! * **Late arrivals** (`seq` below the watermark) are dropped and
 //!   counted: their slot was already delivered or declared lost.
+//!   `seq = u64::MAX` is refused the same way: releasing it would move
+//!   the watermark past the end of the sequence space.
 //! * When the pending window exceeds its capacity the buffer declares
 //!   the smallest missing gap **lost**, advances the watermark to the
 //!   earliest pending event, and releases what is now contiguous.
@@ -37,7 +39,9 @@ pub struct ReorderStats {
     /// pending (retransmissions / fault-injected duplicates).
     pub duplicates_dropped: u64,
     /// Arrivals dropped because their sequence number was below the
-    /// watermark (the slot was already delivered or declared lost).
+    /// watermark (the slot was already delivered or declared lost), or
+    /// was `u64::MAX`, which has no successor for the watermark to
+    /// advance to.
     pub late_dropped: u64,
     /// Sequence numbers declared lost to keep the window bounded.
     pub gaps_skipped: u64,
@@ -96,7 +100,7 @@ impl ReorderBuffer {
     /// releasable (in sequence order) to `out`. Returns how many
     /// events were released.
     pub fn push(&mut self, event: ScanEvent, out: &mut Vec<ScanEvent>) -> usize {
-        if event.seq < self.next_seq {
+        if event.seq < self.next_seq || event.seq == u64::MAX {
             self.stats.late_dropped += 1;
             return 0;
         }
@@ -126,14 +130,15 @@ impl ReorderBuffer {
     }
 
     /// Restores buffer state from a checkpoint: the watermark, the
-    /// parked events (must all have `seq >= watermark`), and the
-    /// running statistics.
+    /// parked events (must all have `watermark <= seq < u64::MAX`), and
+    /// the running statistics.
     pub fn restore(&mut self, watermark: u64, pending: Vec<ScanEvent>, stats: ReorderStats) {
         self.next_seq = watermark;
         self.stats = stats;
         self.pending.clear();
         for event in pending {
             debug_assert!(event.seq >= watermark, "pending event below watermark");
+            debug_assert!(event.seq < u64::MAX, "pending event at u64::MAX");
             self.pending.insert(event.seq, event);
         }
     }
@@ -162,7 +167,7 @@ mod tests {
 
     fn ev(seq: u64) -> ScanEvent {
         ScanEvent {
-            event_id: 1000 + seq,
+            event_id: seq.wrapping_add(1000),
             seq,
             scan: vec![-40.0 - seq as f64],
             motion: None,
@@ -211,6 +216,44 @@ mod tests {
         assert_eq!(stats.duplicates_dropped, 1);
         assert_eq!(stats.late_dropped, 1);
         assert_eq!(stats.delivered, 2);
+    }
+
+    #[test]
+    fn the_last_sequence_number_is_refused_not_overflowed() {
+        // Parked beside a released run, then flushed.
+        let mut buf = ReorderBuffer::new(4);
+        let mut out = Vec::new();
+        buf.push(ev(0), &mut out);
+        assert_eq!(buf.push(ev(u64::MAX), &mut out), 0);
+        assert_eq!(buf.flush(&mut out), 0);
+        assert_eq!(seqs(&out), vec![0]);
+        assert_eq!(buf.watermark(), 1);
+        assert_eq!(buf.stats().late_dropped, 1);
+        assert_eq!(buf.pending_len(), 0);
+
+        // Released by a window overflow at capacity 1.
+        let mut buf = ReorderBuffer::new(1);
+        let mut out = Vec::new();
+        for seq in [u64::MAX, 5, u64::MAX - 1] {
+            buf.push(ev(seq), &mut out);
+        }
+        assert_eq!(seqs(&out), vec![5]);
+        assert_eq!(buf.watermark(), 6);
+        assert_eq!(buf.stats().late_dropped, 1);
+        assert_eq!(buf.stats().gaps_skipped, 5);
+        assert_eq!(
+            buf.pending().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![u64::MAX - 1]
+        );
+        // The highest deliverable slot releases and the watermark lands
+        // on u64::MAX without wrapping, so nothing delivered is accepted
+        // again.
+        buf.flush(&mut out);
+        assert_eq!(seqs(&out), vec![5, u64::MAX - 1]);
+        assert_eq!(buf.watermark(), u64::MAX);
+        assert_eq!(buf.push(ev(5), &mut out), 0);
+        assert_eq!(buf.push(ev(u64::MAX), &mut out), 0);
+        assert_eq!(buf.stats().late_dropped, 3);
     }
 
     #[test]

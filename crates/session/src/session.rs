@@ -121,7 +121,6 @@ pub struct StreamingSession<'a> {
     ingested: u64,
     delivered: u64,
     since_checkpoint: u64,
-    fingerprint_only: bool,
     epoch: u64,
     ready: Vec<ScanEvent>,
 }
@@ -155,7 +154,6 @@ impl<'a> StreamingSession<'a> {
             ingested: 0,
             delivered: 0,
             since_checkpoint: 0,
-            fingerprint_only: false,
             epoch: 0,
             ready: Vec::new(),
         }
@@ -252,8 +250,9 @@ impl<'a> StreamingSession<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SessionError::Track`] for malformed queries (the
-    /// tracker's own contract) and [`SessionError::Checkpoint`] when a
+    /// Returns [`SessionError::Track`] for a malformed query (the
+    /// tracker's own contract), after the other events released with it
+    /// are localized into `out`, and [`SessionError::Checkpoint`] when a
     /// due checkpoint append fails.
     pub fn ingest(&mut self, event: ScanEvent, out: &mut Vec<Estimate>) -> Result<(), SessionError> {
         self.ingested += 1;
@@ -312,31 +311,35 @@ impl<'a> StreamingSession<'a> {
         Ok(())
     }
 
+    /// Localizes every event the reorder buffer released, in order. A
+    /// malformed event is skipped (neither localized nor counted) and
+    /// the first such error is returned once the whole run is through:
+    /// the events released beside it have already passed the watermark,
+    /// so stopping early would lose them for good.
     fn deliver(
         &mut self,
         ready: &mut Vec<ScanEvent>,
         out: &mut Vec<Estimate>,
     ) -> Result<(), SessionError> {
         moloc_obs::counter_add("session.stream.delivered", ready.len() as u64);
+        let mut first_error = None;
         for event in ready.drain(..) {
-            let motion = if self.fingerprint_only {
-                None
-            } else {
-                event.motion
-            };
-            let location = self
-                .engine
-                .observe_slice(&event.scan, motion)
-                .map_err(SessionError::Track)?;
-            self.delivered += 1;
-            self.since_checkpoint += 1;
-            out.push(Estimate {
-                seq: event.seq,
-                location,
-                flags: self.engine.last_flags(),
-            });
+            match self.engine.observe_slice(&event.scan, event.motion) {
+                Ok(location) => {
+                    self.delivered += 1;
+                    self.since_checkpoint += 1;
+                    out.push(Estimate {
+                        seq: event.seq,
+                        location,
+                        flags: self.engine.last_flags(),
+                    });
+                }
+                Err(e) => {
+                    first_error.get_or_insert(SessionError::Track(e));
+                }
+            }
         }
-        Ok(())
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Arrival events consumed so far — the replay cursor after
@@ -360,18 +363,6 @@ impl<'a> StreamingSession<'a> {
         self.reorder.watermark()
     }
 
-    /// Whether the session is running in degraded fingerprint-only
-    /// mode (motion evidence ignored — Eq. 4 without Eq. 7 fusion).
-    pub fn fingerprint_only(&self) -> bool {
-        self.fingerprint_only
-    }
-
-    /// Switches fingerprint-only mode (the load-shedding degraded
-    /// mode; see `SessionManager`).
-    pub fn set_fingerprint_only(&mut self, on: bool) {
-        self.fingerprint_only = on;
-    }
-
     /// The live-update database epoch this session is serving from
     /// (0 when running over a static database).
     pub fn epoch(&self) -> u64 {
@@ -384,5 +375,54 @@ impl<'a> StreamingSession<'a> {
     /// session's estimates.
     pub fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moloc_core::matching::build_kernel;
+    use moloc_fingerprint::db::FingerprintDb;
+    use moloc_fingerprint::fingerprint::Fingerprint;
+    use moloc_motion::matrix::MotionDb;
+
+    fn event(seq: u64, scan: Vec<f64>) -> ScanEvent {
+        ScanEvent {
+            event_id: seq,
+            seq,
+            scan,
+            motion: None,
+        }
+    }
+
+    #[test]
+    fn a_malformed_event_does_not_discard_the_run_released_with_it() {
+        let fdb = FingerprintDb::from_fingerprints(vec![
+            (LocationId::new(1), Fingerprint::new(vec![-40.0, -70.0])),
+            (LocationId::new(2), Fingerprint::new(vec![-70.0, -40.0])),
+        ])
+        .expect("valid database");
+        let index = FingerprintIndex::build(&fdb);
+        let config = MoLocConfig::default();
+        let kernel = build_kernel(&MotionDb::new(2), &config);
+        let mut session = StreamingSession::new(&index, &kernel, config, SessionConfig::default());
+        let mut out = Vec::new();
+        for seq in [0, 3, 2] {
+            session
+                .ingest(event(seq, vec![-41.0, -69.0]), &mut out)
+                .expect("well-formed scan");
+        }
+        // Seq 1 releases 1, 2 and 3 as one run; only seq 1 is malformed.
+        let err = session
+            .ingest(event(1, vec![-41.0]), &mut out)
+            .expect_err("a 1-value scan against a 2-AP index");
+        assert!(matches!(
+            err,
+            SessionError::Track(MolocError::QueryLength { .. })
+        ));
+        assert_eq!(session.watermark(), 4);
+        session.finish(&mut out).expect("nothing left to deliver");
+        assert_eq!(out.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 2, 3]);
+        assert_eq!(session.delivered(), 3);
     }
 }

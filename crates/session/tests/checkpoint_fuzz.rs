@@ -266,6 +266,28 @@ fn non_probability_posterior_behind_valid_checksum_is_rejected() {
     }
 }
 
+/// A parked event at `u64::MAX` behind a valid checksum must be
+/// rejected by `decode`: the reorder buffer never parks it, and
+/// restoring it would release it and overflow the watermark.
+#[test]
+fn parked_event_at_the_last_sequence_number_is_rejected() {
+    let mut hostile = state(1);
+    hostile.pending[0].seq = u64::MAX;
+    let record = frame_record(&hostile.encode().expect("encodes"));
+    let (payloads, report) = scan_records(&record);
+    assert_eq!(payloads.len(), 1, "checksummed frame must scan");
+    assert_eq!(report.corruption, None);
+    assert!(
+        CheckpointState::decode(&payloads[0]).is_none(),
+        "parked seq u64::MAX decoded"
+    );
+    // The same record one slot lower is a legitimate state.
+    hostile.pending[0].seq = u64::MAX - 1;
+    let decoded = CheckpointState::decode(&hostile.encode().expect("encodes"))
+        .expect("parked seq u64::MAX - 1 decodes");
+    assert!(same_state(&decoded, &hostile));
+}
+
 #[test]
 fn random_garbage_is_rejected_not_decoded() {
     for case in 0..200u64 {
