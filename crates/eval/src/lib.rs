@@ -29,6 +29,8 @@
 //!   steady-state evaluation does zero hot-path allocation.
 //! * [`report`] — plain-text rendering of tables and CDF series in the
 //!   shape the paper reports them.
+//! * [`audit`] — seeded differential suites shared by the `moloc-audit`
+//!   gate and its pinned regression seeds.
 //!
 //! The `repro` binary regenerates everything:
 //!
@@ -37,6 +39,7 @@
 //! ```
 
 pub mod arena;
+pub mod audit;
 pub mod cache;
 pub mod convergence;
 pub mod experiments;

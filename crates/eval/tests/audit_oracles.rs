@@ -13,13 +13,17 @@
 //! * the step's Eq. 7 fusion against the oracle when the motion
 //!   database is empty (every moving pair at the floor prior);
 //! * checkpoint frame byte-identity with the independent oracle
-//!   framer.
+//!   framer;
+//! * `motion.sanitation` at three pinned seeds, and its planted
+//!   strict-offset comparison.
 
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
 use moloc_core::error::DegradationFlags;
 use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
+use moloc_eval::audit::sanitation_suite;
+use moloc_eval::OfficeHall;
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
@@ -257,4 +261,23 @@ fn checkpoint_frames_are_byte_identical_to_the_oracle_framer() {
         assert_eq!(parsed, payload);
         assert_eq!(consumed, session.len());
     }
+}
+
+#[test]
+fn motion_sanitation_matches_the_oracle_at_pinned_seeds() {
+    let hall = OfficeHall::paper();
+    for seed in [2013, 7, 12345] {
+        let (cases, divs) = sanitation_suite(&hall, seed, false);
+        assert!(cases > 6, "seed {seed} compared only {cases} cases");
+        assert!(divs.is_empty(), "seed {seed}: {divs:#?}");
+    }
+}
+
+#[test]
+fn motion_sanitation_trips_on_a_strict_offset_comparison() {
+    let (_, divs) = sanitation_suite(&OfficeHall::paper(), 2013, true);
+    assert!(
+        divs.iter().any(|d| d.case.starts_with("hostile/paper")),
+        "a `<` offset comparison went unnoticed: {divs:#?}"
+    );
 }

@@ -10,9 +10,10 @@
 //! exact `erf`-based CDF instead of the tabulated one, per-call
 //! allocation instead of scratch reuse.
 
-use moloc_geometry::LocationId;
+use moloc_geometry::{LocationId, Vec2};
 use moloc_stats::circular::{normalize_deg, signed_diff_deg};
 use moloc_stats::erf::std_normal_cdf;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
 // Exhaustive k-NN (the reference for every optimised scan).
@@ -263,6 +264,219 @@ pub fn circular_std_deg(angles: &[f64]) -> Option<f64> {
         .map(|&a| signed_diff_deg(mean, a).powi(2))
         .sum();
     Some((ss / n).sqrt())
+}
+
+// ---------------------------------------------------------------------
+// Motion-database sanitation — the paper's reassembly, coarse and fine
+// filters re-decided per RLM (Sec. IV-B).
+// ---------------------------------------------------------------------
+
+/// The sanitation thresholds as plain numbers (the fields of
+/// `moloc-motion`'s `SanitationConfig`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SanitationRules {
+    /// Whether the coarse map filter runs.
+    pub coarse_enabled: bool,
+    /// Coarse direction threshold, degrees.
+    pub coarse_direction_deg: f64,
+    /// Coarse offset threshold, meters.
+    pub coarse_offset_m: f64,
+    /// Whether the fine `k·σ` filter runs.
+    pub fine_enabled: bool,
+    /// The fine filter's `k`.
+    pub fine_sigma: f64,
+    /// Measurements a pair needs to enter the database.
+    pub min_samples: usize,
+    /// Floor of a fitted direction std, degrees.
+    pub min_direction_std_deg: f64,
+    /// Floor of a fitted offset std, meters.
+    pub min_offset_std_m: f64,
+}
+
+/// The sanitation counters (the fields of `moloc-motion`'s
+/// `BuildReport`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SanitationCounts {
+    /// RLMs offered.
+    pub observed: u64,
+    /// RLMs beyond the direction or offset threshold of a mapped pair.
+    pub rejected_coarse: u64,
+    /// RLMs with an endpoint off the grid.
+    pub rejected_unmapped: u64,
+    /// Measurements dropped by the fine filter.
+    pub rejected_fine: u64,
+    /// Pairs left with fewer than `min_samples` measurements.
+    pub underpopulated_pairs: u64,
+    /// Pairs fitted.
+    pub pairs_built: u64,
+}
+
+/// One fitted canonical pair (`from < to`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SanitizedPair {
+    /// The smaller endpoint.
+    pub from: LocationId,
+    /// The larger endpoint.
+    pub to: LocationId,
+    /// Mean direction, compass degrees.
+    pub direction_mean_deg: f64,
+    /// Floored direction std, degrees.
+    pub direction_std_deg: f64,
+    /// Mean offset, meters.
+    pub offset_mean_m: f64,
+    /// Floored offset std, meters.
+    pub offset_std_m: f64,
+    /// Measurements behind the fit.
+    pub samples: u64,
+}
+
+/// Walkable distances from `source` by the textbook array Dijkstra:
+/// each round settles the nearest unsettled node (ties to the lower
+/// index) in an O(n) scan over a dense `n × n` adjacency matrix.
+/// Unreachable nodes stay infinite.
+fn dense_dijkstra(adjacency: &[Vec<Option<f64>>], source: usize) -> Vec<f64> {
+    let n = adjacency.len();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut settled = vec![false; n];
+    dist[source] = 0.0;
+    for _ in 0..n {
+        let Some(u) = (0..n)
+            .filter(|&v| !settled[v] && dist[v].is_finite())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]).then(a.cmp(&b)))
+        else {
+            break;
+        };
+        settled[u] = true;
+        for v in 0..n {
+            if let Some(length) = adjacency[u][v] {
+                if dist[u] + length < dist[v] {
+                    dist[v] = dist[u] + length;
+                }
+            }
+        }
+    }
+    dist
+}
+
+/// Re-decides every RLM of a motion-database build from the paper's
+/// rules, in order:
+///
+/// 1. reassemble the RLM to start at the smaller id (the reverse
+///    direction is `d + 180° mod 360°`, the offset unchanged);
+/// 2. drop it as unmapped when an endpoint is off the grid, whatever
+///    the coarse toggle says;
+/// 3. coarse, when enabled: drop it when the grid bearing is undefined
+///    or more than `coarse_direction_deg` away by circular difference,
+///    or when its offset is more than `coarse_offset_m` from the map
+///    offset — the walkable distance by [`dense_dijkstra`], or the
+///    straight line when the graph does not connect the pair;
+/// 4. per pair in id order: the fine filter drops every measurement
+///    beyond `fine_sigma` standard deviations in direction or offset
+///    (a zero std drops nothing), then a pair with fewer than
+///    `min_samples` measurements, or an undefined mean direction, is
+///    underpopulated; the rest are fitted with floored stds.
+///
+/// `positions[i]` is the position of id `i + 1`; `edges` are the
+/// walkable graph's undirected edges. Ids without a position are off
+/// the grid; grid ids no edge touches are connected to nothing.
+pub fn sanitize(
+    positions: &[Vec2],
+    edges: &[(LocationId, LocationId, f64)],
+    rlms: &[(LocationId, LocationId, f64, f64)],
+    rules: &SanitationRules,
+) -> (SanitationCounts, Vec<SanitizedPair>) {
+    let n = positions.len();
+    let mut adjacency = vec![vec![None; n]; n];
+    for &(a, b, length) in edges {
+        adjacency[a.index()][b.index()] = Some(length);
+        adjacency[b.index()][a.index()] = Some(length);
+    }
+    let walk: Vec<Vec<f64>> = (0..n).map(|s| dense_dijkstra(&adjacency, s)).collect();
+
+    let mut counts = SanitationCounts::default();
+    let mut accepted: BTreeMap<(LocationId, LocationId), Vec<(f64, f64)>> = BTreeMap::new();
+    for &(from, to, direction, offset) in rlms {
+        counts.observed += 1;
+        let (a, b, direction) = if from < to {
+            (from, to, direction)
+        } else {
+            (to, from, normalize_deg(direction + 180.0))
+        };
+        if a.index() >= n || b.index() >= n {
+            counts.rejected_unmapped += 1;
+            continue;
+        }
+        if rules.coarse_enabled {
+            let (pa, pb) = (positions[a.index()], positions[b.index()]);
+            let direction_ok = pa.bearing_deg_to_checked(pb).is_some_and(|map_direction| {
+                signed_diff_deg(direction, map_direction).abs() <= rules.coarse_direction_deg
+            });
+            let walked = walk[a.index()][b.index()];
+            let map_offset = if walked.is_finite() {
+                walked
+            } else {
+                pa.dist(pb)
+            };
+            if !direction_ok || (offset - map_offset).abs() > rules.coarse_offset_m {
+                counts.rejected_coarse += 1;
+                continue;
+            }
+        }
+        accepted
+            .entry((a, b))
+            .or_default()
+            .push((direction, offset));
+    }
+
+    let mut pairs = Vec::new();
+    for ((from, to), mut samples) in accepted {
+        if rules.fine_enabled {
+            let directions: Vec<f64> = samples.iter().map(|s| s.0).collect();
+            if let Some(mean_d) = circular_mean_deg(&directions) {
+                let std_d = circular_std_deg(&directions).unwrap_or(0.0);
+                let (mean_o, std_o) = mean_std(samples.iter().map(|s| s.1));
+                let before = samples.len();
+                samples.retain(|&(d, o)| {
+                    let d_ok = std_d == 0.0
+                        || signed_diff_deg(d, mean_d).abs() <= rules.fine_sigma * std_d;
+                    let o_ok = std_o == 0.0 || (o - mean_o).abs() <= rules.fine_sigma * std_o;
+                    d_ok && o_ok
+                });
+                counts.rejected_fine += (before - samples.len()) as u64;
+            }
+        }
+        let directions: Vec<f64> = samples.iter().map(|s| s.0).collect();
+        let mean_d = circular_mean_deg(&directions);
+        let Some(mean_d) = mean_d.filter(|_| samples.len() >= rules.min_samples) else {
+            counts.underpopulated_pairs += 1;
+            continue;
+        };
+        let std_d = circular_std_deg(&directions).unwrap_or(0.0);
+        let (mean_o, std_o) = mean_std(samples.iter().map(|s| s.1));
+        pairs.push(SanitizedPair {
+            from,
+            to,
+            direction_mean_deg: mean_d,
+            direction_std_deg: std_d.max(rules.min_direction_std_deg),
+            offset_mean_m: mean_o,
+            offset_std_m: std_o.max(rules.min_offset_std_m),
+            samples: samples.len() as u64,
+        });
+        counts.pairs_built += 1;
+    }
+    (counts, pairs)
+}
+
+/// Two-pass population mean and standard deviation (`(0, 0)` when
+/// empty).
+fn mean_std(values: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+    let n = values.clone().count();
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    let mean = values.clone().sum::<f64>() / n as f64;
+    let ss: f64 = values.map(|v| (v - mean).powi(2)).sum();
+    (mean, (ss / n as f64).sqrt())
 }
 
 // ---------------------------------------------------------------------
