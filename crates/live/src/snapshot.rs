@@ -6,12 +6,20 @@
 //! construction report. Snapshots are shared behind `Arc`s by the
 //! publisher, every in-flight reader, and every live localizer — they
 //! are never mutated, only replaced wholesale at an epoch boundary.
+//!
+//! The one thing a snapshot adds after publication is its motion
+//! kernel, built lazily by the first reader that adopts the epoch and
+//! then shared as one `Arc` by every reader with the same kernel
+//! configuration, so adoption costs each further reader a pointer swap.
 
+use moloc_core::config::MoLocConfig;
+use moloc_core::matching::build_kernel;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_motion::builder::BuildReport;
+use moloc_motion::kernel::{KernelConfig, MotionKernel};
 use moloc_motion::matrix::MotionDb;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The immutable databases one epoch serves from.
 #[derive(Debug, Clone)]
@@ -31,6 +39,10 @@ pub struct DbSnapshot {
     /// two logs that saw different RLM streams must hash differently
     /// even when every difference was filtered out.
     pub motion_report: BuildReport,
+    /// The kernel over `motion_db` and the configuration that built
+    /// it, filled by the first [`DbSnapshot::kernel`] call. Derived
+    /// data: not part of the digest.
+    pub(crate) kernel: OnceLock<(KernelConfig, Arc<MotionKernel>)>,
 }
 
 impl DbSnapshot {
@@ -72,6 +84,27 @@ impl DbSnapshot {
             h.eat(counter);
         }
         h.finish()
+    }
+
+    /// The motion kernel of this epoch for `config`. The first caller
+    /// builds it with [`build_kernel`] and fills the slot; a caller
+    /// whose kernel configuration equals the slot's gets the same
+    /// `Arc`; a caller with another configuration builds its own,
+    /// which is not cached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel has to be built and `config` is invalid (see
+    /// [`MoLocConfig::validate`]).
+    pub(crate) fn kernel(&self, config: &MoLocConfig) -> Arc<MotionKernel> {
+        let build = || Arc::new(build_kernel(&self.motion_db, config));
+        let wanted = config.kernel_config();
+        let (built_for, kernel) = self.kernel.get_or_init(|| (wanted, build()));
+        if *built_for == wanted {
+            Arc::clone(kernel)
+        } else {
+            build()
+        }
     }
 }
 
@@ -115,6 +148,7 @@ mod tests {
             index: Arc::new(index),
             motion_db: Arc::new(MotionDb::new(4)),
             motion_report: BuildReport::default(),
+            kernel: OnceLock::new(),
         }
     }
 

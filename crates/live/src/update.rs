@@ -31,7 +31,7 @@ use moloc_motion::filter::SanitationConfig;
 use moloc_motion::rlm::Rlm;
 use moloc_stats::online::Welford;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Accumulates crowdsourced deltas between snapshot publishes.
 #[derive(Debug)]
@@ -152,6 +152,7 @@ impl UpdateLog {
             index: Arc::new(index),
             motion_db: Arc::new(motion_db),
             motion_report,
+            kernel: OnceLock::new(),
         })
     }
 
