@@ -15,6 +15,8 @@
 //!   the sanitized motion database, with a content [`digest`] used by
 //!   the determinism contract (`digest` ignores the epoch stamp on
 //!   purpose — two epochs with identical content hash identically).
+//!   Each snapshot also builds its motion kernel lazily, once, and
+//!   shares it with every reader whose kernel configuration matches.
 //! * [`update`] — [`update::UpdateLog`], the ingestion side: survey
 //!   samples stream into per-location per-AP [Welford] accumulators,
 //!   RLMs stream into the existing [`MotionDbBuilder`] (coarse filter

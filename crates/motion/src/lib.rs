@@ -12,8 +12,9 @@
 //!   values, 20°/3 m thresholds) and fine (Gaussian 2σ outlier
 //!   rejection).
 //! * [`matrix`] — the n×n database with mirror-derived reverse entries.
-//! * [`kernel`] — a precomputed flat-table view of the database for the
-//!   Eq. 5/6 hot path (dense pair index + tabulated CDF).
+//! * [`kernel`] — a precomputed view of the database for the Eq. 5/6
+//!   hot path (per-origin sorted runs of the trained pairs + tabulated
+//!   CDF, `O(n + pairs)` memory).
 //! * [`builder`] — the crowdsourcing pipeline putting it all together.
 //! * [`map_based`] — the rejected straight-line alternative of
 //!   Sec. IV-A, kept as an ablation comparator.

@@ -11,8 +11,8 @@
 //!   paper's math and the workspace's wire formats: Eq. 4 candidate
 //!   probabilities, Eq. 5/6 motion matching through the exact
 //!   `erf`-based CDF, Eq. 7 posterior fusion, exhaustive k-NN with
-//!   the documented tie order, circular mean/std, and the checkpoint
-//!   record framing. Oracles take primitive inputs (slices, id/value
+//!   the documented tie order, circular mean/std, motion-database
+//!   sanitation re-decided per RLM, and the checkpoint record framing. Oracles take primitive inputs (slices, id/value
 //!   pairs, Gaussian parameters) so every higher crate can be
 //!   compared against them without a dependency cycle.
 //! * [`invariant`] — runtime checks of properties that must hold on
