@@ -14,7 +14,9 @@
 //! * **RLMs** — reassembled location measurements for the motion
 //!   database, offered straight to the long-lived
 //!   [`MotionDbBuilder`], which applies the paper's coarse map filter
-//!   on ingestion and the fine 2σ filter at build time.
+//!   on ingestion and the fine 2σ filter and the Gaussian fit at build
+//!   time. It keeps each pair's fit until an RLM for that pair arrives,
+//!   so a publish refits only the pairs its deltas touched.
 //!
 //! [`UpdateLog::build_snapshot`] is non-destructive: it condenses the
 //! accumulated state into a [`DbSnapshot`] and leaves the log open for
@@ -127,7 +129,8 @@ impl UpdateLog {
     /// [`FingerprintDb::from_samples`] exactly: per-AP Welford means
     /// in id order, non-finite means rejected per location. The motion
     /// side is [`MotionDbBuilder::build_snapshot`], proven
-    /// prefix-bit-identical to a consuming build.
+    /// prefix-bit-identical to a consuming build; it refits only the
+    /// pairs that RLMs since the previous build touched.
     ///
     /// # Errors
     ///

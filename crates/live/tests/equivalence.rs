@@ -62,21 +62,30 @@ fn seed_deltas() -> Vec<Delta> {
         .collect()
 }
 
-/// Random survey samples and RLMs. Directions and offsets span well
-/// past the coarse thresholds, so rejected RLMs are generated too.
+/// Random survey samples and RLMs. Half the RLMs have directions and
+/// offsets that span well past the coarse thresholds, so rejected RLMs
+/// are generated too. The other half walk 1→2 or 2→3 (east, 2 m)
+/// within 4° and 0.3 m of the map, either way round, so those pairs
+/// get built and later batches revisit pairs an earlier publish fitted.
 fn delta_strategy() -> impl Strategy<Value = Delta> {
     (
-        (0u32..3, 1u32..=LOCATIONS, 1u32..=LOCATIONS),
+        (0u32..4, 1u32..=LOCATIONS, 1u32..=LOCATIONS),
         (-90.0..-30.0f64, -90.0..-30.0f64),
         (0.0..360.0f64, 0.0..8.0f64),
     )
-        .prop_map(|((kind, a, b), (rss0, rss1), (dir, off))| {
-            if kind == 0 {
+        .prop_map(|((kind, a, b), (rss0, rss1), (dir, off))| match kind {
+            0 => {
                 let to = if a == b { a % LOCATIONS + 1 } else { b };
                 Delta::Rlm(Rlm::new(l(a), l(to), dir, off).expect("valid rlm"))
-            } else {
-                Delta::Survey(l(a), [rss0, rss1])
             }
+            1 => {
+                let from = 1 + a % 2;
+                let direction = 86.0 + dir / 45.0;
+                let offset = 1.7 + 0.075 * off;
+                let rlm = Rlm::new(l(from), l(from + 1), direction, offset).expect("valid rlm");
+                Delta::Rlm(if b % 2 == 0 { rlm.mirror() } else { rlm })
+            }
+            _ => Delta::Survey(l(a), [rss0, rss1]),
         })
 }
 

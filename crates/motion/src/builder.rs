@@ -5,6 +5,9 @@
 //! come from noisy sensors — reassembles them, applies the coarse
 //! map-based filter on ingestion, and at [`MotionDbBuilder::build`] time
 //! applies the fine Gaussian filter and fits the per-pair statistics.
+//! Each pair keeps its fit until an RLM for it arrives, so a snapshot
+//! of a builder that is still ingesting refits only the pairs the RLMs
+//! since the last snapshot touched.
 //!
 //! The coarse filter's map offsets come from [`MapReference`], which
 //! keeps the walk graph and one connected-component label per node and
@@ -24,6 +27,7 @@ use moloc_stats::online::Welford;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::OnceLock;
 
 /// Map-derived reference values for the coarse filter: straight-line
 /// bearings from location coordinates and walkable offsets from the
@@ -228,7 +232,9 @@ pub struct BuildReport {
     pub rejected_unmapped: u64,
     /// Measurements dropped by the fine (2σ) filter.
     pub rejected_fine: u64,
-    /// Pairs dropped for having fewer than `min_samples` measurements.
+    /// Pairs dropped for having fewer than `min_samples` measurements,
+    /// or no finite fit: an undefined mean direction, or offsets so far
+    /// apart that their spread overflows.
     pub underpopulated_pairs: u64,
     /// Pairs that made it into the database.
     pub pairs_built: u64,
@@ -262,11 +268,32 @@ pub struct BuildReport {
 pub struct MotionDbBuilder {
     map: MapReference,
     config: SanitationConfig,
-    /// Per canonical pair: direction accumulator and raw offsets.
-    pending: BTreeMap<(u32, u32), (CircularWelford, Vec<f64>)>,
+    /// Per canonical pair: its accepted measurements and their fit.
+    pending: BTreeMap<(u32, u32), PairSamples>,
     report: BuildReport,
     /// The coarse filter's search scratch, sized once to the graph.
     walk: WalkScratch,
+}
+
+/// One canonical pair's accepted measurements and the memo of their
+/// fit.
+#[derive(Debug, Default)]
+struct PairSamples {
+    directions: CircularWelford,
+    offsets: Vec<f64>,
+    /// [`MotionDbBuilder::fit`] of the measurements above, filled by the
+    /// first build that needs it. `observe` empties it, as the only
+    /// place that changes them.
+    fit: OnceLock<Fit>,
+}
+
+/// What the fine filter and the Gaussian fit made of one pair.
+#[derive(Debug, Clone, Copy)]
+struct Fit {
+    /// Measurements the fine filter dropped.
+    rejected_fine: u64,
+    /// The fitted statistics, `None` for a pair that is not built.
+    stats: Option<PairStats>,
 }
 
 impl MotionDbBuilder {
@@ -310,13 +337,13 @@ impl MotionDbBuilder {
             self.report.rejected_coarse += 1;
             return false;
         }
-        let key = (canon.from.get(), canon.to.get());
-        let entry = self
+        let pair = self
             .pending
-            .entry(key)
-            .or_insert_with(|| (CircularWelford::new(), Vec::new()));
-        entry.0.push(canon.direction_deg);
-        entry.1.push(canon.offset_m);
+            .entry((canon.from.get(), canon.to.get()))
+            .or_default();
+        pair.directions.push(canon.direction_deg);
+        pair.offsets.push(canon.offset_m);
+        pair.fit.take();
         true
     }
 
@@ -347,43 +374,67 @@ impl MotionDbBuilder {
     /// [`MotionDbBuilder::build`] without consuming the builder: fits a
     /// database from the measurements accumulated *so far*, leaving the
     /// builder open for more. The live-update path calls this once per
-    /// published epoch; because the fine filter and the Gaussian fits
-    /// run over cloned accumulators in the same order as `build`, the
+    /// published epoch. Only pairs that `observe` touched since the
+    /// last build are refitted; every other pair serves its memoized
+    /// fit. A pair's fit reads only that pair's measurements, so the
     /// result is bit-identical to consuming a builder fed the same RLM
-    /// sequence (the incremental-vs-rebuild equivalence contract).
+    /// sequence (the incremental-vs-rebuild equivalence contract). The
+    /// database is then assembled by one bulk build over the pairs,
+    /// which are already in key order.
     pub fn build_snapshot(&self) -> (MotionDb, BuildReport) {
         let mut report = self.report;
-        let mut db = MotionDb::new(self.map.grid.len());
-        for (&(i, j), (dirs, offsets)) in &self.pending {
-            let mut dirs = dirs.clone();
-            let mut offsets = offsets.clone();
-            if self.config.fine_enabled {
-                report.rejected_fine +=
-                    Self::fine_filter(&mut dirs, &mut offsets, self.config.fine_sigma) as u64;
+        let built = self.pending.iter().filter_map(|(&key, pair)| {
+            let fit = pair.fit.get_or_init(|| self.fit(pair));
+            report.rejected_fine += fit.rejected_fine;
+            match fit.stats {
+                Some(stats) => {
+                    report.pairs_built += 1;
+                    Some((key, stats))
+                }
+                None => {
+                    report.underpopulated_pairs += 1;
+                    None
+                }
             }
-            if dirs.count() < self.config.min_samples {
-                report.underpopulated_pairs += 1;
-                continue;
-            }
-            let Some(mu_d) = dirs.mean() else {
-                report.underpopulated_pairs += 1;
-                continue;
-            };
-            let sigma_d = dirs
-                .std()
-                .unwrap_or(0.0)
-                .max(self.config.min_direction_std_deg);
-            let off_acc: Welford = offsets.iter().copied().collect();
-            let sigma_o = off_acc.std().max(self.config.min_offset_std_m);
-            let stats = PairStats {
-                direction: Gaussian::new(mu_d, sigma_d).expect("floored std"),
-                offset: Gaussian::new(off_acc.mean(), sigma_o).expect("floored std"),
-                sample_count: dirs.count() as u64,
-            };
-            db.insert(LocationId::new(i), LocationId::new(j), stats);
-            report.pairs_built += 1;
-        }
+        });
+        let db = MotionDb::from_canonical(self.map.grid.len(), built);
         (db, report)
+    }
+
+    /// Applies the fine filter to one pair's measurements and fits its
+    /// Gaussians. The pair is not built when fewer than `min_samples`
+    /// measurements survive, or when a fitted mean or std is not
+    /// finite: offsets far enough apart overflow Welford's sum of
+    /// squares, and `Gaussian::new` refuses the infinite std.
+    fn fit(&self, pair: &PairSamples) -> Fit {
+        let mut dirs = pair.directions.clone();
+        let mut offsets = pair.offsets.clone();
+        let mut rejected_fine = 0;
+        if self.config.fine_enabled {
+            rejected_fine =
+                Self::fine_filter(&mut dirs, &mut offsets, self.config.fine_sigma) as u64;
+        }
+        let stats = if dirs.count() < self.config.min_samples {
+            None
+        } else {
+            dirs.mean().and_then(|mu_d| {
+                let sigma_d = dirs
+                    .std()
+                    .unwrap_or(0.0)
+                    .max(self.config.min_direction_std_deg);
+                let off_acc: Welford = offsets.iter().copied().collect();
+                let sigma_o = off_acc.std().max(self.config.min_offset_std_m);
+                Some(PairStats {
+                    direction: Gaussian::new(mu_d, sigma_d).ok()?,
+                    offset: Gaussian::new(off_acc.mean(), sigma_o).ok()?,
+                    sample_count: dirs.count() as u64,
+                })
+            })
+        };
+        Fit {
+            rejected_fine,
+            stats,
+        }
     }
 
     /// Drops direction/offset measurements beyond `k·σ` of their means;
@@ -543,42 +594,161 @@ mod tests {
         assert_eq!(s.offset.std(), 0.05);
     }
 
+    /// Every bit of a database: each pair's ids, Gaussians and count.
+    fn bits(db: &MotionDb) -> Vec<(u32, u32, u64, u64, u64, u64, u64)> {
+        db.iter()
+            .map(|(a, b, s)| {
+                (
+                    a.get(),
+                    b.get(),
+                    s.direction.mean().to_bits(),
+                    s.direction.std().to_bits(),
+                    s.offset.mean().to_bits(),
+                    s.offset.std().to_bits(),
+                    s.sample_count,
+                )
+            })
+            .collect()
+    }
+
+    /// Asserts that `live`'s snapshot equals, bit for bit, consuming a
+    /// fresh builder fed `prefix`.
+    fn assert_snapshot_matches_fresh(live: &MotionDbBuilder, prefix: &[Rlm]) {
+        let (snap_db, snap_report) = live.build_snapshot();
+        let mut fresh = MotionDbBuilder::new(map(), live.config).unwrap();
+        for r in prefix {
+            fresh.observe(*r);
+        }
+        let (fresh_db, fresh_report) = fresh.build();
+        assert_eq!(bits(&snap_db), bits(&fresh_db), "prefix {}", prefix.len());
+        assert_eq!(snap_report, fresh_report, "prefix {}", prefix.len());
+    }
+
+    /// Canonical keys of the pairs whose fit is memoized.
+    fn memoized(b: &MotionDbBuilder) -> Vec<(u32, u32)> {
+        b.pending
+            .iter()
+            .filter(|(_, pair)| pair.fit.get().is_some())
+            .map(|(&key, _)| key)
+            .collect()
+    }
+
     #[test]
     fn build_snapshot_matches_consuming_build_at_every_prefix() {
         // The live-update contract: a non-consuming snapshot after N
         // observations is bit-identical to consuming a fresh builder
-        // fed the same N observations, and the builder stays open.
-        let all: Vec<Rlm> = (0..8)
-            .map(|k| rlm(1, 2, 88.0 + f64::from(k), 2.0 + 0.02 * f64::from(k)))
-            .chain((0..4).map(|k| rlm(2, 3, 89.0 + f64::from(k), 2.01 * f64::from(k + 1))))
-            .chain(std::iter::once(rlm(1, 2, 10.0, 2.0))) // coarse reject
-            .collect();
-        let digest = |db: &MotionDb| -> Vec<(u32, u32, u64, u64, u64, u64, u64)> {
-            db.iter()
-                .map(|(a, b, s)| {
-                    (
-                        a.get(),
-                        b.get(),
-                        s.direction.mean().to_bits(),
-                        s.direction.std().to_bits(),
-                        s.offset.mean().to_bits(),
-                        s.offset.std().to_bits(),
-                        s.sample_count,
-                    )
-                })
-                .collect()
-        };
-        let mut live = MotionDbBuilder::new(map(), SanitationConfig::paper()).unwrap();
-        for (n, r) in all.iter().enumerate() {
-            live.observe(*r);
-            let (snap_db, snap_report) = live.build_snapshot();
-            let mut fresh = MotionDbBuilder::new(map(), SanitationConfig::paper()).unwrap();
-            for r in &all[..=n] {
-                fresh.observe(*r);
+        // fed the same N observations, and the builder stays open. One
+        // builder snapshots after every observation, another after
+        // every third, so several observations land between two of its
+        // snapshots. A memo that outlived its pair's change, or one
+        // that a rejected RLM emptied, would show here.
+        let stream = [
+            rlm(1, 2, 90.0, 2.0),
+            rlm(2, 3, 89.5, 2.02),
+            rlm(1, 2, 90.5, 2.01),  // 1-2 one short of built
+            rlm(2, 1, 270.0, 1.99), // reversed: 1-2 crosses min_samples
+            rlm(2, 3, 90.5, 1.98),
+            rlm(3, 2, 269.0, 2.0), // reversed: 2-3 crosses min_samples
+            rlm(1, 2, 150.0, 2.0), // coarse direction reject: report only
+            rlm(1, 7, 90.0, 2.0),  // unmapped: report only
+            rlm(1, 2, 89.0, 2.0),
+            rlm(2, 1, 270.5, 2.01),
+            rlm(2, 3, 90.0, 6.03), // coarse offset reject: report only
+            rlm(1, 2, 90.0, 1.99),
+            rlm(4, 5, 90.0, 2.0),
+            rlm(1, 2, 105.0, 2.0), // late outlier: fine-rejected
+            rlm(6, 5, 270.0, 2.0),
+            rlm(2, 3, 90.0, 2.0),
+        ];
+        for stride in [1, 3] {
+            let mut live = MotionDbBuilder::new(map(), SanitationConfig::paper()).unwrap();
+            for (n, r) in stream.iter().enumerate() {
+                live.observe(*r);
+                if n % stride == stride - 1 {
+                    assert_snapshot_matches_fresh(&live, &stream[..=n]);
+                }
             }
-            let (fresh_db, fresh_report) = fresh.build();
-            assert_eq!(digest(&snap_db), digest(&fresh_db), "prefix {}", n + 1);
-            assert_eq!(snap_report, fresh_report, "prefix {}", n + 1);
+            let (db, report) = live.build_snapshot();
+            assert_eq!((report.rejected_coarse, report.rejected_unmapped), (2, 1));
+            assert_eq!(report.rejected_fine, 1, "the late outlier");
+            assert_eq!(db.get(l(1), l(2)).unwrap().sample_count, 6);
+            assert_eq!((report.pairs_built, report.underpopulated_pairs), (2, 2));
+        }
+    }
+
+    #[test]
+    fn observe_empties_only_its_pairs_memo() {
+        let mut b = MotionDbBuilder::new(map(), SanitationConfig::paper()).unwrap();
+        for k in 0..4 {
+            let jitter = f64::from(k) * 0.5;
+            b.observe(rlm(1, 2, 89.0 + jitter, 2.0));
+            b.observe(rlm(2, 3, 90.0 - jitter, 2.1));
+            b.observe(rlm(4, 5, 91.0, 1.9 + 0.1 * jitter));
+        }
+        assert!(memoized(&b).is_empty());
+        let (_, first) = b.build_snapshot();
+        let all = vec![(1, 2), (2, 3), (4, 5)];
+        assert_eq!(memoized(&b), all);
+
+        // One accepted RLM, reversed, empties exactly its pair's memo.
+        assert!(b.observe(rlm(3, 2, 270.0, 2.0)));
+        assert_eq!(memoized(&b), [(1, 2), (4, 5)]);
+        // Rejected RLMs change only the report.
+        assert!(!b.observe(rlm(1, 2, 150.0, 2.0)));
+        assert!(!b.observe(rlm(4, 9, 90.0, 2.0)));
+        assert_eq!(memoized(&b), [(1, 2), (4, 5)]);
+        let (_, second) = b.build_snapshot();
+        assert_eq!(memoized(&b), all);
+        assert_eq!(second.observed, first.observed + 3);
+
+        // A build with no observe since the last one refits nothing: it
+        // serves whatever the memos hold, here a marked copy of each.
+        for pair in b.pending.values_mut() {
+            let fit = pair.fit.take().expect("memoized");
+            pair.fit
+                .set(Fit {
+                    rejected_fine: fit.rejected_fine + 1000,
+                    ..fit
+                })
+                .expect("just emptied");
+        }
+        let (_, third) = b.build_snapshot();
+        assert_eq!(third.rejected_fine, second.rejected_fine + 3000);
+        assert_eq!(
+            BuildReport {
+                rejected_fine: second.rejected_fine,
+                ..third
+            },
+            second
+        );
+    }
+
+    #[test]
+    fn a_pair_whose_offset_spread_overflows_is_counted_not_built() {
+        // Offsets 1e200 apart overflow Welford's sum of squares, so the
+        // offset std is infinite; with the coarse filter off nothing
+        // stops them before the fit. The fine filter, at k · ∞, keeps
+        // them all.
+        for config in [
+            SanitationConfig::disabled(),
+            SanitationConfig {
+                coarse_enabled: false,
+                ..SanitationConfig::paper()
+            },
+        ] {
+            let mut b = MotionDbBuilder::new(map(), config).unwrap();
+            for offset in [0.0, 1e200, 0.0, 1e200, 0.0] {
+                assert!(b.observe(rlm(1, 2, 90.0, offset)));
+            }
+            for _ in 0..3 {
+                b.observe(rlm(2, 3, 90.0, 2.0));
+            }
+            let (db, report) = b.build_snapshot();
+            assert_eq!(db.get(l(1), l(2)), None);
+            assert!(db.get(l(2), l(3)).is_some());
+            assert_eq!(report.rejected_fine, 0);
+            assert_eq!(report.underpopulated_pairs, 1);
+            assert_eq!(report.pairs_built, 1);
         }
     }
 

@@ -133,6 +133,30 @@ impl MotionDb {
         }
     }
 
+    /// Builds a database from canonical `((i, j), stats)` entries in
+    /// ascending key order, as one bulk build of the map rather than a
+    /// search and insert per entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`MotionDb::insert`] on self-pairs and ids beyond
+    /// `location_count`, and on keys that are not canonical (`i > j`).
+    pub(crate) fn from_canonical(
+        location_count: usize,
+        entries: impl IntoIterator<Item = ((u32, u32), PairStats)>,
+    ) -> Self {
+        let db = Self::new(location_count);
+        let entries = entries
+            .into_iter()
+            .inspect(|&((i, j), _)| {
+                assert!(i != j, "motion database has no self-pairs");
+                assert!(i < j, "({i}, {j}) is not a canonical pair");
+                db.check(LocationId::new(j));
+            })
+            .collect();
+        Self { entries, ..db }
+    }
+
     fn check(&self, id: LocationId) {
         assert!(
             (id.get() as usize) <= self.location_count,
@@ -268,6 +292,35 @@ mod tests {
     fn foreign_id_panics() {
         let mut db = MotionDb::new(3);
         db.insert(l(1), l(9), stats(0.0, 1.0));
+    }
+
+    #[test]
+    fn from_canonical_equals_one_insert_per_entry() {
+        let entries = [((1, 2), stats(90.0, 2.0)), ((2, 4), stats(0.0, 2.5))];
+        let mut inserted = MotionDb::new(5);
+        for ((i, j), s) in entries {
+            inserted.insert(l(i), l(j), s);
+        }
+        assert_eq!(MotionDb::from_canonical(5, entries), inserted);
+        assert_eq!(MotionDb::from_canonical(5, []), MotionDb::new(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "no self-pairs")]
+    fn from_canonical_rejects_self_pairs() {
+        MotionDb::from_canonical(10, [((1, 2), stats(0.0, 1.0)), ((3, 3), stats(0.0, 1.0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_canonical_rejects_foreign_ids() {
+        MotionDb::from_canonical(3, [((1, 9), stats(0.0, 1.0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a canonical pair")]
+    fn from_canonical_rejects_reversed_keys() {
+        MotionDb::from_canonical(5, [((4, 2), stats(0.0, 1.0))]);
     }
 
     #[test]

@@ -305,7 +305,8 @@ pub struct SanitationCounts {
     pub rejected_unmapped: u64,
     /// Measurements dropped by the fine filter.
     pub rejected_fine: u64,
-    /// Pairs left with fewer than `min_samples` measurements.
+    /// Pairs left with fewer than `min_samples` measurements, or
+    /// without a finite fit.
     pub underpopulated_pairs: u64,
     /// Pairs fitted.
     pub pairs_built: u64,
@@ -374,7 +375,9 @@ fn dense_dijkstra(adjacency: &[Vec<Option<f64>>], source: usize) -> Vec<f64> {
 ///    beyond `fine_sigma` standard deviations in direction or offset
 ///    (a zero std drops nothing), then a pair with fewer than
 ///    `min_samples` measurements, or an undefined mean direction, is
-///    underpopulated; the rest are fitted with floored stds.
+///    underpopulated; the rest are fitted with floored stds, and a pair
+///    whose fitted mean or std is not finite counts as underpopulated
+///    too.
 ///
 /// `positions[i]` is the position of id `i + 1`; `edges` are the
 /// walkable graph's undirected edges. Ids without a position are off
@@ -453,7 +456,7 @@ pub fn sanitize(
         };
         let std_d = circular_std_deg(&directions).unwrap_or(0.0);
         let (mean_o, std_o) = mean_std(samples.iter().map(|s| s.1));
-        pairs.push(SanitizedPair {
+        let pair = SanitizedPair {
             from,
             to,
             direction_mean_deg: mean_d,
@@ -461,7 +464,18 @@ pub fn sanitize(
             offset_mean_m: mean_o,
             offset_std_m: std_o.max(rules.min_offset_std_m),
             samples: samples.len() as u64,
-        });
+        };
+        let fitted = [
+            pair.direction_mean_deg,
+            pair.direction_std_deg,
+            pair.offset_mean_m,
+            pair.offset_std_m,
+        ];
+        if !fitted.iter().all(|v| v.is_finite()) {
+            counts.underpopulated_pairs += 1;
+            continue;
+        }
+        pairs.push(pair);
         counts.pairs_built += 1;
     }
     (counts, pairs)
@@ -665,6 +679,35 @@ mod tests {
         assert_eq!(circular_mean_deg(&[]), None);
         // Antipodal pair: zero resultant.
         assert_eq!(circular_mean_deg(&[0.0, 180.0]), None);
+    }
+
+    #[test]
+    fn sanitize_counts_a_pair_without_a_finite_fit_as_underpopulated() {
+        // Three points 2 m apart along an east-west aisle, coarse off:
+        // offsets 1e200 apart square past f64::MAX, so the offset std
+        // is infinite and 1-2 is not built; 2-3 is.
+        let positions = [0.0, 2.0, 4.0].map(|x| Vec2::new(x, 0.0));
+        let edges = [(l(1), l(2), 2.0), (l(2), l(3), 2.0)];
+        let mut rlms: Vec<_> = [0.0, 1e200, 0.0, 1e200, 0.0]
+            .into_iter()
+            .map(|offset| (l(1), l(2), 90.0, offset))
+            .collect();
+        rlms.extend([(l(2), l(3), 90.0, 2.0); 3]);
+        let rules = SanitationRules {
+            coarse_enabled: false,
+            coarse_direction_deg: 20.0,
+            coarse_offset_m: 3.0,
+            fine_enabled: true,
+            fine_sigma: 2.0,
+            min_samples: 3,
+            min_direction_std_deg: 2.0,
+            min_offset_std_m: 0.05,
+        };
+        let (counts, pairs) = sanitize(&positions, &edges, &rlms, &rules);
+        assert_eq!(counts.underpopulated_pairs, 1);
+        assert_eq!(counts.pairs_built, 1);
+        assert_eq!(counts.rejected_fine, 0);
+        assert_eq!((pairs[0].from, pairs[0].to), (l(2), l(3)));
     }
 
     #[test]
