@@ -26,10 +26,13 @@ const TOL: f64 = 1e-9;
 
 /// Runs `motion.sanitation` at `seed`: a random stream and a hostile
 /// stream, each under the paper's thresholds and with the coarse and
-/// the fine filter switched off in turn. Every run compares the
-/// [`BuildReport`] exactly, the set of built pairs and their sample
-/// counts exactly, and each pair's Gaussian within `1e-9`. Returns the
-/// comparisons made and the divergences found.
+/// the fine filter switched off in turn. Each run feeds one builder the
+/// stream and compares its `build_snapshot` after every quarter of it
+/// with the oracle over that prefix, so each snapshot must refit every
+/// pair the RLMs since the previous one touched. Every comparison
+/// checks the [`BuildReport`] exactly, the set of built pairs and their
+/// sample counts exactly, and each pair's Gaussian within `1e-9`.
+/// Returns the comparisons made and the divergences found.
 ///
 /// With `plant` set, the oracle's coarse offset threshold moves one ulp
 /// down on the hostile stream — `<` instead of `<=` — which its exact
@@ -66,19 +69,24 @@ pub fn sanitation_suite(hall: &OfficeHall, seed: u64, plant: bool) -> (u64, Vec<
             .map(|r| (r.from, r.to, r.direction_deg, r.offset_m))
             .collect();
         for (config_name, config) in &configs {
-            let mut builder =
-                MotionDbBuilder::new(hall.map.clone(), *config).expect("valid sanitation");
-            for &rlm in stream {
-                builder.observe(rlm);
-            }
-            let (db, report) = builder.build();
             let mut rules = rules_of(config);
             if plant && *stream_name == "hostile" && *config_name == "paper" {
                 rules.coarse_offset_m = rules.coarse_offset_m.next_down();
             }
-            let (counts, pairs) = oracle::sanitize(&positions, &edges, &plain, &rules);
-            let run = format!("{stream_name}/{config_name} seed {seed}");
-            cases += compare(&run, &db, &report, &counts, &pairs, &mut divs);
+            let mut builder =
+                MotionDbBuilder::new(hall.map.clone(), *config).expect("valid sanitation");
+            let mut fed = 0;
+            for quarter in 1..=4 {
+                let end = stream.len() * quarter / 4;
+                for &rlm in &stream[fed..end] {
+                    builder.observe(rlm);
+                }
+                fed = end;
+                let (db, report) = builder.build_snapshot();
+                let (counts, pairs) = oracle::sanitize(&positions, &edges, &plain[..end], &rules);
+                let run = format!("{stream_name}/{config_name} seed {seed} at {quarter}/4");
+                cases += compare(&run, &db, &report, &counts, &pairs, &mut divs);
+            }
         }
     }
     (cases, divs)
@@ -247,10 +255,11 @@ fn sign(h: u64) -> f64 {
 /// offsets just inside and just outside the 20° and 3 m bands, offsets
 /// exactly 3 m off, wall-separated pairs at their straight-line
 /// distance, off-grid ids, reversed RLMs, an underpopulated pair, a
-/// zero-variance pair and a pair with one fine outlier.
+/// zero-variance pair, a pair with one fine outlier and a pair whose
+/// offset spread overflows.
 fn hostile_stream(hall: &OfficeHall, seed: u64) -> Vec<Rlm> {
     let edges: Vec<(LocationId, LocationId)> = hall.graph.edges().map(|(a, b, _)| (a, b)).collect();
-    // Five distinct edges from a seeded start, one per corner below.
+    // Six distinct edges from a seeded start, one per corner below.
     let start = hash(seed, 0x5B0, 0, 0) as usize;
     let edge = |k: usize| edges[(start + 5 * k) % edges.len()];
     let mut out = Vec::new();
@@ -338,5 +347,14 @@ fn hostile_stream(hall: &OfficeHall, seed: u64) -> Vec<Rlm> {
         ));
     }
     out.push(oriented(a, b, direction + 15.0, offset + 2.5, false));
+    // Offsets 1e200 apart: their squared deviations overflow, so the
+    // offset std is infinite and the pair is not built. The coarse
+    // filter drops the 1e200 offsets, so only with it off do they
+    // reach the fit.
+    let (a, b) = edge(5);
+    let (direction, _) = map_of(hall, a, b);
+    for (s, offset) in [0.0, 1e200, 0.0, 1e200, 0.0].into_iter().enumerate() {
+        out.push(oriented(a, b, direction, offset, s % 2 == 1));
+    }
     out
 }

@@ -36,8 +36,10 @@
 //! * `parallel.width` — the work-stealing evaluation runtime at worker
 //!   widths 1 vs 4 (bit-identical estimates required).
 //! * `live.rebuild` — incremental epoch publication vs a from-scratch
-//!   rebuild of the same contribution history (content digests must
-//!   collide).
+//!   rebuild of the same contribution history over 12 epochs (content
+//!   digests must collide). Each epoch's RLM revisits one of two pairs
+//!   an earlier publish fitted, and a late one is a fine outlier, so
+//!   the builder's per-pair fit memo is invalidated and reused.
 //! * `session.recover` — kill/recover at several stream prefixes vs
 //!   the uninterrupted run (estimates and final encoded state
 //!   byte-identical).
@@ -46,12 +48,14 @@
 //!
 //! Divergences and invariant violations are reported as structured
 //! JSON; the process exits nonzero unless the report is clean.
-//! `--self-test` plants one divergence in each of four suites — a
+//! `--self-test` plants one divergence in each of five suites — a
 //! perturbed oracle query in `knn.scalar` and in `eq7.engine`, an
 //! untrained `kernel.pair` expectation moved to the neighbouring run's
-//! value, and a `motion.sanitation` coarse offset compared with `<`
-//! instead of `<=` — and is expected to exit nonzero with a divergence
-//! in all four. CI checks the report to prove each gate can fail.
+//! value, a `motion.sanitation` coarse offset compared with `<`
+//! instead of `<=`, and a `live.rebuild` epoch compared with a history
+//! that lacks its RLM (what a memo that missed its invalidation would
+//! serve) — and is expected to exit nonzero with a divergence in all
+//! five. CI checks the report to prove each gate can fail.
 
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
@@ -136,7 +140,7 @@ fn main() {
         &mut report,
     );
     parallel_suite(&world, &setting, &mut report);
-    live_suite(&world, &setting, seed, &mut report);
+    live_suite(&world, &setting, seed, self_test, &mut report);
     session_suite(&world, &setting, &mut report);
     frame_suite(seed, &mut report);
 
@@ -949,7 +953,19 @@ fn parallel_suite(world: &EvalWorld, setting: &Setting, report: &mut AuditReport
 // Live updates: incremental publish vs from-scratch rebuild.
 // ---------------------------------------------------------------------
 
-fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut AuditReport) {
+/// Published epochs in `live.rebuild`.
+const EPOCHS: u64 = 12;
+/// The epoch whose RLM is the fine outlier. The self-test compares
+/// its publish with a rebuilt history that lacks that RLM.
+const OUTLIER_EPOCH: u64 = 11;
+
+fn live_suite(
+    world: &EvalWorld,
+    setting: &Setting,
+    seed: u64,
+    self_test: bool,
+    report: &mut AuditReport,
+) {
     eprintln!("moloc-audit: live incremental-vs-rebuild suite");
     let map = world.hall.map.clone();
     let sanitation = SanitationConfig::paper();
@@ -960,7 +976,7 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
         .collect();
 
     // The delta stream: per epoch, a couple of perturbed survey
-    // samples and one RLM along a mapped pair.
+    // samples and one RLM.
     let delta_samples = |epoch: u64| -> Vec<(LocationId, Vec<f64>)> {
         (0..2u64)
             .map(|s| {
@@ -975,14 +991,29 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
             })
             .collect()
     };
+    // The RLMs run along two walkable edges in turn, so every epoch
+    // revisits a pair an earlier publish fitted while the other pair's
+    // fit stays as it was; from epoch 6 both are built. Late in the
+    // stream one RLM leaves the map bearing by 15°: inside the coarse
+    // band, and beyond the fine filter's 2σ once five RLMs on the map
+    // bearing surround it.
+    let edges: Vec<(LocationId, LocationId)> =
+        world.hall.graph.edges().map(|(a, b, _)| (a, b)).collect();
+    let first = hash(seed, 0xE2, 0, 0) as usize % edges.len();
+    let pairs = [edges[first], edges[(first + edges.len() / 2) % edges.len()]];
     let delta_rlm = |epoch: u64| -> Rlm {
-        let a = LocationId::new(1 + (hash(seed, 0xE2, epoch, 0) % 6) as u32);
-        let b = LocationId::new(7 + (hash(seed, 0xE2, epoch, 1) % 6) as u32);
+        let (a, b) = pairs[(epoch % 2) as usize];
         let direction = map
             .direction_deg(a, b)
             .expect("both endpoints on the hall grid");
+        let outlier = if epoch == OUTLIER_EPOCH { 15.0 } else { 0.0 };
         let offset = map.offset_m(a, b) + unit(hash(seed, 0xE3, epoch, 0)) - 0.5;
-        Rlm::new(a, b, direction, offset.max(0.1)).expect("valid rlm")
+        let rlm = Rlm::new(a, b, direction + outlier, offset.max(0.1)).expect("valid rlm");
+        if epoch.is_multiple_of(3) {
+            rlm.mirror()
+        } else {
+            rlm
+        }
     };
 
     let mut log = UpdateLog::new(setting.n_aps, map.clone(), sanitation)
@@ -996,7 +1027,6 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
 
     let mut divs = Vec::new();
     let mut cases = 0u64;
-    const EPOCHS: u64 = 4;
     for epoch in 1..=EPOCHS {
         for (id, values) in delta_samples(epoch) {
             log.observe_survey_sample(id, &values).expect("ap count matches");
@@ -1012,11 +1042,16 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
         for (id, values) in &base {
             rebuilt.observe_survey_sample(*id, values).expect("ap count matches");
         }
+        // The planted history lacks this epoch's RLM, as a memo that
+        // missed its invalidation would.
+        let plant = self_test && epoch == OUTLIER_EPOCH;
         for e in 1..=epoch {
             for (id, values) in delta_samples(e) {
                 rebuilt.observe_survey_sample(id, &values).expect("ap count matches");
             }
-            rebuilt.observe_rlm(delta_rlm(e));
+            if !(plant && e == epoch) {
+                rebuilt.observe_rlm(delta_rlm(e));
+            }
         }
         let rebuilt_digest = rebuilt
             .build_snapshot(epoch)
@@ -1035,7 +1070,20 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
         }
         cases += 1;
     }
-    report.finish_suite("live.rebuild", cases, divs);
+    // The stream must have exercised what it is for: fitted pairs that
+    // later RLMs revisit, and a fine rejection among them.
+    let last = publisher.snapshot();
+    let built = last.motion_report.pairs_built;
+    let rejected = last.motion_report.rejected_fine;
+    if built != 2 || rejected == 0 {
+        divs.push(Divergence {
+            suite: "live.rebuild".to_string(),
+            case: "delta stream coverage".to_string(),
+            expected: "2 pairs built, at least 1 fine rejection".to_string(),
+            actual: format!("{built} built, {rejected} fine rejections"),
+        });
+    }
+    report.finish_suite("live.rebuild", cases + 1, divs);
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,8 @@
 //!   database is empty (every moving pair at the floor prior);
 //! * checkpoint frame byte-identity with the independent oracle
 //!   framer;
-//! * `motion.sanitation` at three pinned seeds, and its planted
+//! * `motion.sanitation` at three pinned seeds, its snapshots after
+//!   each quarter of a stream at two more, and its planted
 //!   strict-offset comparison.
 
 use moloc_core::batch::BatchLocalizer;
@@ -280,4 +281,28 @@ fn motion_sanitation_trips_on_a_strict_offset_comparison() {
         divs.iter().any(|d| d.case.starts_with("hostile/paper")),
         "a `<` offset comparison went unnoticed: {divs:#?}"
     );
+}
+
+#[test]
+fn motion_sanitation_mid_stream_snapshots_match_the_oracle() {
+    // Each run compares a `build_snapshot` after every quarter of its
+    // stream, on one builder that keeps ingesting. The strict-offset
+    // plant sits in the hostile stream's first quarter, so it must
+    // show at every quarter: that proves each snapshot is compared,
+    // and the clean runs prove they match.
+    let hall = OfficeHall::paper();
+    for seed in [1, 31337] {
+        let (_, divs) = sanitation_suite(&hall, seed, false);
+        assert!(divs.is_empty(), "seed {seed}: {divs:#?}");
+        let (_, planted) = sanitation_suite(&hall, seed, true);
+        for quarter in 1..=4 {
+            let at = format!("seed {seed} at {quarter}/4");
+            assert!(
+                planted
+                    .iter()
+                    .any(|d| d.case.starts_with("hostile/paper") && d.case.contains(&at)),
+                "no planted divergence {at}: {planted:#?}"
+            );
+        }
+    }
 }
