@@ -140,7 +140,7 @@ fn harvest_rlms(
 fn setting_view(snapshot: &DbSnapshot, n_aps: usize) -> Setting {
     Setting {
         n_aps,
-        fdb: (*snapshot.fdb).clone(),
+        fdb: snapshot.fdb().clone(),
         motion_db: (*snapshot.motion_db).clone(),
         build_report: snapshot.motion_report,
         counting: CountingMethod::Continuous,
@@ -208,7 +208,7 @@ pub fn run(world: &EvalWorld, seed: u64) -> Drift {
 
     // Harvest RLMs with the seed estimator; the first share seeds
     // epoch 0, the rest drip in one trace group per batch.
-    let per_trace = harvest_rlms(world, &survey_only.fdb, &survey_only.index, n_aps);
+    let per_trace = harvest_rlms(world, survey_only.fdb(), &survey_only.index, n_aps);
     let groups = EPOCHS + 1;
     for (i, trace_rlms) in per_trace.iter().enumerate() {
         let deltas = trace_rlms.iter().map(|r| Delta::Rlm(*r));

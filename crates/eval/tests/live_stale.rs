@@ -44,7 +44,7 @@ fn seeded_log() -> UpdateLog {
 fn scan_for(log: &UpdateLog, id: u32) -> Vec<f64> {
     log.build_snapshot(0)
         .expect("snapshot builds")
-        .fdb
+        .fdb()
         .fingerprint(l(id))
         .expect("location surveyed")
         .values()

@@ -9,7 +9,8 @@ use moloc_geometry::LocationId;
 use moloc_stats::online::Welford;
 use serde::{Deserialize, Serialize};
 
-/// Error constructing a [`FingerprintDb`].
+/// Error constructing a [`FingerprintDb`] or a
+/// [`crate::index::FingerprintIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
     /// No fingerprints were provided.
@@ -30,6 +31,20 @@ pub enum DbError {
     /// that check — and one NaN in a stored row would poison every
     /// k-NN ranking against it.
     NonFinite(LocationId),
+    /// A location id does not follow the one before it in a list that
+    /// must be in ascending id order
+    /// ([`crate::index::FingerprintIndex::from_rows`]).
+    UnsortedLocation(LocationId),
+    /// A flattened matrix does not hold `rows` rows of `ap_count`
+    /// values ([`crate::index::FingerprintIndex::from_rows`]).
+    Shape {
+        /// The number of location ids.
+        rows: usize,
+        /// The AP count every row must have.
+        ap_count: usize,
+        /// The number of values the matrix holds.
+        values: usize,
+    },
 }
 
 impl std::fmt::Display for DbError {
@@ -46,6 +61,17 @@ impl std::fmt::Display for DbError {
             DbError::NonFinite(id) => {
                 write!(f, "fingerprint for {id} has a non-finite RSS value")
             }
+            DbError::UnsortedLocation(id) => {
+                write!(f, "{id} is out of ascending id order")
+            }
+            DbError::Shape {
+                rows,
+                ap_count,
+                values,
+            } => write!(
+                f,
+                "{values} values do not make {rows} rows of {ap_count} APs"
+            ),
         }
     }
 }
@@ -69,10 +95,36 @@ impl std::error::Error for DbError {}
 /// assert!(db.fingerprint(LocationId::new(2)).is_some());
 /// # Ok::<(), moloc_fingerprint::db::DbError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing checks what [`FingerprintDb::from_fingerprints`]
+/// checks, so every database holds a non-empty, rectangular, finite
+/// survey with unique ids.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FingerprintDb {
     entries: Vec<(LocationId, Fingerprint)>,
     ap_count: usize,
+}
+
+/// The serialized form of a [`FingerprintDb`], before its checks.
+#[derive(Deserialize)]
+struct RawFingerprintDb {
+    entries: Vec<(LocationId, Fingerprint)>,
+    ap_count: usize,
+}
+
+impl<'de> Deserialize<'de> for FingerprintDb {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        let raw = RawFingerprintDb::deserialize(deserializer)?;
+        let db = Self::from_fingerprints(raw.entries).map_err(D::Error::custom)?;
+        if db.ap_count != raw.ap_count {
+            return Err(D::Error::custom(format!(
+                "ap_count {} does not match fingerprints of {} APs",
+                raw.ap_count, db.ap_count
+            )));
+        }
+        Ok(db)
+    }
 }
 
 impl FingerprintDb {

@@ -35,7 +35,7 @@
 //! AP width, `k`, finite or not, and value magnitude. There is no
 //! runtime switch.
 
-use crate::db::FingerprintDb;
+use crate::db::{DbError, FingerprintDb};
 use crate::knn::Neighbor;
 use crate::metric::{euclidean_sq, masked_euclidean_sq};
 use moloc_geometry::LocationId;
@@ -150,6 +150,51 @@ fn worst_slot(slots: &[RankEntry]) -> usize {
     at
 }
 
+/// Largest |value| of `values`, or `None` when one is not finite.
+/// Folds eight independent lanes so the pass vectorizes; max is exact,
+/// so the result equals a sequential fold.
+fn finite_max_abs(values: &[f64]) -> Option<f64> {
+    const LANES: usize = 8;
+    let mut max = [0.0f64; LANES];
+    let mut finite = [true; LANES];
+    let chunks = values.chunks_exact(LANES);
+    for &v in chunks.remainder() {
+        finite[0] &= v.abs() <= f64::MAX;
+        max[0] = max[0].max(v.abs());
+    }
+    for chunk in chunks {
+        for lane in 0..LANES {
+            let a = chunk[lane].abs();
+            finite[lane] &= a <= f64::MAX;
+            max[lane] = max[lane].max(a);
+        }
+    }
+    finite
+        .iter()
+        .all(|&f| f)
+        .then(|| max.iter().fold(0.0f64, |m, &v| m.max(v)))
+}
+
+/// The column-major f32 copy of a row-major `rows × ap_count` matrix,
+/// transposed [`TRANSPOSE_ROWS`] rows at a time.
+fn transpose_f32(matrix: &[f64], rows: usize, ap_count: usize) -> Vec<f32> {
+    let mut cols = vec![0.0f32; rows * ap_count];
+    if ap_count == 0 {
+        return cols;
+    }
+    for start in (0..rows).step_by(TRANSPOSE_ROWS) {
+        let end = (start + TRANSPOSE_ROWS).min(rows);
+        let block = &matrix[start * ap_count..end * ap_count];
+        for a in 0..ap_count {
+            let col = &mut cols[a * rows + start..a * rows + end];
+            for (c, row) in col.iter_mut().zip(block.chunks_exact(ap_count)) {
+                *c = row[a] as f32;
+            }
+        }
+    }
+    cols
+}
+
 /// The flattened, cache-friendly view of a [`FingerprintDb`].
 ///
 /// Rows are stored contiguously in location-id order.
@@ -198,9 +243,15 @@ pub struct FingerprintIndex {
 /// never come close.
 pub(crate) const F32_SAFE_LIMIT: f64 = 1e15;
 
+/// Rows per block of the f32 mirror transpose. A block of 64 rows at
+/// 16 APs is 8 KiB of f64 and stays in L1 while each of its columns is
+/// written as one contiguous stretch.
+const TRANSPOSE_ROWS: usize = 64;
+
 impl FingerprintIndex {
-    /// Flattens a database into the columnar layout. `O(locations ×
-    /// APs)`, done once per scenario.
+    /// Flattens a database into the columnar layout: its rows in id
+    /// order, then [`FingerprintIndex::from_rows`], which cannot refuse
+    /// them. `O(locations × APs)`, done once per scenario.
     pub fn build(db: &FingerprintDb) -> Self {
         let ap_count = db.ap_count();
         let mut ids = Vec::with_capacity(db.len());
@@ -209,26 +260,64 @@ impl FingerprintIndex {
             ids.push(id);
             matrix.extend_from_slice(fp.values());
         }
-        let max_abs = matrix.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let mirror = if max_abs < F32_SAFE_LIMIT {
-            let rows = ids.len();
-            let mut cols = vec![0.0f32; rows * ap_count];
-            for (row, fp) in matrix.chunks_exact(ap_count.max(1)).enumerate() {
-                for (a, &v) in fp.iter().enumerate() {
-                    cols[a * rows + row] = v as f32;
-                }
+        Self::from_rows(ids, matrix, ap_count)
+            .expect("a FingerprintDb is non-empty, rectangular, finite and sorted by unique id")
+    }
+
+    /// Builds the index from rows already flattened, taking ownership
+    /// of them: `matrix` holds `ap_count` values per location, row by
+    /// row, in the order of `ids`.
+    ///
+    /// The f32 mirror is transposed in blocks of rows. A column at a
+    /// time over every row would keep `ap_count` write cursors
+    /// `rows × 4` bytes apart, which at 2,048 rows all map to the same
+    /// L1 cache sets.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError::Empty`] for no ids, [`DbError::Shape`] when
+    /// `matrix` is not `ids.len() × ap_count` values,
+    /// [`DbError::DuplicateLocation`] or [`DbError::UnsortedLocation`]
+    /// when the ids do not strictly ascend, and [`DbError::NonFinite`]
+    /// naming the first row that holds a NaN or an infinity.
+    pub fn from_rows(
+        ids: Vec<LocationId>,
+        matrix: Vec<f64>,
+        ap_count: usize,
+    ) -> Result<Self, DbError> {
+        if ids.is_empty() {
+            return Err(DbError::Empty);
+        }
+        if ids.len().checked_mul(ap_count) != Some(matrix.len()) {
+            return Err(DbError::Shape {
+                rows: ids.len(),
+                ap_count,
+                values: matrix.len(),
+            });
+        }
+        for pair in ids.windows(2) {
+            match pair[0].cmp(&pair[1]) {
+                Ordering::Less => {}
+                Ordering::Equal => return Err(DbError::DuplicateLocation(pair[1])),
+                Ordering::Greater => return Err(DbError::UnsortedLocation(pair[1])),
             }
-            Some(cols)
-        } else {
-            None
+        }
+        let Some(max_abs) = finite_max_abs(&matrix) else {
+            let at = matrix
+                .iter()
+                .position(|v| !v.is_finite())
+                .expect("a value is not finite");
+            return Err(DbError::NonFinite(ids[at / ap_count]));
         };
-        Self {
+        let mirror =
+            (max_abs < F32_SAFE_LIMIT).then(|| transpose_f32(&matrix, ids.len(), ap_count));
+        Ok(Self {
             ids,
             matrix,
             ap_count,
             mirror,
             max_abs,
-        }
+        })
     }
 
     /// Whether the index carries an f32 mirror (built whenever the
@@ -242,8 +331,8 @@ impl FingerprintIndex {
         self.ids.len()
     }
 
-    /// Whether the index is empty (never true when built from a
-    /// [`FingerprintDb`], which rejects empty input).
+    /// Whether the index is empty (never true:
+    /// [`FingerprintIndex::from_rows`] rejects empty input).
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
@@ -1369,6 +1458,168 @@ mod tests {
         index.k_nearest_block_into(&mut block, 1, &mut scratch, &mut out);
         assert_eq!(out.query(0)[0].location, l(1));
         assert_eq!(out.query(0)[0].dissimilarity, 0.0);
+    }
+
+    /// The index as `build` made it before `from_rows`: a sequential
+    /// max fold and a row-at-a-time transpose.
+    fn reference_parts(
+        rows: &[(LocationId, Vec<f64>)],
+        ap_count: usize,
+    ) -> (f64, Option<Vec<f32>>) {
+        let matrix: Vec<f64> = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+        let max_abs = matrix.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let mirror = (max_abs < F32_SAFE_LIMIT).then(|| {
+            let mut cols = vec![0.0f32; rows.len() * ap_count];
+            for (row, values) in matrix.chunks_exact(ap_count.max(1)).enumerate() {
+                for (a, &v) in values.iter().enumerate() {
+                    cols[a * rows.len() + row] = v as f32;
+                }
+            }
+            cols
+        });
+        (max_abs, mirror)
+    }
+
+    fn flat(rows: &[(LocationId, Vec<f64>)]) -> (Vec<LocationId>, Vec<f64>) {
+        (
+            rows.iter().map(|(id, _)| *id).collect(),
+            rows.iter().flat_map(|(_, r)| r.iter().copied()).collect(),
+        )
+    }
+
+    #[test]
+    fn from_rows_equals_build_and_the_row_at_a_time_transpose() {
+        let rows = |n: u32, aps: u32, scale: f64| -> Vec<(LocationId, Vec<f64>)> {
+            (1..=n)
+                .map(|i| {
+                    let values = (0..aps)
+                        .map(|a| scale * (-40.0 - f64::from((i * 7 + a * 13) % 23)))
+                        .collect();
+                    (l(3 * i), values)
+                })
+                .collect()
+        };
+        // Row counts around the transpose block, wide and narrow rows,
+        // and values too large for the mirror.
+        for (n, aps, scale) in [
+            (3, 2, 1.0),
+            (64, 16, 1.0),
+            (130, 16, 1.0),
+            (300, 6, 1.0),
+            (70, 4, 1e12),
+            (9, 4, 1e15),
+        ] {
+            let rows = rows(n, aps, scale);
+            let ap_count = aps as usize;
+            let (ids, matrix) = flat(&rows);
+            let index = FingerprintIndex::from_rows(ids.clone(), matrix.clone(), ap_count).unwrap();
+            let (max_abs, mirror) = reference_parts(&rows, ap_count);
+            assert_eq!(index.ids, ids);
+            assert_eq!(
+                index.matrix.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                matrix.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(index.max_abs.to_bits(), max_abs.to_bits());
+            let bits = |m: &Option<Vec<f32>>| {
+                m.as_ref()
+                    .map(|m| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(&index.mirror), bits(&mirror), "{n} x {aps}");
+            assert_eq!(index.has_mirror(), scale < 1e14);
+            let db = FingerprintDb::from_fingerprints(
+                rows.iter()
+                    .map(|(id, r)| (*id, Fingerprint::new(r.clone())))
+                    .collect(),
+            )
+            .unwrap();
+            assert_eq!(FingerprintIndex::build(&db), index);
+        }
+    }
+
+    #[test]
+    fn from_rows_refuses_hostile_input_with_typed_errors() {
+        let ids = vec![l(1), l(2), l(4)];
+        let ok = vec![-40.0; 6];
+        assert!(FingerprintIndex::from_rows(ids.clone(), ok.clone(), 2).is_ok());
+        assert_eq!(
+            FingerprintIndex::from_rows(vec![], vec![], 2).unwrap_err(),
+            DbError::Empty
+        );
+        assert_eq!(
+            FingerprintIndex::from_rows(ids.clone(), vec![-40.0; 5], 2).unwrap_err(),
+            DbError::Shape {
+                rows: 3,
+                ap_count: 2,
+                values: 5
+            }
+        );
+        // rows × ap_count overflows usize: refused, not wrapped.
+        assert_eq!(
+            FingerprintIndex::from_rows(ids.clone(), vec![], usize::MAX).unwrap_err(),
+            DbError::Shape {
+                rows: 3,
+                ap_count: usize::MAX,
+                values: 0
+            }
+        );
+        assert_eq!(
+            FingerprintIndex::from_rows(vec![l(1), l(1), l(4)], ok.clone(), 2).unwrap_err(),
+            DbError::DuplicateLocation(l(1))
+        );
+        assert_eq!(
+            FingerprintIndex::from_rows(vec![l(2), l(1), l(4)], ok.clone(), 2).unwrap_err(),
+            DbError::UnsortedLocation(l(1))
+        );
+        for (at, bad) in [(0, f64::NAN), (3, f64::INFINITY), (5, f64::NEG_INFINITY)] {
+            let mut matrix = ok.clone();
+            matrix[at] = bad;
+            assert_eq!(
+                FingerprintIndex::from_rows(ids.clone(), matrix, 2).unwrap_err(),
+                DbError::NonFinite(ids[at / 2])
+            );
+        }
+        // A NaN past the eight-lane chunks, in the remainder.
+        let wide_ids: Vec<_> = (1..=5).map(l).collect();
+        let mut matrix = vec![-50.0; 15];
+        matrix[14] = f64::NAN;
+        assert_eq!(
+            FingerprintIndex::from_rows(wide_ids, matrix, 3).unwrap_err(),
+            DbError::NonFinite(l(5))
+        );
+        // Zero APs is a valid (if useless) shape, as in `build`.
+        let empty_rows = FingerprintIndex::from_rows(ids, vec![], 0).unwrap();
+        assert_eq!(empty_rows.len(), 3);
+    }
+
+    proptest::proptest! {
+        /// Any ids, shape and values: `from_rows` answers with an index
+        /// or a `DbError`, never a panic, and accepts exactly the valid
+        /// inputs.
+        #[test]
+        fn from_rows_never_panics(
+            raw_ids in proptest::collection::vec(1u32..8, 0..6),
+            ap_count in 0usize..4,
+            extra in 0usize..3,
+            values in proptest::collection::vec(
+                proptest::Strategy::prop_map((0u32..6, -100.0..0.0f64), |(kind, v)| match kind {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => -1e308,
+                    _ => v,
+                }),
+                1..30,
+            ),
+        ) {
+            let ids: Vec<LocationId> = raw_ids.iter().map(|&i| l(i)).collect();
+            let want_len = ids.len() * ap_count + extra;
+            let matrix: Vec<f64> = values.iter().copied().cycle().take(want_len).collect();
+            let valid = !ids.is_empty()
+                && matrix.len() == ids.len() * ap_count
+                && ids.windows(2).all(|w| w[0] < w[1])
+                && matrix.iter().all(|v| v.is_finite());
+            let result = FingerprintIndex::from_rows(ids, matrix, ap_count);
+            proptest::prop_assert_eq!(result.is_ok(), valid);
+        }
     }
 
     #[test]

@@ -36,6 +36,43 @@ fn deserialized_infinite_fingerprint_is_rejected() {
     assert_eq!(err, DbError::NonFinite(l(2)));
 }
 
+/// A deserialized database is checked like `from_fingerprints`, so
+/// `FingerprintIndex::build` can never meet an empty, ragged, poisoned
+/// or duplicated survey.
+#[test]
+fn deserialized_database_is_checked() {
+    let db = |entries: &str, ap_count: usize| {
+        serde_json::from_str::<FingerprintDb>(&format!(
+            r#"{{"entries":[{entries}],"ap_count":{ap_count}}}"#
+        ))
+    };
+    let ok = db(
+        r#"[2,{"values":[-40.0,-60.0]}],[1,{"values":[-50.0,-70.0]}]"#,
+        2,
+    )
+    .unwrap();
+    assert_eq!(ok.locations().collect::<Vec<_>>(), [l(1), l(2)]);
+    assert_eq!(FingerprintIndex::build(&ok).ids(), &[l(1), l(2)]);
+    for (entries, ap_count, want) in [
+        ("", 2, "empty"),
+        (r#"[1,{"values":[-40.0,1e999]}]"#, 2, "non-finite"),
+        (
+            r#"[1,{"values":[-40.0]}],[2,{"values":[-40.0,-50.0]}]"#,
+            1,
+            "length",
+        ),
+        (
+            r#"[1,{"values":[-40.0]}],[1,{"values":[-41.0]}]"#,
+            1,
+            "duplicate",
+        ),
+        (r#"[1,{"values":[-40.0]}]"#, 3, "ap_count"),
+    ] {
+        let err = db(entries, ap_count).unwrap_err().to_string();
+        assert!(err.contains(want), "{entries}: {err}");
+    }
+}
+
 #[test]
 fn from_samples_rejects_non_finite_mean() {
     // Averaging +inf and -inf survey samples produces a NaN mean; a

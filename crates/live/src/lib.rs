@@ -11,14 +11,15 @@
 //! subsystem:
 //!
 //! * [`snapshot`] — [`snapshot::DbSnapshot`], one immutable
-//!   epoch-stamped world: fingerprint database, its query index, and
-//!   the sanitized motion database, with a content [`digest`] used by
+//!   epoch-stamped world: the fingerprint query index and the
+//!   sanitized motion database, with a content [`digest`] used by
 //!   the determinism contract (`digest` ignores the epoch stamp on
 //!   purpose — two epochs with identical content hash identically).
 //!   Each snapshot also builds its motion kernel lazily, once, and
-//!   shares it with every reader whose kernel configuration matches.
+//!   shares it with every reader whose kernel configuration matches;
+//!   its `FingerprintDb` view is derived from the index on demand.
 //! * [`update`] — [`update::UpdateLog`], the ingestion side: survey
-//!   samples stream into per-location per-AP [Welford] accumulators,
+//!   samples stream into per-location rows of running [Welford] means,
 //!   RLMs stream into the existing [`MotionDbBuilder`] (coarse filter
 //!   on ingestion, fine filter at build). Folding N deltas
 //!   incrementally is **bit-identical** to rebuilding from scratch on
@@ -50,6 +51,7 @@ pub use snapshot::DbSnapshot;
 pub use update::UpdateLog;
 
 use moloc_fingerprint::db::DbError;
+use moloc_geometry::LocationId;
 use moloc_motion::filter::SanitationError;
 
 /// A live-update failure.
@@ -62,6 +64,9 @@ pub enum LiveError {
         /// The offending sample's AP count.
         found: usize,
     },
+    /// A survey sample would make its location's running mean NaN or
+    /// infinite; the sample was refused.
+    NonFiniteSample(LocationId),
     /// The accumulated survey could not produce a valid database.
     Db(DbError),
     /// The motion sanitation configuration is invalid.
@@ -75,6 +80,9 @@ impl std::fmt::Display for LiveError {
                 f,
                 "survey sample has {found} APs, update log expects {expected}"
             ),
+            LiveError::NonFiniteSample(id) => {
+                write!(f, "survey sample for {id} would make its mean non-finite")
+            }
             LiveError::Db(e) => write!(f, "snapshot build failed: {e}"),
             LiveError::Sanitation(e) => write!(f, "invalid sanitation config: {e}"),
         }
@@ -84,7 +92,7 @@ impl std::fmt::Display for LiveError {
 impl std::error::Error for LiveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LiveError::ApCount { .. } => None,
+            LiveError::ApCount { .. } | LiveError::NonFiniteSample(_) => None,
             LiveError::Db(e) => Some(e),
             LiveError::Sanitation(e) => Some(e),
         }
@@ -106,7 +114,6 @@ impl From<SanitationError> for LiveError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moloc_geometry::LocationId;
 
     #[test]
     fn error_display_and_sources() {
@@ -118,7 +125,11 @@ mod tests {
         assert!(e.to_string().contains("expects 4"));
         assert!(std::error::Error::source(&e).is_none());
 
-        let e: LiveError = DbError::NonFinite(LocationId::new(2)).into();
+        let e = LiveError::NonFiniteSample(LocationId::new(3));
+        assert!(e.to_string().contains("L3"));
+        assert!(std::error::Error::source(&e).is_none());
+
+        let e: LiveError = DbError::Empty.into();
         assert!(e.to_string().contains("snapshot build failed"));
         assert!(std::error::Error::source(&e).is_some());
     }

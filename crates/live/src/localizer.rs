@@ -148,7 +148,7 @@ mod tests {
     fn scan_for(log: &UpdateLog, id: u32) -> Vec<f64> {
         log.build_snapshot(0)
             .unwrap()
-            .fdb
+            .fdb()
             .fingerprint(l(id))
             .unwrap()
             .values()

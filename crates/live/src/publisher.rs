@@ -84,10 +84,10 @@ impl SnapshotPublisher {
     ///
     /// # Errors
     ///
-    /// Returns [`LiveError`] when the snapshot build fails (empty
-    /// survey, non-finite mean); the current epoch stays live and the
-    /// log keeps its pending deltas, so the caller can repair and
-    /// retry.
+    /// Returns [`LiveError`] when the snapshot build fails (the log
+    /// has accepted no survey sample yet); the current epoch stays
+    /// live and the log keeps its pending deltas, so the caller can
+    /// repair and retry.
     pub fn publish(&self, log: &mut UpdateLog) -> Result<PublishReport, LiveError> {
         let pending = log.pending_deltas();
         if pending == 0 {
@@ -258,16 +258,42 @@ mod tests {
 
     #[test]
     fn failed_publish_keeps_epoch_and_deltas() {
-        let mut log = seeded_log();
-        let publisher = SnapshotPublisher::new(log.build_snapshot(0).unwrap());
-        log.mark_published();
+        let publisher = SnapshotPublisher::new(seeded_log().build_snapshot(0).unwrap());
         let before = publisher.snapshot().digest();
 
-        log.observe_survey_sample(l(3), &[f64::NAN, -50.0]).unwrap();
+        // A log with RLMs but no survey sample cannot build.
+        let mut log = UpdateLog::new(2, map(), SanitationConfig::paper()).unwrap();
+        log.observe_rlm(Rlm::new(l(1), l(2), 90.0, 2.0).unwrap());
         assert!(publisher.publish(&mut log).is_err());
         assert_eq!(publisher.current_epoch(), 0, "old epoch stays live");
         assert_eq!(publisher.snapshot().digest(), before);
         assert_eq!(log.pending_deltas(), 1, "deltas retained for retry");
+
+        // Repaired, the retry publishes what was pending.
+        log.observe_survey_sample(l(1), &[-40.0, -60.0]).unwrap();
+        let report = publisher.publish(&mut log).unwrap();
+        assert_eq!(report.deltas_folded, 2);
+        assert_eq!(publisher.current_epoch(), 1);
+    }
+
+    #[test]
+    fn a_refused_sample_does_not_stall_publishing() {
+        let mut log = seeded_log();
+        let publisher = SnapshotPublisher::new(log.build_snapshot(0).unwrap());
+        log.mark_published();
+
+        assert!(log.observe_survey_sample(l(3), &[f64::NAN, -60.0]).is_err());
+        for round in 0..3 {
+            for id in 1..=2 {
+                let rss = -50.0 - f64::from(round);
+                log.observe_survey_sample(l(id), &[rss, rss - 10.0])
+                    .unwrap();
+            }
+            let report = publisher.publish(&mut log).unwrap();
+            assert!(report.published);
+            assert_eq!(report.deltas_folded, 2, "the refused sample is no delta");
+        }
+        assert_eq!(publisher.current_epoch(), 3);
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! An epoch-stamped immutable database snapshot.
 //!
 //! One [`DbSnapshot`] is the complete read-side world for a
-//! localization epoch: the condensed fingerprint database, the query
-//! index built over it, and the sanitized motion database with its
+//! localization epoch: the fingerprint query index over the condensed
+//! per-location means, and the sanitized motion database with its
 //! construction report. Snapshots are shared behind `Arc`s by the
 //! publisher, every in-flight reader, and every live localizer — they
 //! are never mutated, only replaced wholesale at an epoch boundary.
 //!
-//! The one thing a snapshot adds after publication is its motion
+//! What a snapshot adds after publication is derived data: its motion
 //! kernel, built lazily by the first reader that adopts the epoch and
 //! then shared as one `Arc` by every reader with the same kernel
-//! configuration, so adoption costs each further reader a pointer swap.
+//! configuration, so adoption costs each further reader a pointer swap;
+//! and a [`FingerprintDb`] view of the index, built on the first
+//! [`DbSnapshot::fdb`] call, which no reader makes.
 
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_fingerprint::db::FingerprintDb;
+use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_motion::builder::BuildReport;
 use moloc_motion::kernel::{KernelConfig, MotionKernel};
@@ -28,9 +31,7 @@ pub struct DbSnapshot {
     /// initial (pre-update) database; every successful publish
     /// increments it by one.
     pub epoch: u64,
-    /// The condensed per-location fingerprint database.
-    pub fdb: Arc<FingerprintDb>,
-    /// The k-NN query index built over `fdb`.
+    /// The k-NN query index over the condensed per-location means.
     pub index: Arc<FingerprintIndex>,
     /// The sanitized crowdsourced motion database.
     pub motion_db: Arc<MotionDb>,
@@ -43,6 +44,9 @@ pub struct DbSnapshot {
     /// it, filled by the first [`DbSnapshot::kernel`] call. Derived
     /// data: not part of the digest.
     pub(crate) kernel: OnceLock<(KernelConfig, Arc<MotionKernel>)>,
+    /// The index's rows as a database, filled by the first
+    /// [`DbSnapshot::fdb`] call. Derived data: not part of the digest.
+    pub(crate) fdb: OnceLock<FingerprintDb>,
 }
 
 impl DbSnapshot {
@@ -55,10 +59,10 @@ impl DbSnapshot {
     /// are bit-identical.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        h.eat(self.fdb.ap_count() as u64);
-        for (id, fp) in self.fdb.iter() {
+        h.eat(self.index.ap_count() as u64);
+        for (position, id) in self.index.ids().iter().enumerate() {
             h.eat(u64::from(id.get()));
-            for &v in fp.values() {
+            for &v in self.index.row(position) {
                 h.eat(v.to_bits());
             }
         }
@@ -84,6 +88,21 @@ impl DbSnapshot {
             h.eat(counter);
         }
         h.finish()
+    }
+
+    /// The condensed per-location fingerprint database: the index's
+    /// ids and rows, in the same order. Built on the first call and
+    /// kept; the serving path reads the index and never calls this.
+    pub fn fdb(&self) -> &FingerprintDb {
+        self.fdb.get_or_init(|| {
+            let entries = (0..self.index.len())
+                .map(|position| {
+                    let row = self.index.row(position).to_vec();
+                    (self.index.ids()[position], Fingerprint::new(row))
+                })
+                .collect();
+            FingerprintDb::from_fingerprints(entries).expect("an index holds a valid database")
+        })
     }
 
     /// The motion kernel of this epoch for `config`. The first caller
@@ -132,24 +151,34 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moloc_fingerprint::fingerprint::Fingerprint;
     use moloc_geometry::LocationId;
 
     fn snap(epoch: u64, values: &[f64]) -> DbSnapshot {
-        let fdb = FingerprintDb::from_fingerprints(vec![
-            (LocationId::new(1), Fingerprint::new(values.to_vec())),
-            (LocationId::new(2), Fingerprint::new(vec![-70.0; values.len()])),
-        ])
-        .expect("valid db");
-        let index = FingerprintIndex::build(&fdb);
+        let mut matrix = values.to_vec();
+        matrix.resize(2 * values.len(), -70.0);
+        let ids = vec![LocationId::new(1), LocationId::new(2)];
+        let index = FingerprintIndex::from_rows(ids, matrix, values.len()).expect("valid rows");
         DbSnapshot {
             epoch,
-            fdb: Arc::new(fdb),
             index: Arc::new(index),
             motion_db: Arc::new(MotionDb::new(4)),
             motion_report: BuildReport::default(),
             kernel: OnceLock::new(),
+            fdb: OnceLock::new(),
         }
+    }
+
+    #[test]
+    fn fdb_is_the_index_rows_in_id_order() {
+        let s = snap(0, &[-40.0, -55.0]);
+        let want = FingerprintDb::from_fingerprints(vec![
+            (LocationId::new(2), Fingerprint::new(vec![-70.0, -70.0])),
+            (LocationId::new(1), Fingerprint::new(vec![-40.0, -55.0])),
+        ])
+        .unwrap();
+        assert_eq!(*s.fdb(), want);
+        assert!(std::ptr::eq(s.fdb(), s.fdb()), "built once, then kept");
+        assert_eq!(FingerprintIndex::build(s.fdb()), *s.index);
     }
 
     #[test]

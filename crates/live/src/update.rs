@@ -3,14 +3,16 @@
 //! Crowdsourced contributions arrive as two delta kinds:
 //!
 //! * **Survey samples** — a positioned device reports one RSS vector
-//!   for a known reference location. Folded into per-location per-AP
-//!   [`Welford`] accumulators with *sequential* pushes in arrival
-//!   order — exactly the accumulation
-//!   [`FingerprintDb::from_samples`] performs — so the snapshot built
-//!   from N incremental deltas is bit-identical to a from-scratch
-//!   rebuild over the merged sample list. (Parallel `Welford::merge`
-//!   is deliberately avoided: mathematically equivalent, not
-//!   bit-identical.)
+//!   for a known reference location. Each location keeps a sample
+//!   count and one row of running per-AP means, updated by Welford's
+//!   mean recurrence `mean += (x − mean) / n` in arrival order —
+//!   exactly the arithmetic [`FingerprintDb::from_samples`] performs —
+//!   so the snapshot built from N incremental deltas is bit-identical
+//!   to a from-scratch rebuild over the merged sample list. (Parallel
+//!   `Welford::merge` is deliberately avoided: mathematically
+//!   equivalent, not bit-identical.) A sample that would make a mean
+//!   non-finite is refused at ingest, so no contribution can stall
+//!   later publishes.
 //! * **RLMs** — reassembled location measurements for the motion
 //!   database, offered straight to the long-lived
 //!   [`MotionDbBuilder`], which applies the paper's coarse map filter
@@ -21,17 +23,16 @@
 //! [`UpdateLog::build_snapshot`] is non-destructive: it condenses the
 //! accumulated state into a [`DbSnapshot`] and leaves the log open for
 //! further deltas, so epochs compound.
+//!
+//! [`FingerprintDb::from_samples`]: moloc_fingerprint::db::FingerprintDb::from_samples
 
 use crate::snapshot::DbSnapshot;
 use crate::LiveError;
-use moloc_fingerprint::db::{DbError, FingerprintDb};
-use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_geometry::LocationId;
 use moloc_motion::builder::{MapReference, MotionDbBuilder};
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::rlm::Rlm;
-use moloc_stats::online::Welford;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -39,9 +40,14 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug)]
 pub struct UpdateLog {
     ap_count: usize,
-    /// Per location: one Welford accumulator per AP, pushed in sample
-    /// arrival order (the bit-identity anchor — see module docs).
-    survey: BTreeMap<LocationId, Vec<Welford>>,
+    /// Per surveyed location, its row in `counts` and `means`. Rows
+    /// are in order of first appearance, so a new location appends.
+    rows: BTreeMap<LocationId, usize>,
+    /// Per row, the samples folded into it.
+    counts: Vec<u64>,
+    /// Row-major running per-AP means, `ap_count` per row (the
+    /// bit-identity anchor — see module docs).
+    means: Vec<f64>,
     motion: MotionDbBuilder,
     deltas_since_publish: u64,
 }
@@ -61,7 +67,9 @@ impl UpdateLog {
     ) -> Result<Self, LiveError> {
         Ok(Self {
             ap_count,
-            survey: BTreeMap::new(),
+            rows: BTreeMap::new(),
+            counts: Vec::new(),
+            means: Vec::new(),
             motion: MotionDbBuilder::new(map, sanitation)?,
             deltas_since_publish: 0,
         })
@@ -77,34 +85,49 @@ impl UpdateLog {
         self.deltas_since_publish
     }
 
-    /// Folds one survey sample for `location` into the accumulators.
+    /// Folds one survey sample for `location` into its running means.
     ///
-    /// Non-finite values are accepted here (matching
-    /// [`FingerprintDb::from_samples`], which defers the check to the
-    /// condensed mean) and surface as [`DbError::NonFinite`] at
-    /// [`UpdateLog::build_snapshot`] time.
+    /// The next means are computed before anything is stored: a sample
+    /// that would make one of them NaN or infinite (a non-finite
+    /// value, or finite values whose running mean overflows) is
+    /// refused, so every mean a snapshot reads stays finite.
     ///
     /// # Errors
     ///
     /// Returns [`LiveError::ApCount`] when the sample length does not
-    /// match the log's AP count; the sample is not folded.
+    /// match the log's AP count, and [`LiveError::NonFiniteSample`]
+    /// when a mean would go non-finite. A refused sample folds nothing
+    /// and adds no pending delta.
     pub fn observe_survey_sample(
         &mut self,
         location: LocationId,
         values: &[f64],
     ) -> Result<(), LiveError> {
-        if values.len() != self.ap_count {
+        let ap = self.ap_count;
+        if values.len() != ap {
             return Err(LiveError::ApCount {
-                expected: self.ap_count,
+                expected: ap,
                 found: values.len(),
             });
         }
-        let accumulators = self
-            .survey
-            .entry(location)
-            .or_insert_with(|| vec![Welford::new(); self.ap_count]);
-        for (acc, &value) in accumulators.iter_mut().zip(values) {
-            acc.push(value);
+        let existing = self.rows.get(&location).copied();
+        let n = existing.map_or(0, |row| self.counts[row]) + 1;
+        // Welford's mean step, as `moloc_stats::online::Welford::push`.
+        let fold = |mean: f64, x: f64| mean + (x - mean) / n as f64;
+        let current = |a: usize| existing.map_or(0.0, |row| self.means[row * ap + a]);
+        if (0..ap).any(|a| !fold(current(a), values[a]).is_finite()) {
+            return Err(LiveError::NonFiniteSample(location));
+        }
+        let row = existing.unwrap_or_else(|| {
+            let row = self.counts.len();
+            self.rows.insert(location, row);
+            self.counts.push(0);
+            self.means.resize((row + 1) * ap, 0.0);
+            row
+        });
+        self.counts[row] = n;
+        for (mean, &x) in self.means[row * ap..(row + 1) * ap].iter_mut().zip(values) {
+            *mean = fold(*mean, x);
         }
         self.deltas_since_publish += 1;
         Ok(())
@@ -125,36 +148,37 @@ impl UpdateLog {
     /// Condenses the accumulated state into an epoch-stamped snapshot
     /// without consuming the log.
     ///
-    /// The fingerprint side reproduces
-    /// [`FingerprintDb::from_samples`] exactly: per-AP Welford means
-    /// in id order, non-finite means rejected per location. The motion
-    /// side is [`MotionDbBuilder::build_snapshot`], proven
-    /// prefix-bit-identical to a consuming build; it refits only the
-    /// pairs that RLMs since the previous build touched.
+    /// The fingerprint side copies the running means in id order into
+    /// one matrix and hands it to [`FingerprintIndex::from_rows`]: the
+    /// rows [`FingerprintDb::from_samples`] would build, with no
+    /// per-location allocation. The motion side is
+    /// [`MotionDbBuilder::build_snapshot`], proven prefix-bit-identical
+    /// to a consuming build; it refits only the pairs that RLMs since
+    /// the previous build touched.
     ///
     /// # Errors
     ///
-    /// Returns [`LiveError::Db`] when no survey samples have been
-    /// observed ([`DbError::Empty`]) or a location's mean went
-    /// non-finite ([`DbError::NonFinite`]).
+    /// Returns [`LiveError::Db`] with [`DbError::Empty`] when no survey
+    /// sample has been accepted.
+    ///
+    /// [`FingerprintDb::from_samples`]: moloc_fingerprint::db::FingerprintDb::from_samples
+    /// [`DbError::Empty`]: moloc_fingerprint::db::DbError::Empty
     pub fn build_snapshot(&self, epoch: u64) -> Result<DbSnapshot, LiveError> {
-        let mut entries = Vec::with_capacity(self.survey.len());
-        for (&id, accumulators) in &self.survey {
-            let values: Vec<f64> = accumulators.iter().map(Welford::mean).collect();
-            if values.iter().any(|v| !v.is_finite()) {
-                return Err(LiveError::Db(DbError::NonFinite(id)));
-            }
-            entries.push((id, Fingerprint::new(values)));
+        let ap = self.ap_count;
+        let mut ids = Vec::with_capacity(self.rows.len());
+        let mut matrix = Vec::with_capacity(self.means.len());
+        for (&id, &row) in &self.rows {
+            ids.push(id);
+            matrix.extend_from_slice(&self.means[row * ap..(row + 1) * ap]);
         }
-        let fdb = FingerprintDb::from_fingerprints(entries)?;
-        let index = FingerprintIndex::build(&fdb);
+        let index = FingerprintIndex::from_rows(ids, matrix, ap)?;
         let (motion_db, motion_report) = self.motion.build_snapshot();
         Ok(DbSnapshot {
             epoch,
-            fdb: Arc::new(fdb),
             index: Arc::new(index),
             motion_db: Arc::new(motion_db),
             motion_report,
+            fdb: OnceLock::new(),
             kernel: OnceLock::new(),
         })
     }
@@ -170,6 +194,8 @@ impl UpdateLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moloc_fingerprint::db::{DbError, FingerprintDb};
+    use moloc_fingerprint::fingerprint::Fingerprint;
     use moloc_geometry::polygon::Aabb;
     use moloc_geometry::{FloorPlan, ReferenceGrid, Vec2, WalkGraph};
 
@@ -238,7 +264,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        assert_eq!(*snap.fdb, reference, "bit-identical condensed database");
+        assert_eq!(*snap.fdb(), reference, "bit-identical condensed database");
         assert_eq!(snap.epoch, 3);
     }
 
@@ -265,13 +291,53 @@ mod tests {
     }
 
     #[test]
-    fn nan_sample_surfaces_as_nonfinite_at_build() {
+    fn nan_sample_is_refused_at_ingest() {
         let mut log = log();
-        log.observe_survey_sample(l(1), &[-40.0, f64::NAN]).unwrap();
+        assert_eq!(
+            log.observe_survey_sample(l(1), &[-40.0, f64::NAN]),
+            Err(LiveError::NonFiniteSample(l(1)))
+        );
+        assert_eq!(log.pending_deltas(), 0, "a refused sample is no delta");
         assert_eq!(
             log.build_snapshot(0).unwrap_err(),
-            LiveError::Db(DbError::NonFinite(l(1)))
+            LiveError::Db(DbError::Empty),
+            "nothing was folded"
         );
+    }
+
+    #[test]
+    fn a_refused_sample_leaves_every_later_publish_buildable() {
+        let mut log = log();
+        log.observe_survey_sample(l(1), &[-40.0, -60.0]).unwrap();
+        log.observe_survey_sample(l(2), &[-70.0, -30.0]).unwrap();
+        let before = log.build_snapshot(0).unwrap().digest();
+        let pending = log.pending_deltas();
+        // A NaN or an infinity, an infinity at a new location, and two
+        // finite samples whose running mean overflows.
+        for (id, sample) in [
+            (3, [f64::NAN, -60.0]),
+            (1, [-40.0, f64::INFINITY]),
+            (2, [f64::NEG_INFINITY, f64::NAN]),
+        ] {
+            assert_eq!(
+                log.observe_survey_sample(l(id), &sample),
+                Err(LiveError::NonFiniteSample(l(id)))
+            );
+        }
+        log.observe_survey_sample(l(4), &[-1.7e308, -50.0]).unwrap();
+        let pending = pending + 1;
+        let before_overflow = log.build_snapshot(0).unwrap().digest();
+        assert_eq!(
+            log.observe_survey_sample(l(4), &[1.7e308, -50.0]),
+            Err(LiveError::NonFiniteSample(l(4)))
+        );
+        assert_eq!(log.pending_deltas(), pending);
+        assert_eq!(log.build_snapshot(0).unwrap().digest(), before_overflow);
+        assert_ne!(before, before_overflow, "the finite -1.7e308 sample folded");
+        // The log keeps publishing clean samples.
+        log.observe_survey_sample(l(3), &[-55.0, -45.0]).unwrap();
+        let snap = log.build_snapshot(1).unwrap();
+        assert_eq!(snap.index.ids(), &[l(1), l(2), l(3), l(4)]);
     }
 
     #[test]
@@ -282,6 +348,6 @@ mod tests {
         assert_eq!(log.pending_deltas(), 0);
         // History survives: the next snapshot still sees the sample.
         let snap = log.build_snapshot(1).unwrap();
-        assert_eq!(snap.fdb.len(), 1);
+        assert_eq!(snap.index.len(), 1);
     }
 }

@@ -62,7 +62,7 @@ fn concurrent_reader_swaps_epochs_only_at_step_boundaries() {
     let initial = log.build_snapshot(0).unwrap();
     let publisher = SnapshotPublisher::new(initial.clone());
     log.mark_published();
-    let scan: Vec<f64> = initial.fdb.fingerprint(l(1)).unwrap().values().to_vec();
+    let scan: Vec<f64> = initial.fdb().fingerprint(l(1)).unwrap().values().to_vec();
 
     let mut live = LiveLocalizer::new(publisher.reader(), MoLocConfig::paper());
 
@@ -148,7 +148,7 @@ fn mid_trace_swap_preserves_tracking_continuity() {
     log.mark_published();
     let mut live = LiveLocalizer::new(publisher.reader(), MoLocConfig::paper());
 
-    let scan1: Vec<f64> = initial.fdb.fingerprint(l(1)).unwrap().values().to_vec();
+    let scan1: Vec<f64> = initial.fdb().fingerprint(l(1)).unwrap().values().to_vec();
     let (loc, epoch) = live.observe(&scan1, None).unwrap();
     assert_eq!((loc, epoch), (l(1), 0));
 
@@ -158,7 +158,7 @@ fn mid_trace_swap_preserves_tracking_continuity() {
 
     let scan2: Vec<f64> = publisher
         .snapshot()
-        .fdb
+        .fdb()
         .fingerprint(l(2))
         .unwrap()
         .values()

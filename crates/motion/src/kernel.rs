@@ -1,6 +1,6 @@
 //! A precomputed lookup kernel for the motion-matching hot path.
 //!
-//! [`crate::matrix::MotionDb::get`] resolves a `BTreeMap` keyed by
+//! [`crate::matrix::MotionDb::get`] binary-searches the sorted list of
 //! canonical pairs, mirrors reversed entries on every call, and the
 //! caller then builds throwaway `Gaussian`s and evaluates two
 //! `erfc`-based CDFs per pair. That is fine for a handful of queries,
@@ -49,7 +49,7 @@ pub struct KernelConfig {
 }
 
 /// Scaled parameters of one directed trained pair.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PairParams {
     /// Mean direction, compass degrees.
     dir_mean: f64,
@@ -87,7 +87,8 @@ pub struct MotionKernel {
     /// Run bounds: the pairs leaving origin index `i` are
     /// `offsets[i]..offsets[i + 1]` of `targets` and `params`. Covers
     /// origins up to the largest trained one, so an untrained database
-    /// allocates nothing whatever its location count.
+    /// allocates nothing whatever its location count (`offsets` is
+    /// then empty, not `[0]`).
     offsets: Vec<u32>,
     /// Per origin, a summary of its run: bit `t % 64` is set for each
     /// target index `t`. A clear bit rejects the pair before the scan.
@@ -101,11 +102,15 @@ pub struct MotionKernel {
 impl MotionKernel {
     /// Precomputes the kernel for `db` under `config`.
     ///
-    /// Cost is `O(pairs · log pairs)` time and `O(n + pairs)` memory:
-    /// one pass over the canonical pairs materializes both
-    /// orientations (the reverse by [`PairStats::mirrored`], the
-    /// arithmetic [`MotionDb::get`] uses), then a sort groups them
-    /// into per-origin runs.
+    /// Cost is `O(n + pairs)` time and memory, with no sort: a first
+    /// pass counts each origin's directed pairs and prefix-sums the
+    /// counts into run bounds, a second places both orientations of
+    /// every canonical pair (the reverse by [`PairStats::mirrored`], the
+    /// arithmetic [`MotionDb::get`] uses) at its origin's cursor.
+    /// Canonical pairs arrive in ascending `(i, j)` order with `i < j`,
+    /// so an origin receives its mirrored targets (all below it,
+    /// ascending) before its forward targets (all above it,
+    /// ascending): every run comes out sorted.
     ///
     /// # Panics
     ///
@@ -129,23 +134,34 @@ impl MotionKernel {
             config.missing_pair_prob >= 0.0 && config.missing_pair_prob.is_finite(),
             "missing_pair_prob must be non-negative"
         );
-        let mut directed = Vec::with_capacity(2 * db.pair_count());
-        for (i, j, stats) in db.iter() {
-            directed.push((i, j, PairParams::of(stats)));
-            directed.push((j, i, PairParams::of(&stats.mirrored())));
+        let runs = db.iter().map(|(_, j, _)| j.index() + 1).max().unwrap_or(0);
+        let mut offsets = if runs == 0 {
+            Vec::new()
+        } else {
+            vec![0u32; runs + 1]
+        };
+        for (i, j, _) in db.iter() {
+            offsets[i.index() + 1] += 1;
+            offsets[j.index() + 1] += 1;
         }
-        directed.sort_unstable_by_key(|&(from, to, _)| (from, to));
-        let runs = directed.last().map_or(0, |(from, ..)| from.index() + 1);
-        let mut offsets = vec![0u32; runs + 1];
-        for (from, ..) in &directed {
-            offsets[from.index() + 1] += 1;
+        for r in 0..runs {
+            offsets[r + 1] += offsets[r];
         }
-        for i in 0..runs {
-            offsets[i + 1] += offsets[i];
-        }
+        let directed = 2 * db.pair_count();
+        let mut cursor = offsets[..runs].to_vec();
         let mut target_bits = vec![0u64; runs];
-        for (from, to, _) in &directed {
+        let mut targets = vec![LocationId::new(1); directed];
+        let mut params = vec![PairParams::default(); directed];
+        let mut place = |from: LocationId, to: LocationId, p: PairParams| {
+            let at = &mut cursor[from.index()];
+            targets[*at as usize] = to;
+            params[*at as usize] = p;
+            *at += 1;
             target_bits[from.index()] |= 1 << (to.index() % 64);
+        };
+        for (i, j, stats) in db.iter() {
+            place(i, j, PairParams::of(stats));
+            place(j, i, PairParams::of(&stats.mirrored()));
         }
         Self {
             location_count: db.location_count(),
@@ -154,10 +170,10 @@ impl MotionKernel {
             missing_pair_prob: config.missing_pair_prob,
             stay_direction_mass: (config.alpha_deg / 360.0).min(1.0),
             stay_inv_std: 1.0 / config.stationary_offset_std_m,
-            targets: directed.iter().map(|&(_, to, _)| to).collect(),
-            params: directed.iter().map(|&(.., p)| p).collect(),
             offsets,
             target_bits,
+            targets,
+            params,
         }
     }
 
@@ -344,6 +360,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn param_bits(p: &PairParams) -> [u64; 4] {
+        [p.dir_mean, p.dir_inv_std, p.off_mean, p.off_inv_std].map(f64::to_bits)
+    }
+
+    /// The arrays the kernel was built from before the scatter: both
+    /// orientations of every pair, sorted by `(from, to)`.
+    fn sorted_reference(db: &MotionDb) -> Vec<(LocationId, LocationId, PairParams)> {
+        let mut directed = Vec::new();
+        for (i, j, stats) in db.iter() {
+            directed.push((i, j, PairParams::of(stats)));
+            directed.push((j, i, PairParams::of(&stats.mirrored())));
+        }
+        directed.sort_unstable_by_key(|&(from, to, _)| (from, to));
+        directed
+    }
+
+    /// Every run strictly ascends, the arrays equal the sorted
+    /// reference, each bit summary is exactly its run's targets, and
+    /// every trained pair resolves both ways to the
+    /// [`PairStats::mirrored`] parameters.
+    fn assert_scatter_contract(db: &MotionDb) {
+        let k = MotionKernel::build(db, &config());
+        let reference = sorted_reference(db);
+        assert_eq!(k.directed_pair_count(), reference.len());
+        for (at, (from, to, p)) in reference.iter().enumerate() {
+            assert_eq!(k.targets[at], *to);
+            assert_eq!(param_bits(&k.params[at]), param_bits(p));
+            let run = k.offsets[from.index()] as usize..k.offsets[from.index() + 1] as usize;
+            assert!(run.contains(&at), "{from}->{to} outside its run");
+        }
+        let runs = k.target_bits.len();
+        assert_eq!(k.offsets.len(), if runs == 0 { 0 } else { runs + 1 });
+        for r in 0..runs {
+            let run = &k.targets[k.offsets[r] as usize..k.offsets[r + 1] as usize];
+            assert!(run.windows(2).all(|w| w[0] < w[1]), "run {r} not ascending");
+            let bits = run.iter().fold(0u64, |b, t| b | 1 << (t.index() % 64));
+            assert_eq!(k.target_bits[r], bits);
+        }
+        for (i, j, stats) in db.iter() {
+            let forward = k.params_of(i, j).expect("trained forward");
+            let reverse = k.params_of(j, i).expect("trained reverse");
+            assert_eq!(param_bits(forward), param_bits(&PairParams::of(stats)));
+            assert_eq!(
+                param_bits(reverse),
+                param_bits(&PairParams::of(&stats.mirrored()))
+            );
+        }
+    }
+
+    fn pair_stats(seed: u32) -> PairStats {
+        PairStats {
+            direction: Gaussian::new(f64::from(seed * 37 % 360), 2.0 + f64::from(seed % 5))
+                .unwrap(),
+            offset: Gaussian::new(0.5 + f64::from(seed % 7), 0.1 + f64::from(seed % 3)).unwrap(),
+            sample_count: u64::from(seed),
+        }
+    }
+
+    #[test]
+    fn scatter_equals_the_sorted_arrays() {
+        assert_scatter_contract(&db());
+        // Pairs scattered over 90 locations, several per origin in
+        // both roles, inserted in no particular order.
+        let mut db = MotionDb::new(90);
+        for s in 0..300u32 {
+            let h = s.wrapping_mul(2_654_435_761);
+            let (a, b) = (1 + h % 90, 1 + (h >> 12) % 90);
+            if a != b {
+                db.insert(l(a), l(b), pair_stats(s));
+            }
+        }
+        assert!(db.pair_count() > 150, "{} pairs", db.pair_count());
+        assert_scatter_contract(&db);
+    }
+
+    #[test]
+    fn a_pair_on_the_largest_id_gets_the_last_run() {
+        for (a, b) in [(1, 70), (69, 70), (70, 2)] {
+            let mut db = MotionDb::new(70);
+            db.insert(l(a), l(b), pair_stats(a + b));
+            assert_scatter_contract(&db);
+            let k = MotionKernel::build(&db, &config());
+            assert_eq!(k.target_bits.len(), 70);
+            assert_eq!(k.offsets[70], 2);
+        }
+    }
+
+    #[test]
+    fn an_empty_database_allocates_nothing() {
+        let k = MotionKernel::build(&MotionDb::new(2048), &config());
+        assert_eq!(k.offsets.capacity(), 0);
+        assert_eq!(k.target_bits.capacity(), 0);
+        assert_eq!(k.targets.capacity(), 0);
+        assert_eq!(k.params.capacity(), 0);
+        assert_scatter_contract(&MotionDb::new(2048));
     }
 
     #[test]

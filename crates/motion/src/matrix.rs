@@ -10,7 +10,6 @@ use moloc_geometry::LocationId;
 use moloc_stats::circular::reverse_deg;
 use moloc_stats::gaussian::Gaussian;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The Gaussian statistics of one directed location pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,34 +57,76 @@ impl PairStats {
 /// let rev = db.get(LocationId::new(2), LocationId::new(1)).unwrap();
 /// assert_eq!(rev.direction.mean(), 270.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing reads the entry list in any order, sorts it and keeps
+/// the last of several entries for one pair, as a map built from it
+/// would. A pair that is not canonical (`0 < i < j`) or names an id
+/// beyond `location_count` is an error: [`MotionDb::insert`] refuses
+/// the same.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MotionDb {
     location_count: usize,
-    /// Canonical entries keyed by `(i, j)` with `i < j`. Serialized as
-    /// an entry list because JSON maps cannot have tuple keys.
+    /// Canonical entries keyed by `(i, j)` with `i < j`, keys strictly
+    /// ascending. Serialized as an entry list because JSON maps cannot
+    /// have tuple keys.
     #[serde(with = "entries_as_list")]
-    entries: BTreeMap<(u32, u32), PairStats>,
+    entries: Vec<Entry>,
+}
+
+/// One canonical pair `(i, j)`, `i < j`, and its statistics.
+type Entry = ((u32, u32), PairStats);
+
+/// The serialized form of a [`MotionDb`], before its checks.
+#[derive(Deserialize)]
+struct RawMotionDb {
+    location_count: usize,
+    #[serde(with = "entries_as_list")]
+    entries: Vec<Entry>,
+}
+
+impl<'de> Deserialize<'de> for MotionDb {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let RawMotionDb {
+            location_count,
+            entries,
+        } = RawMotionDb::deserialize(deserializer)?;
+        let held = |&((i, j), _): &Entry| 0 < i && i < j && j as usize <= location_count;
+        if let Some(((i, j), _)) = entries.iter().find(|e| !held(e)) {
+            return Err(serde::de::Error::custom(format!(
+                "motion pair ({i}, {j}) is not a canonical pair of {location_count} locations"
+            )));
+        }
+        Ok(Self {
+            location_count,
+            entries,
+        })
+    }
 }
 
 mod entries_as_list {
-    use super::PairStats;
+    use super::{Entry, PairStats};
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::BTreeMap;
 
-    pub fn serialize<S: Serializer>(
-        entries: &BTreeMap<(u32, u32), PairStats>,
-        serializer: S,
-    ) -> Result<S::Ok, S::Error> {
+    pub fn serialize<S: Serializer>(entries: &[Entry], serializer: S) -> Result<S::Ok, S::Error> {
         let list: Vec<(u32, u32, &PairStats)> =
-            entries.iter().map(|(&(i, j), s)| (i, j, s)).collect();
+            entries.iter().map(|((i, j), s)| (*i, *j, s)).collect();
         list.serialize(serializer)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        deserializer: D,
-    ) -> Result<BTreeMap<(u32, u32), PairStats>, D::Error> {
+    /// Sorts the list by key and keeps the last of several entries for
+    /// one key.
+    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<Vec<Entry>, D::Error> {
         let list = Vec::<(u32, u32, PairStats)>::deserialize(deserializer)?;
-        Ok(list.into_iter().map(|(i, j, s)| ((i, j), s)).collect())
+        let mut entries: Vec<_> = list.into_iter().map(|(i, j, s)| ((i, j), s)).collect();
+        entries.sort_by_key(|&(key, _)| key);
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        Ok(entries)
     }
 }
 
@@ -95,7 +136,7 @@ impl MotionDb {
     pub fn new(location_count: usize) -> Self {
         Self {
             location_count,
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -116,7 +157,8 @@ impl MotionDb {
 
     /// Inserts statistics for the directed pair `from → to`; stored in
     /// canonical orientation (mirrored first if `from > to`). Replaces
-    /// any existing entry.
+    /// any existing entry. A new pair is placed by binary search, so
+    /// inserting in ascending key order appends.
     ///
     /// # Panics
     ///
@@ -125,33 +167,42 @@ impl MotionDb {
         assert!(from != to, "motion database has no self-pairs");
         self.check(from);
         self.check(to);
-        if from < to {
-            self.entries.insert((from.get(), to.get()), stats);
+        let (key, stats) = if from < to {
+            ((from.get(), to.get()), stats)
         } else {
-            self.entries
-                .insert((to.get(), from.get()), stats.mirrored());
+            ((to.get(), from.get()), stats.mirrored())
+        };
+        match self.find(key) {
+            Ok(at) => self.entries[at].1 = stats,
+            Err(at) => self.entries.insert(at, (key, stats)),
         }
     }
 
     /// Builds a database from canonical `((i, j), stats)` entries in
-    /// ascending key order, as one bulk build of the map rather than a
-    /// search and insert per entry.
+    /// strictly ascending key order: one collect, no search.
     ///
     /// # Panics
     ///
     /// Panics like [`MotionDb::insert`] on self-pairs and ids beyond
-    /// `location_count`, and on keys that are not canonical (`i > j`).
+    /// `location_count`, on keys that are not canonical (`i > j`), and
+    /// on keys that do not strictly ascend.
     pub(crate) fn from_canonical(
         location_count: usize,
-        entries: impl IntoIterator<Item = ((u32, u32), PairStats)>,
+        entries: impl IntoIterator<Item = Entry>,
     ) -> Self {
         let db = Self::new(location_count);
+        let mut last = None;
         let entries = entries
             .into_iter()
             .inspect(|&((i, j), _)| {
                 assert!(i != j, "motion database has no self-pairs");
                 assert!(i < j, "({i}, {j}) is not a canonical pair");
                 db.check(LocationId::new(j));
+                assert!(
+                    last < Some((i, j)),
+                    "({i}, {j}) does not follow the previous key"
+                );
+                last = Some((i, j));
             })
             .collect();
         Self { entries, ..db }
@@ -164,6 +215,12 @@ impl MotionDb {
         );
     }
 
+    /// Position of the canonical `key` in `entries`, or where it would
+    /// be inserted.
+    fn find(&self, key: (u32, u32)) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
     /// The statistics for walking `from → to`, deriving reversed
     /// entries by the mirror rule. `None` when the pair was never
     /// trained or `from == to`.
@@ -172,11 +229,11 @@ impl MotionDb {
             return None;
         }
         if from < to {
-            self.entries.get(&(from.get(), to.get())).copied()
+            let at = self.find((from.get(), to.get())).ok()?;
+            Some(self.entries[at].1)
         } else {
-            self.entries
-                .get(&(to.get(), from.get()))
-                .map(PairStats::mirrored)
+            let at = self.find((to.get(), from.get())).ok()?;
+            Some(self.entries[at].1.mirrored())
         }
     }
 
@@ -207,20 +264,23 @@ impl MotionDb {
         } else {
             (b.get(), a.get())
         };
-        self.entries.remove(&key)
+        let at = self.find(key).ok()?;
+        Some(self.entries.remove(at).1)
     }
 
     /// Iterates canonical `(i, j, stats)` entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (LocationId, LocationId, &PairStats)> {
         self.entries
             .iter()
-            .map(|(&(i, j), s)| (LocationId::new(i), LocationId::new(j), s))
+            .map(|((i, j), s)| (LocationId::new(*i), LocationId::new(*j), s))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -321,6 +381,91 @@ mod tests {
     #[should_panic(expected = "not a canonical pair")]
     fn from_canonical_rejects_reversed_keys() {
         MotionDb::from_canonical(5, [((4, 2), stats(0.0, 1.0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not follow")]
+    fn from_canonical_rejects_unsorted_keys() {
+        MotionDb::from_canonical(5, [((2, 4), stats(0.0, 1.0)), ((1, 2), stats(0.0, 1.0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not follow")]
+    fn from_canonical_rejects_repeated_keys() {
+        MotionDb::from_canonical(5, [((1, 2), stats(0.0, 1.0)), ((1, 2), stats(9.0, 1.0))]);
+    }
+
+    /// One step of a random edit sequence.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Insert(u32, u32, f64),
+        Remove(u32, u32),
+    }
+
+    const EDIT_IDS: u32 = 12;
+
+    fn edit_strategy() -> impl Strategy<Value = Edit> {
+        (0u32..3, 1..=EDIT_IDS, 1..=EDIT_IDS, 0.0..360.0f64).prop_map(|(kind, a, b, dir)| {
+            let b = if a == b { a % EDIT_IDS + 1 } else { b };
+            if kind > 0 {
+                Edit::Insert(a, b, dir)
+            } else {
+                Edit::Remove(a, b)
+            }
+        })
+    }
+
+    proptest! {
+        /// Inserts (either orientation, replacing or new) and removals
+        /// in random order leave the database a `BTreeMap` model of
+        /// the canonical entries holds: equal to one `from_canonical`
+        /// over the model's sorted survivors, with `get`, `contains`
+        /// and `neighbors_of` answering as the model does.
+        #[test]
+        fn random_edits_match_a_sorted_map_model(
+            edits in prop::collection::vec(edit_strategy(), 0..80),
+        ) {
+            let mut db = MotionDb::new(EDIT_IDS as usize);
+            let mut model: BTreeMap<(u32, u32), PairStats> = BTreeMap::new();
+            for edit in &edits {
+                match *edit {
+                    Edit::Insert(a, b, dir) => {
+                        let s = stats(dir, 1.0 + f64::from(a));
+                        db.insert(l(a), l(b), s);
+                        let (key, s) = if a < b { ((a, b), s) } else { ((b, a), s.mirrored()) };
+                        model.insert(key, s);
+                    }
+                    Edit::Remove(a, b) => {
+                        let removed = db.remove(l(a), l(b));
+                        prop_assert_eq!(removed, model.remove(&(a.min(b), a.max(b))));
+                    }
+                }
+            }
+            let rebuilt = MotionDb::from_canonical(
+                EDIT_IDS as usize,
+                model.iter().map(|(&key, &s)| (key, s)),
+            );
+            prop_assert_eq!(&db, &rebuilt);
+            prop_assert_eq!(db.pair_count(), model.len());
+            for a in 1..=EDIT_IDS {
+                for b in 1..=EDIT_IDS {
+                    let want = match a.cmp(&b) {
+                        std::cmp::Ordering::Less => model.get(&(a, b)).copied(),
+                        std::cmp::Ordering::Greater => {
+                            model.get(&(b, a)).map(PairStats::mirrored)
+                        }
+                        std::cmp::Ordering::Equal => None,
+                    };
+                    prop_assert_eq!(db.get(l(a), l(b)), want);
+                    prop_assert_eq!(db.contains(l(a), l(b)), want.is_some());
+                }
+                let neighbors: Vec<LocationId> = (1..=EDIT_IDS)
+                    .filter(|&b| model.contains_key(&(a.min(b), a.max(b))) && a != b)
+                    .map(l)
+                    .collect();
+                prop_assert_eq!(db.neighbors_of(l(a)), neighbors);
+            }
+        }
     }
 
     #[test]

@@ -57,6 +57,74 @@ fn motion_db_round_trips_with_mirror_semantics() {
     assert_eq!(rev.sample_count, 31);
 }
 
+/// A database over five locations with three pairs, inserted out of
+/// key order and one of them reversed.
+fn three_pair_motion_db() -> MotionDb {
+    let stats = |dir: f64, dir_std: f64, off: f64, off_std: f64, n: u64| PairStats {
+        direction: Gaussian::new(dir, dir_std).unwrap(),
+        offset: Gaussian::new(off, off_std).unwrap(),
+        sample_count: n,
+    };
+    let mut db = MotionDb::new(5);
+    db.insert(l(4), l(2), stats(270.5, 4.0, 5.8, 0.2, 31));
+    db.insert(l(1), l(3), stats(90.0, 3.5, 2.25, 0.5, 7));
+    db.insert(l(1), l(2), stats(12.0, 6.0, 1.5, 0.125, 3));
+    db
+}
+
+/// The entry list as the database serialized it when it was a map.
+const THREE_PAIR_JSON: &str = concat!(
+    r#"{"location_count":5,"entries":["#,
+    r#"[1,2,{"direction":{"mean":12,"std":6},"offset":{"mean":1.5,"std":0.125},"sample_count":3}],"#,
+    r#"[1,3,{"direction":{"mean":90,"std":3.5},"offset":{"mean":2.25,"std":0.5},"sample_count":7}],"#,
+    r#"[2,4,{"direction":{"mean":90.5,"std":4},"offset":{"mean":5.8,"std":0.2},"sample_count":31}]]}"#,
+);
+
+#[test]
+fn motion_db_serializes_to_the_same_bytes() {
+    let db = three_pair_motion_db();
+    assert_eq!(serde_json::to_string(&db).unwrap(), THREE_PAIR_JSON);
+    let back: MotionDb = serde_json::from_str(THREE_PAIR_JSON).unwrap();
+    assert_eq!(back, db);
+}
+
+#[test]
+fn motion_db_reads_an_unsorted_list_and_keeps_the_last_duplicate() {
+    let json = concat!(
+        r#"{"location_count":5,"entries":["#,
+        r#"[2,4,{"direction":{"mean":90.5,"std":4},"offset":{"mean":5.8,"std":0.2},"sample_count":31}],"#,
+        r#"[1,3,{"direction":{"mean":1,"std":1},"offset":{"mean":1,"std":1},"sample_count":1}],"#,
+        r#"[1,2,{"direction":{"mean":12,"std":6},"offset":{"mean":1.5,"std":0.125},"sample_count":3}],"#,
+        r#"[1,3,{"direction":{"mean":90,"std":3.5},"offset":{"mean":2.25,"std":0.5},"sample_count":7}]]}"#,
+    );
+    let db: MotionDb = serde_json::from_str(json).unwrap();
+    assert_eq!(db, three_pair_motion_db());
+    let keys: Vec<_> = db.iter().map(|(a, b, _)| (a.get(), b.get())).collect();
+    assert_eq!(keys, [(1, 2), (1, 3), (2, 4)]);
+    assert_eq!(
+        db.get(l(3), l(1)).unwrap().sample_count,
+        7,
+        "the last (1, 3) wins"
+    );
+    assert_eq!(serde_json::to_string(&db).unwrap(), THREE_PAIR_JSON);
+}
+
+#[test]
+fn motion_db_refuses_pairs_it_cannot_hold() {
+    let pair =
+        r#"{"direction":{"mean":12,"std":6},"offset":{"mean":1.5,"std":0.125},"sample_count":3}"#;
+    // Reversed, a self-pair, id 0, and an id beyond the 5 locations.
+    for (i, j) in [(2, 1), (3, 3), (0, 2), (1, 6), (1, 4_000_000_000u32)] {
+        let json = format!(r#"{{"location_count":5,"entries":[[{i},{j},{pair}]]}}"#);
+        let err = serde_json::from_str::<MotionDb>(&json).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("not a canonical pair of 5 locations"),
+            "({i}, {j}): {err}"
+        );
+    }
+}
+
 #[test]
 fn rlm_round_trips() {
     let rlm = Rlm::new(l(5), l(2), 271.5, 5.75).unwrap();
