@@ -39,7 +39,10 @@
 //!   rebuild of the same contribution history over 12 epochs (content
 //!   digests must collide). Each epoch's RLM revisits one of two pairs
 //!   an earlier publish fitted, and a late one is a fine outlier, so
-//!   the builder's per-pair fit memo is invalidated and reused.
+//!   the builder's per-pair fit memo is invalidated and reused. Each
+//!   epoch's published index rows are also compared bit for bit with
+//!   `FingerprintIndex::build(&FingerprintDb::from_samples(..))` over
+//!   the merged survey history, an oracle outside `UpdateLog`.
 //! * `session.recover` — kill/recover at several stream prefixes vs
 //!   the uninterrupted run (estimates and final encoded state
 //!   byte-identical).
@@ -48,14 +51,16 @@
 //!
 //! Divergences and invariant violations are reported as structured
 //! JSON; the process exits nonzero unless the report is clean.
-//! `--self-test` plants one divergence in each of five suites — a
-//! perturbed oracle query in `knn.scalar` and in `eq7.engine`, an
-//! untrained `kernel.pair` expectation moved to the neighbouring run's
-//! value, a `motion.sanitation` coarse offset compared with `<`
-//! instead of `<=`, and a `live.rebuild` epoch compared with a history
+//! `--self-test` plants divergences in five suites — a perturbed
+//! oracle query in `knn.scalar` and in `eq7.engine`, an untrained
+//! `kernel.pair` expectation moved to the neighbouring run's value, a
+//! `motion.sanitation` coarse offset compared with `<` instead of
+//! `<=`, and two in `live.rebuild`: an epoch compared with a history
 //! that lacks its RLM (what a memo that missed its invalidation would
-//! serve) — and is expected to exit nonzero with a divergence in all
-//! five. CI checks the report to prove each gate can fail.
+//! serve), and an epoch whose survey oracle lacks one delta sample —
+//! and is expected to exit nonzero with a divergence in all five and
+//! from both `live.rebuild` checks. CI checks the report to prove each
+//! gate can fail.
 
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
@@ -67,6 +72,8 @@ use moloc_eval::parallel::{par_run, set_worker_override};
 use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use moloc_faults::rng::{hash, unit};
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
+use moloc_fingerprint::db::FingerprintDb;
+use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
 use moloc_geometry::LocationId;
@@ -79,6 +86,7 @@ use moloc_session::{ScanEvent, SessionConfig, StreamingSession};
 use moloc_stats::gaussian::Gaussian;
 use moloc_verify::oracle;
 use moloc_verify::{AuditReport, Divergence};
+use std::collections::BTreeMap;
 
 const USAGE: &str = "usage: moloc-audit [--seed N] [--out FILE] [--self-test]";
 const N_APS: usize = 6;
@@ -958,6 +966,9 @@ const EPOCHS: u64 = 12;
 /// The epoch whose RLM is the fine outlier. The self-test compares
 /// its publish with a rebuilt history that lacks that RLM.
 const OUTLIER_EPOCH: u64 = 11;
+/// The epoch whose survey oracle, under the self-test, lacks the
+/// first of that epoch's delta samples.
+const SURVEY_PLANT_EPOCH: u64 = 4;
 
 fn live_suite(
     world: &EvalWorld,
@@ -1069,6 +1080,47 @@ fn live_suite(
             });
         }
         cases += 1;
+
+        // Survey oracle outside `UpdateLog`: the merged sample history,
+        // grouped per location in arrival order, condensed by
+        // `FingerprintDb::from_samples` and indexed by `build`.
+        let mut history: BTreeMap<LocationId, Vec<Fingerprint>> = BTreeMap::new();
+        for (id, values) in &base {
+            history
+                .entry(*id)
+                .or_default()
+                .push(Fingerprint::new(values.clone()));
+        }
+        let plant = self_test && epoch == SURVEY_PLANT_EPOCH;
+        for e in 1..=epoch {
+            for (s, (id, values)) in delta_samples(e).into_iter().enumerate() {
+                if !(plant && e == epoch && s == 0) {
+                    history
+                        .entry(id)
+                        .or_default()
+                        .push(Fingerprint::new(values));
+                }
+            }
+        }
+        let oracle = FingerprintIndex::build(
+            &FingerprintDb::from_samples(history).expect("finite survey history"),
+        );
+        let served = rows_of(&reader.snapshot().index);
+        let want = rows_of(&oracle);
+        if served != want {
+            let at = served.1.iter().zip(&want.1).position(|(a, b)| a != b);
+            let show = |rows: &IndexRows| match at {
+                Some(at) => format!("{} rows, first differing {:?}", rows.1.len(), rows.1[at]),
+                None => format!("{} rows, {} APs, mirror {}", rows.1.len(), rows.0, rows.2),
+            };
+            divs.push(Divergence {
+                suite: "live.rebuild".to_string(),
+                case: format!("epoch {epoch} survey rows"),
+                expected: show(&want),
+                actual: show(&served),
+            });
+        }
+        cases += 1;
     }
     // The stream must have exercised what it is for: fitted pairs that
     // later RLMs revisit, and a fine rejection among them.
@@ -1084,6 +1136,22 @@ fn live_suite(
         });
     }
     report.finish_suite("live.rebuild", cases + 1, divs);
+}
+
+/// An index's AP count, its rows as `(id, value bits)` in row order,
+/// and whether it carries the f32 mirror.
+type IndexRows = (usize, Vec<(LocationId, Vec<u64>)>, bool);
+
+fn rows_of(index: &FingerprintIndex) -> IndexRows {
+    let rows = (0..index.len())
+        .map(|p| {
+            (
+                index.ids()[p],
+                index.row(p).iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect();
+    (index.ap_count(), rows, index.has_mirror())
 }
 
 // ---------------------------------------------------------------------
