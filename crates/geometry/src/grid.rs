@@ -20,8 +20,21 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(id.get(), 7);
 /// assert_eq!(id.to_string(), "L7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// It serializes as the bare id. Deserializing refuses `0`, as
+/// [`LocationId::new`] does, so no database or RLM read from JSON can
+/// carry an id that [`LocationId::index`] would underflow on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct LocationId(u32);
+
+impl<'de> Deserialize<'de> for LocationId {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        match u32::deserialize(deserializer)? {
+            0 => Err(serde::de::Error::custom("LocationId is 1-based")),
+            id => Ok(Self(id)),
+        }
+    }
+}
 
 impl LocationId {
     /// Creates an id.

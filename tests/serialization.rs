@@ -134,6 +134,41 @@ fn rlm_round_trips() {
 }
 
 #[test]
+fn location_id_zero_does_not_deserialize() {
+    assert_eq!(serde_json::to_string(&l(1)).unwrap(), "1");
+    assert_eq!(round_trip(&l(1)), l(1));
+    let err = serde_json::from_str::<LocationId>("0").unwrap_err();
+    assert!(err.to_string().contains("1-based"), "{err}");
+}
+
+#[test]
+fn an_rlm_from_location_zero_does_not_deserialize() {
+    let good = r#"{"from":1,"to":2,"direction_deg":90.0,"offset_m":2.0}"#;
+    assert_eq!(
+        serde_json::from_str::<Rlm>(good).unwrap(),
+        Rlm::new(l(1), l(2), 90.0, 2.0).unwrap()
+    );
+    let zero = r#"{"from":0,"to":2,"direction_deg":90.0,"offset_m":2.0}"#;
+    let err = serde_json::from_str::<Rlm>(zero).unwrap_err();
+    assert!(err.to_string().contains("1-based"), "{err}");
+}
+
+#[test]
+fn a_fingerprint_db_with_location_zero_does_not_deserialize() {
+    let db = FingerprintDb::from_fingerprints(vec![
+        (l(1), Fingerprint::new(vec![-40.0, -60.0])),
+        (l(2), Fingerprint::new(vec![-60.0, -40.0])),
+    ])
+    .unwrap();
+    let json = serde_json::to_string(&db).unwrap();
+    assert_eq!(round_trip(&db), db);
+    let zero = json.replacen("[1,", "[0,", 1);
+    assert_ne!(zero, json, "the id-1 entry was found: {json}");
+    let err = serde_json::from_str::<FingerprintDb>(&zero).unwrap_err();
+    assert!(err.to_string().contains("1-based"), "{err}");
+}
+
+#[test]
 fn configs_round_trip() {
     let config = MoLocConfig {
         k: 6,
