@@ -82,7 +82,7 @@ pub fn sanitation_suite(hall: &OfficeHall, seed: u64, plant: bool) -> (u64, Vec<
                     builder.observe(rlm);
                 }
                 fed = end;
-                let (db, report) = builder.build_snapshot();
+                let (db, _, report) = builder.build_snapshot();
                 let (counts, pairs) = oracle::sanitize(&positions, &edges, &plain[..end], &rules);
                 let run = format!("{stream_name}/{config_name} seed {seed} at {quarter}/4");
                 cases += compare(&run, &db, &report, &counts, &pairs, &mut divs);

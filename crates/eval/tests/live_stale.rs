@@ -41,7 +41,7 @@ fn seeded_log() -> UpdateLog {
     log
 }
 
-fn scan_for(log: &UpdateLog, id: u32) -> Vec<f64> {
+fn scan_for(log: &mut UpdateLog, id: u32) -> Vec<f64> {
     log.build_snapshot(0)
         .expect("snapshot builds")
         .fdb()
@@ -78,7 +78,7 @@ fn run_walk(injector: &StaleSnapshot, trace: u64) -> Vec<(LocationId, u64)> {
             assert!(publisher.publish(&mut log).expect("publish").published);
         }
         let hold = injector.hold(trace, step as u64);
-        let scan = scan_for(&log, id);
+        let scan = scan_for(&mut log, id);
         path.push(live.observe_held(&scan, motion, hold).expect("step scores"));
     }
     path

@@ -15,13 +15,15 @@
 //!   sanitized motion database, with a content [`digest`] used by
 //!   the determinism contract (`digest` ignores the epoch stamp on
 //!   purpose — two epochs with identical content hash identically).
-//!   Each snapshot also builds its motion kernel lazily, once, and
-//!   shares it with every reader whose kernel configuration matches;
-//!   its `FingerprintDb` view is derived from the index on demand.
+//!   Each snapshot also carries its motion database's config-free pair
+//!   table, which every reader's kernel wraps, whatever its
+//!   configuration; its `FingerprintDb` view is derived from the index
+//!   on demand.
 //! * [`update`] — [`update::UpdateLog`], the ingestion side: survey
 //!   samples stream into per-location rows of running [Welford] means,
 //!   RLMs stream into the existing [`MotionDbBuilder`] (coarse filter
-//!   on ingestion, fine filter at build). Folding N deltas
+//!   on ingestion, fine filter at build; each build patches the last
+//!   one's database and pair table). Folding N deltas
 //!   incrementally is **bit-identical** to rebuilding from scratch on
 //!   the merged sample set — the equivalence proptest in
 //!   `tests/equivalence.rs` enforces this digest-for-digest.

@@ -3,13 +3,12 @@
 //! Wraps a `'static` [`BatchLocalizer`] behind a [`SnapshotReader`].
 //! Each localization step checks for a newer epoch **before** touching
 //! the engine, adopts it if one is out (swapping in the new epoch's
-//! fingerprint index and its shared motion kernel, built once per
-//! epoch by whichever reader adopts first — see
-//! [`DbSnapshot`](crate::snapshot::DbSnapshot)), and then runs the
-//! whole step on that single snapshot. The retained posterior is
-//! id-keyed, so tracking state carries across the swap — a user
-//! mid-corridor keeps their motion-fused history when the database
-//! underneath them is refreshed.
+//! fingerprint index and a motion kernel that wraps the epoch's shared
+//! pair table — see [`DbSnapshot`](crate::snapshot::DbSnapshot)), and
+//! then runs the whole step on that single snapshot. The retained
+//! posterior is id-keyed, so tracking state carries across the swap —
+//! a user mid-corridor keeps their motion-fused history when the
+//! database underneath them is refreshed.
 
 use crate::publisher::SnapshotReader;
 use moloc_core::batch::BatchLocalizer;
@@ -36,7 +35,7 @@ impl LiveLocalizer {
     /// [`BatchLocalizer::new_counted`]).
     pub fn new(reader: SnapshotReader, config: MoLocConfig) -> Self {
         let snapshot = reader.snapshot();
-        let kernel = snapshot.kernel(&config);
+        let kernel = Arc::new(snapshot.kernel(&config));
         let engine = BatchLocalizer::new_counted(Arc::clone(&snapshot.index), kernel, config);
         Self {
             reader,
@@ -96,8 +95,8 @@ impl LiveLocalizer {
     ) -> Result<(LocationId, u64), TrackError> {
         if self.reader.refresh_unless(hold) {
             let snapshot = self.reader.snapshot();
-            self.engine
-                .adopt_counted(Arc::clone(&snapshot.index), snapshot.kernel(&self.config));
+            let kernel = Arc::new(snapshot.kernel(&self.config));
+            self.engine.adopt_counted(Arc::clone(&snapshot.index), kernel);
         }
         let location = self.engine.observe_slice(scan, motion)?;
         Ok((location, self.reader.epoch()))
@@ -145,7 +144,7 @@ mod tests {
         log
     }
 
-    fn scan_for(log: &UpdateLog, id: u32) -> Vec<f64> {
+    fn scan_for(log: &mut UpdateLog, id: u32) -> Vec<f64> {
         log.build_snapshot(0)
             .unwrap()
             .fdb()
@@ -175,7 +174,7 @@ mod tests {
             BatchLocalizer::new_with_index(&snapshot.index, &kernel, config);
 
         for (id, motion) in [(1u32, None), (2, east()), (3, east())] {
-            let scan = scan_for(&log, id);
+            let scan = scan_for(&mut log, id);
             let (got, epoch) = live.observe(&scan, motion).unwrap();
             let want = reference.observe_slice(&scan, motion).unwrap();
             assert_eq!(got, want, "step at {id}");
@@ -190,7 +189,7 @@ mod tests {
         log.mark_published();
         let mut live = LiveLocalizer::new(publisher.reader(), MoLocConfig::paper());
 
-        let scan1 = scan_for(&log, 1);
+        let scan1 = scan_for(&mut log, 1);
         let (loc, epoch) = live.observe(&scan1, None).unwrap();
         assert_eq!((loc, epoch), (l(1), 0));
 
@@ -199,7 +198,7 @@ mod tests {
         assert!(publisher.publish(&mut log).unwrap().published);
         assert_eq!(live.epoch(), 0, "not adopted until a step runs");
 
-        let scan2 = scan_for(&log, 2);
+        let scan2 = scan_for(&mut log, 2);
         let (loc, epoch) = live.observe(&scan2, east()).unwrap();
         assert_eq!(epoch, 1, "adopted at the step boundary");
         assert_eq!(loc, l(2), "tracking continues across the swap");
@@ -212,17 +211,17 @@ mod tests {
         log.mark_published();
         let mut live = LiveLocalizer::new(publisher.reader(), MoLocConfig::paper());
 
-        live.observe(&scan_for(&log, 1), None).unwrap();
+        live.observe(&scan_for(&mut log, 1), None).unwrap();
         log.observe_survey_sample(l(3), &[-54.2, -65.9, -79.1]).unwrap();
         publisher.publish(&mut log).unwrap();
 
         let (loc, epoch) = live
-            .observe_held(&scan_for(&log, 2), east(), true)
+            .observe_held(&scan_for(&mut log, 2), east(), true)
             .unwrap();
         assert_eq!(epoch, 0, "held step serves the old epoch");
         assert_eq!(loc, l(2));
 
-        let (loc, epoch) = live.observe(&scan_for(&log, 3), east()).unwrap();
+        let (loc, epoch) = live.observe(&scan_for(&mut log, 3), east()).unwrap();
         assert_eq!(epoch, 1, "released step adopts");
         assert_eq!(loc, l(3));
     }
@@ -242,9 +241,8 @@ mod tests {
             alpha_deg: 30.0,
             ..paper
         };
-        // Constructed in this order, the first paper reader fills each
-        // epoch's slot and the second shares it; the wide-window reader
-        // needs a kernel of its own.
+        // Two paper readers and a wide-window one: all three wrap each
+        // epoch's one pair table.
         let configs = [paper, paper, wide];
         let mut readers: Vec<LiveLocalizer> = configs
             .iter()
@@ -281,7 +279,8 @@ mod tests {
             let steps = readers.iter_mut().zip(&mut references).zip(&configs);
             for (r, ((reader, reference), config)) in steps.enumerate() {
                 if epoch > 0 {
-                    // The parent's adoption: a fresh kernel per reader.
+                    // The reference adopts a kernel built from the
+                    // database, independent of the shared table.
                     let kernel = Arc::new(build_kernel(&snapshot.motion_db, config));
                     reference.adopt_counted(Arc::clone(&snapshot.index), kernel);
                 }
@@ -295,7 +294,7 @@ mod tests {
                             offset_m: 2.0,
                         }
                     });
-                    let mut scan = scan_for(&log, at);
+                    let mut scan = scan_for(&mut log, at);
                     let ap = g % scan.len();
                     scan[ap] += 0.5 * (g % 3) as f64 - 0.5;
                     let got = reader.observe(&scan, motion).unwrap();
@@ -308,17 +307,14 @@ mod tests {
                     );
                 }
             }
-            let (built_for, kernel) = snapshot.kernel.get().expect("a reader filled the slot");
-            assert_eq!(*built_for, paper.kernel_config());
             assert_eq!(
-                Arc::strong_count(kernel),
-                3,
-                "epoch {epoch}: the slot and both paper readers hold one kernel, \
-                 the wide-window reader another"
+                Arc::strong_count(&snapshot.pairs),
+                5,
+                "epoch {epoch}: the snapshot, the log's motion builder and the \
+                 kernels of all three readers hold one table"
             );
             if let Some(old) = previous.replace(snapshot) {
-                let (_, old_kernel) = old.kernel.get().unwrap();
-                assert_eq!(Arc::strong_count(old_kernel), 1, "every reader moved on");
+                assert_eq!(Arc::strong_count(&old.pairs), 1, "every reader moved on");
             }
         }
     }

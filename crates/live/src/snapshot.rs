@@ -7,20 +7,20 @@
 //! publisher, every in-flight reader, and every live localizer — they
 //! are never mutated, only replaced wholesale at an epoch boundary.
 //!
-//! What a snapshot adds after publication is derived data: its motion
-//! kernel, built lazily by the first reader that adopts the epoch and
-//! then shared as one `Arc` by every reader with the same kernel
-//! configuration, so adoption costs each further reader a pointer swap;
-//! and a [`FingerprintDb`] view of the index, built on the first
-//! [`DbSnapshot::fdb`] call, which no reader makes.
+//! A snapshot also carries derived data. The motion database's
+//! [`PairTable`], which the motion builder keeps in step with the
+//! database at publish time, is the config-free half of every motion
+//! kernel: each reader wraps it with its own configuration's scalars,
+//! so adoption builds nothing and readers of every configuration share
+//! one table. A [`FingerprintDb`] view of the index is built on the
+//! first [`DbSnapshot::fdb`] call, which no reader makes.
 
 use moloc_core::config::MoLocConfig;
-use moloc_core::matching::build_kernel;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_motion::builder::BuildReport;
-use moloc_motion::kernel::{KernelConfig, MotionKernel};
+use moloc_motion::kernel::{MotionKernel, PairTable};
 use moloc_motion::matrix::MotionDb;
 use std::sync::{Arc, OnceLock};
 
@@ -40,10 +40,9 @@ pub struct DbSnapshot {
     /// two logs that saw different RLM streams must hash differently
     /// even when every difference was filtered out.
     pub motion_report: BuildReport,
-    /// The kernel over `motion_db` and the configuration that built
-    /// it, filled by the first [`DbSnapshot::kernel`] call. Derived
-    /// data: not part of the digest.
-    pub(crate) kernel: OnceLock<(KernelConfig, Arc<MotionKernel>)>,
+    /// [`PairTable::build`] of `motion_db`, as the motion builder
+    /// maintains it. Derived data: not part of the digest.
+    pub(crate) pairs: Arc<PairTable>,
     /// The index's rows as a database, filled by the first
     /// [`DbSnapshot::fdb`] call. Derived data: not part of the digest.
     pub(crate) fdb: OnceLock<FingerprintDb>,
@@ -105,25 +104,19 @@ impl DbSnapshot {
         })
     }
 
-    /// The motion kernel of this epoch for `config`. The first caller
-    /// builds it with [`build_kernel`] and fills the slot; a caller
-    /// whose kernel configuration equals the slot's gets the same
-    /// `Arc`; a caller with another configuration builds its own,
-    /// which is not cached.
+    /// The motion kernel of this epoch for `config`: the epoch's shared
+    /// pair table under `config`'s scalars, in `O(1)`. Every kernel of
+    /// the epoch, whatever its configuration, reads the same table.
     ///
     /// # Panics
     ///
-    /// Panics if a kernel has to be built and `config` is invalid (see
-    /// [`MoLocConfig::validate`]).
-    pub(crate) fn kernel(&self, config: &MoLocConfig) -> Arc<MotionKernel> {
-        let build = || Arc::new(build_kernel(&self.motion_db, config));
-        let wanted = config.kernel_config();
-        let (built_for, kernel) = self.kernel.get_or_init(|| (wanted, build()));
-        if *built_for == wanted {
-            Arc::clone(kernel)
-        } else {
-            build()
-        }
+    /// Panics if `config` is invalid (see [`MoLocConfig::validate`]), as
+    /// [`build_kernel`] does.
+    ///
+    /// [`build_kernel`]: moloc_core::matching::build_kernel
+    pub fn kernel(&self, config: &MoLocConfig) -> MotionKernel {
+        config.validate();
+        MotionKernel::with_pairs(Arc::clone(&self.pairs), &config.kernel_config())
     }
 }
 
@@ -158,12 +151,13 @@ mod tests {
         matrix.resize(2 * values.len(), -70.0);
         let ids = vec![LocationId::new(1), LocationId::new(2)];
         let index = FingerprintIndex::from_rows(ids, matrix, values.len()).expect("valid rows");
+        let motion_db = MotionDb::new(4);
         DbSnapshot {
             epoch,
             index: Arc::new(index),
-            motion_db: Arc::new(MotionDb::new(4)),
+            pairs: Arc::new(PairTable::build(&motion_db)),
+            motion_db: Arc::new(motion_db),
             motion_report: BuildReport::default(),
-            kernel: OnceLock::new(),
             fdb: OnceLock::new(),
         }
     }

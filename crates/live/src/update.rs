@@ -17,12 +17,15 @@
 //!   database, offered straight to the long-lived
 //!   [`MotionDbBuilder`], which applies the paper's coarse map filter
 //!   on ingestion and the fine 2σ filter and the Gaussian fit at build
-//!   time. It keeps each pair's fit until an RLM for that pair arrives,
-//!   so a publish refits only the pairs its deltas touched.
+//!   time. It keeps its last build, so a publish refits only the pairs
+//!   its deltas touched, merges them into the previous database and
+//!   patches the previous pair table.
 //!
-//! [`UpdateLog::build_snapshot`] is non-destructive: it condenses the
-//! accumulated state into a [`DbSnapshot`] and leaves the log open for
-//! further deltas, so epochs compound.
+//! [`UpdateLog::build_snapshot`] condenses the accumulated state into a
+//! [`DbSnapshot`] and leaves the log open for further deltas, so epochs
+//! compound. It takes the log mutably because the motion builder
+//! commits its refits; what a snapshot holds depends only on the deltas
+//! accepted so far, never on when earlier snapshots were built.
 //!
 //! [`FingerprintDb::from_samples`]: moloc_fingerprint::db::FingerprintDb::from_samples
 
@@ -153,8 +156,9 @@ impl UpdateLog {
     /// rows [`FingerprintDb::from_samples`] would build, with no
     /// per-location allocation. The motion side is
     /// [`MotionDbBuilder::build_snapshot`], proven prefix-bit-identical
-    /// to a consuming build; it refits only the pairs that RLMs since
-    /// the previous build touched.
+    /// to a consuming build: it refits only the pairs that RLMs since
+    /// the previous build touched, and hands over its database and pair
+    /// table as shared `Arc`s.
     ///
     /// # Errors
     ///
@@ -163,7 +167,7 @@ impl UpdateLog {
     ///
     /// [`FingerprintDb::from_samples`]: moloc_fingerprint::db::FingerprintDb::from_samples
     /// [`DbError::Empty`]: moloc_fingerprint::db::DbError::Empty
-    pub fn build_snapshot(&self, epoch: u64) -> Result<DbSnapshot, LiveError> {
+    pub fn build_snapshot(&mut self, epoch: u64) -> Result<DbSnapshot, LiveError> {
         let ap = self.ap_count;
         let mut ids = Vec::with_capacity(self.rows.len());
         let mut matrix = Vec::with_capacity(self.means.len());
@@ -172,14 +176,14 @@ impl UpdateLog {
             matrix.extend_from_slice(&self.means[row * ap..(row + 1) * ap]);
         }
         let index = FingerprintIndex::from_rows(ids, matrix, ap)?;
-        let (motion_db, motion_report) = self.motion.build_snapshot();
+        let (motion_db, pairs, motion_report) = self.motion.build_snapshot();
         Ok(DbSnapshot {
             epoch,
             index: Arc::new(index),
-            motion_db: Arc::new(motion_db),
+            motion_db,
             motion_report,
+            pairs,
             fdb: OnceLock::new(),
-            kernel: OnceLock::new(),
         })
     }
 
@@ -283,7 +287,7 @@ mod tests {
 
     #[test]
     fn empty_log_cannot_build() {
-        let log = log();
+        let mut log = log();
         assert_eq!(
             log.build_snapshot(0).unwrap_err(),
             LiveError::Db(DbError::Empty)

@@ -7,9 +7,15 @@
 //!    interleavings of survey samples and RLMs (including coarse
 //!    rejects, which must still count — the build-report counters are
 //!    part of the digest).
+//!    Each published epoch's kernel, which wraps the pair table the
+//!    motion builder patched, must also answer every pair probability
+//!    with the bits of a kernel built from the rebuilt database: the
+//!    digest leaves the kernel out.
 //! 2. **Zero-delta publish is a no-op** — no epoch bump, no digest
 //!    change, `published: false`.
 
+use moloc_core::config::MoLocConfig;
+use moloc_core::matching::build_kernel;
 use moloc_geometry::polygon::Aabb;
 use moloc_geometry::{FloorPlan, LocationId, ReferenceGrid, Vec2, WalkGraph};
 use moloc_live::{SnapshotPublisher, UpdateLog};
@@ -20,6 +26,16 @@ use proptest::prelude::*;
 
 const AP_COUNT: usize = 2;
 const LOCATIONS: u32 = 6;
+
+/// Measurements at which published and rebuilt kernels are compared:
+/// the grid's aisle bearings at its 2 m spacing, and a short step.
+const PROBES: [(f64, f64); 5] = [
+    (90.0, 2.0),
+    (270.0, 2.1),
+    (0.0, 2.0),
+    (180.0, 1.8),
+    (45.0, 0.3),
+];
 
 fn l(i: u32) -> LocationId {
     LocationId::new(i)
@@ -133,6 +149,26 @@ proptest! {
                 "epoch {} diverged from the from-scratch rebuild",
                 n + 1,
             );
+
+            let paper = MoLocConfig::paper();
+            let served = publisher.snapshot().kernel(&paper);
+            let oracle = build_kernel(&rebuilt.motion_db, &paper);
+            for from in (1..=LOCATIONS).map(l) {
+                for to in (1..=LOCATIONS).map(l) {
+                    for (d, o) in PROBES {
+                        prop_assert_eq!(
+                            served.pair_probability(from, to, d, o).to_bits(),
+                            oracle.pair_probability(from, to, d, o).to_bits(),
+                            "epoch {}: {}->{} at ({}, {})",
+                            n + 1,
+                            from,
+                            to,
+                            d,
+                            o,
+                        );
+                    }
+                }
+            }
         }
     }
 

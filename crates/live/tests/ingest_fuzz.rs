@@ -109,11 +109,11 @@ fn rows_of(index: &FingerprintIndex) -> (usize, Vec<(LocationId, Vec<u64>)>, boo
     (index.ap_count(), rows, index.has_mirror())
 }
 
-fn digest(log: &UpdateLog) -> Option<u64> {
+fn digest(log: &mut UpdateLog) -> Option<u64> {
     log.build_snapshot(0).ok().map(|s| s.digest())
 }
 
-fn check_build(log: &UpdateLog, history: &History, epoch: u64) -> Result<(), TestCaseError> {
+fn check_build(log: &mut UpdateLog, history: &History, epoch: u64) -> Result<(), TestCaseError> {
     let built = log.build_snapshot(epoch);
     if history.is_empty() {
         prop_assert_eq!(built.unwrap_err(), LiveError::Db(DbError::Empty));
@@ -142,7 +142,7 @@ proptest! {
                     let id = l(*id);
                     let accept = model_accepts(&history, id, values);
                     let pending = log.pending_deltas();
-                    let before = digest(&log);
+                    let before = digest(&mut log);
                     match log.observe_survey_sample(id, values) {
                         Ok(()) => {
                             prop_assert!(accept, "accepted {:?} for {}", values, id);
@@ -161,7 +161,7 @@ proptest! {
                             };
                             prop_assert_eq!(e, want);
                             prop_assert_eq!(log.pending_deltas(), pending);
-                            prop_assert_eq!(digest(&log), before);
+                            prop_assert_eq!(digest(&mut log), before);
                         }
                     }
                 }
@@ -170,10 +170,10 @@ proptest! {
                 }
                 Op::Build => {
                     epoch += 1;
-                    check_build(&log, &history, epoch)?;
+                    check_build(&mut log, &history, epoch)?;
                 }
             }
         }
-        check_build(&log, &history, epoch + 1)?;
+        check_build(&mut log, &history, epoch + 1)?;
     }
 }

@@ -5,9 +5,13 @@
 //! come from noisy sensors — reassembles them, applies the coarse
 //! map-based filter on ingestion, and at [`MotionDbBuilder::build`] time
 //! applies the fine Gaussian filter and fits the per-pair statistics.
-//! Each pair keeps its fit until an RLM for it arrives, so a snapshot
-//! of a builder that is still ingesting refits only the pairs the RLMs
-//! since the last snapshot touched.
+//! The builder keeps its last build: each pair's fit, the database and
+//! the database's [`PairTable`]. A snapshot of a builder that is still
+//! ingesting refits only the pairs that RLMs touched since the last
+//! one, merges them into the previous database, and patches the
+//! previous table, so it costs what its delta touched plus one copy of
+//! each. A fresh builder's first build is the same call, with every
+//! pair touched and an empty database to merge into.
 //!
 //! The coarse filter's map offsets come from [`MapReference`], which
 //! keeps the walk graph and one connected-component label per node and
@@ -18,6 +22,7 @@
 //! per-RLM allocation or `O(n)` reset.
 
 use crate::filter::{SanitationConfig, SanitationError};
+use crate::kernel::PairTable;
 use crate::matrix::{MotionDb, PairStats};
 use crate::rlm::Rlm;
 use moloc_geometry::{LocationId, ReferenceGrid, WalkGraph};
@@ -27,7 +32,7 @@ use moloc_stats::online::Welford;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Map-derived reference values for the coarse filter: straight-line
 /// bearings from location coordinates and walkable offsets from the
@@ -268,23 +273,33 @@ pub struct BuildReport {
 pub struct MotionDbBuilder {
     map: MapReference,
     config: SanitationConfig,
-    /// Per canonical pair: its accepted measurements and their fit.
+    /// Per canonical pair: its accepted measurements and their last fit.
     pending: BTreeMap<(u32, u32), PairSamples>,
+    /// Canonical keys of the pairs `observe` accumulated into since the
+    /// last build, in arrival order.
+    touched: Vec<(u32, u32)>,
+    /// The ingest counters, and the fit counters summed over every
+    /// pair's last fit.
     report: BuildReport,
+    /// The last build's database: the pairs whose last fit is built.
+    db: Arc<MotionDb>,
+    /// [`PairTable::build`] of `db`, kept in step with it.
+    table: Arc<PairTable>,
     /// The coarse filter's search scratch, sized once to the graph.
     walk: WalkScratch,
 }
 
-/// One canonical pair's accepted measurements and the memo of their
-/// fit.
+/// One canonical pair's accepted measurements and what the last build
+/// made of them.
 #[derive(Debug, Default)]
 struct PairSamples {
     directions: CircularWelford,
     offsets: Vec<f64>,
-    /// [`MotionDbBuilder::fit`] of the measurements above, filled by the
-    /// first build that needs it. `observe` empties it, as the only
-    /// place that changes them.
-    fit: OnceLock<Fit>,
+    /// [`MotionDbBuilder::fit`] of the measurements as the last build
+    /// saw them, `None` before the pair's first build.
+    fit: Option<Fit>,
+    /// Whether the pair's key is on the builder's touched list.
+    touched: bool,
 }
 
 /// What the fine filter and the Gaussian fit made of one pair.
@@ -294,6 +309,18 @@ struct Fit {
     rejected_fine: u64,
     /// The fitted statistics, `None` for a pair that is not built.
     stats: Option<PairStats>,
+}
+
+impl Fit {
+    /// What the fit adds to the report's `rejected_fine`,
+    /// `underpopulated_pairs` and `pairs_built`.
+    fn counts(&self) -> [u64; 3] {
+        [
+            self.rejected_fine,
+            u64::from(self.stats.is_none()),
+            u64::from(self.stats.is_some()),
+        ]
+    }
 }
 
 impl MotionDbBuilder {
@@ -306,12 +333,16 @@ impl MotionDbBuilder {
     /// caller-input problem, reported as a value rather than a panic.
     pub fn new(map: MapReference, config: SanitationConfig) -> Result<Self, SanitationError> {
         config.validate()?;
+        let db = MotionDb::new(map.grid.len());
         Ok(Self {
             walk: WalkScratch::new(map.graph.node_count()),
             map,
             config,
             pending: BTreeMap::new(),
+            touched: Vec::new(),
             report: BuildReport::default(),
+            table: Arc::new(PairTable::build(&db)),
+            db: Arc::new(db),
         })
     }
 
@@ -337,13 +368,14 @@ impl MotionDbBuilder {
             self.report.rejected_coarse += 1;
             return false;
         }
-        let pair = self
-            .pending
-            .entry((canon.from.get(), canon.to.get()))
-            .or_default();
+        let key = (canon.from.get(), canon.to.get());
+        let pair = self.pending.entry(key).or_default();
         pair.directions.push(canon.direction_deg);
         pair.offsets.push(canon.offset_m);
-        pair.fit.take();
+        if !pair.touched {
+            pair.touched = true;
+            self.touched.push(key);
+        }
         true
     }
 
@@ -367,38 +399,63 @@ impl MotionDbBuilder {
 
     /// Applies the fine filter, fits per-pair Gaussians, and produces
     /// the database plus a construction report.
-    pub fn build(self) -> (MotionDb, BuildReport) {
-        self.build_snapshot()
+    pub fn build(mut self) -> (MotionDb, BuildReport) {
+        let (db, _, report) = self.build_snapshot();
+        drop(self);
+        (Arc::unwrap_or_clone(db), report)
     }
 
     /// [`MotionDbBuilder::build`] without consuming the builder: fits a
-    /// database from the measurements accumulated *so far*, leaving the
-    /// builder open for more. The live-update path calls this once per
-    /// published epoch. Only pairs that `observe` touched since the
-    /// last build are refitted; every other pair serves its memoized
-    /// fit. A pair's fit reads only that pair's measurements, so the
-    /// result is bit-identical to consuming a builder fed the same RLM
-    /// sequence (the incremental-vs-rebuild equivalence contract). The
-    /// database is then assembled by one bulk build over the pairs,
-    /// which are already in key order.
-    pub fn build_snapshot(&self) -> (MotionDb, BuildReport) {
-        let mut report = self.report;
-        let built = self.pending.iter().filter_map(|(&key, pair)| {
-            let fit = pair.fit.get_or_init(|| self.fit(pair));
-            report.rejected_fine += fit.rejected_fine;
-            match fit.stats {
-                Some(stats) => {
-                    report.pairs_built += 1;
-                    Some((key, stats))
-                }
-                None => {
-                    report.underpopulated_pairs += 1;
-                    None
-                }
+    /// database from the measurements accumulated *so far*, and the
+    /// [`PairTable`] of that database, leaving the builder open for
+    /// more. The live-update path calls this once per published epoch.
+    ///
+    /// Only the pairs that `observe` touched since the last build are
+    /// refitted, in key order, by the unchanged fine filter and fit;
+    /// the report's fit counters take back each one's previous fit and
+    /// add its new one. The refits that change the database — a pair
+    /// built before or now — are merged into the previous database in
+    /// one pass ([`MotionDb`] keeps its pairs sorted), and the previous
+    /// table follows it: a patch of the changed pairs' parameters when
+    /// no pair appeared or vanished, else a fresh [`PairTable::build`].
+    /// When no refit changes the database, the previous `Arc`s are
+    /// returned. A pair's fit reads only that pair's measurements, so
+    /// the result is bit-identical to consuming a builder fed the same
+    /// RLM sequence (the incremental-vs-rebuild equivalence contract).
+    pub fn build_snapshot(&mut self) -> (Arc<MotionDb>, Arc<PairTable>, BuildReport) {
+        self.touched.sort_unstable();
+        let mut changes = Vec::new();
+        for key in &self.touched {
+            let pair = self
+                .pending
+                .get_mut(key)
+                .expect("a touched pair is pending");
+            let fit = Self::fit(&self.config, pair);
+            let before = pair.fit.replace(fit);
+            let sums = [
+                &mut self.report.rejected_fine,
+                &mut self.report.underpopulated_pairs,
+                &mut self.report.pairs_built,
+            ];
+            let old = before.map_or([0; 3], |f| f.counts());
+            for ((sum, old), new) in sums.into_iter().zip(old).zip(fit.counts()) {
+                *sum = *sum - old + new;
             }
-        });
-        let db = MotionDb::from_canonical(self.map.grid.len(), built);
-        (db, report)
+            if before.is_some_and(|f| f.stats.is_some()) || fit.stats.is_some() {
+                changes.push((*key, fit.stats));
+            }
+            pair.touched = false;
+        }
+        self.touched.clear();
+        if !changes.is_empty() {
+            let db = self.db.patched(&changes);
+            let changed = changes
+                .iter()
+                .map(|&((i, j), _)| (LocationId::new(i), LocationId::new(j)));
+            self.table = Arc::new(self.table.updated(&db, changed));
+            self.db = Arc::new(db);
+        }
+        (Arc::clone(&self.db), Arc::clone(&self.table), self.report)
     }
 
     /// Applies the fine filter to one pair's measurements and fits its
@@ -406,24 +463,20 @@ impl MotionDbBuilder {
     /// measurements survive, or when a fitted mean or std is not
     /// finite: offsets far enough apart overflow Welford's sum of
     /// squares, and `Gaussian::new` refuses the infinite std.
-    fn fit(&self, pair: &PairSamples) -> Fit {
+    fn fit(config: &SanitationConfig, pair: &PairSamples) -> Fit {
         let mut dirs = pair.directions.clone();
         let mut offsets = pair.offsets.clone();
         let mut rejected_fine = 0;
-        if self.config.fine_enabled {
-            rejected_fine =
-                Self::fine_filter(&mut dirs, &mut offsets, self.config.fine_sigma) as u64;
+        if config.fine_enabled {
+            rejected_fine = Self::fine_filter(&mut dirs, &mut offsets, config.fine_sigma) as u64;
         }
-        let stats = if dirs.count() < self.config.min_samples {
+        let stats = if dirs.count() < config.min_samples {
             None
         } else {
             dirs.mean().and_then(|mu_d| {
-                let sigma_d = dirs
-                    .std()
-                    .unwrap_or(0.0)
-                    .max(self.config.min_direction_std_deg);
+                let sigma_d = dirs.std().unwrap_or(0.0).max(config.min_direction_std_deg);
                 let off_acc: Welford = offsets.iter().copied().collect();
-                let sigma_o = off_acc.std().max(self.config.min_offset_std_m);
+                let sigma_o = off_acc.std().max(config.min_offset_std_m);
                 Some(PairStats {
                     direction: Gaussian::new(mu_d, sigma_d).ok()?,
                     offset: Gaussian::new(off_acc.mean(), sigma_o).ok()?,
@@ -612,9 +665,13 @@ mod tests {
     }
 
     /// Asserts that `live`'s snapshot equals, bit for bit, consuming a
-    /// fresh builder fed `prefix`.
-    fn assert_snapshot_matches_fresh(live: &MotionDbBuilder, prefix: &[Rlm]) {
-        let (snap_db, snap_report) = live.build_snapshot();
+    /// fresh builder fed `prefix`, and that the table it keeps equals a
+    /// scatter over its database. Returns the snapshot.
+    fn assert_snapshot_matches_fresh(
+        live: &mut MotionDbBuilder,
+        prefix: &[Rlm],
+    ) -> (Arc<MotionDb>, Arc<PairTable>, BuildReport) {
+        let (snap_db, snap_table, snap_report) = live.build_snapshot();
         let mut fresh = MotionDbBuilder::new(map(), live.config).unwrap();
         for r in prefix {
             fresh.observe(*r);
@@ -622,15 +679,13 @@ mod tests {
         let (fresh_db, fresh_report) = fresh.build();
         assert_eq!(bits(&snap_db), bits(&fresh_db), "prefix {}", prefix.len());
         assert_eq!(snap_report, fresh_report, "prefix {}", prefix.len());
-    }
-
-    /// Canonical keys of the pairs whose fit is memoized.
-    fn memoized(b: &MotionDbBuilder) -> Vec<(u32, u32)> {
-        b.pending
-            .iter()
-            .filter(|(_, pair)| pair.fit.get().is_some())
-            .map(|(&key, _)| key)
-            .collect()
+        assert_eq!(
+            snap_table.bits(),
+            PairTable::build(&snap_db).bits(),
+            "prefix {}",
+            prefix.len()
+        );
+        (snap_db, snap_table, snap_report)
     }
 
     #[test]
@@ -640,8 +695,9 @@ mod tests {
         // fed the same N observations, and the builder stays open. One
         // builder snapshots after every observation, another after
         // every third, so several observations land between two of its
-        // snapshots. A memo that outlived its pair's change, or one
-        // that a rejected RLM emptied, would show here.
+        // snapshots. A refit that a touched pair missed, or one that a
+        // rejected RLM caused, would show here, and so would a table
+        // that did not follow its database.
         let stream = [
             rlm(1, 2, 90.0, 2.0),
             rlm(2, 3, 89.5, 2.02),
@@ -665,10 +721,10 @@ mod tests {
             for (n, r) in stream.iter().enumerate() {
                 live.observe(*r);
                 if n % stride == stride - 1 {
-                    assert_snapshot_matches_fresh(&live, &stream[..=n]);
+                    assert_snapshot_matches_fresh(&mut live, &stream[..=n]);
                 }
             }
-            let (db, report) = live.build_snapshot();
+            let (db, _, report) = live.build_snapshot();
             assert_eq!((report.rejected_coarse, report.rejected_unmapped), (2, 1));
             assert_eq!(report.rejected_fine, 1, "the late outlier");
             assert_eq!(db.get(l(1), l(2)).unwrap().sample_count, 6);
@@ -677,7 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_empties_only_its_pairs_memo() {
+    fn a_build_refits_only_the_touched_pairs() {
         let mut b = MotionDbBuilder::new(map(), SanitationConfig::paper()).unwrap();
         for k in 0..4 {
             let jitter = f64::from(k) * 0.5;
@@ -685,42 +741,105 @@ mod tests {
             b.observe(rlm(2, 3, 90.0 - jitter, 2.1));
             b.observe(rlm(4, 5, 91.0, 1.9 + 0.1 * jitter));
         }
-        assert!(memoized(&b).is_empty());
-        let (_, first) = b.build_snapshot();
-        let all = vec![(1, 2), (2, 3), (4, 5)];
-        assert_eq!(memoized(&b), all);
+        assert_eq!(b.touched, [(1, 2), (2, 3), (4, 5)], "each pair listed once");
+        let (db, table, first) = b.build_snapshot();
+        assert!(b.touched.is_empty());
+        assert_eq!(first.pairs_built, 3);
 
-        // One accepted RLM, reversed, empties exactly its pair's memo.
-        assert!(b.observe(rlm(3, 2, 270.0, 2.0)));
-        assert_eq!(memoized(&b), [(1, 2), (4, 5)]);
-        // Rejected RLMs change only the report.
+        // An accepted RLM, reversed, and another on the same pair touch
+        // exactly that pair; rejected RLMs change only the report.
+        assert!(b.observe(rlm(3, 2, 270.0, 2.1)));
+        assert!(b.observe(rlm(2, 3, 90.0, 2.1)));
         assert!(!b.observe(rlm(1, 2, 150.0, 2.0)));
         assert!(!b.observe(rlm(4, 9, 90.0, 2.0)));
-        assert_eq!(memoized(&b), [(1, 2), (4, 5)]);
-        let (_, second) = b.build_snapshot();
-        assert_eq!(memoized(&b), all);
-        assert_eq!(second.observed, first.observed + 3);
+        assert_eq!(b.touched, [(2, 3)]);
 
-        // A build with no observe since the last one refits nothing: it
-        // serves whatever the memos hold, here a marked copy of each.
-        for pair in b.pending.values_mut() {
-            let fit = pair.fit.take().expect("memoized");
-            pair.fit
-                .set(Fit {
-                    rejected_fine: fit.rejected_fine + 1000,
-                    ..fit
-                })
-                .expect("just emptied");
+        // Marks on the untouched pairs' fits: a build that refitted
+        // them would take the marks back out of the report.
+        for key in [(1, 2), (4, 5)] {
+            let fit = b.pending.get_mut(&key).unwrap().fit.as_mut().unwrap();
+            fit.rejected_fine += 1000;
         }
-        let (_, third) = b.build_snapshot();
-        assert_eq!(third.rejected_fine, second.rejected_fine + 3000);
+        let (next_db, next_table, second) = b.build_snapshot();
         assert_eq!(
+            second,
             BuildReport {
-                rejected_fine: second.rejected_fine,
-                ..third
+                observed: first.observed + 4,
+                rejected_coarse: first.rejected_coarse + 1,
+                rejected_unmapped: first.rejected_unmapped + 1,
+                ..first
             },
-            second
+            "no fine rejection, and no untouched pair refitted"
         );
+        assert_eq!(next_db.get(l(2), l(3)).unwrap().sample_count, 6);
+        assert_eq!(next_db.get(l(1), l(2)), db.get(l(1), l(2)));
+        assert_eq!(next_db.get(l(4), l(5)), db.get(l(4), l(5)));
+        assert!(!Arc::ptr_eq(&next_db, &db) && !Arc::ptr_eq(&next_table, &table));
+        assert_eq!(next_table.bits(), PairTable::build(&next_db).bits());
+
+        // Nothing touched: the previous `Arc`s and report.
+        let (same_db, same_table, third) = b.build_snapshot();
+        assert!(Arc::ptr_eq(&same_db, &next_db) && Arc::ptr_eq(&same_table, &next_table));
+        assert_eq!(third, second);
+    }
+
+    #[test]
+    fn the_table_follows_the_database_across_snapshots() {
+        // With the coarse filter off, offsets 1e200 apart reach the fit
+        // and unbuild the pair they land on.
+        let config = SanitationConfig {
+            coarse_enabled: false,
+            ..SanitationConfig::paper()
+        };
+        let mut live = MotionDbBuilder::new(map(), config).unwrap();
+        let mut seen = Vec::new();
+        let mut feed = |live: &mut MotionDbBuilder, rlms: &[Rlm]| {
+            for r in rlms {
+                live.observe(*r);
+                seen.push(*r);
+            }
+            assert_snapshot_matches_fresh(live, &seen)
+        };
+        let (db, _, _) = feed(
+            &mut live,
+            &[
+                rlm(2, 3, 90.0, 2.0),
+                rlm(3, 2, 270.0, 2.0),
+                rlm(2, 3, 91.0, 2.1),
+                rlm(1, 2, 90.0, 2.0),
+                rlm(1, 2, 90.5, 2.0),
+            ],
+        );
+        assert_eq!(db.pair_count(), 1, "1-2 is one short of built");
+
+        // 1-2 crosses min_samples: a pair appears.
+        let (db, _, report) = feed(&mut live, &[rlm(2, 1, 270.0, 2.0)]);
+        assert!(db.get(l(1), l(2)).is_some());
+        assert_eq!(report.pairs_built, 2);
+
+        // A revisit of a built pair that stays built.
+        let (db, _, _) = feed(&mut live, &[rlm(2, 3, 89.0, 2.05)]);
+        assert_eq!(db.get(l(2), l(3)).unwrap().sample_count, 4);
+
+        // 1-2 stops being built: its offset spread overflows.
+        let (db, table, report) =
+            feed(&mut live, &[rlm(1, 2, 90.0, 1e200), rlm(1, 2, 90.0, 1e200)]);
+        assert_eq!(db.get(l(1), l(2)), None);
+        assert_eq!((report.pairs_built, report.underpopulated_pairs), (1, 1));
+
+        // Only rejected RLMs, then a revisit of the pair that stays
+        // unbuilt: neither changes the database, so each build returns
+        // the previous `Arc`s with a report that counts the RLMs.
+        for (rlms, unmapped) in [
+            (vec![rlm(1, 7, 90.0, 2.0), rlm(7, 3, 90.0, 2.0)], 2),
+            (vec![rlm(2, 1, 270.0, 2.0)], 0),
+        ] {
+            let before = live.report;
+            let (same_db, same_table, after) = feed(&mut live, &rlms);
+            assert!(Arc::ptr_eq(&same_db, &db) && Arc::ptr_eq(&same_table, &table));
+            assert_eq!(after.observed, before.observed + rlms.len() as u64);
+            assert_eq!(after.rejected_unmapped, before.rejected_unmapped + unmapped);
+        }
     }
 
     #[test]
@@ -743,7 +862,7 @@ mod tests {
             for _ in 0..3 {
                 b.observe(rlm(2, 3, 90.0, 2.0));
             }
-            let (db, report) = b.build_snapshot();
+            let (db, _, report) = b.build_snapshot();
             assert_eq!(db.get(l(1), l(2)), None);
             assert!(db.get(l(2), l(3)).is_some());
             assert_eq!(report.rejected_fine, 0);

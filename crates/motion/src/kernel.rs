@@ -7,15 +7,23 @@
 //! but Eq. 6 evaluates `k²` pairs per localization step and the
 //! evaluation pipeline runs millions of steps.
 //!
-//! [`MotionKernel`] flattens the database once per `(MotionDb, config)`
-//! into per-origin sorted runs of its trained directed pairs (CSR
-//! style: run bounds, target ids, and per-pair parameters, both
-//! orientations materialized) and evaluates window masses through the
-//! tabulated CDF of [`moloc_stats::normcdf`]. Crowdsourced RLMs only
-//! train walked, adjacent pairs — a handful per origin — so memory is
-//! `O(n + pairs)` rather than `O(n²)`. A lookup tests one bit of its
-//! origin's 64-bit target summary and scans the short run only on a
-//! hit.
+//! [`PairTable`] flattens the database once into per-origin sorted runs
+//! of its trained directed pairs (CSR style: run bounds, target ids,
+//! and per-pair parameters, both orientations materialized). None of
+//! that depends on a matching configuration, so a [`MotionKernel`] is
+//! the configuration's scalars over a shared `Arc<PairTable>`, and it
+//! evaluates window masses through the tabulated CDF of
+//! [`moloc_stats::normcdf`]. Crowdsourced RLMs only train walked,
+//! adjacent pairs — a handful per origin — so memory is `O(n + pairs)`
+//! rather than `O(n²)`. A lookup tests one bit of its origin's 64-bit
+//! target summary and scans the short run only on a hit.
+//!
+//! A database that changed only in the statistics of pairs it already
+//! trained has the same runs, so [`MotionDbBuilder`] moves its table to
+//! the next database by overwriting those pairs' parameters
+//! (`PairTable::updated`) rather than laying out every pair again.
+//!
+//! [`MotionDbBuilder`]: crate::builder::MotionDbBuilder
 //!
 //! # Accuracy
 //!
@@ -32,6 +40,7 @@ use crate::matrix::{MotionDb, PairStats};
 use moloc_geometry::LocationId;
 use moloc_stats::circular::signed_diff_deg;
 use moloc_stats::normcdf::fast_std_normal_cdf;
+use std::sync::Arc;
 
 /// The matching parameters the kernel bakes in, mirroring the fields of
 /// `moloc-core`'s `MoLocConfig` that Eq. 5 consumes. (A standalone type
@@ -72,18 +81,14 @@ impl PairParams {
     }
 }
 
-/// A flattened, precomputed view of a [`MotionDb`] for one matching
-/// configuration. Build once, query millions of times.
+/// The config-free half of a [`MotionKernel`]: a [`MotionDb`]'s trained
+/// directed pairs in per-origin sorted runs, with the parameters of
+/// each. Nothing here depends on a matching configuration, so kernels
+/// of any configuration over one database can share one table behind
+/// an `Arc` ([`MotionKernel::with_pairs`]).
 #[derive(Debug, Clone)]
-pub struct MotionKernel {
+pub struct PairTable {
     location_count: usize,
-    alpha_deg: f64,
-    beta_m: f64,
-    missing_pair_prob: f64,
-    /// `(α/360) · 1`, the uninformative direction mass of the stay model.
-    stay_direction_mass: f64,
-    /// `1 / stationary_offset_std_m`.
-    stay_inv_std: f64,
     /// Run bounds: the pairs leaving origin index `i` are
     /// `offsets[i]..offsets[i + 1]` of `targets` and `params`. Covers
     /// origins up to the largest trained one, so an untrained database
@@ -99,8 +104,8 @@ pub struct MotionKernel {
     params: Vec<PairParams>,
 }
 
-impl MotionKernel {
-    /// Precomputes the kernel for `db` under `config`.
+impl PairTable {
+    /// Lays out the trained pairs of `db`.
     ///
     /// Cost is `O(n + pairs)` time and memory, with no sort: a first
     /// pass counts each origin's directed pairs and prefix-sums the
@@ -111,29 +116,7 @@ impl MotionKernel {
     /// so an origin receives its mirrored targets (all below it,
     /// ascending) before its forward targets (all above it,
     /// ascending): every run comes out sorted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` has non-positive `alpha_deg`, `beta_m`, or
-    /// `stationary_offset_std_m`, or a negative `missing_pair_prob`
-    /// (mirroring `MoLocConfig::validate`).
-    pub fn build(db: &MotionDb, config: &KernelConfig) -> Self {
-        assert!(
-            config.alpha_deg > 0.0 && config.alpha_deg.is_finite(),
-            "alpha_deg must be positive"
-        );
-        assert!(
-            config.beta_m > 0.0 && config.beta_m.is_finite(),
-            "beta_m must be positive"
-        );
-        assert!(
-            config.stationary_offset_std_m > 0.0 && config.stationary_offset_std_m.is_finite(),
-            "stationary_offset_std_m must be positive"
-        );
-        assert!(
-            config.missing_pair_prob >= 0.0 && config.missing_pair_prob.is_finite(),
-            "missing_pair_prob must be non-negative"
-        );
+    pub fn build(db: &MotionDb) -> Self {
         let runs = db.iter().map(|(_, j, _)| j.index() + 1).max().unwrap_or(0);
         let mut offsets = if runs == 0 {
             Vec::new()
@@ -165,11 +148,6 @@ impl MotionKernel {
         }
         Self {
             location_count: db.location_count(),
-            alpha_deg: config.alpha_deg,
-            beta_m: config.beta_m,
-            missing_pair_prob: config.missing_pair_prob,
-            stay_direction_mass: (config.alpha_deg / 360.0).min(1.0),
-            stay_inv_std: 1.0 / config.stationary_offset_std_m,
             offsets,
             target_bits,
             targets,
@@ -177,18 +155,46 @@ impl MotionKernel {
         }
     }
 
-    /// Number of reference locations the kernel covers.
-    pub fn location_count(&self) -> usize {
-        self.location_count
+    /// The table of `db`, given that `self` is the table of a database
+    /// that differs from `db` at most in the canonical pairs `changed`
+    /// names.
+    ///
+    /// When each of those pairs is trained in both databases or in
+    /// neither, the runs are the same: the result is a copy of `self`
+    /// with the changed pairs' parameters overwritten in both
+    /// orientations, by the arithmetic of [`PairTable::build`], so its
+    /// bits equal a build's. When one appeared or vanished, the result
+    /// is [`PairTable::build`] over `db`.
+    pub(crate) fn updated(
+        &self,
+        db: &MotionDb,
+        changed: impl IntoIterator<Item = (LocationId, LocationId)>,
+    ) -> Self {
+        let mut replaced = Vec::new();
+        for (i, j) in changed {
+            assert!(i < j, "({i}, {j}) is not a canonical pair");
+            match (self.position(i, j), db.get(i, j)) {
+                (Some(forward), Some(stats)) => {
+                    let reverse = self
+                        .position(j, i)
+                        .expect("a trained pair has both orientations");
+                    replaced.push((forward, reverse, stats));
+                }
+                (None, None) => {}
+                _ => return Self::build(db),
+            }
+        }
+        let mut next = self.clone();
+        for (forward, reverse, stats) in replaced {
+            next.params[forward] = PairParams::of(&stats);
+            next.params[reverse] = PairParams::of(&stats.mirrored());
+        }
+        next
     }
 
-    /// Number of directed trained pairs materialized.
-    pub fn directed_pair_count(&self) -> usize {
-        self.params.len()
-    }
-
-    /// The parameters of the trained pair `from → to`, `None` past the
-    /// last run or when `to` is not in `from`'s run.
+    /// Where the trained pair `from → to` sits in `targets` and
+    /// `params`, `None` past the last run or when `to` is not in
+    /// `from`'s run.
     ///
     /// Most Eq. 7 lookups miss (87% on the paper hall), so a clear bit
     /// in `target_bits` rejects them before the run is read: on
@@ -198,14 +204,113 @@ impl MotionKernel {
     /// in the paper hall and 4 on a 2048-cell grid, where a linear scan
     /// matched binary search within noise, so the simpler scan stays.
     #[inline]
-    fn params_of(&self, from: LocationId, to: LocationId) -> Option<&PairParams> {
+    fn position(&self, from: LocationId, to: LocationId) -> Option<usize> {
         let fi = from.index();
         if self.target_bits.get(fi)? & (1 << (to.index() % 64)) == 0 {
             return None;
         }
         let (start, end) = (self.offsets[fi] as usize, self.offsets[fi + 1] as usize);
         let at = self.targets[start..end].iter().position(|&t| t == to)?;
-        Some(&self.params[start + at])
+        Some(start + at)
+    }
+
+    /// The parameters of the trained pair `from → to`.
+    #[inline]
+    fn params_of(&self, from: LocationId, to: LocationId) -> Option<&PairParams> {
+        self.position(from, to).map(|at| &self.params[at])
+    }
+}
+
+/// Every bit of a table: its location count, run bounds, target
+/// summaries, targets and parameters.
+#[cfg(test)]
+pub(crate) type TableBits = (usize, Vec<u32>, Vec<u64>, Vec<LocationId>, Vec<[u64; 4]>);
+
+#[cfg(test)]
+impl PairTable {
+    pub(crate) fn bits(&self) -> TableBits {
+        let params = self.params.iter();
+        (
+            self.location_count,
+            self.offsets.clone(),
+            self.target_bits.clone(),
+            self.targets.clone(),
+            params
+                .map(|p| [p.dir_mean, p.dir_inv_std, p.off_mean, p.off_inv_std].map(f64::to_bits))
+                .collect(),
+        )
+    }
+}
+
+/// A precomputed view of a [`MotionDb`] for one matching
+/// configuration: the configuration's scalars over a shared
+/// [`PairTable`]. Build once, query millions of times.
+#[derive(Debug, Clone)]
+pub struct MotionKernel {
+    alpha_deg: f64,
+    beta_m: f64,
+    missing_pair_prob: f64,
+    /// `(α/360) · 1`, the uninformative direction mass of the stay model.
+    stay_direction_mass: f64,
+    /// `1 / stationary_offset_std_m`.
+    stay_inv_std: f64,
+    /// The trained pairs, shared by every kernel over the same table.
+    pairs: Arc<PairTable>,
+}
+
+impl MotionKernel {
+    /// Precomputes the kernel for `db` under `config`: a
+    /// [`PairTable::build`], wrapped by [`MotionKernel::with_pairs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`MotionKernel::with_pairs`] on an invalid `config`.
+    pub fn build(db: &MotionDb, config: &KernelConfig) -> Self {
+        Self::with_pairs(Arc::new(PairTable::build(db)), config)
+    }
+
+    /// The kernel for `config` over an existing table, in `O(1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has non-positive `alpha_deg`, `beta_m`, or
+    /// `stationary_offset_std_m`, or a negative `missing_pair_prob`
+    /// (mirroring `MoLocConfig::validate`).
+    pub fn with_pairs(pairs: Arc<PairTable>, config: &KernelConfig) -> Self {
+        assert!(
+            config.alpha_deg > 0.0 && config.alpha_deg.is_finite(),
+            "alpha_deg must be positive"
+        );
+        assert!(
+            config.beta_m > 0.0 && config.beta_m.is_finite(),
+            "beta_m must be positive"
+        );
+        assert!(
+            config.stationary_offset_std_m > 0.0 && config.stationary_offset_std_m.is_finite(),
+            "stationary_offset_std_m must be positive"
+        );
+        assert!(
+            config.missing_pair_prob >= 0.0 && config.missing_pair_prob.is_finite(),
+            "missing_pair_prob must be non-negative"
+        );
+        Self {
+            alpha_deg: config.alpha_deg,
+            beta_m: config.beta_m,
+            missing_pair_prob: config.missing_pair_prob,
+            stay_direction_mass: (config.alpha_deg / 360.0).min(1.0),
+            stay_inv_std: 1.0 / config.stationary_offset_std_m,
+            pairs,
+        }
+    }
+
+    /// Number of reference locations the kernel covers.
+    pub fn location_count(&self) -> usize {
+        self.pairs.location_count
+    }
+
+    /// Number of directed trained pairs materialized.
+    pub fn directed_pair_count(&self) -> usize {
+        self.pairs.params.len()
     }
 
     /// Mass of `[center - width/2, center + width/2]` under `N(mean, σ²)`
@@ -241,7 +346,7 @@ impl MotionKernel {
         if from == to {
             return self.stay_probability(offset_m);
         }
-        let Some(p) = self.params_of(from, to) else {
+        let Some(p) = self.pairs.params_of(from, to) else {
             return self.missing_pair_prob;
         };
         // Direction windows are evaluated on the wrapped deviation from
@@ -259,6 +364,7 @@ mod tests {
     use super::*;
     use crate::matrix::PairStats;
     use moloc_stats::gaussian::Gaussian;
+    use proptest::prelude::*;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -366,7 +472,7 @@ mod tests {
         [p.dir_mean, p.dir_inv_std, p.off_mean, p.off_inv_std].map(f64::to_bits)
     }
 
-    /// The arrays the kernel was built from before the scatter: both
+    /// The arrays a table was built from before the scatter: both
     /// orientations of every pair, sorted by `(from, to)`.
     fn sorted_reference(db: &MotionDb) -> Vec<(LocationId, LocationId, PairParams)> {
         let mut directed = Vec::new();
@@ -383,9 +489,9 @@ mod tests {
     /// every trained pair resolves both ways to the
     /// [`PairStats::mirrored`] parameters.
     fn assert_scatter_contract(db: &MotionDb) {
-        let k = MotionKernel::build(db, &config());
+        let k = PairTable::build(db);
         let reference = sorted_reference(db);
-        assert_eq!(k.directed_pair_count(), reference.len());
+        assert_eq!(k.params.len(), reference.len());
         for (at, (from, to, p)) in reference.iter().enumerate() {
             assert_eq!(k.targets[at], *to);
             assert_eq!(param_bits(&k.params[at]), param_bits(p));
@@ -443,7 +549,7 @@ mod tests {
             let mut db = MotionDb::new(70);
             db.insert(l(a), l(b), pair_stats(a + b));
             assert_scatter_contract(&db);
-            let k = MotionKernel::build(&db, &config());
+            let k = PairTable::build(&db);
             assert_eq!(k.target_bits.len(), 70);
             assert_eq!(k.offsets[70], 2);
         }
@@ -451,12 +557,116 @@ mod tests {
 
     #[test]
     fn an_empty_database_allocates_nothing() {
-        let k = MotionKernel::build(&MotionDb::new(2048), &config());
+        let k = PairTable::build(&MotionDb::new(2048));
         assert_eq!(k.offsets.capacity(), 0);
         assert_eq!(k.target_bits.capacity(), 0);
         assert_eq!(k.targets.capacity(), 0);
         assert_eq!(k.params.capacity(), 0);
         assert_scatter_contract(&MotionDb::new(2048));
+    }
+
+    const TABLE_IDS: u32 = 40;
+
+    proptest! {
+        /// A random database goes through batches of edits, and after
+        /// each the table moved along by `updated` must equal a build
+        /// over the edited database, every array bit for bit. The first
+        /// half of the batches only replace the statistics of trained
+        /// pairs, so the runs stay and the copy is patched; the second
+        /// half also insert and remove pairs, so a batch may reshape
+        /// the runs. A batch can also name a pair it inserted and then
+        /// removed, which is trained in neither database.
+        #[test]
+        fn an_updated_table_equals_a_build(
+            seeds in prop::collection::vec((1..=TABLE_IDS, 1..=TABLE_IDS, 0u32..1000), 1..80),
+            batches in prop::collection::vec(
+                prop::collection::vec(
+                    (0u32..4, 0usize..1000, 1..=TABLE_IDS, 1..=TABLE_IDS, 0u32..1000),
+                    1..10,
+                ),
+                2..10,
+            ),
+        ) {
+            let mut db = MotionDb::new(TABLE_IDS as usize);
+            for &(a, b, seed) in &seeds {
+                if a != b {
+                    db.insert(l(a), l(b), pair_stats(seed));
+                }
+            }
+            let mut table = PairTable::build(&db);
+            let reshaping = batches.len() / 2;
+            for (n, batch) in batches.iter().enumerate() {
+                let mut changed = std::collections::BTreeSet::new();
+                for &(kind, pick, a, b, seed) in batch {
+                    let keys: Vec<_> = db.iter().map(|(i, j, _)| (i, j)).collect();
+                    let picked = (!keys.is_empty()).then(|| keys[pick % keys.len()]);
+                    match (kind, picked) {
+                        (0 | 1, Some((i, j))) => {
+                            db.insert(i, j, pair_stats(seed));
+                            changed.insert((i, j));
+                        }
+                        (2, _) if n >= reshaping && a != b => {
+                            db.insert(l(a), l(b), pair_stats(seed));
+                            changed.insert((l(a.min(b)), l(a.max(b))));
+                        }
+                        (3, Some((i, j))) if n >= reshaping => {
+                            db.remove(i, j);
+                            changed.insert((i, j));
+                        }
+                        _ => {}
+                    }
+                }
+                table = table.updated(&db, changed.iter().copied());
+                prop_assert_eq!(table.bits(), PairTable::build(&db).bits());
+            }
+        }
+    }
+
+    #[test]
+    fn an_update_that_changes_nothing_copies_the_table() {
+        let db = db();
+        let table = PairTable::build(&db);
+        let same = table.updated(&db, [(l(1), l(2)), (l(2), l(3))]);
+        assert_eq!(same.bits(), table.bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a canonical pair")]
+    fn an_update_names_canonical_pairs() {
+        let db = db();
+        PairTable::build(&db).updated(&db, [(l(2), l(1))]);
+    }
+
+    #[test]
+    fn kernels_of_any_config_share_one_table() {
+        let db = db();
+        let table = Arc::new(PairTable::build(&db));
+        let wide = KernelConfig {
+            alpha_deg: 30.0,
+            missing_pair_prob: 1e-4,
+            ..config()
+        };
+        for config in [config(), wide] {
+            let shared = MotionKernel::with_pairs(Arc::clone(&table), &config);
+            assert!(Arc::ptr_eq(&shared.pairs, &table));
+            let built = MotionKernel::build(&db, &config);
+            for from in 1..=4 {
+                for to in 1..=4 {
+                    for (d, o) in [(90.0, 5.0), (270.0, 4.5), (10.0, 0.2)] {
+                        assert_eq!(
+                            shared.pair_probability(l(from), l(to), d, o).to_bits(),
+                            built.pair_probability(l(from), l(to), d, o).to_bits(),
+                            "{from}->{to} at ({d}, {o})"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            Arc::strong_count(&table),
+            1,
+            "the kernels dropped their clones"
+        );
     }
 
     #[test]
@@ -493,5 +703,15 @@ mod tests {
             ..config()
         };
         MotionKernel::build(&db(), &bad);
+    }
+
+    #[test]
+    #[should_panic(expected = "beta_m")]
+    fn a_shared_table_does_not_bypass_the_config_checks() {
+        let bad = KernelConfig {
+            beta_m: f64::NAN,
+            ..config()
+        };
+        MotionKernel::with_pairs(Arc::new(PairTable::build(&db())), &bad);
     }
 }

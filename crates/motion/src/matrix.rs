@@ -178,34 +178,45 @@ impl MotionDb {
         }
     }
 
-    /// Builds a database from canonical `((i, j), stats)` entries in
-    /// strictly ascending key order: one collect, no search.
+    /// This database with the canonical pairs of `changes` replaced, in
+    /// one merge of the two sorted lists: a pair with statistics is
+    /// inserted or replaced, a pair with `None` is dropped (or stays
+    /// absent). A fresh database's first patch builds it from scratch.
     ///
     /// # Panics
     ///
     /// Panics like [`MotionDb::insert`] on self-pairs and ids beyond
     /// `location_count`, on keys that are not canonical (`i > j`), and
-    /// on keys that do not strictly ascend.
-    pub(crate) fn from_canonical(
-        location_count: usize,
-        entries: impl IntoIterator<Item = Entry>,
-    ) -> Self {
-        let db = Self::new(location_count);
+    /// on keys that do not strictly ascend. The entries kept from
+    /// `self` already hold all of that, so only `changes` is checked.
+    pub(crate) fn patched(&self, changes: &[((u32, u32), Option<PairStats>)]) -> Self {
         let mut last = None;
-        let entries = entries
-            .into_iter()
-            .inspect(|&((i, j), _)| {
-                assert!(i != j, "motion database has no self-pairs");
-                assert!(i < j, "({i}, {j}) is not a canonical pair");
-                db.check(LocationId::new(j));
-                assert!(
-                    last < Some((i, j)),
-                    "({i}, {j}) does not follow the previous key"
-                );
-                last = Some((i, j));
-            })
-            .collect();
-        Self { entries, ..db }
+        for &((i, j), _) in changes {
+            assert!(i != j, "motion database has no self-pairs");
+            assert!(i < j, "({i}, {j}) is not a canonical pair");
+            self.check(LocationId::new(j));
+            assert!(
+                last < Some((i, j)),
+                "({i}, {j}) does not follow the previous key"
+            );
+            last = Some((i, j));
+        }
+        let mut entries = Vec::with_capacity(self.entries.len() + changes.len());
+        let mut kept = self.entries.as_slice();
+        for &(key, stats) in changes {
+            let below = kept.partition_point(|&(k, _)| k < key);
+            entries.extend_from_slice(&kept[..below]);
+            kept = &kept[below..];
+            if kept.first().is_some_and(|&(k, _)| k == key) {
+                kept = &kept[1..];
+            }
+            entries.extend(stats.map(|s| (key, s)));
+        }
+        entries.extend_from_slice(kept);
+        Self {
+            location_count: self.location_count,
+            entries,
+        }
     }
 
     fn check(&self, id: LocationId) {
@@ -354,45 +365,56 @@ mod tests {
         db.insert(l(1), l(9), stats(0.0, 1.0));
     }
 
+    /// The canonical changes `entries` names, each inserting its pair.
+    fn inserts(entries: &[((u32, u32), PairStats)]) -> Vec<((u32, u32), Option<PairStats>)> {
+        entries.iter().map(|&(key, s)| (key, Some(s))).collect()
+    }
+
     #[test]
-    fn from_canonical_equals_one_insert_per_entry() {
+    fn a_patch_of_an_empty_database_equals_one_insert_per_entry() {
         let entries = [((1, 2), stats(90.0, 2.0)), ((2, 4), stats(0.0, 2.5))];
         let mut inserted = MotionDb::new(5);
         for ((i, j), s) in entries {
             inserted.insert(l(i), l(j), s);
         }
-        assert_eq!(MotionDb::from_canonical(5, entries), inserted);
-        assert_eq!(MotionDb::from_canonical(5, []), MotionDb::new(5));
+        assert_eq!(MotionDb::new(5).patched(&inserts(&entries)), inserted);
+        assert_eq!(MotionDb::new(5).patched(&[]), MotionDb::new(5));
     }
 
     #[test]
     #[should_panic(expected = "no self-pairs")]
-    fn from_canonical_rejects_self_pairs() {
-        MotionDb::from_canonical(10, [((1, 2), stats(0.0, 1.0)), ((3, 3), stats(0.0, 1.0))]);
+    fn a_patch_rejects_self_pairs() {
+        MotionDb::new(10).patched(&inserts(&[
+            ((1, 2), stats(0.0, 1.0)),
+            ((3, 3), stats(0.0, 1.0)),
+        ]));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn from_canonical_rejects_foreign_ids() {
-        MotionDb::from_canonical(3, [((1, 9), stats(0.0, 1.0))]);
+    fn a_patch_rejects_foreign_ids() {
+        MotionDb::new(3).patched(&[((1, 9), None)]);
     }
 
     #[test]
     #[should_panic(expected = "not a canonical pair")]
-    fn from_canonical_rejects_reversed_keys() {
-        MotionDb::from_canonical(5, [((4, 2), stats(0.0, 1.0))]);
+    fn a_patch_rejects_reversed_keys() {
+        MotionDb::new(5).patched(&inserts(&[((4, 2), stats(0.0, 1.0))]));
     }
 
     #[test]
     #[should_panic(expected = "does not follow")]
-    fn from_canonical_rejects_unsorted_keys() {
-        MotionDb::from_canonical(5, [((2, 4), stats(0.0, 1.0)), ((1, 2), stats(0.0, 1.0))]);
+    fn a_patch_rejects_unsorted_keys() {
+        MotionDb::new(5).patched(&inserts(&[
+            ((2, 4), stats(0.0, 1.0)),
+            ((1, 2), stats(0.0, 1.0)),
+        ]));
     }
 
     #[test]
     #[should_panic(expected = "does not follow")]
-    fn from_canonical_rejects_repeated_keys() {
-        MotionDb::from_canonical(5, [((1, 2), stats(0.0, 1.0)), ((1, 2), stats(9.0, 1.0))]);
+    fn a_patch_rejects_repeated_keys() {
+        MotionDb::new(5).patched(&[((1, 2), Some(stats(0.0, 1.0))), ((1, 2), None)]);
     }
 
     /// One step of a random edit sequence.
@@ -418,8 +440,8 @@ mod tests {
     proptest! {
         /// Inserts (either orientation, replacing or new) and removals
         /// in random order leave the database a `BTreeMap` model of
-        /// the canonical entries holds: equal to one `from_canonical`
-        /// over the model's sorted survivors, with `get`, `contains`
+        /// the canonical entries holds: equal to one patch of an empty
+        /// database with the model's sorted survivors, with `get`, `contains`
         /// and `neighbors_of` answering as the model does.
         #[test]
         fn random_edits_match_a_sorted_map_model(
@@ -441,10 +463,8 @@ mod tests {
                     }
                 }
             }
-            let rebuilt = MotionDb::from_canonical(
-                EDIT_IDS as usize,
-                model.iter().map(|(&key, &s)| (key, s)),
-            );
+            let survivors: Vec<_> = model.iter().map(|(&key, &s)| (key, Some(s))).collect();
+            let rebuilt = MotionDb::new(EDIT_IDS as usize).patched(&survivors);
             prop_assert_eq!(&db, &rebuilt);
             prop_assert_eq!(db.pair_count(), model.len());
             for a in 1..=EDIT_IDS {
@@ -465,6 +485,40 @@ mod tests {
                     .collect();
                 prop_assert_eq!(db.neighbors_of(l(a)), neighbors);
             }
+        }
+
+        /// A patch of a random database equals one `insert` or
+        /// `remove` per changed pair, whether the pair was trained
+        /// before, after, both or neither.
+        #[test]
+        fn a_patch_equals_one_edit_per_changed_pair(
+            base in prop::collection::vec(edit_strategy(), 0..60),
+            edits in prop::collection::vec(edit_strategy(), 0..20),
+        ) {
+            let apply = |db: &mut MotionDb, edits: &[Edit]| {
+                for edit in edits {
+                    match *edit {
+                        Edit::Insert(a, b, dir) => db.insert(l(a), l(b), stats(dir, 2.0)),
+                        Edit::Remove(a, b) => {
+                            db.remove(l(a), l(b));
+                        }
+                    }
+                }
+            };
+            let mut db = MotionDb::new(EDIT_IDS as usize);
+            apply(&mut db, &base);
+            let mut want = db.clone();
+            apply(&mut want, &edits);
+            let changes: BTreeMap<(u32, u32), Option<PairStats>> = edits
+                .iter()
+                .map(|edit| {
+                    let (Edit::Insert(a, b, _) | Edit::Remove(a, b)) = *edit;
+                    let (i, j) = (a.min(b), a.max(b));
+                    ((i, j), want.get(l(i), l(j)))
+                })
+                .collect();
+            let changes: Vec<_> = changes.into_iter().collect();
+            prop_assert_eq!(db.patched(&changes), want);
         }
     }
 
