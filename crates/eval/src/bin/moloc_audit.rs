@@ -39,10 +39,14 @@
 //!   rebuild of the same contribution history over 12 epochs (content
 //!   digests must collide). Each epoch's RLM revisits one of two pairs
 //!   an earlier publish fitted, and a late one is a fine outlier, so
-//!   the builder's per-pair fit memo is invalidated and reused. Each
-//!   epoch's published index rows are also compared bit for bit with
-//!   `FingerprintIndex::build(&FingerprintDb::from_samples(..))` over
-//!   the merged survey history, an oracle outside `UpdateLog`.
+//!   the builder refits pairs it fitted before and patches its pair
+//!   table. Each epoch's published index rows are also compared bit
+//!   for bit with `FingerprintIndex::build(&FingerprintDb::from_samples(..))`
+//!   over the merged survey history, an oracle outside `UpdateLog`, and
+//!   its published kernel under the paper config with `build_kernel`
+//!   over the rebuilt database: `pair_probability` bits for every
+//!   ordered hall pair at a grid of measurements (case
+//!   `epoch N kernel`).
 //! * `session.recover` — kill/recover at several stream prefixes vs
 //!   the uninterrupted run (estimates and final encoded state
 //!   byte-identical).
@@ -55,12 +59,14 @@
 //! oracle query in `knn.scalar` and in `eq7.engine`, an untrained
 //! `kernel.pair` expectation moved to the neighbouring run's value, a
 //! `motion.sanitation` coarse offset compared with `<` instead of
-//! `<=`, and two in `live.rebuild`: an epoch compared with a history
-//! that lacks its RLM (what a memo that missed its invalidation would
-//! serve), and an epoch whose survey oracle lacks one delta sample —
-//! and is expected to exit nonzero with a divergence in all five and
-//! from both `live.rebuild` checks. CI checks the report to prove each
-//! gate can fail.
+//! `<=`, and three in `live.rebuild`: an epoch compared with a history
+//! that lacks its RLM (what a build that skipped a touched pair would
+//! serve), an epoch whose survey oracle lacks one delta sample, and an
+//! epoch whose kernel oracle serves the previous epoch's statistics
+//! for the pair it revisits (what a table patch that missed the pair
+//! would serve) — and is expected to exit nonzero with a divergence in
+//! all five and from all three `live.rebuild` checks. CI checks the
+//! report to prove each gate can fail.
 
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
@@ -87,6 +93,7 @@ use moloc_stats::gaussian::Gaussian;
 use moloc_verify::oracle;
 use moloc_verify::{AuditReport, Divergence};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const USAGE: &str = "usage: moloc-audit [--seed N] [--out FILE] [--self-test]";
 const N_APS: usize = 6;
@@ -969,6 +976,16 @@ const OUTLIER_EPOCH: u64 = 11;
 /// The epoch whose survey oracle, under the self-test, lacks the
 /// first of that epoch's delta samples.
 const SURVEY_PLANT_EPOCH: u64 = 4;
+/// The epoch whose kernel oracle, under the self-test, serves the
+/// previous epoch's statistics for the pair that epoch's RLM revisits.
+/// Its RLM is the fourth on a pair built since epoch 6 and no fine
+/// outlier, so the publish only changes a built pair's statistics.
+const KERNEL_PLANT_EPOCH: u64 = 8;
+/// Directions and offsets at which `live.rebuild` compares kernels:
+/// the hall's aisle bearings at a short step and at its two grid
+/// spacings.
+const KERNEL_PROBE_DIRECTIONS: [f64; 4] = [0.0, 90.0, 180.0, 270.0];
+const KERNEL_PROBE_OFFSETS: [f64; 3] = [0.5, 4.0, 5.8];
 
 fn live_suite(
     world: &EvalWorld,
@@ -1035,6 +1052,13 @@ fn live_suite(
     let publisher = SnapshotPublisher::new(log.build_snapshot(0).expect("seed snapshot"));
     log.mark_published();
     let mut reader = publisher.reader();
+    let paper = MoLocConfig::paper();
+    let mut previous_db = Arc::clone(&reader.snapshot().motion_db);
+    let hall_ids: Vec<LocationId> = world.hall.grid.ids().collect();
+    let probes: Vec<(f64, f64)> = KERNEL_PROBE_DIRECTIONS
+        .iter()
+        .flat_map(|&d| KERNEL_PROBE_OFFSETS.iter().map(move |&o| (d, o)))
+        .collect();
 
     let mut divs = Vec::new();
     let mut cases = 0u64;
@@ -1053,8 +1077,8 @@ fn live_suite(
         for (id, values) in &base {
             rebuilt.observe_survey_sample(*id, values).expect("ap count matches");
         }
-        // The planted history lacks this epoch's RLM, as a memo that
-        // missed its invalidation would.
+        // The planted history lacks this epoch's RLM, as a build that
+        // skipped a touched pair would.
         let plant = self_test && epoch == OUTLIER_EPOCH;
         for e in 1..=epoch {
             for (id, values) in delta_samples(e) {
@@ -1064,10 +1088,8 @@ fn live_suite(
                 rebuilt.observe_rlm(delta_rlm(e));
             }
         }
-        let rebuilt_digest = rebuilt
-            .build_snapshot(epoch)
-            .expect("rebuild snapshot")
-            .digest();
+        let rebuilt = rebuilt.build_snapshot(epoch).expect("rebuild snapshot");
+        let rebuilt_digest = rebuilt.digest();
         if incremental != rebuilt_digest || published.epoch != epoch {
             divs.push(Divergence {
                 suite: "live.rebuild".to_string(),
@@ -1080,6 +1102,43 @@ fn live_suite(
             });
         }
         cases += 1;
+
+        // Kernel oracle: the published epoch's kernel against one built
+        // from the rebuilt database. The digest leaves the kernel out,
+        // and the motion builder patches its pair table apart from the
+        // database, so a patch that missed a touched pair would pass
+        // the digest. The planted oracle serves the revisited pair's
+        // previous statistics, as such a patch would.
+        let oracle = if self_test && epoch == KERNEL_PLANT_EPOCH {
+            let (a, b) = pairs[(epoch % 2) as usize];
+            let (i, j) = (a.min(b), a.max(b));
+            let mut stale = (*rebuilt.motion_db).clone();
+            let before = previous_db.get(i, j).expect("the revisited pair was built");
+            stale.insert(i, j, before);
+            build_kernel(&stale, &paper)
+        } else {
+            build_kernel(&rebuilt.motion_db, &paper)
+        };
+        let served = reader.snapshot().kernel(&paper);
+        let mismatch = hall_ids
+            .iter()
+            .flat_map(|&from| hall_ids.iter().map(move |&to| (from, to)))
+            .flat_map(|(from, to)| probes.iter().map(move |&(d, o)| (from, to, d, o)))
+            .find_map(|(from, to, d, o)| {
+                let want = oracle.pair_probability(from, to, d, o);
+                let got = served.pair_probability(from, to, d, o);
+                (want.to_bits() != got.to_bits()).then_some((from, to, d, o, want, got))
+            });
+        if let Some((from, to, d, o, want, got)) = mismatch {
+            divs.push(Divergence {
+                suite: "live.rebuild".to_string(),
+                case: format!("epoch {epoch} kernel"),
+                expected: format!("P({from}->{to} | {d} deg, {o} m) = {want:e}"),
+                actual: format!("{got:e}"),
+            });
+        }
+        cases += 1;
+        previous_db = Arc::clone(&rebuilt.motion_db);
 
         // Survey oracle outside `UpdateLog`: the merged sample history,
         // grouped per location in arrival order, condensed by
