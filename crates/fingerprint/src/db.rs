@@ -168,12 +168,10 @@ impl FingerprintDb {
     /// # Errors
     ///
     /// Returns [`DbError::Empty`] when `samples` is empty or any
-    /// location has no samples, plus the length/duplicate errors of
-    /// [`FingerprintDb::from_fingerprints`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when samples of one location differ in length.
+    /// location has no samples, [`DbError::InconsistentLength`] when
+    /// samples of one location differ in length, [`DbError::NonFinite`]
+    /// when a location's mean is not finite, plus the length/duplicate
+    /// errors of [`FingerprintDb::from_fingerprints`].
     pub fn from_samples<I, S>(samples: I) -> Result<Self, DbError>
     where
         I: IntoIterator<Item = (LocationId, S)>,
@@ -185,11 +183,12 @@ impl FingerprintDb {
             for sample in set {
                 let accumulators =
                     accumulators.get_or_insert_with(|| vec![Welford::new(); sample.len()]);
-                assert_eq!(
-                    sample.len(),
-                    accumulators.len(),
-                    "fingerprint lengths differ"
-                );
+                if sample.len() != accumulators.len() {
+                    return Err(DbError::InconsistentLength {
+                        expected: accumulators.len(),
+                        found: sample.len(),
+                    });
+                }
                 for (acc, &value) in accumulators.iter_mut().zip(sample.values()) {
                     acc.push(value);
                 }
@@ -326,6 +325,20 @@ mod tests {
         .unwrap();
         assert_eq!(db.fingerprint(l(1)).unwrap().values(), &[-42.0, -58.0]);
         assert_eq!(db.ap_count(), 2);
+    }
+
+    #[test]
+    fn from_samples_rejects_ragged_samples_of_one_location() {
+        let err =
+            FingerprintDb::from_samples(vec![(l(1), vec![fp(&[-40.0, -50.0]), fp(&[-40.0])])])
+                .unwrap_err();
+        assert_eq!(
+            err,
+            DbError::InconsistentLength {
+                expected: 2,
+                found: 1
+            }
+        );
     }
 
     #[test]

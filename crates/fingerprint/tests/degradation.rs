@@ -76,8 +76,9 @@ fn deserialized_database_is_checked() {
 #[test]
 fn from_samples_rejects_non_finite_mean() {
     // Averaging +inf and -inf survey samples produces a NaN mean; a
-    // single infinite sample produces an infinite one. Both must
-    // surface as `NonFinite`, never as a stored poisoned row.
+    // single infinite sample produces an infinite one, and so does the
+    // overflowing running mean of ±1.7e308. All must surface as
+    // `NonFinite`, never as a stored poisoned row.
     let pos: Fingerprint = serde_json::from_str(r#"{"values":[-44.0,1e999]}"#).unwrap();
     let neg: Fingerprint = serde_json::from_str(r#"{"values":[-44.0,-1e999]}"#).unwrap();
     let err = FingerprintDb::from_samples(vec![(l(1), vec![pos.clone(), neg])]).unwrap_err();
@@ -85,6 +86,15 @@ fn from_samples_rejects_non_finite_mean() {
     let err = FingerprintDb::from_samples(vec![(
         l(1),
         vec![Fingerprint::new(vec![-40.0, -60.0]), pos],
+    )])
+    .unwrap_err();
+    assert_eq!(err, DbError::NonFinite(l(1)));
+    let err = FingerprintDb::from_samples(vec![(
+        l(1),
+        vec![
+            Fingerprint::new(vec![-40.0, 1.7e308]),
+            Fingerprint::new(vec![-40.0, -1.7e308]),
+        ],
     )])
     .unwrap_err();
     assert_eq!(err, DbError::NonFinite(l(1)));
