@@ -119,7 +119,7 @@ fn resolve_thread_count(raw: Option<&str>, available: usize) -> Result<usize, Mo
 
 /// Bench-harness worker-count override: `0` means "not armed".
 ///
-/// The scaling benchmarks measure the same workload at 1/2/4/8 workers
+/// The `gates` bench measures the same workload at 1, 2 and 4 workers
 /// inside one process, where mutating `MOLOC_THREADS` would be both
 /// unsafe (env mutation under live threads) and ineffective (the
 /// variable is parsed once). The override is process-global and
@@ -239,8 +239,8 @@ where
 }
 
 /// [`par_shards`] with an explicit worker count, ignoring
-/// [`thread_count`]. The scaling benchmarks use this to sweep widths;
-/// results are width-invariant.
+/// [`thread_count`]. The `gates` bench uses this to pin its pool arms
+/// to one width; results are width-invariant.
 pub fn par_shards_with_workers<F>(workers: usize, n: usize, chunk: usize, shard_fn: F)
 where
     F: Fn(Range<usize>) + Sync,

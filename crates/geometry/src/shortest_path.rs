@@ -108,21 +108,6 @@ pub fn dijkstra(graph: &WalkGraph, source: LocationId) -> ShortestPaths {
     ShortestPaths { source, dist, prev }
 }
 
-/// All-pairs walkable distances; `None` entries are unreachable pairs.
-///
-/// Runs Dijkstra from every node — fine for the grid sizes of this
-/// reproduction (tens of nodes).
-pub fn all_pairs(graph: &WalkGraph) -> Vec<Vec<Option<f64>>> {
-    (0..graph.node_count())
-        .map(|i| {
-            let sp = dijkstra(graph, LocationId::from_index(i));
-            (0..graph.node_count())
-                .map(|j| sp.distance(LocationId::from_index(j)))
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,16 +170,19 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_is_symmetric_and_satisfies_triangle_inequality() {
+    fn walk_distances_are_symmetric_and_satisfy_triangle_inequality() {
         let g = blocked_world();
-        let d = all_pairs(&g);
         let n = g.node_count();
+        let from: Vec<ShortestPaths> = (0..n)
+            .map(|i| dijkstra(&g, LocationId::from_index(i)))
+            .collect();
+        let d = |i: usize, j: usize| from[i].distance(LocationId::from_index(j));
         for i in 0..n {
-            assert_eq!(d[i][i], Some(0.0));
+            assert_eq!(d(i, i), Some(0.0));
             for j in 0..n {
-                assert_eq!(d[i][j], d[j][i]);
+                assert_eq!(d(i, j), d(j, i));
                 for k in 0..n {
-                    if let (Some(ij), Some(ik), Some(kj)) = (d[i][j], d[i][k], d[k][j]) {
+                    if let (Some(ij), Some(ik), Some(kj)) = (d(i, j), d(i, k), d(k, j)) {
                         assert!(ij <= ik + kj + 1e-9);
                     }
                 }

@@ -4,7 +4,7 @@ use moloc_geometry::floorplan::FloorPlan;
 use moloc_geometry::grid::{LocationId, ReferenceGrid};
 use moloc_geometry::polygon::Aabb;
 use moloc_geometry::segment::Segment;
-use moloc_geometry::shortest_path::{all_pairs, dijkstra};
+use moloc_geometry::shortest_path::dijkstra;
 use moloc_geometry::vec2::Vec2;
 use moloc_geometry::WalkGraph;
 use proptest::prelude::*;
@@ -113,18 +113,21 @@ proptest! {
                 graph.add_edge(ia, ib, grid.distance(ia, ib).max(0.1));
             }
         }
-        let d = all_pairs(&graph);
+        let from: Vec<_> = (0..n)
+            .map(|i| dijkstra(&graph, LocationId::from_index(i)))
+            .collect();
+        let d = |i: usize, j: usize| from[i].distance(LocationId::from_index(j));
         for i in 0..n {
-            prop_assert_eq!(d[i][i], Some(0.0));
+            prop_assert_eq!(d(i, i), Some(0.0));
             for j in 0..n {
                 // Symmetric up to summation order (different Dijkstra
                 // sources add the same edge weights in different order).
-                match (d[i][j], d[j][i]) {
+                match (d(i, j), d(j, i)) {
                     (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9),
                     (x, y) => prop_assert_eq!(x, y),
                 }
-                if let (Some(dij), Some(dj)) = (d[i][j], d[j][0]) {
-                    if let Some(di) = d[i][0] {
+                if let (Some(dij), Some(dj)) = (d(i, j), d(j, 0)) {
+                    if let Some(di) = d(i, 0) {
                         prop_assert!(di <= dij + dj + 1e-9);
                     }
                 }
