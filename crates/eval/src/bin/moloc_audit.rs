@@ -46,7 +46,11 @@
 //!   its published kernel under the paper config with `build_kernel`
 //!   over the rebuilt database: `pair_probability` bits for every
 //!   ordered hall pair at a grid of measurements (case
-//!   `epoch N kernel`).
+//!   `epoch N kernel`). The suite holds epoch 6's snapshot to the end,
+//!   so the log must copy the buffers it would otherwise recycle, and
+//!   re-checks its digest after the last epoch (case `epoch 6 held`).
+//!   Its coverage case counts the publishes that wrote retired buffers
+//!   in place and those that copied, and needs both.
 //! * `session.recover` — kill/recover at several stream prefixes vs
 //!   the uninterrupted run (estimates and final encoded state
 //!   byte-identical).
@@ -83,7 +87,7 @@ use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
 use moloc_geometry::LocationId;
-use moloc_live::{SnapshotPublisher, UpdateLog};
+use moloc_live::{DbSnapshot, SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::matrix::{MotionDb, PairStats};
 use moloc_motion::rlm::Rlm;
@@ -981,6 +985,11 @@ const SURVEY_PLANT_EPOCH: u64 = 4;
 /// Its RLM is the fourth on a pair built since epoch 6 and no fine
 /// outlier, so the publish only changes a built pair's statistics.
 const KERNEL_PLANT_EPOCH: u64 = 8;
+/// The epoch whose snapshot `live.rebuild` holds to the end. The log
+/// builds each epoch in the buffers of the epoch before the last one,
+/// so the publish two epochs later must copy them, and the held
+/// snapshot's digest must not move.
+const HELD_EPOCH: u64 = 6;
 /// Directions and offsets at which `live.rebuild` compares kernels:
 /// the hall's aisle bearings at a short step and at its two grid
 /// spacings.
@@ -1052,6 +1061,19 @@ fn live_suite(
     let publisher = SnapshotPublisher::new(log.build_snapshot(0).expect("seed snapshot"));
     log.mark_published();
     let mut reader = publisher.reader();
+    // Per epoch, where its index and motion database live: a publish
+    // that wrote the buffers of the epoch two before it patched them in
+    // place, any other new buffer is a copy (or a new layout).
+    let address = |snapshot: &DbSnapshot| {
+        (
+            Arc::as_ptr(&snapshot.index) as usize,
+            Arc::as_ptr(&snapshot.motion_db) as usize,
+        )
+    };
+    let mut indexes = vec![address(reader.snapshot()).0];
+    let mut motion_dbs = vec![address(reader.snapshot()).1];
+    let (mut index_paths, mut motion_paths) = ([0u64; 2], [0u64; 2]);
+    let mut held = None;
     let paper = MoLocConfig::paper();
     let mut previous_db = Arc::clone(&reader.snapshot().motion_db);
     let hall_ids: Vec<LocationId> = world.hall.grid.ids().collect();
@@ -1070,6 +1092,18 @@ fn live_suite(
         let published = publisher.publish(&mut log).expect("publish succeeds");
         reader.refresh();
         let incremental = reader.snapshot().digest();
+        let (index_at, motion_at) = address(reader.snapshot());
+        let in_place = indexes.len() >= 2 && indexes[indexes.len() - 2] == index_at;
+        index_paths[usize::from(!in_place)] += 1;
+        indexes.push(index_at);
+        if motion_dbs.last() != Some(&motion_at) {
+            let in_place = motion_dbs.len() >= 2 && motion_dbs[motion_dbs.len() - 2] == motion_at;
+            motion_paths[usize::from(!in_place)] += 1;
+            motion_dbs.push(motion_at);
+        }
+        if epoch == HELD_EPOCH {
+            held = Some((Arc::clone(reader.snapshot()), incremental));
+        }
 
         // From-scratch arm: a fresh log fed the identical history.
         let mut rebuilt = UpdateLog::new(setting.n_aps, map.clone(), sanitation)
@@ -1181,17 +1215,38 @@ fn live_suite(
         }
         cases += 1;
     }
+    // The held epoch's buffers were not written by the publishes after
+    // it.
+    let (held, digest_then) = held.expect("the held epoch was published");
+    if held.digest() != digest_then {
+        divs.push(Divergence {
+            suite: "live.rebuild".to_string(),
+            case: format!("epoch {HELD_EPOCH} held"),
+            expected: format!("digest {digest_then:#018x} as published"),
+            actual: format!("digest {:#018x} after epoch {EPOCHS}", held.digest()),
+        });
+    }
+    cases += 1;
     // The stream must have exercised what it is for: fitted pairs that
-    // later RLMs revisit, and a fine rejection among them.
+    // later RLMs revisit, a fine rejection among them, and publishes
+    // that wrote retired buffers in place beside ones that copied them.
     let last = publisher.snapshot();
     let built = last.motion_report.pairs_built;
     let rejected = last.motion_report.rejected_fine;
-    if built != 2 || rejected == 0 {
+    let coverage = format!(
+        "{built} built, {rejected} fine rejections; index {} in place, {} copied; \
+         motion {} in place, {} copied or laid out anew",
+        index_paths[0], index_paths[1], motion_paths[0], motion_paths[1]
+    );
+    eprintln!("moloc-audit: live.rebuild publishes: {coverage}");
+    if built != 2 || rejected == 0 || index_paths.contains(&0) || motion_paths[0] == 0 {
         divs.push(Divergence {
             suite: "live.rebuild".to_string(),
             case: "delta stream coverage".to_string(),
-            expected: "2 pairs built, at least 1 fine rejection".to_string(),
-            actual: format!("{built} built, {rejected} fine rejections"),
+            expected: "2 pairs built, at least 1 fine rejection; index publishes in place and \
+                       copied; motion publishes in place"
+                .to_string(),
+            actual: coverage,
         });
     }
     report.finish_suite("live.rebuild", cases + 1, divs);

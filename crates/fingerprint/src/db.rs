@@ -45,6 +45,9 @@ pub enum DbError {
         /// The number of values the matrix holds.
         values: usize,
     },
+    /// A row patch names a location the index does not hold
+    /// ([`crate::index::FingerprintIndex::patch_rows`]).
+    UnknownLocation(LocationId),
 }
 
 impl std::fmt::Display for DbError {
@@ -72,6 +75,7 @@ impl std::fmt::Display for DbError {
                 f,
                 "{values} values do not make {rows} rows of {ap_count} APs"
             ),
+            DbError::UnknownLocation(id) => write!(f, "{id} has no row to patch"),
         }
     }
 }

@@ -320,6 +320,69 @@ impl FingerprintIndex {
         })
     }
 
+    /// Overwrites the rows of the locations `rows` names, in order (a
+    /// later entry for one id wins), leaving the index `==` to
+    /// [`FingerprintIndex::from_rows`] over the patched matrix: the f32
+    /// mirror columns are written too, and `max_abs` stays exact. It is
+    /// refolded over every value only when a patched row held the old
+    /// maximum; otherwise the new maximum is the old one or a patched
+    /// value. A maximum that crosses `F32_SAFE_LIMIT` (1e15) drops or
+    /// rebuilds the mirror, by the rule of `from_rows`. Costs the
+    /// patched rows, plus one pass over all values on a refold and one
+    /// transpose when the mirror comes back.
+    ///
+    /// # Errors
+    ///
+    /// Everything is checked before the first write, so a refused
+    /// patch leaves the index unchanged. Returns
+    /// [`DbError::UnknownLocation`] for an id the index does not hold (a
+    /// patch adds no row), [`DbError::InconsistentLength`] for a row that
+    /// is not `ap_count` values, and [`DbError::NonFinite`] for a row
+    /// that holds a NaN or an infinity.
+    pub fn patch_rows(&mut self, rows: &[(LocationId, &[f64])]) -> Result<(), DbError> {
+        let mut positions = Vec::with_capacity(rows.len());
+        for &(id, values) in rows {
+            let position = self.position_of(id).ok_or(DbError::UnknownLocation(id))?;
+            if values.len() != self.ap_count {
+                return Err(DbError::InconsistentLength {
+                    expected: self.ap_count,
+                    found: values.len(),
+                });
+            }
+            if !values.iter().all(|v| v.is_finite()) {
+                return Err(DbError::NonFinite(id));
+            }
+            positions.push(position);
+        }
+        let held_max = positions
+            .iter()
+            .any(|&p| self.row(p).iter().any(|v| v.abs() == self.max_abs));
+        let ap = self.ap_count;
+        for (&p, &(_, values)) in positions.iter().zip(rows) {
+            self.matrix[p * ap..(p + 1) * ap].copy_from_slice(values);
+        }
+        self.max_abs = if held_max {
+            finite_max_abs(&self.matrix).expect("every row was finite and stays so")
+        } else {
+            positions.iter().fold(self.max_abs, |max, &p| {
+                self.row(p).iter().fold(max, |max, v| max.max(v.abs()))
+            })
+        };
+        let rows_total = self.ids.len();
+        match (self.max_abs < F32_SAFE_LIMIT, &mut self.mirror) {
+            (false, mirror) => *mirror = None,
+            (true, None) => self.mirror = Some(transpose_f32(&self.matrix, rows_total, ap)),
+            (true, Some(mirror)) => {
+                for &p in &positions {
+                    for (a, &v) in self.matrix[p * ap..(p + 1) * ap].iter().enumerate() {
+                        mirror[a * rows_total + p] = v as f32;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Whether the index carries an f32 mirror (built whenever the
     /// survey's values fit f32 safely — effectively always for RSS).
     pub fn has_mirror(&self) -> bool {

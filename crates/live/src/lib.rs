@@ -22,8 +22,10 @@
 //! * [`update`] — [`update::UpdateLog`], the ingestion side: survey
 //!   samples stream into per-location rows of running [Welford] means,
 //!   RLMs stream into the existing [`MotionDbBuilder`] (coarse filter
-//!   on ingestion, fine filter at build; each build patches the last
-//!   one's database and pair table). Folding N deltas
+//!   on ingestion, fine filter at build). A build costs what its delta
+//!   touched: both sides write the rows and pairs that changed into the
+//!   buffers of the build before the last one, once no reader holds
+//!   them. Folding N deltas
 //!   incrementally is **bit-identical** to rebuilding from scratch on
 //!   the merged sample set — the equivalence proptest in
 //!   `tests/equivalence.rs` enforces this digest-for-digest.

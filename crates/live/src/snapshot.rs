@@ -5,7 +5,10 @@
 //! per-location means, and the sanitized motion database with its
 //! construction report. Snapshots are shared behind `Arc`s by the
 //! publisher, every in-flight reader, and every live localizer — they
-//! are never mutated, only replaced wholesale at an epoch boundary.
+//! are never mutated, only replaced wholesale at an epoch boundary. The
+//! update log builds a new epoch in the buffers of one two epochs back
+//! only once nothing holds them (`Arc::make_mut`), so a snapshot that
+//! anyone holds never changes.
 //!
 //! A snapshot also carries derived data. The motion database's
 //! [`PairTable`], which the motion builder keeps in step with the

@@ -17,9 +17,16 @@
 //!   database, offered straight to the long-lived
 //!   [`MotionDbBuilder`], which applies the paper's coarse map filter
 //!   on ingestion and the fine 2σ filter and the Gaussian fit at build
-//!   time. It keeps its last build, so a publish refits only the pairs
-//!   its deltas touched, merges them into the previous database and
-//!   patches the previous pair table.
+//!   time. It keeps its last two builds, so a publish refits only the
+//!   pairs its deltas touched and, unless a pair appeared or vanished,
+//!   overwrites them in the older build's database and pair table.
+//!
+//! Both sides keep the epoch before the last one and write the next
+//! epoch into it with `Arc::make_mut`: in place once no reader holds
+//! it, which is the steady state, and into a copy otherwise, so a
+//! snapshot a reader holds is never written. Only what changed in the
+//! last two publishes is overwritten. Survey rows are marked touched
+//! once per publish, so ingest keeps no per-sample list.
 //!
 //! [`UpdateLog::build_snapshot`] condenses the accumulated state into a
 //! [`DbSnapshot`] and leaves the log open for further deltas, so epochs
@@ -39,6 +46,9 @@ use moloc_motion::rlm::Rlm;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
+/// A surveyed location and its row in the log.
+type Row = (LocationId, usize);
+
 /// Accumulates crowdsourced deltas between snapshot publishes.
 #[derive(Debug)]
 pub struct UpdateLog {
@@ -51,6 +61,17 @@ pub struct UpdateLog {
     /// Row-major running per-AP means, `ap_count` per row (the
     /// bit-identity anchor — see module docs).
     means: Vec<f64>,
+    /// Per row, whether it is on `touched`.
+    marked: Vec<bool>,
+    /// The rows folded into since the last build, each once, in the
+    /// order a sample first touched them.
+    touched: Vec<Row>,
+    /// The last build's index.
+    index: Option<Arc<FingerprintIndex>>,
+    /// The build before it, when the last build kept its rows' layout:
+    /// the buffers the next build writes, with the rows the last build
+    /// changed (where they lag the current means by one build).
+    spare: Option<(Arc<FingerprintIndex>, Vec<Row>)>,
     motion: MotionDbBuilder,
     deltas_since_publish: u64,
 }
@@ -73,6 +94,10 @@ impl UpdateLog {
             rows: BTreeMap::new(),
             counts: Vec::new(),
             means: Vec::new(),
+            marked: Vec::new(),
+            touched: Vec::new(),
+            index: None,
+            spare: None,
             motion: MotionDbBuilder::new(map, sanitation)?,
             deltas_since_publish: 0,
         })
@@ -125,9 +150,14 @@ impl UpdateLog {
             let row = self.counts.len();
             self.rows.insert(location, row);
             self.counts.push(0);
+            self.marked.push(false);
             self.means.resize((row + 1) * ap, 0.0);
             row
         });
+        if !self.marked[row] {
+            self.marked[row] = true;
+            self.touched.push((location, row));
+        }
         self.counts[row] = n;
         for (mean, &x) in self.means[row * ap..(row + 1) * ap].iter_mut().zip(values) {
             *mean = fold(*mean, x);
@@ -151,14 +181,23 @@ impl UpdateLog {
     /// Condenses the accumulated state into an epoch-stamped snapshot
     /// without consuming the log.
     ///
-    /// The fingerprint side copies the running means in id order into
-    /// one matrix and hands it to [`FingerprintIndex::from_rows`]: the
-    /// rows [`FingerprintDb::from_samples`] would build, with no
-    /// per-location allocation. The motion side is
+    /// The fingerprint side costs what the samples since the last build
+    /// touched. When they added no location, the next index is the one
+    /// built before the last one, with the rows either of the last two
+    /// builds changed overwritten by
+    /// [`FingerprintIndex::patch_rows`]: in place (`Arc::make_mut`)
+    /// when no snapshot still holds that index, else in a copy of it,
+    /// so a held snapshot never changes. With no such index, the last
+    /// one is copied, and when nothing was folded since the last build
+    /// its index is returned. A new location changes the layout, so
+    /// that build copies the running means in id order into one matrix
+    /// and hands it to [`FingerprintIndex::from_rows`]: the rows
+    /// [`FingerprintDb::from_samples`] would build, with no
+    /// per-location allocation. Either way the index equals `from_rows`
+    /// over the current means. The motion side is
     /// [`MotionDbBuilder::build_snapshot`], proven prefix-bit-identical
-    /// to a consuming build: it refits only the pairs that RLMs since
-    /// the previous build touched, and hands over its database and pair
-    /// table as shared `Arc`s.
+    /// to a consuming build, which keeps its last two builds the same
+    /// way.
     ///
     /// # Errors
     ///
@@ -168,23 +207,67 @@ impl UpdateLog {
     /// [`FingerprintDb::from_samples`]: moloc_fingerprint::db::FingerprintDb::from_samples
     /// [`DbError::Empty`]: moloc_fingerprint::db::DbError::Empty
     pub fn build_snapshot(&mut self, epoch: u64) -> Result<DbSnapshot, LiveError> {
-        let ap = self.ap_count;
-        let mut ids = Vec::with_capacity(self.rows.len());
-        let mut matrix = Vec::with_capacity(self.means.len());
-        for (&id, &row) in &self.rows {
-            ids.push(id);
-            matrix.extend_from_slice(&self.means[row * ap..(row + 1) * ap]);
-        }
-        let index = FingerprintIndex::from_rows(ids, matrix, ap)?;
+        let index = self.build_index()?;
         let (motion_db, pairs, motion_report) = self.motion.build_snapshot();
         Ok(DbSnapshot {
             epoch,
-            index: Arc::new(index),
+            index,
             motion_db,
             motion_report,
             pairs,
             fdb: OnceLock::new(),
         })
+    }
+
+    /// The fingerprint side of [`UpdateLog::build_snapshot`].
+    fn build_index(&mut self) -> Result<Arc<FingerprintIndex>, LiveError> {
+        let ap = self.ap_count;
+        let (next, retired) = match &self.index {
+            Some(index) if index.len() == self.counts.len() => {
+                if self.touched.is_empty() {
+                    return Ok(Arc::clone(index));
+                }
+                let (mut next, mut stale) = self
+                    .spare
+                    .take()
+                    .unwrap_or_else(|| (Arc::clone(index), Vec::new()));
+                let rows: Vec<(LocationId, &[f64])> = stale
+                    .iter()
+                    .filter(|&&(_, row)| !self.marked[row])
+                    .chain(&self.touched)
+                    .map(|&(id, row)| (id, &self.means[row * ap..(row + 1) * ap]))
+                    .collect();
+                Arc::make_mut(&mut next).patch_rows(&rows)?;
+                stale.clear();
+                (next, Some(stale))
+            }
+            _ => {
+                let mut ids = Vec::with_capacity(self.rows.len());
+                let mut matrix = Vec::with_capacity(self.means.len());
+                for (&id, &row) in &self.rows {
+                    ids.push(id);
+                    matrix.extend_from_slice(&self.means[row * ap..(row + 1) * ap]);
+                }
+                (
+                    Arc::new(FingerprintIndex::from_rows(ids, matrix, ap)?),
+                    None,
+                )
+            }
+        };
+        for &(_, row) in &self.touched {
+            self.marked[row] = false;
+        }
+        let previous = self.index.replace(Arc::clone(&next));
+        // After a patch the last index becomes the spare, lagging by the
+        // rows just touched; a new layout leaves no spare.
+        self.spare = match (previous, retired) {
+            (Some(previous), Some(empty)) => {
+                Some((previous, std::mem::replace(&mut self.touched, empty)))
+            }
+            _ => None,
+        };
+        self.touched.clear();
+        Ok(next)
     }
 
     /// Resets the pending-delta counter after a successful publish.

@@ -22,7 +22,9 @@ use std::time::Duration;
 
 const AP_COUNT: usize = 3;
 const LOCATIONS: u32 = 6;
-const EPOCHS: u64 = 5;
+/// Enough publishes that the log writes epochs into buffers it retired
+/// while the reader races it.
+const EPOCHS: u64 = 50;
 
 fn l(i: u32) -> LocationId {
     LocationId::new(i)

@@ -5,13 +5,15 @@
 //! come from noisy sensors — reassembles them, applies the coarse
 //! map-based filter on ingestion, and at [`MotionDbBuilder::build`] time
 //! applies the fine Gaussian filter and fits the per-pair statistics.
-//! The builder keeps its last build: each pair's fit, the database and
-//! the database's [`PairTable`]. A snapshot of a builder that is still
-//! ingesting refits only the pairs that RLMs touched since the last
-//! one, merges them into the previous database, and patches the
-//! previous table, so it costs what its delta touched plus one copy of
-//! each. A fresh builder's first build is the same call, with every
-//! pair touched and an empty database to merge into.
+//! The builder keeps each pair's last fit and its last two builds, each
+//! a database and the database's [`PairTable`]. A snapshot of a builder
+//! that is still ingesting refits only the pairs that RLMs touched since
+//! the last one. When those refits only move the statistics of built
+//! pairs, it overwrites them in the retired build's buffers, so it costs
+//! what its delta touched; when a pair appears or vanishes, it merges
+//! the refits into the previous database and lays out a new table. A
+//! fresh builder's first build is the same call, with every pair
+//! touched and an empty database to merge into.
 //!
 //! The coarse filter's map offsets come from [`MapReference`], which
 //! keeps the walk graph and one connected-component label per node and
@@ -26,7 +28,7 @@ use crate::kernel::PairTable;
 use crate::matrix::{MotionDb, PairStats};
 use crate::rlm::Rlm;
 use moloc_geometry::{LocationId, ReferenceGrid, WalkGraph};
-use moloc_stats::circular::{abs_diff_deg, CircularWelford};
+use moloc_stats::circular::{abs_diff_deg, circular_mean_deg, deviation_std_deg, CircularWelford};
 use moloc_stats::gaussian::Gaussian;
 use moloc_stats::online::Welford;
 use serde::{Deserialize, Serialize};
@@ -247,6 +249,13 @@ pub struct BuildReport {
 
 /// Accumulates crowdsourced RLMs into a [`MotionDb`].
 ///
+/// The builder keeps its last two builds. A build that only changes
+/// the statistics of pairs the last one built writes the build before
+/// it in place (`Arc::make_mut`: a copy only while someone still holds
+/// that build), overwriting the pairs that either of the last two
+/// builds changed. A build that makes a pair appear or vanish merges a
+/// new database and lays out a new table.
+///
 /// # Examples
 ///
 /// ```
@@ -285,8 +294,24 @@ pub struct MotionDbBuilder {
     db: Arc<MotionDb>,
     /// [`PairTable::build`] of `db`, kept in step with it.
     table: Arc<PairTable>,
+    /// The build before the last one, when the last build kept every
+    /// pair it had: the buffers the next such build writes.
+    spare: Option<Spare>,
     /// The coarse filter's search scratch, sized once to the graph.
     walk: WalkScratch,
+    /// The fine filter's keep mask, reused across fits.
+    keep: Vec<bool>,
+}
+
+/// A retired build and what it lacks of the current one.
+#[derive(Debug)]
+struct Spare {
+    db: Arc<MotionDb>,
+    table: Arc<PairTable>,
+    /// The pairs the last build overwrote, with the statistics it
+    /// wrote (all `Some`): the current build's values where the spare
+    /// differs.
+    stale: Vec<((u32, u32), Option<PairStats>)>,
 }
 
 /// One canonical pair's accepted measurements and what the last build
@@ -343,6 +368,8 @@ impl MotionDbBuilder {
             report: BuildReport::default(),
             table: Arc::new(PairTable::build(&db)),
             db: Arc::new(db),
+            spare: None,
+            keep: Vec::new(),
         })
     }
 
@@ -413,24 +440,34 @@ impl MotionDbBuilder {
     /// Only the pairs that `observe` touched since the last build are
     /// refitted, in key order, by the unchanged fine filter and fit;
     /// the report's fit counters take back each one's previous fit and
-    /// add its new one. The refits that change the database — a pair
-    /// built before or now — are merged into the previous database in
-    /// one pass ([`MotionDb`] keeps its pairs sorted), and the previous
-    /// table follows it: a patch of the changed pairs' parameters when
-    /// no pair appeared or vanished, else a fresh [`PairTable::build`].
-    /// When no refit changes the database, the previous `Arc`s are
-    /// returned. A pair's fit reads only that pair's measurements, so
-    /// the result is bit-identical to consuming a builder fed the same
-    /// RLM sequence (the incremental-vs-rebuild equivalence contract).
+    /// add its new one. When no refit changes the database (no pair
+    /// built before or now), the previous `Arc`s are returned.
+    ///
+    /// When every changed pair was built before and still is, the
+    /// pair set and the table's runs stay, and the next build is the
+    /// spare (the build before the last one) with the pairs that either
+    /// of the last two builds changed overwritten in place, in both the
+    /// database and the table, by the arithmetic of [`PairTable::build`].
+    /// A spare that someone still holds is copied first, so a held
+    /// build never changes; with no spare, the last build is copied.
+    /// When a pair appeared or vanished, the changes are merged into
+    /// the previous database in one pass ([`MotionDb`] keeps its pairs
+    /// sorted), its table is laid out from scratch, and there is no
+    /// spare until the next build.
+    ///
+    /// A pair's fit reads only that pair's measurements, so the result
+    /// is bit-identical to consuming a builder fed the same RLM
+    /// sequence (the incremental-vs-rebuild equivalence contract).
     pub fn build_snapshot(&mut self) -> (Arc<MotionDb>, Arc<PairTable>, BuildReport) {
         self.touched.sort_unstable();
         let mut changes = Vec::new();
+        let mut reshaped = false;
         for key in &self.touched {
             let pair = self
                 .pending
                 .get_mut(key)
                 .expect("a touched pair is pending");
-            let fit = Self::fit(&self.config, pair);
+            let fit = Self::fit(&self.config, pair, &mut self.keep);
             let before = pair.fit.replace(fit);
             let sums = [
                 &mut self.report.rejected_fine,
@@ -441,91 +478,119 @@ impl MotionDbBuilder {
             for ((sum, old), new) in sums.into_iter().zip(old).zip(fit.counts()) {
                 *sum = *sum - old + new;
             }
-            if before.is_some_and(|f| f.stats.is_some()) || fit.stats.is_some() {
+            let was_built = before.is_some_and(|f| f.stats.is_some());
+            if was_built || fit.stats.is_some() {
                 changes.push((*key, fit.stats));
+                reshaped |= was_built != fit.stats.is_some();
             }
             pair.touched = false;
         }
         self.touched.clear();
-        if !changes.is_empty() {
+        if reshaped {
             let db = self.db.patched(&changes);
-            let changed = changes
-                .iter()
-                .map(|&((i, j), _)| (LocationId::new(i), LocationId::new(j)));
-            self.table = Arc::new(self.table.updated(&db, changed));
+            self.table = Arc::new(PairTable::build(&db));
             self.db = Arc::new(db);
+            self.spare = None;
+        } else if !changes.is_empty() {
+            let (mut db, mut table, stale) = match self.spare.take() {
+                Some(spare) => (spare.db, spare.table, spare.stale),
+                None => (Arc::clone(&self.db), Arc::clone(&self.table), Vec::new()),
+            };
+            let (db_mut, table_mut) = (Arc::make_mut(&mut db), Arc::make_mut(&mut table));
+            for &((i, j), stats) in stale.iter().chain(&changes) {
+                let stats = stats.expect("a pair that stays built has statistics");
+                db_mut.overwrite((i, j), stats);
+                table_mut.overwrite(LocationId::new(i), LocationId::new(j), &stats);
+            }
+            self.spare = Some(Spare {
+                db: std::mem::replace(&mut self.db, db),
+                table: std::mem::replace(&mut self.table, table),
+                stale: changes,
+            });
         }
         (Arc::clone(&self.db), Arc::clone(&self.table), self.report)
     }
 
     /// Applies the fine filter to one pair's measurements and fits its
-    /// Gaussians. The pair is not built when fewer than `min_samples`
-    /// measurements survive, or when a fitted mean or std is not
-    /// finite: offsets far enough apart overflow Welford's sum of
-    /// squares, and `Gaussian::new` refuses the infinite std.
-    fn fit(config: &SanitationConfig, pair: &PairSamples) -> Fit {
-        let mut dirs = pair.directions.clone();
-        let mut offsets = pair.offsets.clone();
+    /// Gaussians, reading the measurements in place.
+    ///
+    /// The fine filter drops each measurement beyond `k·σ` of the mean
+    /// in either channel, from both (the RLM as a whole is the outlier),
+    /// and marks what it keeps in `keep`. The moments it filters by are
+    /// the fit's when it drops nothing; otherwise they are recomputed
+    /// over the kept measurements, in their order.
+    ///
+    /// The pair is not built when fewer than `min_samples` measurements
+    /// survive, or when a fitted mean or std is not finite: offsets far
+    /// enough apart overflow Welford's sum of squares, and
+    /// `Gaussian::new` refuses the infinite std.
+    fn fit(config: &SanitationConfig, pair: &PairSamples, keep: &mut Vec<bool>) -> Fit {
+        let (dirs, offsets) = (&pair.directions, &pair.offsets);
+        let mut moments = Moments::of(dirs.iter(), offsets.iter().copied());
         let mut rejected_fine = 0;
-        if config.fine_enabled {
-            rejected_fine = Self::fine_filter(&mut dirs, &mut offsets, config.fine_sigma) as u64;
+        if let (true, Some((mu_d, sigma_d))) = (config.fine_enabled, moments.direction) {
+            let k = config.fine_sigma;
+            let (mu_o, sigma_o) = (moments.offsets.mean(), moments.offsets.std());
+            keep.clear();
+            keep.extend(dirs.iter().zip(offsets).map(|(d, &o)| {
+                let dir_ok = sigma_d == 0.0 || abs_diff_deg(d, mu_d) <= k * sigma_d;
+                let off_ok = sigma_o == 0.0 || (o - mu_o).abs() <= k * sigma_o;
+                dir_ok && off_ok
+            }));
+            rejected_fine = keep.iter().filter(|&&kept| !kept).count();
+            if rejected_fine > 0 {
+                moments = Moments::of(
+                    dirs.iter()
+                        .zip(keep.iter())
+                        .filter_map(|(d, &kept)| kept.then_some(d)),
+                    offsets
+                        .iter()
+                        .zip(keep.iter())
+                        .filter_map(|(&o, &kept)| kept.then_some(o)),
+                );
+            }
         }
-        let stats = if dirs.count() < config.min_samples {
+        let count = offsets.len() - rejected_fine;
+        let stats = if count < config.min_samples {
             None
         } else {
-            dirs.mean().and_then(|mu_d| {
-                let sigma_d = dirs.std().unwrap_or(0.0).max(config.min_direction_std_deg);
-                let off_acc: Welford = offsets.iter().copied().collect();
-                let sigma_o = off_acc.std().max(config.min_offset_std_m);
+            moments.direction.and_then(|(mu_d, sigma_d)| {
+                let sigma_d = sigma_d.max(config.min_direction_std_deg);
+                let sigma_o = moments.offsets.std().max(config.min_offset_std_m);
                 Some(PairStats {
                     direction: Gaussian::new(mu_d, sigma_d).ok()?,
-                    offset: Gaussian::new(off_acc.mean(), sigma_o).ok()?,
-                    sample_count: dirs.count() as u64,
+                    offset: Gaussian::new(moments.offsets.mean(), sigma_o).ok()?,
+                    sample_count: count as u64,
                 })
             })
         };
         Fit {
-            rejected_fine,
+            rejected_fine: rejected_fine as u64,
             stats,
         }
     }
+}
 
-    /// Drops direction/offset measurements beyond `k·σ` of their means;
-    /// a measurement index is removed from *both* channels if either
-    /// channel flags it (the RLM as a whole is the outlier). Returns how
-    /// many measurements were removed.
-    fn fine_filter(dirs: &mut CircularWelford, offsets: &mut Vec<f64>, k: f64) -> usize {
-        let Some(mu_d) = dirs.mean() else {
-            return 0;
-        };
-        let sigma_d = dirs.std().unwrap_or(0.0);
-        let off_acc: Welford = offsets.iter().copied().collect();
-        let (mu_o, sigma_o) = (off_acc.mean(), off_acc.std());
+/// What the fine filter and the fit read of a pair's measurements: the
+/// circular mean of the directions and the std of their deviations from
+/// it (`None` when the mean is undefined), and the offsets' Welford
+/// accumulator.
+struct Moments {
+    direction: Option<(f64, f64)>,
+    offsets: Welford,
+}
 
-        let dir_values: Vec<f64> = dirs.iter().collect();
-        let keep: Vec<bool> = dir_values
-            .iter()
-            .zip(offsets.iter())
-            .map(|(&d, &o)| {
-                let dir_ok = sigma_d == 0.0 || abs_diff_deg(d, mu_d) <= k * sigma_d;
-                let off_ok = sigma_o == 0.0 || (o - mu_o).abs() <= k * sigma_o;
-                dir_ok && off_ok
-            })
-            .collect();
-        let removed = keep.iter().filter(|&&b| !b).count();
-        if removed > 0 {
-            let mut kept_dirs = CircularWelford::new();
-            let mut kept_offsets = Vec::with_capacity(offsets.len() - removed);
-            for ((d, o), &k) in dir_values.iter().zip(offsets.iter()).zip(&keep) {
-                if k {
-                    kept_dirs.push(*d);
-                    kept_offsets.push(*o);
-                }
-            }
-            *dirs = kept_dirs;
-            *offsets = kept_offsets;
+impl Moments {
+    fn of(
+        directions: impl Iterator<Item = f64> + Clone,
+        offsets: impl Iterator<Item = f64>,
+    ) -> Self {
+        let direction = circular_mean_deg(directions.clone())
+            .map(|mean| (mean, deviation_std_deg(mean, directions)));
+        Self {
+            direction,
+            offsets: offsets.collect(),
         }
-        removed
     }
 }
 
@@ -680,8 +745,8 @@ mod tests {
         assert_eq!(bits(&snap_db), bits(&fresh_db), "prefix {}", prefix.len());
         assert_eq!(snap_report, fresh_report, "prefix {}", prefix.len());
         assert_eq!(
-            snap_table.bits(),
-            PairTable::build(&snap_db).bits(),
+            *snap_table,
+            PairTable::build(&snap_db),
             "prefix {}",
             prefix.len()
         );
@@ -775,7 +840,7 @@ mod tests {
         assert_eq!(next_db.get(l(1), l(2)), db.get(l(1), l(2)));
         assert_eq!(next_db.get(l(4), l(5)), db.get(l(4), l(5)));
         assert!(!Arc::ptr_eq(&next_db, &db) && !Arc::ptr_eq(&next_table, &table));
-        assert_eq!(next_table.bits(), PairTable::build(&next_db).bits());
+        assert_eq!(*next_table, PairTable::build(&next_db));
 
         // Nothing touched: the previous `Arc`s and report.
         let (same_db, same_table, third) = b.build_snapshot();

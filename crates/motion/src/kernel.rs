@@ -19,9 +19,9 @@
 //! target summary and scans the short run only on a hit.
 //!
 //! A database that changed only in the statistics of pairs it already
-//! trained has the same runs, so [`MotionDbBuilder`] moves its table to
-//! the next database by overwriting those pairs' parameters
-//! (`PairTable::updated`) rather than laying out every pair again.
+//! trained has the same runs, so [`MotionDbBuilder`] moves a table to
+//! the next database by overwriting those pairs' parameters in place
+//! (`PairTable::overwrite`) rather than laying out every pair again.
 //!
 //! [`MotionDbBuilder`]: crate::builder::MotionDbBuilder
 //!
@@ -57,7 +57,8 @@ pub struct KernelConfig {
     pub stationary_offset_std_m: f64,
 }
 
-/// Scaled parameters of one directed trained pair.
+/// Scaled parameters of one directed trained pair. Two are equal when
+/// their bits are.
 #[derive(Debug, Clone, Copy, Default)]
 struct PairParams {
     /// Mean direction, compass degrees.
@@ -70,7 +71,25 @@ struct PairParams {
     off_inv_std: f64,
 }
 
+impl PartialEq for PairParams {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for PairParams {}
+
 impl PairParams {
+    fn bits(&self) -> [u64; 4] {
+        [
+            self.dir_mean,
+            self.dir_inv_std,
+            self.off_mean,
+            self.off_inv_std,
+        ]
+        .map(f64::to_bits)
+    }
+
     fn of(stats: &PairStats) -> Self {
         Self {
             dir_mean: stats.direction.mean(),
@@ -85,8 +104,9 @@ impl PairParams {
 /// directed pairs in per-origin sorted runs, with the parameters of
 /// each. Nothing here depends on a matching configuration, so kernels
 /// of any configuration over one database can share one table behind
-/// an `Arc` ([`MotionKernel::with_pairs`]).
-#[derive(Debug, Clone)]
+/// an `Arc` ([`MotionKernel::with_pairs`]). Two tables are equal when
+/// every array matches bit for bit.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairTable {
     location_count: usize,
     /// Run bounds: the pairs leaving origin index `i` are
@@ -155,41 +175,22 @@ impl PairTable {
         }
     }
 
-    /// The table of `db`, given that `self` is the table of a database
-    /// that differs from `db` at most in the canonical pairs `changed`
-    /// names.
+    /// Overwrites the parameters of the trained canonical pair `i → j`
+    /// with those of `stats`, in both orientations, by the arithmetic of
+    /// [`PairTable::build`]. A database that differs from this table's
+    /// only in the statistics of pairs both train has the same runs, so
+    /// after one overwrite per changed pair the table's bits equal a
+    /// build over that database.
     ///
-    /// When each of those pairs is trained in both databases or in
-    /// neither, the runs are the same: the result is a copy of `self`
-    /// with the changed pairs' parameters overwritten in both
-    /// orientations, by the arithmetic of [`PairTable::build`], so its
-    /// bits equal a build's. When one appeared or vanished, the result
-    /// is [`PairTable::build`] over `db`.
-    pub(crate) fn updated(
-        &self,
-        db: &MotionDb,
-        changed: impl IntoIterator<Item = (LocationId, LocationId)>,
-    ) -> Self {
-        let mut replaced = Vec::new();
-        for (i, j) in changed {
-            assert!(i < j, "({i}, {j}) is not a canonical pair");
-            match (self.position(i, j), db.get(i, j)) {
-                (Some(forward), Some(stats)) => {
-                    let reverse = self
-                        .position(j, i)
-                        .expect("a trained pair has both orientations");
-                    replaced.push((forward, reverse, stats));
-                }
-                (None, None) => {}
-                _ => return Self::build(db),
-            }
-        }
-        let mut next = self.clone();
-        for (forward, reverse, stats) in replaced {
-            next.params[forward] = PairParams::of(&stats);
-            next.params[reverse] = PairParams::of(&stats.mirrored());
-        }
-        next
+    /// # Panics
+    ///
+    /// Panics when `i → j` is not canonical (`i < j`) or not trained.
+    pub(crate) fn overwrite(&mut self, i: LocationId, j: LocationId, stats: &PairStats) {
+        assert!(i < j, "({i}, {j}) is not a canonical pair");
+        let trained = |at: Option<usize>| at.unwrap_or_else(|| panic!("({i}, {j}) is not trained"));
+        let (forward, reverse) = (trained(self.position(i, j)), trained(self.position(j, i)));
+        self.params[forward] = PairParams::of(stats);
+        self.params[reverse] = PairParams::of(&stats.mirrored());
     }
 
     /// Where the trained pair `from → to` sits in `targets` and
@@ -218,27 +219,6 @@ impl PairTable {
     #[inline]
     fn params_of(&self, from: LocationId, to: LocationId) -> Option<&PairParams> {
         self.position(from, to).map(|at| &self.params[at])
-    }
-}
-
-/// Every bit of a table: its location count, run bounds, target
-/// summaries, targets and parameters.
-#[cfg(test)]
-pub(crate) type TableBits = (usize, Vec<u32>, Vec<u64>, Vec<LocationId>, Vec<[u64; 4]>);
-
-#[cfg(test)]
-impl PairTable {
-    pub(crate) fn bits(&self) -> TableBits {
-        let params = self.params.iter();
-        (
-            self.location_count,
-            self.offsets.clone(),
-            self.target_bits.clone(),
-            self.targets.clone(),
-            params
-                .map(|p| [p.dir_mean, p.dir_inv_std, p.off_mean, p.off_inv_std].map(f64::to_bits))
-                .collect(),
-        )
     }
 }
 
@@ -468,10 +448,6 @@ mod tests {
         }
     }
 
-    fn param_bits(p: &PairParams) -> [u64; 4] {
-        [p.dir_mean, p.dir_inv_std, p.off_mean, p.off_inv_std].map(f64::to_bits)
-    }
-
     /// The arrays a table was built from before the scatter: both
     /// orientations of every pair, sorted by `(from, to)`.
     fn sorted_reference(db: &MotionDb) -> Vec<(LocationId, LocationId, PairParams)> {
@@ -494,7 +470,7 @@ mod tests {
         assert_eq!(k.params.len(), reference.len());
         for (at, (from, to, p)) in reference.iter().enumerate() {
             assert_eq!(k.targets[at], *to);
-            assert_eq!(param_bits(&k.params[at]), param_bits(p));
+            assert_eq!(k.params[at], *p);
             let run = k.offsets[from.index()] as usize..k.offsets[from.index() + 1] as usize;
             assert!(run.contains(&at), "{from}->{to} outside its run");
         }
@@ -509,11 +485,8 @@ mod tests {
         for (i, j, stats) in db.iter() {
             let forward = k.params_of(i, j).expect("trained forward");
             let reverse = k.params_of(j, i).expect("trained reverse");
-            assert_eq!(param_bits(forward), param_bits(&PairParams::of(stats)));
-            assert_eq!(
-                param_bits(reverse),
-                param_bits(&PairParams::of(&stats.mirrored()))
-            );
+            assert_eq!(*forward, PairParams::of(stats));
+            assert_eq!(*reverse, PairParams::of(&stats.mirrored()));
         }
     }
 
@@ -568,23 +541,17 @@ mod tests {
     const TABLE_IDS: u32 = 40;
 
     proptest! {
-        /// A random database goes through batches of edits, and after
-        /// each the table moved along by `updated` must equal a build
-        /// over the edited database, every array bit for bit. The first
-        /// half of the batches only replace the statistics of trained
-        /// pairs, so the runs stay and the copy is patched; the second
-        /// half also insert and remove pairs, so a batch may reshape
-        /// the runs. A batch can also name a pair it inserted and then
-        /// removed, which is trained in neither database.
+        /// A random database goes through batches of edits that replace
+        /// the statistics of trained pairs (some pairs twice in one
+        /// batch), and after each batch the table, with every changed
+        /// pair overwritten in place, must equal a build over the
+        /// edited database, every array bit for bit.
         #[test]
-        fn an_updated_table_equals_a_build(
+        fn an_overwritten_table_equals_a_build(
             seeds in prop::collection::vec((1..=TABLE_IDS, 1..=TABLE_IDS, 0u32..1000), 1..80),
             batches in prop::collection::vec(
-                prop::collection::vec(
-                    (0u32..4, 0usize..1000, 1..=TABLE_IDS, 1..=TABLE_IDS, 0u32..1000),
-                    1..10,
-                ),
-                2..10,
+                prop::collection::vec((0usize..1000, 0u32..1000), 1..10),
+                1..10,
             ),
         ) {
             let mut db = MotionDb::new(TABLE_IDS as usize);
@@ -593,48 +560,44 @@ mod tests {
                     db.insert(l(a), l(b), pair_stats(seed));
                 }
             }
+            prop_assume!(!db.is_empty());
+            let keys: Vec<_> = db.iter().map(|(i, j, _)| (i, j)).collect();
             let mut table = PairTable::build(&db);
-            let reshaping = batches.len() / 2;
-            for (n, batch) in batches.iter().enumerate() {
+            for batch in &batches {
                 let mut changed = std::collections::BTreeSet::new();
-                for &(kind, pick, a, b, seed) in batch {
-                    let keys: Vec<_> = db.iter().map(|(i, j, _)| (i, j)).collect();
-                    let picked = (!keys.is_empty()).then(|| keys[pick % keys.len()]);
-                    match (kind, picked) {
-                        (0 | 1, Some((i, j))) => {
-                            db.insert(i, j, pair_stats(seed));
-                            changed.insert((i, j));
-                        }
-                        (2, _) if n >= reshaping && a != b => {
-                            db.insert(l(a), l(b), pair_stats(seed));
-                            changed.insert((l(a.min(b)), l(a.max(b))));
-                        }
-                        (3, Some((i, j))) if n >= reshaping => {
-                            db.remove(i, j);
-                            changed.insert((i, j));
-                        }
-                        _ => {}
-                    }
+                for &(pick, seed) in batch {
+                    let (i, j) = keys[pick % keys.len()];
+                    db.insert(i, j, pair_stats(seed));
+                    changed.insert((i, j));
                 }
-                table = table.updated(&db, changed.iter().copied());
-                prop_assert_eq!(table.bits(), PairTable::build(&db).bits());
+                for &(i, j) in &changed {
+                    table.overwrite(i, j, &db.get(i, j).expect("trained"));
+                }
+                prop_assert_eq!(&table, &PairTable::build(&db));
             }
         }
     }
 
     #[test]
-    fn an_update_that_changes_nothing_copies_the_table() {
+    fn overwriting_a_pair_with_its_own_statistics_changes_nothing() {
         let db = db();
-        let table = PairTable::build(&db);
-        let same = table.updated(&db, [(l(1), l(2)), (l(2), l(3))]);
-        assert_eq!(same.bits(), table.bits());
+        let mut table = PairTable::build(&db);
+        table.overwrite(l(1), l(2), &db.get(l(1), l(2)).unwrap());
+        assert_eq!(table, PairTable::build(&db));
     }
 
     #[test]
     #[should_panic(expected = "not a canonical pair")]
-    fn an_update_names_canonical_pairs() {
+    fn an_overwrite_names_a_canonical_pair() {
         let db = db();
-        PairTable::build(&db).updated(&db, [(l(2), l(1))]);
+        PairTable::build(&db).overwrite(l(2), l(1), &db.get(l(1), l(2)).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "not trained")]
+    fn an_overwrite_names_a_trained_pair() {
+        let db = db();
+        PairTable::build(&db).overwrite(l(2), l(3), &db.get(l(1), l(2)).unwrap());
     }
 
     #[test]

@@ -219,6 +219,20 @@ impl MotionDb {
         }
     }
 
+    /// Replaces the statistics of the stored canonical pair `key` in
+    /// place: a [`MotionDb::patched`] that keeps every pair, without
+    /// the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `key` is not stored.
+    pub(crate) fn overwrite(&mut self, key: (u32, u32), stats: PairStats) {
+        let at = self
+            .find(key)
+            .unwrap_or_else(|_| panic!("{key:?} is not a stored pair"));
+        self.entries[at].1 = stats;
+    }
+
     fn check(&self, id: LocationId) {
         assert!(
             (id.get() as usize) <= self.location_count,

@@ -7,7 +7,11 @@ use serde::{Deserialize, Serialize};
 /// A relative location measurement `r_{i,j} = ⟨d, o⟩`: walking from
 /// `from` to `to` took direction `d` (compass degrees) and offset `o`
 /// meters (Sec. IV-B1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing goes through [`Rlm::new`]: a self-loop, a negative or
+/// non-finite offset and a non-finite direction are errors, and the
+/// direction is normalized.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Rlm {
     /// Starting location `i`.
     pub from: LocationId,
@@ -17,6 +21,23 @@ pub struct Rlm {
     pub direction_deg: f64,
     /// Offset (walked distance) in meters.
     pub offset_m: f64,
+}
+
+/// The serialized form of an [`Rlm`], before its checks.
+#[derive(Deserialize)]
+struct RawRlm {
+    from: LocationId,
+    to: LocationId,
+    direction_deg: f64,
+    offset_m: f64,
+}
+
+impl<'de> Deserialize<'de> for Rlm {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let raw = RawRlm::deserialize(deserializer)?;
+        Rlm::new(raw.from, raw.to, raw.direction_deg, raw.offset_m)
+            .map_err(serde::de::Error::custom)
+    }
 }
 
 /// Error constructing an invalid [`Rlm`].

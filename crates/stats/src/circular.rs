@@ -95,6 +95,29 @@ pub fn circular_mean_deg<I: IntoIterator<Item = f64>>(angles: I) -> Option<f64> 
     Some(normalize_deg(s.atan2(c).to_degrees()))
 }
 
+/// The population standard deviation of the signed deviations of
+/// `angles` from `mean` (degrees): the spread [`CircularWelford::std`]
+/// reports around its circular mean, for callers that already hold the
+/// mean. `NaN` for no angles.
+///
+/// # Examples
+///
+/// ```
+/// use moloc_stats::circular::deviation_std_deg;
+/// assert_eq!(deviation_std_deg(0.0, [350.0, 10.0]), 10.0);
+/// ```
+pub fn deviation_std_deg<I: IntoIterator<Item = f64>>(mean: f64, angles: I) -> f64 {
+    let mut n = 0u64;
+    let ss: f64 = angles
+        .into_iter()
+        .map(|a| {
+            n += 1;
+            signed_diff_deg(mean, a).powi(2)
+        })
+        .sum();
+    (ss / n as f64).sqrt()
+}
+
 /// Online accumulator for directional data.
 ///
 /// Tracks the resultant vector for the circular mean and, in a second
@@ -138,17 +161,11 @@ impl CircularWelford {
     /// (population form), or `None` when the mean is undefined.
     pub fn std(&self) -> Option<f64> {
         let mean = self.mean()?;
-        let n = self.angles.len() as f64;
-        let ss: f64 = self
-            .angles
-            .iter()
-            .map(|&a| signed_diff_deg(mean, a).powi(2))
-            .sum();
-        Some((ss / n).sqrt())
+        Some(deviation_std_deg(mean, self.iter()))
     }
 
     /// Iterates over the accumulated (normalized) angles.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = f64> + Clone + '_ {
         self.angles.iter().copied()
     }
 

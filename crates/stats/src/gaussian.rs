@@ -31,10 +31,27 @@ impl std::error::Error for InvalidStdError {}
 /// assert!((g.cdf(0.0) - 0.5).abs() < 1e-6);
 /// # Ok::<(), moloc_stats::gaussian::InvalidStdError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing goes through [`Gaussian::new`], so a non-finite mean
+/// and a std that is not finite and positive are errors.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Gaussian {
     mean: f64,
     std: f64,
+}
+
+/// The serialized form of a [`Gaussian`], before its checks.
+#[derive(Deserialize)]
+struct RawGaussian {
+    mean: f64,
+    std: f64,
+}
+
+impl<'de> Deserialize<'de> for Gaussian {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let raw = RawGaussian::deserialize(deserializer)?;
+        Gaussian::new(raw.mean, raw.std).map_err(serde::de::Error::custom)
+    }
 }
 
 impl Gaussian {

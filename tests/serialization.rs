@@ -154,6 +154,73 @@ fn an_rlm_from_location_zero_does_not_deserialize() {
 }
 
 #[test]
+fn an_rlm_that_rlm_new_refuses_does_not_deserialize() {
+    // A self-loop used to deserialize, and five of them fed to a
+    // builder with the coarse filter off panicked its build ("motion
+    // database has no self-pairs").
+    for (json, why) in [
+        (
+            r#"{"from":2,"to":2,"direction_deg":90.0,"offset_m":2.0}"#,
+            "endpoints must differ",
+        ),
+        (
+            r#"{"from":1,"to":2,"direction_deg":90.0,"offset_m":-2.0}"#,
+            "offset must be finite and non-negative",
+        ),
+        (
+            r#"{"from":1,"to":2,"direction_deg":90.0,"offset_m":1e999}"#,
+            "offset must be finite and non-negative",
+        ),
+        (
+            r#"{"from":1,"to":2,"direction_deg":-1e999,"offset_m":2.0}"#,
+            "direction must be finite",
+        ),
+    ] {
+        let err = serde_json::from_str::<Rlm>(json).unwrap_err();
+        assert!(err.to_string().contains(why), "{json}: {err}");
+    }
+    // The direction comes out normalized, as from `Rlm::new`.
+    let wrapped = r#"{"from":1,"to":2,"direction_deg":450.0,"offset_m":2.0}"#;
+    assert_eq!(
+        serde_json::from_str::<Rlm>(wrapped).unwrap(),
+        Rlm::new(l(1), l(2), 90.0, 2.0).unwrap()
+    );
+}
+
+#[test]
+fn a_gaussian_that_gaussian_new_refuses_does_not_deserialize() {
+    let g = Gaussian::new(12.0, 6.0).unwrap();
+    assert_eq!(round_trip(&g), g);
+    for json in [
+        r#"{"mean":12,"std":0}"#,
+        r#"{"mean":12,"std":-6}"#,
+        r#"{"mean":12,"std":1e999}"#,
+        r#"{"mean":-1e999,"std":6}"#,
+    ] {
+        let err = serde_json::from_str::<Gaussian>(json).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("standard deviation must be finite and positive"),
+            "{json}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_motion_db_with_a_degenerate_pair_does_not_deserialize() {
+    // A zero direction std used to deserialize, and the mirrored lookup
+    // `get(2, 1)` (and so every kernel build) then panicked.
+    let json = THREE_PAIR_JSON.replacen(
+        r#"{"direction":{"mean":12,"std":6}"#,
+        r#"{"direction":{"mean":12,"std":0}"#,
+        1,
+    );
+    assert_ne!(json, THREE_PAIR_JSON);
+    let err = serde_json::from_str::<MotionDb>(&json).unwrap_err();
+    assert!(err.to_string().contains("standard deviation"), "{err}");
+}
+
+#[test]
 fn a_fingerprint_db_with_location_zero_does_not_deserialize() {
     let db = FingerprintDb::from_fingerprints(vec![
         (l(1), Fingerprint::new(vec![-40.0, -60.0])),
