@@ -11,7 +11,7 @@
 //! * [`error`] — the typed [`error::MolocError`] hierarchy and the
 //!   [`error::DegradationFlags`] surfaced when serving paths fall back
 //!   (masked k-NN, fingerprint-only prior, candidate reset).
-//! * [`env`] — strict parsing for `MOLOC_*` environment knobs:
+//! * [`mod@env`] — strict parsing for `MOLOC_*` environment knobs:
 //!   malformed values are typed [`error::MolocError::InvalidConfig`]
 //!   errors carrying the offending string, never silent fallbacks.
 //! * [`matching`] — motion matching (Eq. 5: `P_{i,j}(d, o) =

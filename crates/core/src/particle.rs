@@ -27,7 +27,6 @@ use crate::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
-use moloc_fingerprint::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::{LocationId, ReferenceGrid, Vec2};
 use moloc_motion::kernel::MotionKernel;
 use moloc_stats::sampling::normal;
@@ -94,16 +93,14 @@ struct Particle {
 /// The sequential Monte Carlo localizer.
 #[derive(Debug)]
 pub struct ParticleLocalizer<'a> {
-    fdb: &'a FingerprintDb,
     grid: &'a ReferenceGrid,
     config: ParticleConfig,
-    metric: Euclidean,
     particles: Vec<Particle>,
     rng: StdRng,
     kernel: Option<&'a MotionKernel>,
-    /// Columnar scan for the per-particle emission weights; `None`
-    /// falls back to the per-fingerprint metric lookup.
-    index: Option<FingerprintIndex>,
+    /// The fingerprint database's index; it ranks each observation
+    /// against every surveyed location.
+    index: FingerprintIndex,
     /// Per-observation distance table: `emission_table[row]` is the
     /// query's dissimilarity to the index's `row`-th fingerprint,
     /// computed once per observation so the emission reweighting loop
@@ -121,23 +118,14 @@ impl<'a> ParticleLocalizer<'a> {
     pub fn new(fdb: &'a FingerprintDb, grid: &'a ReferenceGrid, config: ParticleConfig) -> Self {
         config.validate();
         Self {
-            fdb,
             grid,
             config,
-            metric: Euclidean,
             particles: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             kernel: None,
-            index: Some(FingerprintIndex::build(fdb)),
+            index: FingerprintIndex::build(fdb),
             emission_table: Vec::new(),
         }
-    }
-
-    /// Disables the columnar index: emission weights come from the
-    /// per-fingerprint metric lookup (the pre-index reference path).
-    pub fn with_exact_emissions(mut self) -> Self {
-        self.index = None;
-        self
     }
 
     /// Adds crowdsourced motion evidence: on every motion update, each
@@ -166,32 +154,21 @@ impl<'a> ParticleLocalizer<'a> {
         }
     }
 
-    /// Ranks the query against every index row once per observation:
-    /// each row's value equals the per-row kernel evaluation the old
-    /// per-particle path performed, so the table lookup is bit-exact.
+    /// Ranks the query against every index row once per observation,
+    /// so each particle's emission weight is a table lookup.
     fn precompute_emissions(&mut self, query: &Fingerprint) {
-        if let Some(index) = &self.index {
-            index.rank_all_into(query.values(), &mut self.emission_table);
-        }
+        self.index
+            .rank_all_into(query.values(), &mut self.emission_table);
     }
 
-    fn emission_weight(&self, query: &Fingerprint, position: Vec2) -> f64 {
-        // Inverse-square dissimilarity against the nearest surveyed
-        // location, softened by the distance to it so positions between
-        // reference points are not over-penalized.
-        let nearest = self.grid.nearest(position);
-        let m = if let Some(index) = &self.index {
-            let Some(row) = index.position_of(nearest) else {
-                return 1e-12;
-            };
-            self.emission_table[row]
-        } else {
-            let Some(fp) = self.fdb.fingerprint(nearest) else {
-                return 1e-12;
-            };
-            self.metric.dissimilarity(query, fp)
+    /// Inverse-square dissimilarity against the surveyed location
+    /// nearest `position` (floored at 0.1 so an exact match does not
+    /// dominate), or `1e-12` where that location was not surveyed.
+    fn emission_weight(&self, position: Vec2) -> f64 {
+        let Some(row) = self.index.position_of(self.grid.nearest(position)) else {
+            return 1e-12;
         };
-        let m = m.max(0.1);
+        let m = self.emission_table[row].max(0.1);
         1.0 / (m * m)
     }
 
@@ -200,19 +177,13 @@ impl<'a> ParticleLocalizer<'a> {
         let jitter = self.grid.dx().min(self.grid.dy()) / 3.0;
         let mut particles = Vec::with_capacity(self.config.particles);
         for k in 0..self.config.particles {
-            let anchor = LocationId::from_index(k % self.fdb.len());
-            // Map the k-th anchor index to an actual surveyed location.
-            let id = self
-                .fdb
-                .locations()
-                .nth(anchor.index())
-                .expect("index within db");
-            let base = self.grid.position(id);
+            // Anchors cycle through the surveyed locations in id order.
+            let base = self.grid.position(self.index.ids()[k % self.index.len()]);
             let position = Vec2::new(
                 normal(&mut self.rng, base.x, jitter),
                 normal(&mut self.rng, base.y, jitter),
             );
-            let weight = self.emission_weight(query, position);
+            let weight = self.emission_weight(position);
             particles.push(Particle { position, weight });
         }
         self.particles = particles;
@@ -301,7 +272,7 @@ impl<'a> ParticleLocalizer<'a> {
         // Emission reweighting off the per-observation distance table.
         self.precompute_emissions(query);
         for i in 0..self.particles.len() {
-            let w = self.emission_weight(query, self.particles[i].position);
+            let w = self.emission_weight(self.particles[i].position);
             self.particles[i].weight *= w;
         }
         self.normalize();
@@ -418,25 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_emissions_match_exact_path() {
-        // The columnar emission weights are bit-identical to the
-        // per-fingerprint metric path, and neither consumes RNG, so the
-        // whole particle evolution must coincide.
-        let (fdb, grid) = world();
-        let run = |exact: bool| {
-            let mut pf = ParticleLocalizer::new(&fdb, &grid, ParticleConfig::default());
-            if exact {
-                pf = pf.with_exact_emissions();
-            }
-            let a = pf.observe(&fp(&[-40.0, -70.0]), None);
-            let b = pf.observe(&fp(&[-50.0, -50.05]), east(4.0));
-            let c = pf.observe(&fp(&[-41.0, -69.0]), east(4.0));
-            (a, b, c, pf.effective_sample_size())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn runs_are_reproducible_via_seed() {
         let (fdb, grid) = world();
         let run = |seed| {
@@ -449,6 +401,107 @@ mod tests {
             pf.observe(&fp(&[-50.0, -50.05]), east(4.0))
         };
         assert_eq!(run(3), run(3));
+    }
+
+    /// A 3×2 grid, 4 m spacing, with L6 unsurveyed (particles near it
+    /// find no fingerprint), and a kernel trained on two hops.
+    fn gappy_world() -> (FingerprintDb, ReferenceGrid, MotionKernel) {
+        use crate::config::MoLocConfig;
+        use moloc_motion::matrix::{MotionDb, PairStats};
+        use moloc_stats::gaussian::Gaussian;
+
+        let fdb = FingerprintDb::from_fingerprints(vec![
+            (l(1), fp(&[-50.0, -50.0])),
+            (l(2), fp(&[-40.0, -70.0])),
+            (l(3), fp(&[-50.0, -50.1])),
+            (l(4), fp(&[-60.0, -45.0])),
+            (l(5), fp(&[-45.0, -60.0])),
+        ])
+        .unwrap();
+        let grid = ReferenceGrid::new(Vec2::new(2.0, 2.0), 3, 2, 4.0, 4.0).unwrap();
+        let mut mdb = MotionDb::new(6);
+        let east = PairStats {
+            direction: Gaussian::new(90.0, 5.0).unwrap(),
+            offset: Gaussian::new(4.0, 0.3).unwrap(),
+            sample_count: 10,
+        };
+        mdb.insert(l(1), l(2), east);
+        mdb.insert(l(4), l(5), east);
+        let kernel = crate::matching::build_kernel(&mdb, &MoLocConfig::default());
+        (fdb, grid, kernel)
+    }
+
+    type Step = (Vec<f64>, Option<MotionMeasurement>);
+
+    /// Runs `steps` through a filter, checking after every observation
+    /// that the weights are a simplex (finite, non-negative, summing to
+    /// 1 within 1e-9) over exactly `config.particles` particles, and
+    /// returns the estimates.
+    fn checked_run(
+        fdb: &FingerprintDb,
+        grid: &ReferenceGrid,
+        config: ParticleConfig,
+        kernel: Option<&MotionKernel>,
+        steps: &[Step],
+    ) -> Result<Vec<LocationId>, proptest::TestCaseError> {
+        let mut pf = ParticleLocalizer::new(fdb, grid, config);
+        if let Some(kernel) = kernel {
+            pf = pf.with_motion_kernel(kernel);
+        }
+        let mut estimates = Vec::new();
+        for (t, (query, motion)) in steps.iter().enumerate() {
+            estimates.push(pf.observe(&fp(query), *motion));
+            proptest::prop_assert_eq!(pf.particle_count(), config.particles, "step {}", t);
+            let mut total = 0.0;
+            for p in &pf.particles {
+                proptest::prop_assert!(
+                    p.weight.is_finite() && p.weight >= 0.0,
+                    "step {}: weight {}",
+                    t,
+                    p.weight
+                );
+                total += p.weight;
+            }
+            proptest::prop_assert!((total - 1.0).abs() <= 1e-9, "step {}: total {}", t, total);
+        }
+        Ok(estimates)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn weights_stay_a_simplex_and_seeds_replay(
+            seed in 0u64..1_000_000,
+            particles in 1usize..200,
+            with_kernel in 0u32..2,
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec(-75.0..-35.0f64, 2),
+                    (0u32..3, 0.0..360.0f64, 0.0..8.0f64),
+                ),
+                1..12,
+            ),
+        ) {
+            let steps: Vec<Step> = steps
+                .into_iter()
+                .map(|(query, (has, d, o))| {
+                    let motion = (has > 0).then_some(MotionMeasurement {
+                        direction_deg: d,
+                        offset_m: o,
+                    });
+                    (query, motion)
+                })
+                .collect();
+            let config = ParticleConfig {
+                particles,
+                seed,
+                ..ParticleConfig::default()
+            };
+            let (fdb, grid, kernel) = gappy_world();
+            let kernel = (with_kernel == 1).then_some(&kernel);
+            let first = checked_run(&fdb, &grid, config, kernel, &steps)?;
+            let replay = checked_run(&fdb, &grid, config, kernel, &steps)?;
+            proptest::prop_assert_eq!(first, replay);
+        }
     }
 
     #[test]

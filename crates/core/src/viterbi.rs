@@ -24,7 +24,6 @@ use crate::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
-use moloc_fingerprint::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::LocationId;
 use moloc_motion::kernel::MotionKernel;
 use moloc_motion::matrix::MotionDb;
@@ -60,16 +59,14 @@ impl std::error::Error for ViterbiError {}
 ///
 /// Transition probabilities are read from a [`MotionKernel`]
 /// precomputed at construction: the `O(n²)` inner loop per step is pure
-/// table arithmetic with no map lookups or `erfc` evaluations.
+/// table arithmetic with no map lookups or `erfc` evaluations. Emission
+/// distances come from a [`FingerprintIndex`] of the fingerprint
+/// database, whose rows are the states in id order.
 #[derive(Debug)]
 pub struct ViterbiLocalizer<'a> {
     fingerprint_db: &'a FingerprintDb,
     kernel: MotionKernel,
-    metric: &'a dyn Dissimilarity,
-    /// Columnar scan for the emission distances (rows in the same id
-    /// order as `fingerprint_db.iter()`); `None` falls back to the
-    /// per-fingerprint metric walk.
-    index: Option<FingerprintIndex>,
+    index: FingerprintIndex,
 }
 
 impl<'a> ViterbiLocalizer<'a> {
@@ -85,44 +82,20 @@ impl<'a> ViterbiLocalizer<'a> {
         Self {
             fingerprint_db,
             kernel,
-            metric: &Euclidean,
-            index: Some(FingerprintIndex::build(fingerprint_db)),
+            index: FingerprintIndex::build(fingerprint_db),
         }
     }
 
-    /// Disables the columnar index: emission distances come from the
-    /// per-fingerprint metric walk (the pre-index reference path).
-    pub fn with_exact_emissions(mut self) -> Self {
-        self.index = None;
-        self
-    }
-
-    /// Log emission probabilities over all locations for one query on
-    /// the per-fingerprint metric walk (the pre-index reference path).
-    fn log_emissions_exact(&self, query: &Fingerprint) -> Vec<f64> {
-        let distances: Vec<f64> = self
-            .fingerprint_db
-            .iter()
-            .map(|(_, fp)| self.metric.dissimilarity(query, fp))
-            .collect();
-        log_emissions_from_distances(&distances)
-    }
-
-    /// Log emission probabilities for every step of a trace: the
-    /// columnar index ranks each step's query against every row
-    /// ([`FingerprintIndex::rank_all_into`], bit-identical to the
-    /// per-fingerprint metric walk) and the distance row is normalized
-    /// independently.
-    fn log_emissions_indexed(
-        &self,
-        index: &FingerprintIndex,
-        queries: &[(Fingerprint, Option<MotionMeasurement>)],
-    ) -> Vec<Vec<f64>> {
-        let mut distances = Vec::with_capacity(index.len());
+    /// Log emission probabilities for every step of a trace: the index
+    /// ranks each step's query against every row
+    /// ([`FingerprintIndex::rank_all_into`]) and the distance row is
+    /// normalized independently.
+    fn log_emissions(&self, queries: &[(Fingerprint, Option<MotionMeasurement>)]) -> Vec<Vec<f64>> {
+        let mut distances = Vec::with_capacity(self.index.len());
         queries
             .iter()
             .map(|(query, _)| {
-                index.rank_all_into(query.values(), &mut distances);
+                self.index.rank_all_into(query.values(), &mut distances);
                 log_emissions_from_distances(&distances)
             })
             .collect()
@@ -156,13 +129,7 @@ impl<'a> ViterbiLocalizer<'a> {
         let n = states.len();
 
         // All steps' emissions up front.
-        let mut all_emissions: Vec<Vec<f64>> = match &self.index {
-            Some(index) => self.log_emissions_indexed(index, queries),
-            None => queries
-                .iter()
-                .map(|(query, _)| self.log_emissions_exact(query))
-                .collect(),
-        };
+        let mut all_emissions = self.log_emissions(queries);
 
         // δ[s] = best log-probability of any path ending in state s.
         let mut delta = std::mem::take(&mut all_emissions[0]);
@@ -220,8 +187,7 @@ impl<'a> ViterbiLocalizer<'a> {
 
 /// Eq. 4 weights (1/dissimilarity, exact matches dominating) over one
 /// query's distance row, normalized across the full state space and
-/// floored before the log. Shared by the exact and indexed paths so the
-/// weight→log transform is applied in the exact same operation order.
+/// floored before the log.
 fn log_emissions_from_distances(distances: &[f64]) -> Vec<f64> {
     let weights: Vec<f64> = distances
         .iter()
@@ -330,25 +296,6 @@ mod tests {
                 found: 1
             }
         );
-    }
-
-    #[test]
-    fn indexed_emissions_match_exact_path() {
-        let (fdb, mdb) = world();
-        let queries = vec![
-            (fp(&[-50.0, -50.05]), None),
-            (fp(&[-41.0, -69.0]), east()),
-            (fp(&[-50.0, -50.08]), east()),
-            (fp(&[-40.0, -70.0]), None),
-        ];
-        let indexed = ViterbiLocalizer::new(&fdb, &mdb, MoLocConfig::paper())
-            .localize_trace(&queries)
-            .unwrap();
-        let exact = ViterbiLocalizer::new(&fdb, &mdb, MoLocConfig::paper())
-            .with_exact_emissions()
-            .localize_trace(&queries)
-            .unwrap();
-        assert_eq!(indexed, exact);
     }
 
     #[test]

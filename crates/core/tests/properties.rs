@@ -1,12 +1,14 @@
 //! Property-based tests for the MoLoc algorithm's probabilistic
 //! invariants: Eq. 5 on the precomputed motion kernel (against the
-//! exact-erf oracle), Eq. 4/6/7 on the `BatchLocalizer` step.
+//! exact-erf oracle), Eq. 4/6/7 on the `BatchLocalizer` step, and the
+//! Viterbi comparator against brute-force path enumeration.
 
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
 use moloc_core::error::DegradationFlags;
 use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
+use moloc_core::viterbi::ViterbiLocalizer;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_geometry::LocationId;
@@ -105,7 +107,146 @@ fn arbitrary_db() -> impl Strategy<Value = MotionDb> {
     })
 }
 
+/// Up to [`TINY`] locations' fingerprints on a coarse 10 dBm grid over
+/// two APs, so exact fingerprint twins (and tied paths) are common.
+const TINY: usize = 6;
+
+fn tiny_fingerprints() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(
+        prop::collection::vec((-7..=-4i32).prop_map(|v| f64::from(v * 10)), 2),
+        TINY,
+    )
+}
+
+/// Up to five trace steps: a query near the fingerprint grid and, one
+/// time in three, no motion.
+fn tiny_steps() -> impl Strategy<Value = Vec<(Vec<f64>, Option<MotionMeasurement>)>> {
+    let query = prop::collection::vec(-75.0..-35.0f64, 2);
+    let motion = (0u32..3, 0.0..360.0f64, 0.0..12.0f64).prop_map(|(has, d, o)| {
+        (has > 0).then_some(MotionMeasurement {
+            direction_deg: d,
+            offset_m: o,
+        })
+    });
+    prop::collection::vec((query, motion), 5)
+}
+
+/// The decoder's log emissions for one query, from the oracle's
+/// distances: inverse distance (an exact match weighs `1e12`),
+/// normalized over every state, floored at `1e-300`, then `ln`.
+fn oracle_log_emissions(rows: &[Vec<f64>], query: &[f64]) -> Vec<f64> {
+    let weights: Vec<f64> = rows
+        .iter()
+        .map(|row| {
+            let m = oracle::euclidean(query, row);
+            if m <= f64::EPSILON {
+                1e12
+            } else {
+                1.0 / m
+            }
+        })
+        .collect();
+    let total: f64 = weights.iter().sum();
+    weights
+        .iter()
+        .map(|w| (w / total).max(1e-300).ln())
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn viterbi_decodes_a_maximum_score_path(
+        n in 2usize..=TINY,
+        len in 2usize..=5,
+        fingerprints in tiny_fingerprints(),
+        pairs in prop::collection::vec(
+            (
+                0usize..TINY,
+                0usize..TINY,
+                0.0..360.0f64,
+                1.0..20.0f64,
+                0.5..8.0f64,
+                0.05..1.0f64,
+            ),
+            0..10,
+        ),
+        steps in tiny_steps(),
+    ) {
+        // Every one of the n^len paths is scored in the decoder's order
+        // — emission of the first state, then per step `(score +
+        // transition) + emission` — so the decoded path must score the
+        // maximum to the last bit. Paths may differ on a tie; scores may
+        // not.
+        let rows = &fingerprints[..n];
+        let steps = &steps[..len];
+        let id = LocationId::from_index;
+        let fdb = FingerprintDb::from_fingerprints(
+            rows.iter()
+                .enumerate()
+                .map(|(i, row)| (id(i), Fingerprint::new(row.clone())))
+                .collect(),
+        )
+        .expect("valid tiny database");
+        let mut mdb = MotionDb::new(n);
+        for (a, b, dir, dir_std, off, off_std) in pairs {
+            if a < n && b < n && a != b {
+                mdb.insert(
+                    id(a),
+                    id(b),
+                    PairStats {
+                        direction: Gaussian::new(dir, dir_std).unwrap(),
+                        offset: Gaussian::new(off, off_std).unwrap(),
+                        sample_count: 4,
+                    },
+                );
+            }
+        }
+        let config = MoLocConfig::paper();
+        let kernel = build_kernel(&mdb, &config);
+        let emissions: Vec<Vec<f64>> = steps
+            .iter()
+            .map(|(query, _)| oracle_log_emissions(rows, query))
+            .collect();
+        let score = |path: &[usize]| {
+            let mut total = emissions[0][path[0]];
+            for t in 1..path.len() {
+                let (from, to) = (id(path[t - 1]), id(path[t]));
+                let transition = match steps[t].1 {
+                    Some(m) => kernel
+                        .pair_probability(from, to, m.direction_deg, m.offset_m)
+                        .max(1e-300)
+                        .ln(),
+                    None => -(n as f64).ln(),
+                };
+                total = total + transition + emissions[t][path[t]];
+            }
+            total
+        };
+
+        let mut best = f64::NEG_INFINITY;
+        let mut path = vec![0usize; len];
+        loop {
+            best = best.max(score(&path));
+            // The next path in odometer order; done after the last.
+            let Some(t) = path.iter().rposition(|&state| state + 1 < n) else {
+                break;
+            };
+            path[t] += 1;
+            path[t + 1..].fill(0);
+        }
+
+        let queries: Vec<(Fingerprint, Option<MotionMeasurement>)> = steps
+            .iter()
+            .map(|(query, motion)| (Fingerprint::new(query.clone()), *motion))
+            .collect();
+        let decoded = ViterbiLocalizer::new(&fdb, &mdb, config)
+            .localize_trace(&queries)
+            .expect("valid trace");
+        let decoded: Vec<usize> = decoded.iter().map(|l| l.index()).collect();
+        prop_assert_eq!(decoded.len(), len);
+        prop_assert_eq!(score(&decoded).to_bits(), best.to_bits(), "decoded {:?}", decoded);
+    }
+
     #[test]
     fn pair_probability_is_in_unit_interval(
         db in arbitrary_db(),

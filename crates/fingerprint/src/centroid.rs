@@ -5,12 +5,12 @@
 //! nearest fingerprints, weighted by inverse dissimilarity, yielding a
 //! continuous position whose error is not quantized to the grid. The
 //! reproduction offers it as an additional fingerprint-only baseline
-//! for error-in-meters comparisons.
+//! for error-in-meters comparisons. The k nearest come from a
+//! [`FingerprintIndex`] scan.
 
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
-use crate::knn::k_nearest;
-use crate::metric::Euclidean;
+use crate::index::{FingerprintIndex, KnnScratch};
 use moloc_geometry::{ReferenceGrid, Vec2};
 
 /// Weighted-centroid localizer over the k nearest fingerprints.
@@ -36,10 +36,9 @@ use moloc_geometry::{ReferenceGrid, Vec2};
 /// ```
 #[derive(Debug)]
 pub struct CentroidLocalizer<'a> {
-    db: &'a FingerprintDb,
+    index: FingerprintIndex,
     grid: &'a ReferenceGrid,
     k: usize,
-    metric: Euclidean,
 }
 
 /// Error from [`CentroidLocalizer::localize`]: query length mismatch.
@@ -72,10 +71,9 @@ impl<'a> CentroidLocalizer<'a> {
     pub fn new(db: &'a FingerprintDb, grid: &'a ReferenceGrid, k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         Self {
-            db,
+            index: FingerprintIndex::build(db),
             grid,
             k,
-            metric: Euclidean,
         }
     }
 
@@ -86,13 +84,19 @@ impl<'a> CentroidLocalizer<'a> {
     /// Returns [`CentroidError`] when the query's AP count mismatches
     /// the database.
     pub fn localize(&self, query: &Fingerprint) -> Result<Vec2, CentroidError> {
-        if query.len() != self.db.ap_count() {
+        if query.len() != self.index.ap_count() {
             return Err(CentroidError {
-                expected: self.db.ap_count(),
+                expected: self.index.ap_count(),
                 found: query.len(),
             });
         }
-        let neighbors = k_nearest(self.db, query, self.k, &self.metric);
+        let mut neighbors = Vec::new();
+        self.index.select_into(
+            query.values(),
+            self.k,
+            &mut KnnScratch::new(),
+            &mut neighbors,
+        );
         // An exact match pins the estimate.
         if let Some(exact) = neighbors.iter().find(|n| n.dissimilarity <= f64::EPSILON) {
             return Ok(self.grid.position(exact.location));
@@ -193,6 +197,34 @@ mod tests {
         // Not asserting dominance (L4 shares the fingerprint), just
         // sanity: the estimate stays within the hall.
         assert!(centroid.dist(mid) < 10.0);
+    }
+
+    #[test]
+    fn matches_the_oracle_neighbors_bit_for_bit() {
+        // The weighted centroid of the exhaustive oracle's k nearest,
+        // summed in its order, is the estimate to the last bit.
+        let (db, grid) = world();
+        let rows: Vec<_> = db.iter().map(|(id, f)| (id, f.values())).collect();
+        for (k, query) in [
+            (3, [-47.5, -62.0]),
+            (4, [-52.0, -57.5]),
+            (6, [-61.0, -49.0]),
+        ] {
+            let mut total = 0.0;
+            let mut expected = Vec2::ZERO;
+            for (id, m) in moloc_verify::oracle::k_nearest(rows.iter().copied(), &query, k) {
+                expected += grid.position(id) * (1.0 / m);
+                total += 1.0 / m;
+            }
+            let expected = expected / total;
+            let p = CentroidLocalizer::new(&db, &grid, k)
+                .localize(&fp(&query))
+                .unwrap();
+            assert_eq!(
+                (p.x.to_bits(), p.y.to_bits()),
+                (expected.x.to_bits(), expected.y.to_bits())
+            );
+        }
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! A columnar (structure-of-arrays) fingerprint index and the k-NN
 //! candidate generator of Eq. 3.
 //!
-//! [`FingerprintDb`] stores one heap-allocated
-//! [`Fingerprint`](crate::fingerprint::Fingerprint) per location, so a
-//! k-NN scan chases a pointer per candidate and pays a virtual
-//! `dyn Dissimilarity` call plus a square root per comparison.
-//! [`FingerprintIndex`] flattens the database once into a dense
+//! [`FingerprintIndex`] flattens a [`FingerprintDb`] once into a dense
 //! row-major `locations × APs` matrix and ranks candidates on
 //! *squared* Euclidean distance ([`euclidean_sq`]) — the square root
-//! is deferred to the k survivors.
+//! is deferred to the k survivors. It is the only fingerprint ranking
+//! in the workspace: the nearest-neighbor and centroid baselines, the
+//! MoLoc engine, Viterbi and the particle filter all rank through it.
 //!
-//! Ranking on squared Euclidean distance reproduces the legacy
-//! [`crate::knn::k_nearest`] ordering exactly: the squared sum is
-//! accumulated in the same slice order as [`crate::metric::Euclidean`],
-//! `sqrt` is monotone, and ties break by lower location id in both
-//! paths.
+//! Ranking on the squared distance keeps the order of the distances:
+//! `sqrt` is monotone, and ties break by lower location id. Each
+//! reported dissimilarity is `euclidean_sq(..).sqrt()`, the arithmetic
+//! of [`moloc_verify::oracle::euclidean`], so the exhaustive
+//! [`moloc_verify::oracle::k_nearest`] is the reference for every
+//! result bit for bit.
 //!
 //! # Four entry points, chosen by shape
 //!
@@ -426,9 +425,8 @@ impl FingerprintIndex {
     /// performs zero heap allocations. `k = 1` is the nearest-neighbor
     /// rule of Eq. 2.
     ///
-    /// Matches [`crate::knn::k_nearest`] under
-    /// [`crate::metric::Euclidean`] exactly (see the module docs for
-    /// why the squared ranking preserves order).
+    /// Matches [`moloc_verify::oracle::k_nearest`] exactly (see the
+    /// module docs for why the squared ranking preserves order).
     ///
     /// Selection keeps the best `k` candidates in an unsorted slot
     /// table with a cached worst rank: rows are visited in ascending
@@ -440,7 +438,7 @@ impl FingerprintIndex {
     /// # Panics
     ///
     /// Panics if `k` is zero, the query length does not match the
-    /// index's AP count (same contract as [`crate::knn::k_nearest`]),
+    /// index's AP count,
     /// or a NaN rank lands among the retained `k` (ranks must be
     /// finite; a NaN outside the retained set is never selected).
     pub fn k_nearest_into(
@@ -459,9 +457,11 @@ impl FingerprintIndex {
 
     /// [`FingerprintIndex::k_nearest_into`] without the
     /// `fingerprint.knn.*` counters, which count Eq. 3 candidate
-    /// generation. The WiFi baseline's Eq. 2 pick
-    /// ([`crate::nn_localizer::NnLocalizer`], `k = 1`) is trace
-    /// analysis, so it scans through here.
+    /// generation. The fingerprint-only baselines scan through here:
+    /// the WiFi baseline's Eq. 2 pick
+    /// ([`crate::nn_localizer::NnLocalizer`], `k = 1`, which trace
+    /// analysis runs) and the weighted centroid
+    /// ([`crate::centroid::CentroidLocalizer`]).
     pub(crate) fn select_into(
         &self,
         query: &[f64],
@@ -500,7 +500,7 @@ impl FingerprintIndex {
     ///
     /// This is the degradation path: clean queries must keep using
     /// [`FingerprintIndex::k_nearest_into`], which is bit-identical to
-    /// the legacy scan and considerably faster.
+    /// the oracle's full-width ranking and considerably faster.
     ///
     /// # Panics
     ///
@@ -561,7 +561,7 @@ impl FingerprintIndex {
     /// order, written into `out` (cleared first). Used for full-state
     /// emission models (Viterbi, the particle filter) that need all
     /// distances anyway; each value is bit-identical to
-    /// [`crate::metric::Euclidean`] on the same pair.
+    /// [`moloc_verify::oracle::euclidean`] on the same pair.
     ///
     /// # Panics
     ///
@@ -1173,10 +1173,10 @@ unsafe fn for_each_below_avx2<const STRICT: bool>(
 /// (the query lanes are hoisted into registers once per tile),
 /// [`MIRROR_CHUNK`]-row panels inner — the mirror is half the f64
 /// matrix and typically cache-resident, so re-streaming it per query
-/// tile is cheap. Each row's rank is accumulated in ascending AP order
-/// (bit-identical to [`crate::metric::euclidean_sq_f32`]) and spilled
-/// row-contiguously into the query-major `ranks32` buffer. Branchless
-/// — no selection state is touched here.
+/// tile is cheap. Each row's rank `Σ (qₐ − rₐ)²` is accumulated in f32
+/// in ascending AP order and spilled row-contiguously into the
+/// query-major `ranks32` buffer. Branchless — no selection state is
+/// touched here.
 ///
 /// Dispatches at runtime between the baseline-target compilation of
 /// [`mirror_pass_f32_generic`] and an AVX2 recompilation of the same
@@ -1305,8 +1305,7 @@ mod tests {
     use super::*;
     use crate::block::{BlockNeighbors, BlockScratch, QueryBlock};
     use crate::fingerprint::Fingerprint;
-    use crate::knn::k_nearest;
-    use crate::metric::{Dissimilarity, Euclidean};
+    use moloc_verify::oracle;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -1348,23 +1347,34 @@ mod tests {
         assert_eq!(index.position_of(l(2)), None);
     }
 
-    #[test]
-    fn nearest_matches_k1_legacy_path() {
-        let database = db();
-        let index = FingerprintIndex::build(&database);
-        let q = Fingerprint::new(vec![-48.0, -61.0]);
-        let legacy = k_nearest(&database, &q, 1, &Euclidean)[0].location;
-        assert_eq!(scan(&index, q.values(), 1)[0].location, legacy);
+    /// The exhaustive oracle's `k` nearest over `database`.
+    fn oracle_scan(database: &FingerprintDb, query: &[f64], k: usize) -> Vec<Neighbor> {
+        let rows = database.iter().map(|(id, fp)| (id, fp.values()));
+        oracle::k_nearest(rows, query, k)
+            .into_iter()
+            .map(|(location, dissimilarity)| Neighbor {
+                location,
+                dissimilarity,
+            })
+            .collect()
     }
 
     #[test]
-    fn k_nearest_matches_legacy_order_and_bits() {
+    fn nearest_matches_k1_oracle() {
         let database = db();
         let index = FingerprintIndex::build(&database);
-        let q = Fingerprint::new(vec![-41.0, -69.0]);
+        let q = [-48.0, -61.0];
+        let expected = oracle_scan(&database, &q, 1)[0].location;
+        assert_eq!(scan(&index, &q, 1)[0].location, expected);
+    }
+
+    #[test]
+    fn k_nearest_matches_oracle_order_and_bits() {
+        let database = db();
+        let index = FingerprintIndex::build(&database);
+        let q = [-41.0, -69.0];
         for k in 1..=4 {
-            let legacy = k_nearest(&database, &q, k, &Euclidean);
-            assert_same_bits(&scan(&index, q.values(), k), &legacy);
+            assert_same_bits(&scan(&index, &q, k), &oracle_scan(&database, &q, k));
         }
     }
 
@@ -1398,17 +1408,17 @@ mod tests {
     }
 
     #[test]
-    fn rank_all_matches_per_row_dissimilarity() {
+    fn rank_all_matches_oracle_per_row() {
         let database = db();
         let index = FingerprintIndex::build(&database);
-        let q = Fingerprint::new(vec![-44.0, -66.0]);
+        let q = [-44.0, -66.0];
         let mut out = Vec::new();
-        index.rank_all_into(q.values(), &mut out);
+        index.rank_all_into(&q, &mut out);
         assert_eq!(out.len(), 3);
         for (position, (_, fp)) in database.iter().enumerate() {
             assert_eq!(
                 out[position].to_bits(),
-                Euclidean.dissimilarity(&q, fp).to_bits()
+                oracle::euclidean(&q, fp.values()).to_bits()
             );
         }
     }

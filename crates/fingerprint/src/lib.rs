@@ -5,8 +5,8 @@
 //! This crate implements the classic fingerprinting half of MoLoc:
 //!
 //! * [`fingerprint`] — the [`fingerprint::Fingerprint`] RSS vector.
-//! * [`metric`] — dissimilarity functions, including the paper's
-//!   Euclidean metric (Eq. 1) plus Manhattan/cosine alternatives.
+//! * [`metric`] — the paper's Euclidean dissimilarity (Eq. 1) as the
+//!   squared-distance kernels the index ranks with, clean and masked.
 //! * [`db`] — the fingerprint database mapping reference locations to
 //!   surveyed fingerprints.
 //! * [`index`] — the columnar [`index::FingerprintIndex`]: a flattened
@@ -15,12 +15,14 @@
 //!   `k_nearest_into` (one clean query), `k_nearest_masked_into` (one
 //!   query with missing APs), `k_nearest_block_into` (a block of
 //!   queries) and `rank_all_into` (every row's distance) — and each
-//!   picks its strategy from the query's shape.
+//!   picks its strategy from the query's shape. It is the one
+//!   production ranking: every localizer in the workspace that ranks
+//!   fingerprints holds an index, and `moloc_verify::oracle` is the
+//!   reference it is tested against.
 //! * [`block`] — multi-query [`block::QueryBlock`] batches for the f32
 //!   quantized index mirror's prefilter-and-rescore scan (bit-identical
 //!   to per-query scans; see DESIGN.md §15).
-//! * [`knn`] — the [`knn::Neighbor`] result type and the generic
-//!   k-nearest walk for custom metrics.
+//! * [`knn`] — the [`knn::Neighbor`] result type.
 //! * [`nn_localizer`] — the plain WiFi fingerprinting baseline the paper
 //!   compares against (Eq. 2).
 //! * [`centroid`] — the weighted-centroid k-NN refinement (continuous
@@ -60,4 +62,3 @@ pub use block::{BlockNeighbors, BlockScratch, QueryBlock};
 pub use db::FingerprintDb;
 pub use fingerprint::Fingerprint;
 pub use index::{FingerprintIndex, KnnScratch};
-pub use metric::{Dissimilarity, Euclidean};

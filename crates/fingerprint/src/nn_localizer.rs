@@ -7,8 +7,7 @@
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
 use crate::index::{FingerprintIndex, KnnScratch};
-use crate::knn::{k_nearest, Neighbor};
-use crate::metric::{Dissimilarity, Euclidean};
+use crate::knn::Neighbor;
 use moloc_geometry::LocationId;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -21,7 +20,8 @@ thread_local! {
     static NEAREST: RefCell<(KnnScratch, Vec<Neighbor>)> = RefCell::default();
 }
 
-/// Nearest-neighbor WiFi localizer (Eq. 2).
+/// Nearest-neighbor WiFi localizer (Eq. 2): the [`FingerprintIndex`]
+/// selection scan at `k = 1`.
 ///
 /// # Examples
 ///
@@ -42,12 +42,9 @@ thread_local! {
 #[derive(Debug)]
 pub struct NnLocalizer<'a> {
     db: &'a FingerprintDb,
-    metric: Box<dyn Dissimilarity>,
-    /// Columnar scan path for the default Euclidean metric — owned, or
-    /// borrowed from a caller who shares one index across localizers;
-    /// custom metrics fall back to the generic `k_nearest` over the
-    /// database.
-    index: Option<Cow<'a, FingerprintIndex>>,
+    /// The index the pick ranks through — owned, or borrowed from a
+    /// caller who shares one index across localizers.
+    index: Cow<'a, FingerprintIndex>,
 }
 
 /// Error from [`NnLocalizer::localize`] when the query length does not
@@ -73,33 +70,21 @@ impl std::fmt::Display for QueryLengthError {
 impl std::error::Error for QueryLengthError {}
 
 impl<'a> NnLocalizer<'a> {
-    /// Creates a localizer with the paper's Euclidean metric, backed by
-    /// a columnar [`FingerprintIndex`] scan.
+    /// Creates a localizer over its own [`FingerprintIndex`] of `db`.
     pub fn new(db: &'a FingerprintDb) -> Self {
         Self {
             db,
-            metric: Box::new(Euclidean),
-            index: Some(Cow::Owned(FingerprintIndex::build(db))),
+            index: Cow::Owned(FingerprintIndex::build(db)),
         }
     }
 
-    /// Creates a localizer over a caller-shared [`FingerprintIndex`]
-    /// (Euclidean metric), skipping the per-localizer index build.
-    /// `index` must have been built from `db`.
+    /// Creates a localizer over a caller-shared [`FingerprintIndex`],
+    /// skipping the per-localizer index build. `index` must have been
+    /// built from `db`.
     pub fn with_index(db: &'a FingerprintDb, index: &'a FingerprintIndex) -> Self {
         Self {
             db,
-            metric: Box::new(Euclidean),
-            index: Some(Cow::Borrowed(index)),
-        }
-    }
-
-    /// Creates a localizer with a custom metric (generic scan path).
-    pub fn with_metric<M: Dissimilarity + 'static>(db: &'a FingerprintDb, metric: M) -> Self {
-        Self {
-            db,
-            metric: Box::new(metric),
-            index: None,
+            index: Cow::Borrowed(index),
         }
     }
 
@@ -129,52 +114,26 @@ impl<'a> NnLocalizer<'a> {
             });
         }
         // Degradation path: a query with missing (non-finite) APs is
-        // ranked on the observed dimensions only, under the masked
-        // Euclidean metric regardless of the configured one —
-        // per-metric masking is undefined, and a NaN entering the
-        // clean paths would poison the ranking (or panic
-        // `Fingerprint::new`). Clean queries never take the masked
-        // branches.
+        // ranked on the observed dimensions only — a NaN entering the
+        // clean scan would poison the ranking. Clean queries never take
+        // the masked branch. The strict `<` of the selection keeps the
+        // lowest id among equal distances.
         let masked = query.iter().any(|v| !v.is_finite());
-        if let Some(index) = &self.index {
-            // The index's k-NN scan at k = 1: the strict `<` of the
-            // selection keeps the lowest id among equal distances.
-            return Ok(NEAREST.with(|buffers| {
-                let (scratch, nearest) = &mut *buffers.borrow_mut();
-                if masked {
-                    index.select_masked_into(query, 1, scratch, nearest);
-                } else {
-                    index.select_into(query, 1, scratch, nearest);
-                }
-                nearest[0].location
-            }));
-        }
-        if masked {
-            return Ok(nearest_masked_scan(self.db, query));
-        }
-        let query = Fingerprint::new(query.to_vec());
-        Ok(k_nearest(self.db, &query, 1, self.metric.as_ref())[0].location)
+        Ok(NEAREST.with(|buffers| {
+            let (scratch, nearest) = &mut *buffers.borrow_mut();
+            if masked {
+                self.index.select_masked_into(query, 1, scratch, nearest);
+            } else {
+                self.index.select_into(query, 1, scratch, nearest);
+            }
+            nearest[0].location
+        }))
     }
-}
-
-/// Masked nearest-neighbor walk over the database (the no-index arm of
-/// the degradation path): lowest masked squared distance, ties to the
-/// lower id (iteration is in id order and the compare is strict).
-fn nearest_masked_scan(db: &FingerprintDb, query: &[f64]) -> LocationId {
-    let mut best: Option<(LocationId, f64)> = None;
-    for (id, fp) in db.iter() {
-        let (rank, _) = crate::metric::masked_euclidean_sq(query, fp.values());
-        if best.is_none_or(|(_, b)| rank < b) {
-            best = Some((id, rank));
-        }
-    }
-    best.map(|(id, _)| id).unwrap_or_else(|| LocationId::new(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::Manhattan;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -221,15 +180,6 @@ mod tests {
             assert_eq!(owned.localize_slice(&query).unwrap(), expected);
         }
         assert!(shared.localize_slice(&[-40.0]).is_err());
-    }
-
-    #[test]
-    fn custom_metric_is_used() {
-        let db = db();
-        let loc = NnLocalizer::with_metric(&db, Manhattan)
-            .localize(&Fingerprint::new(vec![-41.0, -69.0]))
-            .unwrap();
-        assert_eq!(loc, l(1));
     }
 
     #[test]

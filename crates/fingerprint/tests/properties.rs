@@ -4,9 +4,10 @@ use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
-use moloc_fingerprint::knn::{k_nearest, Neighbor};
-use moloc_fingerprint::metric::{Cosine, Dissimilarity, Euclidean, Manhattan};
+use moloc_fingerprint::knn::Neighbor;
+use moloc_fingerprint::metric::euclidean_sq;
 use moloc_geometry::LocationId;
+use moloc_verify::oracle;
 use proptest::prelude::*;
 
 fn rss() -> impl Strategy<Value = f64> {
@@ -34,27 +35,58 @@ fn maybe_masked_rss() -> impl Strategy<Value = f64> {
     (0u8..9, coarse_rss()).prop_map(|(sel, v)| if sel == 0 { f64::NAN } else { v })
 }
 
+/// A database of `fps` at ids 1, 2, … in order.
+fn database(fps: &[Fingerprint]) -> FingerprintDb {
+    let entries: Vec<(LocationId, Fingerprint)> = fps
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (LocationId::from_index(i), f.clone()))
+        .collect();
+    FingerprintDb::from_fingerprints(entries).unwrap()
+}
+
+/// [`FingerprintIndex::k_nearest_into`] with throwaway buffers.
+fn scan(index: &FingerprintIndex, query: &[f64], k: usize) -> Vec<Neighbor> {
+    let mut out = Vec::new();
+    index.k_nearest_into(query, k, &mut KnnScratch::with_k(k), &mut out);
+    out
+}
+
+/// `(location, dissimilarity bits)` of the index scan and of the
+/// exhaustive oracle over the same database.
+type Bits = Vec<(LocationId, u64)>;
+
+fn scan_and_oracle(db: &FingerprintDb, query: &[f64], k: usize) -> (Bits, Bits) {
+    let index = FingerprintIndex::build(db);
+    let fast = scan(&index, query, k)
+        .iter()
+        .map(|n| (n.location, n.dissimilarity.to_bits()))
+        .collect();
+    let expected = oracle::k_nearest(db.iter().map(|(id, fp)| (id, fp.values())), query, k)
+        .into_iter()
+        .map(|(id, m)| (id, m.to_bits()))
+        .collect();
+    (fast, expected)
+}
+
 proptest! {
     #[test]
-    fn metrics_are_symmetric_nonnegative_reflexive(
+    fn euclidean_is_symmetric_nonnegative_reflexive(
         a in fingerprint(4), b in fingerprint(4),
     ) {
-        for metric in [&Euclidean as &dyn Dissimilarity, &Manhattan, &Cosine] {
-            let ab = metric.dissimilarity(&a, &b);
-            prop_assert!(ab >= 0.0, "{} negative", metric.name());
-            prop_assert!((ab - metric.dissimilarity(&b, &a)).abs() < 1e-9);
-            prop_assert!(metric.dissimilarity(&a, &a) < 1e-9);
-        }
+        let (a, b) = (a.values(), b.values());
+        let ab = euclidean_sq(a, b);
+        prop_assert!(ab >= 0.0);
+        prop_assert_eq!(ab.to_bits(), euclidean_sq(b, a).to_bits());
+        prop_assert_eq!(euclidean_sq(a, a), 0.0);
     }
 
     #[test]
     fn euclidean_triangle_inequality(
         a in fingerprint(5), b in fingerprint(5), c in fingerprint(5),
     ) {
-        let ab = Euclidean.dissimilarity(&a, &b);
-        let bc = Euclidean.dissimilarity(&b, &c);
-        let ac = Euclidean.dissimilarity(&a, &c);
-        prop_assert!(ac <= ab + bc + 1e-9);
+        let d = |x: &Fingerprint, y: &Fingerprint| euclidean_sq(x.values(), y.values()).sqrt();
+        prop_assert!(d(&a, &c) <= d(&a, &b) + d(&b, &c) + 1e-9);
     }
 
     #[test]
@@ -63,13 +95,8 @@ proptest! {
         query in fingerprint(3),
         k in 1usize..10,
     ) {
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let nn = k_nearest(&db, &query, k, &Euclidean);
+        let db = database(&fps);
+        let nn = scan(&FingerprintIndex::build(&db), query.values(), k);
         prop_assert_eq!(nn.len(), k.min(db.len()));
         for w in nn.windows(2) {
             prop_assert!(w[0].dissimilarity <= w[1].dissimilarity + 1e-12);
@@ -77,42 +104,9 @@ proptest! {
         // The top result really is the global minimum.
         let best = fps
             .iter()
-            .map(|f| Euclidean.dissimilarity(&query, f))
+            .map(|f| oracle::euclidean(query.values(), f.values()))
             .fold(f64::INFINITY, f64::min);
         prop_assert!((nn[0].dissimilarity - best).abs() < 1e-12);
-    }
-
-    #[test]
-    fn knn_heap_selection_matches_full_sort_baseline(
-        fps in prop::collection::vec(fingerprint(3), 2..20),
-        query in fingerprint(3),
-        k in 1usize..12,
-    ) {
-        // The bounded-heap selection must return byte-identical results
-        // to the straightforward sort-then-truncate it replaced,
-        // including the (dissimilarity, location-id) tie order.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let fast = k_nearest(&db, &query, k, &Euclidean);
-        let mut baseline: Vec<Neighbor> = db
-            .iter()
-            .map(|(location, fp)| Neighbor {
-                location,
-                dissimilarity: Euclidean.dissimilarity(&query, fp),
-            })
-            .collect();
-        baseline.sort_by(|a, b| {
-            a.dissimilarity
-                .partial_cmp(&b.dissimilarity)
-                .unwrap()
-                .then_with(|| a.location.cmp(&b.location))
-        });
-        baseline.truncate(k);
-        prop_assert_eq!(fast, baseline);
     }
 
     #[test]
@@ -120,20 +114,14 @@ proptest! {
         fps in prop::collection::vec(fingerprint(3), 3..15),
         query in fingerprint(3),
     ) {
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let k = 2;
-        let nn = k_nearest(&db, &query, k, &Euclidean);
+        let db = database(&fps);
+        let nn = scan(&FingerprintIndex::build(&db), query.values(), 2);
         let worst_kept = nn.last().unwrap().dissimilarity;
         for (i, f) in fps.iter().enumerate() {
             let id = LocationId::from_index(i);
             if !nn.iter().any(|n| n.location == id) {
                 prop_assert!(
-                    Euclidean.dissimilarity(&query, f) + 1e-12 >= worst_kept,
+                    oracle::euclidean(query.values(), f.values()) + 1e-12 >= worst_kept,
                     "excluded entry nearer than kept one"
                 );
             }
@@ -141,30 +129,16 @@ proptest! {
     }
 
     #[test]
-    fn index_knn_is_bit_identical_to_heap_path(
+    fn index_knn_is_bit_identical_to_oracle(
         fps in prop::collection::vec(fingerprint(3), 2..25),
         query in fingerprint(3),
         k in 1usize..12,
     ) {
-        // The columnar squared-distance scan must reproduce the legacy
-        // `Euclidean` heap selection exactly: same locations, same
-        // order, bitwise-equal dissimilarities.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let index = FingerprintIndex::build(&db);
-        let legacy = k_nearest(&db, &query, k, &Euclidean);
-        let mut scratch = KnnScratch::with_k(k);
-        let mut fast = Vec::new();
-        index.k_nearest_into(query.values(), k, &mut scratch, &mut fast);
-        prop_assert_eq!(fast.len(), legacy.len());
-        for (a, b) in fast.iter().zip(&legacy) {
-            prop_assert_eq!(a.location, b.location);
-            prop_assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-        }
+        // The columnar squared-distance scan must reproduce the
+        // exhaustive sort-then-truncate oracle exactly: same locations,
+        // same order, bitwise-equal dissimilarities.
+        let (fast, expected) = scan_and_oracle(&database(&fps), query.values(), k);
+        prop_assert_eq!(fast, expected);
     }
 
     #[test]
@@ -175,26 +149,13 @@ proptest! {
     ) {
         // Coarse RSS grids make exact dissimilarity ties common, so
         // this run hammers the (rank, location-id) tie-break of the
-        // squared-distance ranking against the legacy sqrt ranking.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let index = FingerprintIndex::build(&db);
-        let legacy = k_nearest(&db, &query, k, &Euclidean);
-        let mut scratch = KnnScratch::with_k(k);
-        let mut fast = Vec::new();
-        index.k_nearest_into(query.values(), k, &mut scratch, &mut fast);
-        let fast_pairs: Vec<(LocationId, u64)> =
-            fast.iter().map(|n| (n.location, n.dissimilarity.to_bits())).collect();
-        let legacy_pairs: Vec<(LocationId, u64)> =
-            legacy.iter().map(|n| (n.location, n.dissimilarity.to_bits())).collect();
-        prop_assert_eq!(fast_pairs, legacy_pairs);
-        // And the k = 1 scan picks the legacy nearest.
-        index.k_nearest_into(query.values(), 1, &mut scratch, &mut fast);
-        prop_assert_eq!(fast[0].location, legacy[0].location);
+        // squared-distance ranking against the oracle's sqrt ranking.
+        let db = database(&fps);
+        let (fast, expected) = scan_and_oracle(&db, query.values(), k);
+        prop_assert_eq!(&fast, &expected);
+        // And the k = 1 scan picks the oracle's nearest.
+        let nearest = scan(&FingerprintIndex::build(&db), query.values(), 1);
+        prop_assert_eq!(nearest[0].location, expected[0].0);
     }
 
     #[test]
@@ -212,12 +173,7 @@ proptest! {
         // count. Coarse grids make both cross-query and cross-row
         // rank ties common, so (rank, position) tie order is
         // exercised for real.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
+        let db = database(&fps);
         let index = FingerprintIndex::build(&db);
         let mut block = QueryBlock::new(6);
         for q in &queries {
@@ -257,12 +213,7 @@ proptest! {
         // tie order must be bitwise equal to the plain f64 scan for
         // arbitrary surveys. A one-query block at 6 APs and k < 16 over
         // RSS-range values takes the mirror path.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
+        let db = database(&fps);
         let index = FingerprintIndex::build(&db);
         prop_assert!(index.has_mirror());
         let mut block = QueryBlock::new(6);
@@ -286,12 +237,7 @@ proptest! {
         fps in prop::collection::vec(fingerprint(4), 2..10),
         n in 1usize..4,
     ) {
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
+        let db = database(&fps);
         let sub = db.with_first_aps(n);
         prop_assert_eq!(sub.len(), db.len());
         prop_assert_eq!(sub.ap_count(), n);

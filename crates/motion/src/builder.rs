@@ -232,8 +232,8 @@ pub struct BuildReport {
     /// RLMs dropped by the coarse filter for exceeding the direction or
     /// offset thresholds of a pair the map *does* cover.
     pub rejected_coarse: u64,
-    /// RLMs dropped because the map reference has no entry for the pair
-    /// at all (an endpoint off the surveyed grid). Previously
+    /// RLMs dropped because they name a pair the database cannot hold:
+    /// an endpoint off the surveyed grid, or a self-loop. Previously
     /// misattributed to `rejected_coarse`, which made threshold tuning
     /// runs look far stricter than they were on corrupt-endpoint data.
     pub rejected_unmapped: u64,
@@ -383,11 +383,13 @@ impl MotionDbBuilder {
     pub fn observe(&mut self, rlm: Rlm) -> bool {
         self.report.observed += 1;
         let canon = rlm.canonical();
-        // A pair the map cannot represent is dropped regardless of the
-        // coarse toggle — its endpoints index nothing in the grid-sized
-        // database — and attributed to its own counter: it says nothing
-        // about the coarse thresholds.
-        if !self.map.covers(canon.from, canon.to) {
+        // A pair the database cannot hold is dropped regardless of the
+        // coarse toggle — off-grid endpoints index nothing in the
+        // grid-sized database, and it keeps no self-pairs (`Rlm::new`
+        // refuses a self-loop, but the fields are public) — and
+        // attributed to its own counter: it says nothing about the
+        // coarse thresholds.
+        if canon.from == canon.to || !self.map.covers(canon.from, canon.to) {
             self.report.rejected_unmapped += 1;
             return false;
         }

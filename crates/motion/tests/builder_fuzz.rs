@@ -51,7 +51,7 @@ type Step = (Spec, bool, bool);
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     let spec = (
-        (0u32..6, 0usize..PAIRS.len(), 0u32..2),
+        (0u32..7, 0usize..PAIRS.len(), 0u32..2),
         (1u32..=14, 1u32..=14),
         (0.0..1.0f64, 0.0..1.0f64),
     )
@@ -73,8 +73,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// The RLM a spec stands for. Kinds 0–2 revisit a pair near its map
 /// bearing and 2 m; kind 3 measures a pair at 359.999°–0.001°, across
 /// the seam; kind 4 is anything between two ids of 1..=14 (13 and 14
-/// are off the grid); kind 5 measures a pair at 0 m or 1e200 m. Each
-/// may be reversed.
+/// are off the grid); kind 5 measures a pair at 0 m or 1e200 m; kind 6
+/// is a self-loop at a pair's first id, built as a struct literal
+/// because `Rlm::new` refuses one. Each may be reversed.
 fn rlm(map: &MapReference, spec: Spec) -> Rlm {
     let Spec {
         kind,
@@ -100,7 +101,13 @@ fn rlm(map: &MapReference, spec: Spec) -> Rlm {
             let b = if a == b { a % 14 + 1 } else { b };
             Rlm::new(l(a), l(b), 360.0 * u, 8.0 * v)
         }
-        _ => Rlm::new(l(i), l(j), bearing, if v < 0.5 { 0.0 } else { 1e200 }),
+        5 => Rlm::new(l(i), l(j), bearing, if v < 0.5 { 0.0 } else { 1e200 }),
+        _ => Ok(Rlm {
+            from: l(i),
+            to: l(i),
+            direction_deg: 360.0 * u,
+            offset_m: 2.0 * v,
+        }),
     }
     .expect("a valid RLM");
     if reverse {
@@ -310,4 +317,34 @@ fn both_buffer_paths_run() {
         },
         "the first revisit copies (no retired build yet), the held one's successor copies"
     );
+}
+
+#[test]
+fn self_loops_are_dropped_as_unmapped() {
+    // The database keeps no self-pairs, so five loops at L2 must not
+    // reach a build, whichever filters run.
+    let self_loop = |u: f64| Spec {
+        kind: 6,
+        pick: 1,
+        ids: (1, 2),
+        u,
+        v: 0.5,
+        reverse: false,
+    };
+    for (coarse, fine) in [(false, false), (false, true), (true, true)] {
+        let steps: Vec<Step> = [0.1, 0.2, 0.3, 0.4, 0.5]
+            .into_iter()
+            .map(|u| (self_loop(u), true, false))
+            .collect();
+        run(config(coarse, fine), &steps).expect("every build checks out");
+        let map = map();
+        let mut builder =
+            MotionDbBuilder::new(map.clone(), config(coarse, fine)).expect("valid config");
+        for (spec, _, _) in &steps {
+            assert!(!builder.observe(rlm(&map, *spec)));
+        }
+        let (db, _, report) = builder.build_snapshot();
+        assert_eq!((report.rejected_unmapped, report.rejected_coarse), (5, 0));
+        assert!(db.is_empty());
+    }
 }

@@ -10,12 +10,17 @@
 //!   (items per worker) or by RAII [`span::Span`] timers (per-stage
 //!   latency in seconds).
 //!
-//! Everything funnels through the [`recorder::Recorder`] trait. The
-//! process-global recorder defaults to a no-op and recording is gated
-//! by one relaxed atomic flag, so an instrumented hot path pays a
-//! single predicted branch while disabled and stays **bit-identical**:
-//! no signal ever feeds back into the computation (locked in by
+//! Everything lands in one process-global [`MetricsRegistry`] through
+//! the free functions below. Recording is gated by one relaxed atomic
+//! flag, off by default, so an instrumented hot path pays a single
+//! predicted branch while disabled and stays **bit-identical**: no
+//! signal ever feeds back into the computation (locked in by
 //! `crates/eval/tests/observability.rs`).
+//!
+//! Metric names are `&'static str` by design: every name in the stack
+//! is a compile-time literal from the taxonomy in DESIGN.md §13, which
+//! keeps recording allocation-free and makes the full name set
+//! auditable with grep.
 //!
 //! # Usage
 //!
@@ -43,13 +48,11 @@
 
 mod buffer;
 pub mod hist;
-pub mod recorder;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
 
 pub use hist::Fold;
-pub use recorder::{NoopRecorder, Recorder};
 pub use registry::MetricsRegistry;
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 pub use span::Span;
@@ -94,17 +97,6 @@ pub fn set_enabled(on: bool) {
 #[inline(always)]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// The active recorder: the global registry when enabled, the shared
-/// no-op otherwise.
-#[inline]
-pub fn recorder() -> &'static dyn Recorder {
-    if is_enabled() {
-        global()
-    } else {
-        &NoopRecorder
-    }
 }
 
 /// Adds `delta` to the named counter (no-op while disabled).
@@ -239,17 +231,6 @@ mod tests {
             let s = snap.histogram("t.span").expect("span recorded");
             assert_eq!(s.count, 1);
             assert!(s.sum >= 0.0);
-        });
-    }
-
-    #[test]
-    fn recorder_switches_with_the_flag() {
-        scoped(|| {
-            recorder().counter_add("t.noop", 1);
-            assert!(snapshot().counter("t.noop").is_none());
-            enable();
-            recorder().counter_add("t.real", 1);
-            assert_eq!(snapshot().counter("t.real"), Some(1));
         });
     }
 

@@ -8,7 +8,6 @@
 //! instrumentation, and completely absent while the global flag is off.
 
 use crate::hist::Histogram;
-use crate::recorder::Recorder;
 use crate::snapshot::MetricsSnapshot;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,18 +120,20 @@ impl MetricsRegistry {
         // new generation is guaranteed to live in the post-reset tables.
         self.generation.fetch_add(1, Ordering::Release);
     }
-}
 
-impl Recorder for MetricsRegistry {
-    fn counter_add(&self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the named monotone counter.
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
         entry(&self.counters, name).fetch_add(delta, Ordering::Relaxed);
     }
 
-    fn gauge_set(&self, name: &'static str, value: u64) {
+    /// Overwrites the named gauge with `value`.
+    pub fn gauge_set(&self, name: &'static str, value: u64) {
         entry(&self.gauges, name).store(value, Ordering::Relaxed);
     }
 
-    fn record(&self, name: &'static str, value: f64) {
+    /// Records one `value` into the named histogram; non-finite values
+    /// are dropped rather than poisoning buckets.
+    pub fn record(&self, name: &'static str, value: f64) {
         entry(&self.histograms, name).record(value);
     }
 }
@@ -168,11 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn histograms_record_through_the_trait() {
+    fn histograms_record_samples() {
         let r = MetricsRegistry::new();
-        let rec: &dyn Recorder = &r;
-        rec.record("h", 2.0);
-        rec.record("h", 8.0);
+        r.record("h", 2.0);
+        r.record("h", 8.0);
         let h = r.snapshot().histogram("h").cloned().expect("recorded");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 10.0);

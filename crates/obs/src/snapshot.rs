@@ -232,7 +232,6 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder as _;
     use crate::registry::MetricsRegistry;
 
     fn sample() -> MetricsSnapshot {

@@ -9,12 +9,11 @@
 //! does nothing — creating one costs a relaxed load and a branch, and
 //! the clock is never read.
 
-use crate::recorder::Recorder as _;
 use std::time::Instant;
 
 /// An RAII guard that times a named stage.
 ///
-/// Construct through [`crate::span`]; bind it to a named variable
+/// Construct through [`crate::span()`]; bind it to a named variable
 /// (`let _span = ...`) so it lives to the end of the stage — `let _ =`
 /// would drop it immediately and record a zero-length span.
 #[derive(Debug)]

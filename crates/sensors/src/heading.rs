@@ -100,62 +100,6 @@ impl HeadingOffsetEstimator {
     }
 }
 
-impl HeadingOffsetEstimator {
-    /// A mode-seeking robust estimate: find the densest `window_deg`
-    /// arc of observed differences and return the circular mean of the
-    /// observations inside it, with quality indicators.
-    ///
-    /// Unlike mean-then-trim, this stays correct when the
-    /// contamination is *multimodal* — e.g. reference bearings flipped
-    /// by 180° when a location estimate landed on a fingerprint twin
-    /// in the mirrored aisle.
-    pub fn mode_stats(&self, window_deg: f64) -> Option<TrimmedOffset> {
-        if self.diffs.is_empty() {
-            return None;
-        }
-        let half = window_deg / 2.0;
-        // Each observation proposes itself as the window center; the
-        // densest window wins (ties: smaller center angle, so the
-        // result is deterministic).
-        let mut best: Option<(usize, f64)> = None;
-        for &center in &self.diffs {
-            let votes = self
-                .diffs
-                .iter()
-                .filter(|&&d| deviation(d, center) <= half)
-                .count();
-            let better = match best {
-                None => true,
-                Some((n, c)) => votes > n || (votes == n && center < c),
-            };
-            if better {
-                best = Some((votes, center));
-            }
-        }
-        let (_, center) = best.expect("non-empty diffs");
-        let kept: Vec<f64> = self
-            .diffs
-            .iter()
-            .copied()
-            .filter(|&d| deviation(d, center) <= half)
-            .collect();
-        let offset_deg = circular_mean_deg(kept.iter().copied()).unwrap_or(center);
-        let n = kept.len() as f64;
-        let std_deg = (kept
-            .iter()
-            .map(|&d| deviation(d, offset_deg).powi(2))
-            .sum::<f64>()
-            / n)
-            .sqrt();
-        Some(TrimmedOffset {
-            offset_deg,
-            std_deg,
-            kept: kept.len(),
-            total: self.diffs.len(),
-        })
-    }
-}
-
 /// A robust offset estimate with its quality indicators.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrimmedOffset {
@@ -167,16 +111,6 @@ pub struct TrimmedOffset {
     pub kept: usize,
     /// Observations offered.
     pub total: usize,
-}
-
-impl TrimmedOffset {
-    /// Whether the calibration looks reliable: enough surviving pairs,
-    /// most pairs surviving, and a tight residual spread.
-    pub fn is_reliable(&self, max_std_deg: f64, min_kept_fraction: f64) -> bool {
-        self.kept >= 3
-            && self.std_deg <= max_std_deg
-            && (self.kept as f64) >= min_kept_fraction * self.total as f64
-    }
 }
 
 fn deviation(a: f64, b: f64) -> f64 {

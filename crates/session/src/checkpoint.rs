@@ -40,7 +40,7 @@
 //! DESIGN.md §16; enforced by the kill-matrix tests).
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use moloc_core::error::DegradationFlags;
@@ -505,17 +505,6 @@ impl CheckpointLog {
         moloc_obs::counter_add("session.checkpoint.compactions", 1);
         Ok(())
     }
-}
-
-/// Reads a whole file for offline inspection (test/fuzz helper).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the file cannot be read.
-pub fn read_log_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -301,7 +301,8 @@ pub struct SanitationCounts {
     pub observed: u64,
     /// RLMs beyond the direction or offset threshold of a mapped pair.
     pub rejected_coarse: u64,
-    /// RLMs with an endpoint off the grid.
+    /// RLMs with an endpoint off the grid, or from a location to
+    /// itself.
     pub rejected_unmapped: u64,
     /// Measurements dropped by the fine filter.
     pub rejected_fine: u64,
@@ -364,12 +365,12 @@ fn dense_dijkstra(adjacency: &[Vec<Option<f64>>], source: usize) -> Vec<f64> {
 ///
 /// 1. reassemble the RLM to start at the smaller id (the reverse
 ///    direction is `d + 180° mod 360°`, the offset unchanged);
-/// 2. drop it as unmapped when an endpoint is off the grid, whatever
-///    the coarse toggle says;
+/// 2. drop it as unmapped when an endpoint is off the grid or both
+///    endpoints are the same location, whatever the coarse toggle says;
 /// 3. coarse, when enabled: drop it when the grid bearing is undefined
 ///    or more than `coarse_direction_deg` away by circular difference,
 ///    or when its offset is more than `coarse_offset_m` from the map
-///    offset — the walkable distance by [`dense_dijkstra`], or the
+///    offset — the walkable distance by a textbook array Dijkstra, or the
 ///    straight line when the graph does not connect the pair;
 /// 4. per pair in id order: the fine filter drops every measurement
 ///    beyond `fine_sigma` standard deviations in direction or offset
@@ -405,7 +406,7 @@ pub fn sanitize(
         } else {
             (to, from, normalize_deg(direction + 180.0))
         };
-        if a.index() >= n || b.index() >= n {
+        if a == b || a.index() >= n || b.index() >= n {
             counts.rejected_unmapped += 1;
             continue;
         }
@@ -708,6 +709,32 @@ mod tests {
         assert_eq!(counts.pairs_built, 1);
         assert_eq!(counts.rejected_fine, 0);
         assert_eq!((pairs[0].from, pairs[0].to), (l(2), l(3)));
+    }
+
+    #[test]
+    fn sanitize_drops_self_loops_as_unmapped_whatever_the_coarse_toggle() {
+        // Five RLMs from L2 to itself beside three good 2-3 ones: the
+        // database holds no self-pairs, so the loops are unmapped.
+        let positions = [0.0, 2.0, 4.0].map(|x| Vec2::new(x, 0.0));
+        let edges = [(l(1), l(2), 2.0), (l(2), l(3), 2.0)];
+        let mut rlms = vec![(l(2), l(2), 90.0, 0.5); 5];
+        rlms.extend([(l(2), l(3), 90.0, 2.0); 3]);
+        for coarse_enabled in [false, true] {
+            let rules = SanitationRules {
+                coarse_enabled,
+                coarse_direction_deg: 20.0,
+                coarse_offset_m: 3.0,
+                fine_enabled: true,
+                fine_sigma: 2.0,
+                min_samples: 3,
+                min_direction_std_deg: 2.0,
+                min_offset_std_m: 0.05,
+            };
+            let (counts, pairs) = sanitize(&positions, &edges, &rlms, &rules);
+            assert_eq!((counts.rejected_unmapped, counts.rejected_coarse), (5, 0));
+            assert_eq!(counts.pairs_built, 1);
+            assert_eq!((pairs[0].from, pairs[0].to), (l(2), l(3)));
+        }
     }
 
     #[test]

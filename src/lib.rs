@@ -13,7 +13,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `moloc-core` | the MoLoc algorithm (the Eq. 4–7 step, engine) |
-//! | [`fingerprint`] | `moloc-fingerprint` | fingerprint DB, metrics, k-NN, WiFi & Horus baselines |
+//! | [`fingerprint`] | `moloc-fingerprint` | fingerprint DB, the Euclidean index (k-NN), WiFi, centroid & Horus baselines |
 //! | [`motion`] | `moloc-motion` | the motion database and its crowdsourced construction |
 //! | [`sensors`] | `moloc-sensors` | IMU synthesis & processing: steps (DSC/CSC), heading |
 //! | [`mobility`] | `moloc-mobility` | user profiles, random walks, sensor-trace rendering |
