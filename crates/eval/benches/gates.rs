@@ -1,4 +1,4 @@
-//! Mechanism gates: seven pairs of arms, both arms of each pair timed
+//! Mechanism gates: nine pairs of arms, both arms of each pair timed
 //! in this one process, each pair's ratio of mean per-iteration times
 //! checked against a fixed bound (see [`GATES`]).
 //!
@@ -51,11 +51,13 @@ enum Bound {
 /// Each gate: its name, the arm whose mean time is the ratio's
 /// numerator, the arm whose mean time is its denominator, the bound,
 /// and the cores the ratio needs to mean anything. A speedup at pool
-/// width `w` can only show on `w` cores, so the fig. 7 gates need their
-/// width; collection and dispatch run both arms at width 4 and compare
-/// mechanisms, not widths.
+/// width `w` can only show on `w` cores, so the world-build and fig. 7
+/// gates need their width; collection and dispatch run both arms at
+/// width 4 and compare mechanisms, not widths.
 #[rustfmt::skip]
-const GATES: [(&str, &str, &str, Bound, usize); 7] = [
+const GATES: [(&str, &str, &str, Bound, usize); 9] = [
+    ("world build at width 4", "world/w1", "world/w4", AtLeast(1.5), 4),
+    ("world build at width 2", "world/w1", "world/w2", AtLeast(1.2), 2),
     ("fig. 7 at width 4", "fig7/w1", "fig7/w4", AtLeast(1.5), 4),
     ("fig. 7 at width 2", "fig7/w1", "fig7/w2", AtLeast(1.2), 2),
     ("disjoint-slot collection", "collect/mutex_vec", "collect/disjoint_slots", AtLeast(1.5), 1),
@@ -121,9 +123,10 @@ fn judge(c: &Criterion, cores: usize) -> i32 {
     }
 }
 
-/// Fig. 7's MoLoc localization of `EvalWorld::small(2013)` at 6 APs,
-/// at every width the host has cores for, then the batch localizer
-/// over the first test trace with the metrics recorder off and on.
+/// The build of `EvalWorld::small(2013)` and fig. 7's MoLoc
+/// localization of it at 6 APs, at every width the host has cores for,
+/// then the batch localizer over the first test trace with the metrics
+/// recorder off and on.
 fn bench_eval(c: &mut Criterion, cores: usize) {
     let world = EvalWorld::small(2013);
     let setting = world.setting(6);
@@ -132,6 +135,9 @@ fn bench_eval(c: &mut Criterion, cores: usize) {
     let kernel = build_kernel(&setting.motion_db, &config);
     for width in [1, 2, 4].into_iter().filter(|&w| w <= cores) {
         set_worker_override(Some(width));
+        c.bench_function(&format!("world/w{width}"), |b| {
+            b.iter(|| black_box(EvalWorld::small(2013)))
+        });
         c.bench_function(&format!("fig7/w{width}"), |b| {
             b.iter(|| {
                 black_box(localize_moloc_with(

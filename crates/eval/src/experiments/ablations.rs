@@ -12,7 +12,7 @@ use crate::cache::ScenarioCache;
 use crate::experiments::fig6;
 use crate::metrics::{flatten, summarize};
 use crate::parallel::par_map;
-use crate::pipeline::{analyze_trace, localize_moloc_with, CountingMethod, EvalWorld};
+use crate::pipeline::{analyze_trace_indexed, localize_moloc_with, CountingMethod, EvalWorld};
 use crate::report;
 use moloc_core::config::MoLocConfig;
 use moloc_motion::filter::SanitationConfig;
@@ -355,9 +355,10 @@ pub fn heading_calibration_errors(cache: &ScenarioCache<'_>, n_aps: usize) -> Ec
     let detector = StepDetector::default();
     let traces: Vec<_> = world.corpus.iter().collect();
     par_map(&traces, |trace| {
-        let analysis = analyze_trace(
+        let analysis = analyze_trace_indexed(
             trace,
             &setting.fdb,
+            &artifacts.index,
             &world.hall,
             &detector,
             CountingMethod::Continuous,
@@ -448,6 +449,7 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
     use moloc_mobility::render::TraceRenderer;
     use moloc_mobility::trajectory::Trajectory;
     use moloc_mobility::walk::random_walk;
+    use moloc_radio::RadioMap;
     use moloc_sensors::fusion::HeadingFusion;
     use moloc_sensors::heading::motion_direction_deg;
     use moloc_stats::circular::abs_diff_deg;
@@ -459,6 +461,7 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
         u.compass_noise_deg = 25.0;
     }
     let renderer = TraceRenderer::default();
+    let map = RadioMap::new(&world.hall.env, &world.hall.grid);
     // Users fan out on the worker pool; each derives its own RNG from
     // (seed, index), so the parallel result matches the serial one.
     let per_user = crate::parallel::par_run(users.len(), |i| {
@@ -467,7 +470,7 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
         let path = random_walk(&world.hall.graph, 16, &mut rng);
         let trajectory =
             Trajectory::from_path(&path, &world.hall.grid, user).expect("walks are non-trivial");
-        let trace = renderer.render(&trajectory, user, &world.hall.env, &mut rng);
+        let trace = renderer.render(&trajectory, user, &map, &mut rng);
         let offset = user.placement_offset_deg + user.compass_bias_deg;
 
         // Fused heading over the whole trace.

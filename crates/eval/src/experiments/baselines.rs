@@ -17,7 +17,7 @@
 use crate::metrics::{flatten, summarize};
 use crate::parallel::par_run;
 use crate::pipeline::{
-    analyze_trace, localize_moloc, localize_wifi, EvalWorld, PassOutcome, Setting,
+    analyze_trace_indexed, localize_moloc, localize_wifi, EvalWorld, PassOutcome, Setting,
 };
 use crate::report;
 use moloc_core::config::MoLocConfig;
@@ -25,6 +25,7 @@ use moloc_core::particle::{ParticleConfig, ParticleLocalizer};
 use moloc_core::viterbi::ViterbiLocalizer;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::horus::HorusLocalizer;
+use moloc_fingerprint::index::FingerprintIndex;
 use moloc_sensors::steps::StepDetector;
 use std::time::Instant;
 
@@ -108,15 +109,18 @@ pub fn run(world: &EvalWorld, setting: &Setting) -> BaselineComparison {
     });
     let horus_s = t.elapsed().as_secs_f64();
 
-    // HMM (Viterbi) with MoLoc's motion evidence.
+    // HMM (Viterbi) with MoLoc's motion evidence. One index serves
+    // every trace analysis of both motion-aware arms.
     let detector = StepDetector::default();
+    let index = FingerprintIndex::build(&setting.fdb);
     let viterbi = ViterbiLocalizer::new(&setting.fdb, &setting.motion_db, MoLocConfig::paper());
     let t = Instant::now();
     let hmm: Vec<Vec<PassOutcome>> = par_run(world.corpus.test.len(), |trace_index| {
         let trace = &world.corpus.test[trace_index];
-        let analysis = analyze_trace(
+        let analysis = analyze_trace_indexed(
             trace,
             &setting.fdb,
+            &index,
             &world.hall,
             &detector,
             setting.counting,
@@ -156,9 +160,10 @@ pub fn run(world: &EvalWorld, setting: &Setting) -> BaselineComparison {
     let t = Instant::now();
     let pf_outcomes: Vec<Vec<PassOutcome>> = par_run(world.corpus.test.len(), |trace_index| {
         let trace = &world.corpus.test[trace_index];
-        let analysis = analyze_trace(
+        let analysis = analyze_trace_indexed(
             trace,
             &setting.fdb,
+            &index,
             &world.hall,
             &detector,
             setting.counting,

@@ -40,6 +40,7 @@ use moloc_motion::kernel::MotionKernel;
 use moloc_motion::matrix::MotionDb;
 use moloc_motion::rlm::Rlm;
 use moloc_radio::survey::{SiteSurvey, SurveySplit};
+use moloc_radio::RadioMap;
 use moloc_sensors::heading::HeadingOffsetEstimator;
 use moloc_sensors::steps::StepDetector;
 use moloc_sensors::stride::offset_m;
@@ -73,17 +74,23 @@ impl EvalWorld {
     }
 
     /// Builds a world with explicit hall and corpus configurations.
+    ///
+    /// The survey and every trace draw about one [`RadioMap`] of the
+    /// hall. The survey is one RNG stream, drawn serially; the traces
+    /// render on the worker pool, each from its own seed
+    /// ([`TraceCorpus::render_trace`]), so the world is the same at
+    /// every pool width. Built inside another pool job, the traces
+    /// render inline.
     pub fn build(hall_config: HallConfig, corpus_config: CorpusConfig, seed: u64) -> Self {
         let hall = OfficeHall::with_config(hall_config);
+        let map = RadioMap::new(&hall.env, &hall.grid);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5175_7EC0_DE01_u64);
-        let survey = SiteSurvey::conduct(&hall.env, &hall.grid, SurveySplit::paper(), &mut rng);
-        let corpus = TraceCorpus::generate(
-            &hall.env,
-            &hall.grid,
-            &hall.graph,
-            &paper_users(),
-            corpus_config,
-        );
+        let survey = SiteSurvey::conduct(&map, SurveySplit::paper(), &mut rng);
+        let users = paper_users();
+        let traces = par_run(corpus_config.total_traces, |i| {
+            TraceCorpus::render_trace(&map, &hall.graph, &users, corpus_config, i)
+        });
+        let corpus = TraceCorpus::from_traces(traces, corpus_config.train_traces);
         Self {
             hall,
             survey,

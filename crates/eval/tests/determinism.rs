@@ -294,6 +294,68 @@ fn batch_engine_digest_matches_oracle_chain() {
     );
 }
 
+/// FNV-1a over every value the world build draws: each survey
+/// location's id and its fingerprint, motion and test scans, then each
+/// trace (train, then test) with its user id, accelerometer, compass
+/// and gyro series, pass events and scans, all in order.
+fn world_digest(world: &EvalWorld) -> String {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    for loc in world.survey.locations() {
+        eat(loc.location.get().into());
+        for scan in loc.fingerprint.iter().chain(&loc.motion).chain(&loc.test) {
+            eat(scan.len() as u64);
+            scan.iter().for_each(|d| eat(d.value().to_bits()));
+        }
+    }
+    eat(world.corpus.train.len() as u64);
+    eat(world.corpus.test.len() as u64);
+    for trace in world.corpus.iter() {
+        eat(trace.user.id.into());
+        for series in [&trace.accel, &trace.compass, &trace.gyro] {
+            eat(series.t0().to_bits());
+            eat(series.sample_rate_hz().to_bits());
+            eat(series.len() as u64);
+            series.values().iter().for_each(|v| eat(v.to_bits()));
+        }
+        eat(trace.passes.len() as u64);
+        for pass in &trace.passes {
+            eat(pass.time.to_bits());
+            eat(pass.location.get().into());
+            eat(pass.position.x.to_bits());
+            eat(pass.position.y.to_bits());
+        }
+        for scan in &trace.scans {
+            eat(scan.len() as u64);
+            scan.iter().for_each(|v| eat(v.to_bits()));
+        }
+    }
+    format!("{h:016x}")
+}
+
+#[test]
+fn world_builds_are_pinned_at_every_pool_width() {
+    // Every survey value and every trace of two worlds, pinned. The
+    // traces render on the pool, so the digests must not move with its
+    // width: a trace that reads another trace's RNG, or a corpus put
+    // together out of index order, moves them.
+    const SMALL_2013: &str = "40ec6749573ace59";
+    const PAPER_1: &str = "f9aa0faaaa1678c0";
+    for width in [None, Some(1), Some(2), Some(4)] {
+        set_worker_override(width);
+        let small = world_digest(&EvalWorld::small(2013));
+        let paper = world_digest(&EvalWorld::paper(1));
+        set_worker_override(None);
+        assert_eq!(small, SMALL_2013, "EvalWorld::small(2013), width {width:?}");
+        assert_eq!(paper, PAPER_1, "EvalWorld::paper(1), width {width:?}");
+    }
+}
+
 #[test]
 fn helper_print_outcome_digest() {
     // Only does work when invoked as the serial child of

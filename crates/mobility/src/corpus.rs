@@ -3,14 +3,16 @@
 //! Sec. VI-A: four users, 184 traces covering every reference location
 //! 30+ times; 150 traces train the motion database, 34 are held out for
 //! localization. [`TraceCorpus::generate`] reproduces the protocol with
-//! a single master seed.
+//! a single master seed; each trace draws only from its own stream
+//! derived from it, so [`TraceCorpus::render_trace`] can render the
+//! traces in any order.
 
 use crate::render::{SensorTrace, TraceRenderer};
 use crate::trajectory::Trajectory;
 use crate::user::UserProfile;
 use crate::walk::random_walk;
-use moloc_geometry::{ReferenceGrid, WalkGraph};
-use moloc_radio::RadioEnvironment;
+use moloc_geometry::WalkGraph;
+use moloc_radio::RadioMap;
 use moloc_stats::sampling::derive_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,37 +65,63 @@ pub struct TraceCorpus {
 }
 
 impl TraceCorpus {
-    /// Generates the corpus: traces round-robin across `users`, each an
-    /// independent seeded random walk rendered against `env`.
+    /// Generates the corpus: [`Self::render_trace`] for every index in
+    /// order, then [`Self::from_traces`].
     ///
     /// # Panics
     ///
-    /// Panics if `users` is empty, `train_traces > total_traces`, or a
-    /// generated walk is too short to form a trajectory (a disconnected
-    /// graph).
+    /// Panics as [`Self::render_trace`] and [`Self::from_traces`] do.
     pub fn generate(
-        env: &RadioEnvironment,
-        grid: &ReferenceGrid,
+        map: &RadioMap<'_>,
         graph: &WalkGraph,
         users: &[UserProfile],
         config: CorpusConfig,
     ) -> Self {
+        let traces = (0..config.total_traces)
+            .map(|i| Self::render_trace(map, graph, users, config, i))
+            .collect();
+        Self::from_traces(traces, config.train_traces)
+    }
+
+    /// Renders trace `i` of the corpus: user `i` round-robin across
+    /// `users` walks a random walk over `graph`, rendered against `map`,
+    /// all drawn from the trace's own stream `derive_seed(config.seed,
+    /// i)`. Trace `i` depends on nothing else, so traces can be rendered
+    /// in any order or in parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `users` is empty, or if the walk does not time into a
+    /// trajectory on the map's grid (a disconnected graph, a graph over
+    /// another grid, or a user whose speed is not positive and finite).
+    pub fn render_trace(
+        map: &RadioMap<'_>,
+        graph: &WalkGraph,
+        users: &[UserProfile],
+        config: CorpusConfig,
+        i: usize,
+    ) -> SensorTrace {
         assert!(!users.is_empty(), "corpus needs at least one user");
+        let user = &users[i % users.len()];
+        let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, i as u64));
+        let path = random_walk(graph, config.segments_per_trace, &mut rng);
+        let trajectory = Trajectory::from_path(&path, map.grid(), user)
+            .unwrap_or_else(|e| panic!("corpus trace {i}: {e}"));
+        TraceRenderer::default().render(&trajectory, user, map, &mut rng)
+    }
+
+    /// Splits traces, in index order, into the first `train_traces` for
+    /// training and the rest for testing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train_traces` exceeds the number of traces.
+    pub fn from_traces(mut traces: Vec<SensorTrace>, train_traces: usize) -> Self {
         assert!(
-            config.train_traces <= config.total_traces,
+            train_traces <= traces.len(),
             "train split exceeds total traces"
         );
-        let renderer = TraceRenderer::default();
-        let mut traces = Vec::with_capacity(config.total_traces);
-        for i in 0..config.total_traces {
-            let user = &users[i % users.len()];
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, i as u64));
-            let path = random_walk(graph, config.segments_per_trace, &mut rng);
-            let trajectory = Trajectory::from_path(&path, grid, user)
-                .expect("random walks on a connected graph have >= 2 nodes");
-            traces.push(renderer.render(&trajectory, user, env, &mut rng));
-        }
-        let test = traces.split_off(config.train_traces);
+        let test = traces.split_off(train_traces);
         Self {
             train: traces,
             test,
@@ -121,8 +149,9 @@ mod tests {
     use super::*;
     use crate::user::paper_users;
     use moloc_geometry::polygon::Aabb;
-    use moloc_geometry::{FloorPlan, Vec2};
+    use moloc_geometry::{FloorPlan, ReferenceGrid, Vec2};
     use moloc_radio::ap::AccessPoint;
+    use moloc_radio::RadioEnvironment;
     use std::collections::HashMap;
 
     fn world() -> (RadioEnvironment, ReferenceGrid, WalkGraph) {
@@ -139,8 +168,8 @@ mod tests {
     #[test]
     fn split_sizes_match_config() {
         let (env, grid, graph) = world();
-        let corpus =
-            TraceCorpus::generate(&env, &grid, &graph, &paper_users(), CorpusConfig::small(1));
+        let map = RadioMap::new(&env, &grid);
+        let corpus = TraceCorpus::generate(&map, &graph, &paper_users(), CorpusConfig::small(1));
         assert_eq!(corpus.train.len(), 75);
         assert_eq!(corpus.test.len(), 15);
         assert_eq!(corpus.len(), 90);
@@ -150,8 +179,8 @@ mod tests {
     #[test]
     fn users_rotate_round_robin() {
         let (env, grid, graph) = world();
-        let corpus =
-            TraceCorpus::generate(&env, &grid, &graph, &paper_users(), CorpusConfig::small(1));
+        let map = RadioMap::new(&env, &grid);
+        let corpus = TraceCorpus::generate(&map, &graph, &paper_users(), CorpusConfig::small(1));
         let ids: Vec<u32> = corpus.iter().map(|t| t.user.id).collect();
         assert_eq!(&ids[..4], &[1, 2, 3, 4]);
         assert_eq!(ids[4], 1);
@@ -160,8 +189,8 @@ mod tests {
     #[test]
     fn traces_have_expected_pass_counts() {
         let (env, grid, graph) = world();
-        let corpus =
-            TraceCorpus::generate(&env, &grid, &graph, &paper_users(), CorpusConfig::small(2));
+        let map = RadioMap::new(&env, &grid);
+        let corpus = TraceCorpus::generate(&map, &graph, &paper_users(), CorpusConfig::small(2));
         for t in corpus.iter() {
             assert_eq!(t.pass_count(), 15); // segments + 1
         }
@@ -176,7 +205,8 @@ mod tests {
             segments_per_trace: 20,
             seed: 3,
         };
-        let corpus = TraceCorpus::generate(&env, &grid, &graph, &paper_users(), config);
+        let map = RadioMap::new(&env, &grid);
+        let corpus = TraceCorpus::generate(&map, &graph, &paper_users(), config);
         let mut visits: HashMap<u32, usize> = HashMap::new();
         for t in corpus.iter() {
             for p in &t.passes {
@@ -194,9 +224,38 @@ mod tests {
     #[test]
     fn generation_is_reproducible() {
         let (env, grid, graph) = world();
-        let a = TraceCorpus::generate(&env, &grid, &graph, &paper_users(), CorpusConfig::small(5));
-        let b = TraceCorpus::generate(&env, &grid, &graph, &paper_users(), CorpusConfig::small(5));
+        let map = RadioMap::new(&env, &grid);
+        let a = TraceCorpus::generate(&map, &graph, &paper_users(), CorpusConfig::small(5));
+        let b = TraceCorpus::generate(&map, &graph, &paper_users(), CorpusConfig::small(5));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn each_trace_depends_on_its_index_alone() {
+        // Rendered last to first, one at a time, then assembled in
+        // index order: the corpus `generate` builds, bit for bit.
+        let (env, grid, graph) = world();
+        let map = RadioMap::new(&env, &grid);
+        let users = paper_users();
+        let config = CorpusConfig::small(6);
+        let corpus = TraceCorpus::generate(&map, &graph, &users, config);
+        let mut traces: Vec<SensorTrace> = (0..config.total_traces)
+            .rev()
+            .map(|i| TraceCorpus::render_trace(&map, &graph, &users, config, i))
+            .collect();
+        traces.reverse();
+        assert_eq!(
+            TraceCorpus::from_traces(traces, config.train_traces),
+            corpus
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one user")]
+    fn empty_user_list_panics() {
+        let (env, grid, graph) = world();
+        let map = RadioMap::new(&env, &grid);
+        let _ = TraceCorpus::render_trace(&map, &graph, &[], CorpusConfig::small(1), 0);
     }
 
     #[test]
@@ -209,6 +268,6 @@ mod tests {
             segments_per_trace: 4,
             seed: 0,
         };
-        let _ = TraceCorpus::generate(&env, &grid, &graph, &paper_users(), config);
+        let _ = TraceCorpus::generate(&RadioMap::new(&env, &grid), &graph, &paper_users(), config);
     }
 }

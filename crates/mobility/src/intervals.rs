@@ -87,7 +87,7 @@ mod tests {
     use moloc_geometry::polygon::Aabb;
     use moloc_geometry::{FloorPlan, LocationId, ReferenceGrid, Vec2};
     use moloc_radio::ap::AccessPoint;
-    use moloc_radio::RadioEnvironment;
+    use moloc_radio::{RadioEnvironment, RadioMap};
     use moloc_stats::circular::abs_diff_deg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -106,7 +106,7 @@ mod tests {
         let user = paper_users()[1];
         let traj = Trajectory::from_path(&[l(1), l(2), l(5), l(4)], &grid, &user).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        TraceRenderer::default().render(&traj, &user, &env, &mut rng)
+        TraceRenderer::default().render(&traj, &user, &RadioMap::new(&env, &grid), &mut rng)
     }
 
     #[test]

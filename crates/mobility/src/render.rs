@@ -7,7 +7,7 @@
 
 use crate::trajectory::{PassEvent, Trajectory};
 use crate::user::UserProfile;
-use moloc_radio::RadioEnvironment;
+use moloc_radio::RadioMap;
 use moloc_sensors::gyro::GyroSynthesizer;
 use moloc_sensors::series::TimeSeries;
 use rand::Rng;
@@ -67,16 +67,19 @@ impl TraceRenderer {
     /// The user walks the whole trajectory at constant cadence, so the
     /// accelerometer is one continuous gait signal; compass readings
     /// follow the segment bearings through the user's placement offset
-    /// and noise; one fresh RSS scan is taken at each pass.
+    /// and noise; one fresh RSS scan is drawn at each pass, about the
+    /// map's mean scan for the pass's location.
     ///
     /// # Panics
     ///
-    /// Panics if the sample rate is not positive.
+    /// Panics if the sample rate is not positive, or if `map` was built
+    /// from another grid than the one `trajectory` was timed on (a pass
+    /// off the map's grid, or at another position there).
     pub fn render<R: Rng + ?Sized>(
         &self,
         trajectory: &Trajectory,
         user: &UserProfile,
-        env: &RadioEnvironment,
+        map: &RadioMap<'_>,
         rng: &mut R,
     ) -> SensorTrace {
         assert!(self.sample_rate_hz > 0.0, "sample rate must be positive");
@@ -115,7 +118,12 @@ impl TraceRenderer {
             .passes()
             .iter()
             .map(|p| {
-                env.scan(p.position, rng)
+                assert!(
+                    map.grid().contains(p.location)
+                        && map.grid().position(p.location) == p.position,
+                    "radio map built from another grid than the trajectory's"
+                );
+                map.scan(p.location, rng)
                     .into_iter()
                     .map(f64::from)
                     .collect()
@@ -140,6 +148,7 @@ mod tests {
     use moloc_geometry::polygon::Aabb;
     use moloc_geometry::{FloorPlan, LocationId, ReferenceGrid, Vec2};
     use moloc_radio::ap::AccessPoint;
+    use moloc_radio::RadioEnvironment;
     use moloc_sensors::steps::StepDetector;
     use moloc_stats::circular::abs_diff_deg;
     use rand::rngs::StdRng;
@@ -166,7 +175,7 @@ mod tests {
         let user = paper_users()[1];
         let traj = Trajectory::from_path(&[l(1), l(2), l(5)], &grid, &user).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        TraceRenderer::default().render(&traj, &user, &env, &mut rng)
+        TraceRenderer::default().render(&traj, &user, &RadioMap::new(&env, &grid), &mut rng)
     }
 
     #[test]

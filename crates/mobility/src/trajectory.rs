@@ -35,6 +35,10 @@ pub enum TrajectoryError {
     TooShort,
     /// Two consecutive path nodes coincide.
     ZeroLengthSegment,
+    /// A path node is not a location of the grid.
+    OffGrid(LocationId),
+    /// The user's walking speed is not positive and finite.
+    BadSpeed,
 }
 
 impl std::fmt::Display for TrajectoryError {
@@ -43,6 +47,10 @@ impl std::fmt::Display for TrajectoryError {
             TrajectoryError::TooShort => write!(f, "trajectory needs at least two locations"),
             TrajectoryError::ZeroLengthSegment => {
                 write!(f, "consecutive trajectory nodes must differ")
+            }
+            TrajectoryError::OffGrid(id) => write!(f, "trajectory node {id} is not on the grid"),
+            TrajectoryError::BadSpeed => {
+                write!(f, "walking speed must be positive and finite")
             }
         }
     }
@@ -56,8 +64,12 @@ impl Trajectory {
     ///
     /// # Errors
     ///
-    /// Returns [`TrajectoryError`] for paths shorter than two nodes or
-    /// with repeated consecutive nodes.
+    /// Returns [`TrajectoryError::TooShort`] for paths shorter than two
+    /// nodes, [`TrajectoryError::BadSpeed`] when the user's speed is not
+    /// positive and finite, [`TrajectoryError::OffGrid`] for the first
+    /// node that is not a location of `grid`, and
+    /// [`TrajectoryError::ZeroLengthSegment`] for repeated consecutive
+    /// nodes.
     pub fn from_path(
         path: &[LocationId],
         grid: &ReferenceGrid,
@@ -65,6 +77,12 @@ impl Trajectory {
     ) -> Result<Self, TrajectoryError> {
         if path.len() < 2 {
             return Err(TrajectoryError::TooShort);
+        }
+        if !(user.speed_mps.is_finite() && user.speed_mps > 0.0) {
+            return Err(TrajectoryError::BadSpeed);
+        }
+        if let Some(&id) = path.iter().find(|&&id| !grid.contains(id)) {
+            return Err(TrajectoryError::OffGrid(id));
         }
         let mut passes = Vec::with_capacity(path.len());
         let mut t = 0.0;
@@ -178,6 +196,42 @@ mod tests {
             Trajectory::from_path(&[l(1), l(1)], &grid(), &user()).unwrap_err(),
             TrajectoryError::ZeroLengthSegment
         );
+    }
+
+    #[test]
+    fn off_grid_nodes_are_errors_not_panics() {
+        // The grid has six locations; the first off-grid node is named.
+        let cases: [(&[LocationId], LocationId); 3] = [
+            (&[l(1), l(99)], l(99)),
+            (&[l(7), l(1)], l(7)),
+            (&[l(1), l(2), l(8), l(9)], l(8)),
+        ];
+        for (path, off) in cases {
+            assert_eq!(
+                Trajectory::from_path(path, &grid(), &user()).unwrap_err(),
+                TrajectoryError::OffGrid(off)
+            );
+        }
+    }
+
+    #[test]
+    fn speed_must_be_positive_and_finite() {
+        for speed in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let walker = UserProfile {
+                speed_mps: speed,
+                ..user()
+            };
+            assert_eq!(
+                Trajectory::from_path(&[l(1), l(2)], &grid(), &walker).unwrap_err(),
+                TrajectoryError::BadSpeed,
+                "speed {speed}"
+            );
+        }
+        let slow = UserProfile {
+            speed_mps: f64::MIN_POSITIVE,
+            ..user()
+        };
+        assert!(Trajectory::from_path(&[l(1), l(2)], &grid(), &slow).is_ok());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`shadowing`] — static per-(AP, position) shadow fading, the
 //!   location-specific but time-stable part of the channel.
 //! * [`sampler`] — the [`sampler::RadioEnvironment`] combining all of the
-//!   above with per-sample temporal noise and a detection floor.
+//!   above with per-sample temporal noise and a detection floor, and the
+//!   [`sampler::RadioMap`] of mean scans at a grid's reference locations.
 //! * [`survey`] — synthetic site surveys: n samples per reference
 //!   location, split into fingerprint/motion/test sets like the paper's
 //!   40/10/10.
@@ -52,4 +53,4 @@ pub mod survey;
 
 pub use ap::{AccessPoint, ApId};
 pub use dbm::Dbm;
-pub use sampler::RadioEnvironment;
+pub use sampler::{RadioEnvironment, RadioMap};

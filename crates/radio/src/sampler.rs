@@ -19,7 +19,7 @@ use crate::ap::{AccessPoint, ApId};
 use crate::dbm::Dbm;
 use crate::pathloss::{LogDistance, PathLossModel};
 use crate::shadowing::ShadowingField;
-use moloc_geometry::{FloorPlan, Vec2};
+use moloc_geometry::{FloorPlan, LocationId, ReferenceGrid, Vec2};
 use moloc_stats::sampling::normal;
 use rand::Rng;
 use std::sync::Arc;
@@ -110,15 +110,17 @@ impl RadioEnvironment {
         self.aps.iter().map(|ap| self.mean_rss(ap, pos)).collect()
     }
 
-    /// One noisy scan at a position and instant: mean RSS plus
+    /// One noisy scan at a position and instant: the mean scan plus
     /// independent temporal noise per AP, floor-clamped.
     pub fn scan<R: Rng + ?Sized>(&self, pos: Vec2, rng: &mut R) -> RssScan {
-        self.aps
-            .iter()
-            .map(|ap| {
-                (self.mean_rss(ap, pos) + normal(rng, 0.0, self.temporal_sigma_db))
-                    .clamp_floor(self.noise_floor)
-            })
+        self.scan_about(&self.mean_scan(pos), rng)
+    }
+
+    /// The one noise step: per AP, in order, one `N(0, σ_T²)` draw added
+    /// to the mean, floor-clamped.
+    fn scan_about<R: Rng + ?Sized>(&self, mean: &[Dbm], rng: &mut R) -> RssScan {
+        mean.iter()
+            .map(|&m| (m + normal(rng, 0.0, self.temporal_sigma_db)).clamp_floor(self.noise_floor))
             .collect()
     }
 
@@ -133,6 +135,62 @@ impl RadioEnvironment {
         let mut env = self.clone();
         env.aps.truncate(n);
         env
+    }
+}
+
+/// The mean scan at every reference location of a grid, computed once,
+/// and the noisy scans drawn about them.
+///
+/// A mean RSS is a pure function of AP and position (path loss, walls
+/// and a hash-seeded shadowing lattice; no RNG), so [`RadioMap::scan`]
+/// at `id` equals `env.scan(grid.position(id), rng)` bit for bit and
+/// advances `rng` by the same draws. A site survey or a trace corpus
+/// draws thousands of scans at a few dozen locations; the map computes
+/// each location's path loss, walls and shadowing once instead of once
+/// per scan.
+#[derive(Debug, Clone)]
+pub struct RadioMap<'a> {
+    env: &'a RadioEnvironment,
+    grid: &'a ReferenceGrid,
+    /// `means[id.index()]` is the mean scan at `id`.
+    means: Vec<RssScan>,
+}
+
+impl<'a> RadioMap<'a> {
+    /// Computes the mean scan at every location of `grid`.
+    pub fn new(env: &'a RadioEnvironment, grid: &'a ReferenceGrid) -> Self {
+        let means = grid
+            .ids()
+            .map(|id| env.mean_scan(grid.position(id)))
+            .collect();
+        Self { env, grid, means }
+    }
+
+    /// The environment the map was computed from.
+    pub(crate) fn env(&self) -> &'a RadioEnvironment {
+        self.env
+    }
+
+    /// The grid the map covers.
+    pub fn grid(&self) -> &'a ReferenceGrid {
+        self.grid
+    }
+
+    /// The mean scan at a reference location; panics off the grid.
+    fn mean(&self, id: LocationId) -> &[Dbm] {
+        self.means
+            .get(id.index())
+            .unwrap_or_else(|| panic!("{id} out of range for the radio map's grid"))
+    }
+
+    /// One noisy scan at a reference location: its mean scan plus the
+    /// noise step of [`RadioEnvironment::scan`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a location of the map's grid.
+    pub fn scan<R: Rng + ?Sized>(&self, id: LocationId, rng: &mut R) -> RssScan {
+        self.env.scan_about(self.mean(id), rng)
     }
 }
 
@@ -340,6 +398,113 @@ mod tests {
     #[should_panic(expected = "invalid AP subset")]
     fn ap_subset_zero_panics() {
         let _ = simple_env().with_first_aps(0);
+    }
+
+    /// Four APs behind a wall and a shelf, shadowed, with a floor high
+    /// enough that some draws clamp, and a 4 × 3 grid over the hall.
+    fn shadowed_hall() -> (RadioEnvironment, ReferenceGrid) {
+        let mut plan = open_plan();
+        plan.add_wall(Wall::partition(
+            Vec2::new(15.0, 0.0),
+            Vec2::new(15.0, 10.0),
+            7.0,
+        ));
+        plan.add_wall(Wall::attenuator(
+            Vec2::new(22.0, 12.0),
+            Vec2::new(36.0, 12.0),
+            3.0,
+        ));
+        let env = RadioEnvironment::builder(plan)
+            .seed(11)
+            .ap(AccessPoint::new(0, Vec2::new(4.0, 8.0), -20.0))
+            .ap(AccessPoint::new(1, Vec2::new(17.0, 3.0), -25.0))
+            .ap(AccessPoint::new(2, Vec2::new(26.0, 14.0), -20.0))
+            .ap(AccessPoint::new(3, Vec2::new(37.0, 6.0), -30.0))
+            .shadowing_sigma_db(2.0, 3.0)
+            .temporal_sigma_db(6.0)
+            .noise_floor(Dbm::new(-62.0))
+            .build()
+            .unwrap();
+        let grid = ReferenceGrid::new(Vec2::new(5.0, 13.0), 4, 3, 9.5, 4.5).unwrap();
+        (env, grid)
+    }
+
+    /// A scan as it was first written: per AP, in order, the mean RSS
+    /// plus one normal draw, then the floor clamp.
+    fn interleaved_scan(env: &RadioEnvironment, pos: Vec2, rng: &mut StdRng) -> Vec<u64> {
+        env.aps()
+            .iter()
+            .map(|ap| {
+                let noisy = env.mean_rss(ap, pos) + normal(rng, 0.0, env.temporal_sigma_db());
+                noisy.clamp_floor(env.noise_floor()).value().to_bits()
+            })
+            .collect()
+    }
+
+    fn bits(scan: &[Dbm]) -> Vec<u64> {
+        scan.iter().map(|d| d.value().to_bits()).collect()
+    }
+
+    #[test]
+    fn scan_equals_the_interleaved_per_ap_draw() {
+        let (env, grid) = shadowed_hall();
+        // Grid positions, positions between them, and one outside the
+        // plan.
+        let mut positions: Vec<Vec2> = grid.ids().map(|id| grid.position(id)).collect();
+        positions.extend([
+            Vec2::new(0.3, 15.9),
+            Vec2::new(14.9, 2.5),
+            Vec2::new(15.1, 2.5),
+            Vec2::new(29.77, 8.01),
+            Vec2::new(-3.0, 40.0),
+        ]);
+        let mut clamped = 0;
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference = StdRng::seed_from_u64(seed);
+            for &pos in &positions {
+                let expected = interleaved_scan(&env, pos, &mut reference);
+                clamped += expected
+                    .iter()
+                    .filter(|&&b| b == env.noise_floor().value().to_bits())
+                    .count();
+                assert_eq!(
+                    bits(&env.scan(pos, &mut rng)),
+                    expected,
+                    "seed {seed}, {pos:?}"
+                );
+            }
+            // Both streams advanced by the same draws.
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+        }
+        assert!(clamped > 0, "the floor never clamped");
+    }
+
+    #[test]
+    fn radio_map_scans_equal_scans_at_grid_positions() {
+        let (env, grid) = shadowed_hall();
+        let map = RadioMap::new(&env, &grid);
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference = StdRng::seed_from_u64(seed);
+            // Out of id order, each location twice.
+            let ids: Vec<LocationId> = grid.ids().collect();
+            for &id in ids.iter().rev().chain(&ids) {
+                let pos = grid.position(id);
+                assert_eq!(bits(map.mean(id)), bits(&env.mean_scan(pos)));
+                let expected = interleaved_scan(&env, pos, &mut reference);
+                assert_eq!(bits(&map.scan(id, &mut rng)), expected, "seed {seed}, {id}");
+            }
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "L13 out of range for the radio map's grid")]
+    fn radio_map_refuses_an_off_grid_location() {
+        let (env, grid) = shadowed_hall();
+        let mut rng = StdRng::seed_from_u64(1);
+        let _ = RadioMap::new(&env, &grid).scan(LocationId::new(13), &mut rng);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The paper collects 60 RSS samples at each of the 28 reference
 //! locations and splits them 40/10/10 into fingerprint-database,
 //! motion-database and test sets (Sec. VI-A). [`SiteSurvey`] reproduces
-//! that protocol against a [`RadioEnvironment`].
+//! that protocol against a [`RadioMap`].
 
-use crate::sampler::{RadioEnvironment, RssScan};
-use moloc_geometry::{LocationId, ReferenceGrid};
+use crate::sampler::{RadioMap, RssScan};
+use moloc_geometry::LocationId;
 use rand::Rng;
 
 /// The three-way split of survey samples at one location.
@@ -59,24 +59,19 @@ impl SurveySplit {
 
 impl SiteSurvey {
     /// Conducts a survey: draws `split.total()` noisy scans at every
-    /// reference location of `grid` and splits them.
+    /// reference location of the map's grid, in id order from one RNG
+    /// stream, and splits them.
     ///
     /// # Panics
     ///
     /// Panics if the split has zero fingerprint samples.
-    pub fn conduct<R: Rng + ?Sized>(
-        env: &RadioEnvironment,
-        grid: &ReferenceGrid,
-        split: SurveySplit,
-        rng: &mut R,
-    ) -> Self {
+    pub fn conduct<R: Rng + ?Sized>(map: &RadioMap<'_>, split: SurveySplit, rng: &mut R) -> Self {
         assert!(split.fingerprint > 0, "survey needs fingerprint samples");
-        let samples = grid
+        let samples = map
+            .grid()
             .ids()
             .map(|id| {
-                let pos = grid.position(id);
-                let mut all: Vec<RssScan> =
-                    (0..split.total()).map(|_| env.scan(pos, rng)).collect();
+                let mut all: Vec<RssScan> = (0..split.total()).map(|_| map.scan(id, rng)).collect();
                 let test = all.split_off(split.fingerprint + split.motion);
                 let motion = all.split_off(split.fingerprint);
                 LocationSamples {
@@ -89,7 +84,7 @@ impl SiteSurvey {
             .collect();
         Self {
             samples,
-            ap_count: env.aps().len(),
+            ap_count: map.env().aps().len(),
         }
     }
 
@@ -120,8 +115,9 @@ impl SiteSurvey {
 mod tests {
     use super::*;
     use crate::ap::AccessPoint;
+    use crate::sampler::RadioEnvironment;
     use moloc_geometry::polygon::Aabb;
-    use moloc_geometry::{FloorPlan, Vec2};
+    use moloc_geometry::{FloorPlan, ReferenceGrid, Vec2};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -146,8 +142,9 @@ mod tests {
     #[test]
     fn survey_has_expected_shape() {
         let (env, grid) = world();
+        let map = RadioMap::new(&env, &grid);
         let mut rng = StdRng::seed_from_u64(3);
-        let survey = SiteSurvey::conduct(&env, &grid, SurveySplit::paper(), &mut rng);
+        let survey = SiteSurvey::conduct(&map, SurveySplit::paper(), &mut rng);
         assert_eq!(survey.locations().len(), 6);
         assert_eq!(survey.ap_count(), 2);
         for loc in survey.locations() {
@@ -163,16 +160,18 @@ mod tests {
     #[test]
     fn fingerprint_set_iterates_all_training_scans() {
         let (env, grid) = world();
+        let map = RadioMap::new(&env, &grid);
         let mut rng = StdRng::seed_from_u64(3);
-        let survey = SiteSurvey::conduct(&env, &grid, SurveySplit::paper(), &mut rng);
+        let survey = SiteSurvey::conduct(&map, SurveySplit::paper(), &mut rng);
         assert_eq!(survey.fingerprint_set().count(), 6 * 40);
     }
 
     #[test]
     fn location_lookup() {
         let (env, grid) = world();
+        let map = RadioMap::new(&env, &grid);
         let mut rng = StdRng::seed_from_u64(3);
-        let survey = SiteSurvey::conduct(&env, &grid, SurveySplit::paper(), &mut rng);
+        let survey = SiteSurvey::conduct(&map, SurveySplit::paper(), &mut rng);
         assert!(survey.location(LocationId::new(4)).is_some());
         assert!(survey.location(LocationId::new(99)).is_none());
     }
@@ -180,9 +179,10 @@ mod tests {
     #[test]
     fn survey_is_reproducible() {
         let (env, grid) = world();
+        let map = RadioMap::new(&env, &grid);
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            SiteSurvey::conduct(&env, &grid, SurveySplit::paper(), &mut rng)
+            SiteSurvey::conduct(&map, SurveySplit::paper(), &mut rng)
         };
         assert_eq!(run(5), run(5));
     }
@@ -197,6 +197,6 @@ mod tests {
             motion: 1,
             test: 1,
         };
-        let _ = SiteSurvey::conduct(&env, &grid, split, &mut rng);
+        let _ = SiteSurvey::conduct(&RadioMap::new(&env, &grid), split, &mut rng);
     }
 }

@@ -20,6 +20,7 @@ use moloc::mobility::trajectory::Trajectory;
 use moloc::mobility::user::paper_users;
 use moloc::prelude::*;
 use moloc::radio::ap::AccessPoint;
+use moloc::radio::RadioMap;
 use moloc::sensors::counting::csc;
 use moloc::sensors::heading::HeadingOffsetEstimator;
 use moloc::sensors::stride::offset_m;
@@ -62,7 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     path.push(LocationId::new(1));
     let trajectory = Trajectory::from_path(&path, &grid, &user)?;
-    let trace = TraceRenderer::default().render(&trajectory, &user, &env, &mut rng);
+    let map = RadioMap::new(&env, &grid);
+    let trace = TraceRenderer::default().render(&trajectory, &user, &map, &mut rng);
     println!(
         "rendered a {:.0}-second trace: {} passes, {} accel samples",
         trace.duration(),
