@@ -79,7 +79,7 @@ use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
 use moloc_eval::audit::sanitation_suite;
 use moloc_eval::parallel::{par_run, set_worker_override};
-use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
+use moloc_eval::pipeline::{EvalWorld, Setting, TraceSplit};
 use moloc_faults::rng::{hash, unit};
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
@@ -91,7 +91,6 @@ use moloc_live::{DbSnapshot, SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::matrix::{MotionDb, PairStats};
 use moloc_motion::rlm::Rlm;
-use moloc_sensors::steps::StepDetector;
 use moloc_session::{ScanEvent, SessionConfig, StreamingSession};
 use moloc_stats::gaussian::Gaussian;
 use moloc_verify::oracle;
@@ -856,16 +855,14 @@ fn eq_suites(
     // precompute runs the f32 mirror at 6 APs (every fourth scan
     // masked, so clean and masked lanes share blocks): every prefix's
     // estimates and final posterior vs the sequential oracle chain.
-    let detector = StepDetector::default();
     let mut divs = Vec::new();
     let mut cases = 0u64;
     for (ti, trace) in world.corpus.test.iter().take(12).enumerate() {
-        let analysis = analyze_trace_indexed(
-            trace,
+        let analysis = world.analyze(
+            TraceSplit::Test,
+            ti,
             &setting.fdb,
             &index,
-            &world.hall,
-            &detector,
             setting.counting,
             setting.n_aps,
         );
@@ -938,12 +935,11 @@ fn parallel_suite(world: &EvalWorld, setting: &Setting, report: &mut AuditReport
     let run = |width: usize| -> Vec<Vec<u32>> {
         set_worker_override(Some(width));
         let result = par_run(n, |i| {
-            let analysis = analyze_trace_indexed(
-                &world.corpus.test[i],
+            let analysis = world.analyze(
+                TraceSplit::Test,
+                i,
                 &setting.fdb,
                 &index,
-                &world.hall,
-                &StepDetector::default(),
                 setting.counting,
                 setting.n_aps,
             );
@@ -1282,14 +1278,12 @@ fn session_suite(world: &EvalWorld, setting: &Setting, report: &mut AuditReport)
         checkpoint_interval: 2,
         fsync: false,
     };
-    let detector = StepDetector::default();
     let trace = &world.corpus.test[0];
-    let analysis = analyze_trace_indexed(
-        trace,
+    let analysis = world.analyze(
+        TraceSplit::Test,
+        0,
         &setting.fdb,
         &index,
-        &world.hall,
-        &detector,
         setting.counting,
         setting.n_aps,
     );

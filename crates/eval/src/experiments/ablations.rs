@@ -12,12 +12,11 @@ use crate::cache::ScenarioCache;
 use crate::experiments::fig6;
 use crate::metrics::{flatten, summarize};
 use crate::parallel::par_map;
-use crate::pipeline::{analyze_trace_indexed, localize_moloc_with, CountingMethod, EvalWorld};
+use crate::pipeline::{localize_moloc_with, CountingMethod, EvalWorld, TraceSplit};
 use crate::report;
 use moloc_core::config::MoLocConfig;
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::map_based::{from_coordinates, MapBasedConfig};
-use moloc_sensors::steps::StepDetector;
 use moloc_sensors::stride::offset_m;
 use moloc_stats::ecdf::Ecdf;
 
@@ -30,16 +29,14 @@ pub struct CscVsDsc {
     pub dsc_errors: Ecdf,
 }
 
-/// Compares CSC and DSC offset errors over every training interval.
-/// Traces fan out on the [`crate::parallel`] worker pool; per-trace
-/// error vectors merge back in trace order.
+/// Compares CSC and DSC offset errors over every training interval,
+/// from the intervals the world's build measured.
 pub fn csc_vs_dsc(world: &EvalWorld) -> CscVsDsc {
-    let detector = StepDetector::default();
-    let per_trace = par_map(&world.corpus.train, |trace| {
+    let (mut csc, mut dsc) = (Vec::new(), Vec::new());
+    for i in 0..world.corpus.train.len() {
+        let (trace, intervals) = world.measured(TraceSplit::Train, i);
         let step_length = trace.user.step_length_m();
-        let intervals = moloc_mobility::intervals::measure_intervals(trace, &detector);
-        let (mut csc, mut dsc) = (Vec::new(), Vec::new());
-        for interval in &intervals {
+        for interval in intervals {
             let truth = world.hall.grid.distance(
                 trace.passes[interval.from_index].location,
                 trace.passes[interval.to_index].location,
@@ -47,12 +44,6 @@ pub fn csc_vs_dsc(world: &EvalWorld) -> CscVsDsc {
             csc.push((offset_m(interval.steps_csc, step_length) - truth).abs());
             dsc.push((offset_m(interval.steps_dsc, step_length) - truth).abs());
         }
-        (csc, dsc)
-    });
-    let (mut csc, mut dsc) = (Vec::new(), Vec::new());
-    for (c, d) in per_trace {
-        csc.extend(c);
-        dsc.extend(d);
     }
     CscVsDsc {
         csc_errors: Ecdf::from_samples(csc),
@@ -352,18 +343,19 @@ pub fn heading_calibration_errors(cache: &ScenarioCache<'_>, n_aps: usize) -> Ec
     let world = cache.world();
     let artifacts = cache.artifacts(n_aps);
     let setting = &artifacts.setting;
-    let detector = StepDetector::default();
-    let traces: Vec<_> = world.corpus.iter().collect();
-    par_map(&traces, |trace| {
-        let analysis = analyze_trace_indexed(
-            trace,
+    let train = (0..world.corpus.train.len()).map(|i| (TraceSplit::Train, i));
+    let test = (0..world.corpus.test.len()).map(|i| (TraceSplit::Test, i));
+    let keys: Vec<_> = train.chain(test).collect();
+    par_map(&keys, |&(split, i)| {
+        let analysis = world.analyze(
+            split,
+            i,
             &setting.fdb,
             &artifacts.index,
-            &world.hall,
-            &detector,
             CountingMethod::Continuous,
             n_aps,
         );
+        let (trace, _) = world.measured(split, i);
         let truth = trace.user.placement_offset_deg + trace.user.compass_bias_deg;
         moloc_stats::circular::abs_diff_deg(analysis.heading_offset_deg, truth)
     })

@@ -16,9 +16,7 @@
 
 use crate::metrics::{flatten, summarize};
 use crate::parallel::par_run;
-use crate::pipeline::{
-    analyze_trace_indexed, localize_moloc, localize_wifi, EvalWorld, PassOutcome, Setting,
-};
+use crate::pipeline::{localize_moloc, localize_wifi, EvalWorld, PassOutcome, Setting, TraceSplit};
 use crate::report;
 use moloc_core::config::MoLocConfig;
 use moloc_core::particle::{ParticleConfig, ParticleLocalizer};
@@ -26,7 +24,6 @@ use moloc_core::viterbi::ViterbiLocalizer;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::horus::HorusLocalizer;
 use moloc_fingerprint::index::FingerprintIndex;
-use moloc_sensors::steps::StepDetector;
 use std::time::Instant;
 
 /// One method's row.
@@ -111,18 +108,16 @@ pub fn run(world: &EvalWorld, setting: &Setting) -> BaselineComparison {
 
     // HMM (Viterbi) with MoLoc's motion evidence. One index serves
     // every trace analysis of both motion-aware arms.
-    let detector = StepDetector::default();
     let index = FingerprintIndex::build(&setting.fdb);
     let viterbi = ViterbiLocalizer::new(&setting.fdb, &setting.motion_db, MoLocConfig::paper());
     let t = Instant::now();
     let hmm: Vec<Vec<PassOutcome>> = par_run(world.corpus.test.len(), |trace_index| {
         let trace = &world.corpus.test[trace_index];
-        let analysis = analyze_trace_indexed(
-            trace,
+        let analysis = world.analyze(
+            TraceSplit::Test,
+            trace_index,
             &setting.fdb,
             &index,
-            &world.hall,
-            &detector,
             setting.counting,
             n,
         );
@@ -160,12 +155,11 @@ pub fn run(world: &EvalWorld, setting: &Setting) -> BaselineComparison {
     let t = Instant::now();
     let pf_outcomes: Vec<Vec<PassOutcome>> = par_run(world.corpus.test.len(), |trace_index| {
         let trace = &world.corpus.test[trace_index];
-        let analysis = analyze_trace_indexed(
-            trace,
+        let analysis = world.analyze(
+            TraceSplit::Test,
+            trace_index,
             &setting.fdb,
             &index,
-            &world.hall,
-            &detector,
             setting.counting,
             n,
         );

@@ -24,7 +24,7 @@
 
 use std::path::PathBuf;
 
-use crate::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
+use crate::pipeline::{EvalWorld, Setting, TraceSplit};
 use crate::report;
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
@@ -33,7 +33,6 @@ use moloc_faults::spec::FaultPlanSpec;
 use moloc_faults::{CheckpointCorruption, ScanDuplicate, ScanLoss, ScanReorder};
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_motion::kernel::MotionKernel;
-use moloc_sensors::steps::StepDetector;
 use moloc_session::{Estimate, ReorderStats, ScanEvent, SessionConfig, StreamingSession};
 use serde::{Deserialize, Serialize};
 
@@ -126,12 +125,11 @@ struct Ctx<'a> {
 /// measurement exactly as the batch pipeline feeds it.
 fn event_stream(world: &EvalWorld, setting: &Setting, index: &FingerprintIndex, trace_index: usize) -> Vec<ScanEvent> {
     let trace = &world.corpus.test[trace_index];
-    let analysis = analyze_trace_indexed(
-        trace,
+    let analysis = world.analyze(
+        TraceSplit::Test,
+        trace_index,
         &setting.fdb,
         index,
-        &world.hall,
-        &StepDetector::default(),
         setting.counting,
         setting.n_aps,
     );

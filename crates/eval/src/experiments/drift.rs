@@ -19,9 +19,7 @@
 
 use crate::metrics::{flatten, summarize};
 use crate::parallel::par_run;
-use crate::pipeline::{
-    analyze_trace_indexed, localize_moloc, CountingMethod, EvalWorld, Setting,
-};
+use crate::pipeline::{localize_moloc, CountingMethod, EvalWorld, Setting, TraceSplit};
 use crate::report;
 use moloc_core::config::MoLocConfig;
 use moloc_fingerprint::db::FingerprintDb;
@@ -30,7 +28,6 @@ use moloc_geometry::LocationId;
 use moloc_live::{DbSnapshot, SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::rlm::Rlm;
-use moloc_sensors::steps::StepDetector;
 use serde::{Deserialize, Serialize};
 
 /// Survey samples per location in the epoch-0 seed database (the full
@@ -106,15 +103,12 @@ fn harvest_rlms(
     index: &FingerprintIndex,
     n_aps: usize,
 ) -> Vec<Vec<Rlm>> {
-    let detector = StepDetector::default();
     par_run(world.corpus.train.len(), |i| {
-        let trace = &world.corpus.train[i];
-        let analysis = analyze_trace_indexed(
-            trace,
+        let analysis = world.analyze(
+            TraceSplit::Train,
+            i,
             fdb,
             index,
-            &world.hall,
-            &detector,
             CountingMethod::Continuous,
             n_aps,
         );

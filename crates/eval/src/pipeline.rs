@@ -52,6 +52,15 @@ use rand::SeedableRng;
 pub use moloc_sensors::counting::CountingMethod;
 
 /// The expensive, AP-count-independent world state.
+///
+/// The build also measures every trace's inter-pass intervals once
+/// (compass direction and step counts, `measure_intervals` with the
+/// default [`StepDetector`]) and keeps them beside the corpus, so a
+/// setting rebuild or a localization round reads them back through
+/// [`EvalWorld::analyze`] instead of re-running the pedometer. The
+/// fields stay public for read access, but a built world's corpus is
+/// read-only: replacing or editing a trace would leave its stored
+/// intervals describing the old one.
 #[derive(Debug, Clone)]
 pub struct EvalWorld {
     /// The testbed.
@@ -60,6 +69,19 @@ pub struct EvalWorld {
     pub survey: SiteSurvey,
     /// The walking-trace corpus.
     pub corpus: TraceCorpus,
+    /// Each training trace's measured intervals, in `corpus.train` order.
+    train_intervals: Vec<Vec<IntervalMeasurement>>,
+    /// Each test trace's measured intervals, in `corpus.test` order.
+    test_intervals: Vec<Vec<IntervalMeasurement>>,
+}
+
+/// Which half of a world's corpus a trace belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceSplit {
+    /// The traces that train the motion database.
+    Train,
+    /// The held-out traces that are localized.
+    Test,
 }
 
 impl EvalWorld {
@@ -78,24 +100,82 @@ impl EvalWorld {
     /// The survey and every trace draw about one [`RadioMap`] of the
     /// hall. The survey is one RNG stream, drawn serially; the traces
     /// render on the worker pool, each from its own seed
-    /// ([`TraceCorpus::render_trace`]), so the world is the same at
-    /// every pool width. Built inside another pool job, the traces
-    /// render inline.
+    /// ([`TraceCorpus::render_trace`]), and each job measures its
+    /// trace's intervals, so the world is the same at every pool width.
+    /// Built inside another pool job, the traces render inline.
     pub fn build(hall_config: HallConfig, corpus_config: CorpusConfig, seed: u64) -> Self {
         let hall = OfficeHall::with_config(hall_config);
         let map = RadioMap::new(&hall.env, &hall.grid);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5175_7EC0_DE01_u64);
         let survey = SiteSurvey::conduct(&map, SurveySplit::paper(), &mut rng);
         let users = paper_users();
-        let traces = par_run(corpus_config.total_traces, |i| {
-            TraceCorpus::render_trace(&map, &hall.graph, &users, corpus_config, i)
-        });
+        let detector = StepDetector::default();
+        let (traces, mut intervals): (Vec<_>, Vec<_>) = par_run(corpus_config.total_traces, |i| {
+            let trace = TraceCorpus::render_trace(&map, &hall.graph, &users, corpus_config, i);
+            let intervals = measure_intervals(&trace, &detector);
+            (trace, intervals)
+        })
+        .into_iter()
+        .unzip();
         let corpus = TraceCorpus::from_traces(traces, corpus_config.train_traces);
+        let test_intervals = intervals.split_off(corpus.train.len());
         Self {
             hall,
             survey,
             corpus,
+            train_intervals: intervals,
+            test_intervals,
         }
+    }
+
+    /// Analyzes trace `trace_index` of `split` against `fdb` (ranked
+    /// through `index`, which must have been built from `fdb`) from the
+    /// intervals the build measured: the same [`TraceAnalysis`] as
+    /// [`analyze_trace_indexed`] with the default [`StepDetector`],
+    /// without measuring the trace again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace_index` is out of range for `split`.
+    pub fn analyze(
+        &self,
+        split: TraceSplit,
+        trace_index: usize,
+        fdb: &FingerprintDb,
+        index: &FingerprintIndex,
+        counting: CountingMethod,
+        n_aps: usize,
+    ) -> TraceAnalysis {
+        let _span = moloc_obs::span("eval.pipeline.analyze_trace");
+        let (trace, intervals) = self.measured(split, trace_index);
+        analyze_measured(
+            trace,
+            intervals.to_vec(),
+            &NnLocalizer::with_index(fdb, index),
+            &self.hall,
+            counting,
+            n_aps,
+        )
+    }
+
+    /// Trace `trace_index` of `split` and the intervals the build
+    /// measured on it.
+    pub(crate) fn measured(
+        &self,
+        split: TraceSplit,
+        trace_index: usize,
+    ) -> (&SensorTrace, &[IntervalMeasurement]) {
+        let (traces, intervals) = match split {
+            TraceSplit::Train => (&self.corpus.train, &self.train_intervals),
+            TraceSplit::Test => (&self.corpus.test, &self.test_intervals),
+        };
+        let (trace, intervals) = (&traces[trace_index], &intervals[trace_index]);
+        debug_assert_eq!(
+            intervals.len(),
+            trace.passes.len().saturating_sub(1),
+            "stored intervals of {split:?} trace {trace_index} do not match its passes"
+        );
+        (trace, intervals)
     }
 
     /// Prepares the fingerprint + motion databases for an `n_aps`-AP
@@ -127,14 +207,11 @@ impl EvalWorld {
 
         // Trace analysis fans out on the worker pool; the extracted
         // RLMs feed the builder in trace order, so the built database
-        // is identical to a serial run. One index serves every trace
-        // (`analyze_trace` would flatten the database per trace).
-        let detector = StepDetector::default();
+        // is identical to a serial run. One index serves every trace,
+        // and the intervals are the ones the build measured.
         let index = FingerprintIndex::build(&fdb);
         let per_trace_rlms: Vec<Vec<Rlm>> = par_run(self.corpus.train.len(), |i| {
-            let trace = &self.corpus.train[i];
-            let analysis =
-                analyze_trace_indexed(trace, &fdb, &index, &self.hall, &detector, counting, n_aps);
+            let analysis = self.analyze(TraceSplit::Train, i, &fdb, &index, counting, n_aps);
             analysis
                 .intervals
                 .iter()
@@ -214,21 +291,17 @@ pub fn analyze_trace(
     counting: CountingMethod,
     n_aps: usize,
 ) -> TraceAnalysis {
-    analyze_trace_with(
-        trace,
-        &NnLocalizer::new(fdb),
-        hall,
-        detector,
-        counting,
-        n_aps,
-    )
+    let index = FingerprintIndex::build(fdb);
+    analyze_trace_indexed(trace, fdb, &index, hall, detector, counting, n_aps)
 }
 
 /// [`analyze_trace`] over a caller-shared [`FingerprintIndex`]: skips
 /// the per-trace index build, so the per-setting index (e.g. from a
 /// [`crate::cache::ScenarioCache`]) serves every trace. `index` must
 /// have been built from `fdb`. Results are identical to
-/// [`analyze_trace`].
+/// [`analyze_trace`]. A world's own traces are analyzed by
+/// [`EvalWorld::analyze`], which reuses the intervals its build
+/// measured.
 pub fn analyze_trace_indexed(
     trace: &SensorTrace,
     fdb: &FingerprintDb,
@@ -238,19 +311,27 @@ pub fn analyze_trace_indexed(
     counting: CountingMethod,
     n_aps: usize,
 ) -> TraceAnalysis {
-    let localizer = NnLocalizer::with_index(fdb, index);
-    analyze_trace_with(trace, &localizer, hall, detector, counting, n_aps)
+    let _span = moloc_obs::span("eval.pipeline.analyze_trace");
+    let intervals = measure_intervals(trace, detector);
+    analyze_measured(
+        trace,
+        intervals,
+        &NnLocalizer::with_index(fdb, index),
+        hall,
+        counting,
+        n_aps,
+    )
 }
 
-fn analyze_trace_with(
+/// The analysis of a trace whose intervals are already measured.
+fn analyze_measured(
     trace: &SensorTrace,
+    intervals: Vec<IntervalMeasurement>,
     localizer: &NnLocalizer<'_>,
     hall: &OfficeHall,
-    detector: &StepDetector,
     counting: CountingMethod,
     n_aps: usize,
 ) -> TraceAnalysis {
-    let _span = moloc_obs::span("eval.pipeline.analyze_trace");
     let nn_estimates: Vec<LocationId> = trace
         .scans
         .iter()
@@ -260,8 +341,6 @@ fn analyze_trace_with(
                 .expect("scan length matches database")
         })
         .collect();
-
-    let intervals = measure_intervals(trace, detector);
 
     // Zee-style calibration: raw compass direction vs map bearing of
     // the estimated endpoints. Wrong endpoint estimates contaminate the
@@ -386,7 +465,9 @@ pub fn localize_moloc(
 
 /// Runs MoLoc over the test traces against prebuilt serving artifacts.
 ///
-/// Traces fan out in shards on the persistent worker pool. Each shard
+/// Each trace is analyzed by [`EvalWorld::analyze`], from the intervals
+/// the world's build measured. Traces fan out in shards on the
+/// persistent worker pool. Each shard
 /// checks one [`BatchScratch`] working set out of a shared arena and
 /// threads it through every trace's [`BatchLocalizer`] in the shard, so
 /// steady-state evaluation builds no per-trace buffers; per-trace
@@ -405,7 +486,6 @@ pub fn localize_moloc_with(
     index: &FingerprintIndex,
     kernel: &MotionKernel,
 ) -> Vec<Vec<PassOutcome>> {
-    let detector = StepDetector::default();
     let n = world.corpus.test.len();
     let factory = || BatchScratch::for_k(config.k);
     let scratch_pool: ArenaPool<'_, BatchScratch> = ArenaPool::new(&factory);
@@ -417,12 +497,11 @@ pub fn localize_moloc_with(
         for trace_index in range {
             let _span = moloc_obs::span("eval.pipeline.moloc_trace");
             let trace = &world.corpus.test[trace_index];
-            let analysis = analyze_trace_indexed(
-                trace,
+            let analysis = world.analyze(
+                TraceSplit::Test,
+                trace_index,
                 &setting.fdb,
                 index,
-                &world.hall,
-                &detector,
                 setting.counting,
                 setting.n_aps,
             );

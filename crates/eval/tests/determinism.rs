@@ -15,7 +15,11 @@
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_eval::parallel::{par_run, set_worker_override, thread_count};
-use moloc_eval::pipeline::{analyze_trace, localize_moloc, localize_wifi, EvalWorld, PassOutcome};
+use moloc_eval::pipeline::{
+    analyze_trace, analyze_trace_indexed, localize_moloc, localize_wifi, EvalWorld, PassOutcome,
+    TraceAnalysis, TraceSplit,
+};
+use moloc_fingerprint::index::FingerprintIndex;
 use moloc_geometry::LocationId;
 use moloc_sensors::steps::StepDetector;
 use moloc_verify::oracle;
@@ -115,6 +119,15 @@ fn serial_child_process_matches_parallel_parent() {
         serial_digest, digest,
         "serial (MOLOC_THREADS=1) and parallel outcomes diverged"
     );
+}
+
+/// `outcome_digest` of the paper-default pipeline on
+/// `EvalWorld::small(2013)`.
+const OUTCOME_DIGEST: &str = "6b1f089101f59d54";
+
+#[test]
+fn outcome_digest_is_pinned() {
+    assert_eq!(outcome_digest(), OUTCOME_DIGEST);
 }
 
 #[test]
@@ -353,6 +366,71 @@ fn world_builds_are_pinned_at_every_pool_width() {
         set_worker_override(None);
         assert_eq!(small, SMALL_2013, "EvalWorld::small(2013), width {width:?}");
         assert_eq!(paper, PAPER_1, "EvalWorld::paper(1), width {width:?}");
+    }
+}
+
+/// Every value of an analysis, floats as bits.
+fn analysis_bits(a: &TraceAnalysis) -> Vec<u64> {
+    let mut out = vec![
+        a.heading_offset_deg.to_bits(),
+        a.calibration_reliable.into(),
+    ];
+    out.extend(a.nn_estimates.iter().map(|l| u64::from(l.get())));
+    for m in &a.intervals {
+        out.extend([m.from_index as u64, m.to_index as u64]);
+        out.push(m.raw_direction_deg.map_or(u64::MAX, f64::to_bits));
+        out.extend([m.steps_csc, m.steps_dsc, m.duration_s].map(f64::to_bits));
+    }
+    for m in &a.measurements {
+        match m {
+            Some(m) => out.extend([m.direction_deg.to_bits(), m.offset_m.to_bits()]),
+            None => out.push(u64::MAX),
+        }
+    }
+    out
+}
+
+#[test]
+fn stored_intervals_equal_a_fresh_measurement_at_every_width() {
+    // The build measures every trace's intervals in the pool job that
+    // renders it, and `EvalWorld::analyze` reads them back. Each trace
+    // of both splits must analyze exactly as a fresh measurement of it
+    // does, whatever the width of the pool that built the world: a
+    // store shifted by one trace, or split off at the wrong trace,
+    // pairs a trace with another trace's intervals.
+    let detector = StepDetector::default();
+    for width in [None, Some(1), Some(2), Some(4)] {
+        set_worker_override(width);
+        let worlds = [EvalWorld::small(2013), EvalWorld::paper(1)];
+        set_worker_override(None);
+        for world in &worlds {
+            let setting = world.setting(6);
+            let index = FingerprintIndex::build(&setting.fdb);
+            let splits = [
+                (TraceSplit::Train, &world.corpus.train),
+                (TraceSplit::Test, &world.corpus.test),
+            ];
+            for (split, traces) in splits {
+                for (i, trace) in traces.iter().enumerate() {
+                    let (fdb, counting, n_aps) = (&setting.fdb, setting.counting, setting.n_aps);
+                    let stored = world.analyze(split, i, fdb, &index, counting, n_aps);
+                    let fresh = analyze_trace_indexed(
+                        trace,
+                        fdb,
+                        &index,
+                        &world.hall,
+                        &detector,
+                        counting,
+                        n_aps,
+                    );
+                    assert_eq!(
+                        analysis_bits(&stored),
+                        analysis_bits(&fresh),
+                        "{split:?} trace {i}, width {width:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

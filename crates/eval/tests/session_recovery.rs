@@ -26,10 +26,9 @@ use std::sync::OnceLock;
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
-use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
+use moloc_eval::pipeline::{EvalWorld, Setting, TraceSplit};
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_motion::kernel::MotionKernel;
-use moloc_sensors::steps::StepDetector;
 use moloc_session::{Estimate, ScanEvent, SessionConfig, StreamingSession};
 
 const SEED: u64 = 2013;
@@ -71,12 +70,11 @@ fn event_stream(trace_index: usize) -> Vec<ScanEvent> {
     let fx = fixture();
     let index = FingerprintIndex::build(&fx.setting.fdb);
     let trace = &fx.world.corpus.test[trace_index];
-    let analysis = analyze_trace_indexed(
-        trace,
+    let analysis = fx.world.analyze(
+        TraceSplit::Test,
+        trace_index,
         &fx.setting.fdb,
         &index,
-        &fx.world.hall,
-        &StepDetector::default(),
         fx.setting.counting,
         fx.setting.n_aps,
     );

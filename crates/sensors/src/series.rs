@@ -4,6 +4,9 @@ use serde::{Deserialize, Serialize};
 
 /// A uniformly sampled scalar signal.
 ///
+/// Deserializing goes through [`TimeSeries::new`]: a sample rate that
+/// is not finite and positive is an error.
+///
 /// # Examples
 ///
 /// ```
@@ -14,11 +17,26 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.time_at(2) - 0.2).abs() < 1e-12);
 /// assert!((s.duration() - 0.3).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct TimeSeries {
     t0: f64,
     sample_rate_hz: f64,
     values: Vec<f64>,
+}
+
+/// The serialized form of a [`TimeSeries`], before its rate check.
+#[derive(Deserialize)]
+struct RawTimeSeries {
+    t0: f64,
+    sample_rate_hz: f64,
+    values: Vec<f64>,
+}
+
+impl<'de> Deserialize<'de> for TimeSeries {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let raw = RawTimeSeries::deserialize(deserializer)?;
+        TimeSeries::new(raw.t0, raw.sample_rate_hz, raw.values).map_err(serde::de::Error::custom)
+    }
 }
 
 /// Error constructing a [`TimeSeries`] with a non-positive sample rate.

@@ -4,8 +4,16 @@
 
 use moloc::core::config::MoLocConfig;
 use moloc::core::tracker::MotionMeasurement;
+use moloc::geometry::polygon::Aabb;
+use moloc::mobility::render::{SensorTrace, TraceRenderer};
+use moloc::mobility::trajectory::Trajectory;
+use moloc::mobility::user::paper_users;
 use moloc::prelude::*;
+use moloc::radio::RadioMap;
+use moloc::sensors::series::TimeSeries;
 use moloc::stats::gaussian::Gaussian;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn l(i: u32) -> LocationId {
     LocationId::new(i)
@@ -314,6 +322,71 @@ fn candidate_set_round_trips_normalized() {
 fn user_profile_round_trips() {
     let user = moloc::mobility::user::paper_users()[2];
     assert_eq!(round_trip(&user), user);
+}
+
+/// Sample rates `TimeSeries::new` refuses, as JSON: `1e999` parses to
+/// infinity.
+const BAD_RATES: [&str; 3] = ["0.0", "-10.0", "1e999"];
+
+/// Eight accelerometer samples of one walking stride pair: enough
+/// variance that the step detector smooths them, which is where a
+/// series with a refused rate used to panic.
+const WALKING: &str = "[9.8,12.4,9.1,7.0,9.8,12.6,9.0,6.9]";
+
+#[test]
+fn a_time_series_that_time_series_new_refuses_does_not_deserialize() {
+    for rate in BAD_RATES {
+        let json = format!(r#"{{"t0":0.0,"sample_rate_hz":{rate},"values":{WALKING}}}"#);
+        assert!(
+            serde_json::from_str::<TimeSeries>(&json).is_err(),
+            "rate {rate} deserialized"
+        );
+    }
+    // The same series at a valid rate deserializes and detects steps
+    // without panicking.
+    let json = format!(r#"{{"t0":0.0,"sample_rate_hz":10.0,"values":{WALKING}}}"#);
+    let series: TimeSeries = serde_json::from_str(&json).expect("valid rate");
+    StepDetector::default().detect(&series);
+}
+
+#[test]
+fn a_sensor_trace_carrying_a_refused_series_does_not_deserialize() {
+    let trace = short_trace();
+    let json = serde_json::to_string(&trace).expect("serializes");
+    assert_eq!(serde_json::from_str::<SensorTrace>(&json).unwrap(), trace);
+    let rate = serde_json::to_string(&trace.accel.sample_rate_hz()).expect("serializes");
+    let field = format!(r#""sample_rate_hz":{rate}"#);
+    assert!(json.contains(&field), "{field} not in the trace's JSON");
+    for bad in BAD_RATES {
+        let corrupt = json.replacen(&field, &format!(r#""sample_rate_hz":{bad}"#), 1);
+        assert!(
+            serde_json::from_str::<SensorTrace>(&corrupt).is_err(),
+            "a trace with accel rate {bad} deserialized"
+        );
+    }
+}
+
+#[test]
+fn a_valid_time_series_round_trips_byte_for_byte() {
+    let series = TimeSeries::new(1.25, 50.0, vec![9.8, -0.1, 1e-300, 12.375]).unwrap();
+    let json = serde_json::to_string(&series).expect("serializes");
+    let back: TimeSeries = serde_json::from_str(&json).expect("deserializes");
+    assert_eq!(back, series);
+    assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
+}
+
+/// A two-pass trace over a 3 × 2 grid.
+fn short_trace() -> SensorTrace {
+    let plan = FloorPlan::new(Aabb::new(Vec2::ZERO, Vec2::new(20.0, 10.0)).unwrap());
+    let env = RadioEnvironment::builder(plan)
+        .ap(AccessPoint::new(0, Vec2::new(10.0, 5.0), -20.0))
+        .build()
+        .unwrap();
+    let grid = ReferenceGrid::new(Vec2::new(2.0, 8.0), 3, 2, 4.0, 4.0).unwrap();
+    let user = paper_users()[1];
+    let trajectory = Trajectory::from_path(&[l(1), l(2)], &grid, &user).unwrap();
+    let map = RadioMap::new(&env, &grid);
+    TraceRenderer::default().render(&trajectory, &user, &map, &mut StdRng::seed_from_u64(3))
 }
 
 #[test]
