@@ -20,8 +20,9 @@
 
 use crate::config::MoLocConfig;
 use crate::error::DegradationFlags;
+use crate::error::MolocError;
 use crate::matching::build_kernel;
-use crate::tracker::{MotionMeasurement, TrackError};
+use crate::tracker::MotionMeasurement;
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
@@ -69,6 +70,12 @@ pub struct BatchScratch {
     current: Vec<(LocationId, f64)>,
     weights: Vec<(LocationId, f64)>,
     previous: Vec<(LocationId, f64)>,
+    /// The ids of `previous` and `current`, and the Eq. 5 block
+    /// between them (`MotionKernel::transition_block`), which grows to
+    /// the largest `|previous| × |current|` seen.
+    from_ids: Vec<LocationId>,
+    to_ids: Vec<LocationId>,
+    transitions: Vec<f64>,
     /// Per-trace query batch for the blocked k-NN precompute
     /// (DESIGN.md §15): all of a trace's steps localize as one
     /// block scan before the sequential Eq. 4/7 recursion.
@@ -92,6 +99,9 @@ impl BatchScratch {
             current: Vec::new(),
             weights: Vec::new(),
             previous: Vec::new(),
+            from_ids: Vec::new(),
+            to_ids: Vec::new(),
+            transitions: Vec::new(),
             block: QueryBlock::default(),
             block_scratch: BlockScratch::new(),
             block_out: BlockNeighbors::new(),
@@ -105,6 +115,8 @@ impl BatchScratch {
         self.current.reserve(k);
         self.weights.reserve(k);
         self.previous.reserve(k);
+        self.from_ids.reserve(k);
+        self.to_ids.reserve(k);
     }
 
     /// Clears every buffer's contents, keeping capacity. Engines call
@@ -325,13 +337,13 @@ impl<'a> BatchLocalizer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackError`] for mismatched query lengths or
+    /// Returns [`MolocError`] for mismatched query lengths or
     /// non-finite measurements.
     pub fn observe(
         &mut self,
         query: &Fingerprint,
         motion: Option<MotionMeasurement>,
-    ) -> Result<LocationId, TrackError> {
+    ) -> Result<LocationId, MolocError> {
         self.observe_slice(query.values(), motion)
     }
 
@@ -341,13 +353,13 @@ impl<'a> BatchLocalizer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackError`] for mismatched query lengths or
+    /// Returns [`MolocError`] for mismatched query lengths or
     /// non-finite measurements.
     pub fn observe_slice(
         &mut self,
         query: &[f64],
         motion: Option<MotionMeasurement>,
-    ) -> Result<LocationId, TrackError> {
+    ) -> Result<LocationId, MolocError> {
         let _span = moloc_obs::span("core.batch.observe");
         let estimate = self.observe_slice_uncounted(query, motion)?;
         if moloc_obs::is_enabled() {
@@ -367,18 +379,18 @@ impl<'a> BatchLocalizer<'a> {
         &mut self,
         query: &[f64],
         motion: Option<MotionMeasurement>,
-    ) -> Result<LocationId, TrackError> {
+    ) -> Result<LocationId, MolocError> {
         self.last_flags = DegradationFlags::empty();
         let index = self.index.get();
         if query.len() != index.ap_count() {
-            return Err(TrackError::QueryLength {
+            return Err(MolocError::QueryLength {
                 expected: index.ap_count(),
                 found: query.len(),
             });
         }
         if let Some(m) = motion {
             if !m.direction_deg.is_finite() || !m.offset_m.is_finite() || m.offset_m < 0.0 {
-                return Err(TrackError::BadMeasurement);
+                return Err(MolocError::BadMeasurement);
             }
         }
 
@@ -423,11 +435,11 @@ impl<'a> BatchLocalizer<'a> {
         &mut self,
         step: usize,
         motion: Option<MotionMeasurement>,
-    ) -> Result<LocationId, TrackError> {
+    ) -> Result<LocationId, MolocError> {
         self.last_flags = DegradationFlags::empty();
         if let Some(m) = motion {
             if !m.direction_deg.is_finite() || !m.offset_m.is_finite() || m.offset_m < 0.0 {
-                return Err(TrackError::BadMeasurement);
+                return Err(MolocError::BadMeasurement);
             }
         }
         {
@@ -515,26 +527,43 @@ impl<'a> BatchLocalizer<'a> {
                         .eq7_pair_products
                         .record((self.buf.current.len() * self.buf.previous.len()) as f64);
                 }
-                let kernel = self.kernel.get();
-                // The stay-in-place mass ignores the pair, so hoist it
-                // out of the k x k product (consecutive candidate sets
-                // overlap heavily, hitting the diagonal up to k times).
-                let stay = kernel.stay_probability(m.offset_m);
-                self.buf.weights.clear();
-                for &(loc, p_fingerprint) in &self.buf.current {
-                    let p_motion: f64 = self
-                        .buf
-                        .previous
+                // The whole k x k Eq. 5 block in one kernel call, then
+                // each candidate's motion mass summed over the retained
+                // posterior in its order.
+                let BatchScratch {
+                    current,
+                    previous,
+                    weights,
+                    from_ids,
+                    to_ids,
+                    transitions,
+                    ..
+                } = &mut self.buf;
+                from_ids.clear();
+                from_ids.extend(previous.iter().map(|&(id, _)| id));
+                to_ids.clear();
+                to_ids.extend(current.iter().map(|&(id, _)| id));
+                let cols = to_ids.len();
+                let cells = from_ids.len() * cols;
+                if transitions.len() < cells {
+                    transitions.resize(cells, 0.0);
+                }
+                let block = &mut transitions[..cells];
+                self.kernel.get().transition_block(
+                    from_ids,
+                    to_ids,
+                    m.direction_deg,
+                    m.offset_m,
+                    block,
+                );
+                weights.clear();
+                for (c, &(loc, p_fingerprint)) in current.iter().enumerate() {
+                    let p_motion: f64 = previous
                         .iter()
-                        .map(|&(from, p)| {
-                            p * if from == loc {
-                                stay
-                            } else {
-                                kernel.pair_probability(from, loc, m.direction_deg, m.offset_m)
-                            }
-                        })
+                        .zip(block.iter().skip(c).step_by(cols))
+                        .map(|(&(_, p), &p_pair)| p * p_pair)
                         .sum();
-                    self.buf.weights.push((loc, p_fingerprint * p_motion));
+                    weights.push((loc, p_fingerprint * p_motion));
                 }
                 let total: f64 = self.buf.weights.iter().map(|(_, w)| w).sum();
                 // Degradation rung 1 (fingerprint-only): degenerate or
@@ -599,13 +628,13 @@ impl<'a> BatchLocalizer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the first [`TrackError`] encountered; `out` then holds
+    /// Returns the first [`MolocError`] encountered; `out` then holds
     /// the estimates produced before the failure.
     pub fn localize_trace_into(
         &mut self,
         queries: &[(Fingerprint, Option<MotionMeasurement>)],
         out: &mut Vec<LocationId>,
-    ) -> Result<(), TrackError> {
+    ) -> Result<(), MolocError> {
         self.localize_steps_into(
             queries.len(),
             |i| queries[i].0.values(),
@@ -620,11 +649,12 @@ impl<'a> BatchLocalizer<'a> {
     /// [`Fingerprint`] allocation) while still batching the whole
     /// trace's k-NN through the blocked multi-query scan. `motions[i]`
     /// is the interval measured *before* `scans[i]` (`None` for the
-    /// first pass).
+    /// first pass). It is [`BatchLocalizer::rank_scans`] followed by
+    /// [`BatchLocalizer::localize_ranked_into`].
     ///
     /// # Errors
     ///
-    /// Returns the first [`TrackError`] encountered; `out` then holds
+    /// Returns the first [`MolocError`] encountered; `out` then holds
     /// the estimates produced before the failure.
     ///
     /// # Panics
@@ -635,9 +665,57 @@ impl<'a> BatchLocalizer<'a> {
         scans: &[&[f64]],
         motions: &[Option<MotionMeasurement>],
         out: &mut Vec<LocationId>,
-    ) -> Result<(), TrackError> {
+    ) -> Result<(), MolocError> {
         assert_eq!(scans.len(), motions.len(), "one motion interval per scan");
         self.localize_steps_into(scans.len(), |i| scans[i], |i| motions[i], out)
+    }
+
+    /// The first phase of [`BatchLocalizer::localize_scans_into`]:
+    /// ranks every scan in one blocked k-NN scan (DESIGN.md §15) and
+    /// keeps each scan's `k` nearest for
+    /// [`BatchLocalizer::ranked_nearest`] and the second phase. Ranking
+    /// stops before the first scan whose length does not match the
+    /// index, so the second phase reports that error exactly where a
+    /// step-by-step loop would. Returns how many scans were ranked.
+    /// It runs outside the `core.batch.localize_trace` span, which the
+    /// second phase opens.
+    pub fn rank_scans(&mut self, scans: &[&[f64]]) -> usize {
+        self.rank_steps(scans.len(), |i| scans[i])
+    }
+
+    /// Each ranked scan's nearest location, in scan order: the first of
+    /// its `k` neighbours. That is the Eq. 2 nearest-neighbour pick
+    /// (`NnLocalizer`, the k-NN at `k = 1`, masked or not like the
+    /// scan), since both take the head of one (dissimilarity, id)
+    /// order.
+    pub fn ranked_nearest(&self) -> impl Iterator<Item = LocationId> + '_ {
+        (0..self.buf.block_out.query_count()).map(|q| self.buf.block_out.query(q)[0].location)
+    }
+
+    /// The second phase of [`BatchLocalizer::localize_scans_into`]: the
+    /// Eq. 4–7 recursion over `scans`, using the neighbours the last
+    /// [`BatchLocalizer::rank_scans`] found for them. From the first
+    /// scan that is not the one ranked there (bit for bit) on, each
+    /// step ranks its own scan, so a stale ranking is never used.
+    /// History is reset first and `out` cleared.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`MolocError`] encountered; `out` then holds
+    /// the estimates produced before the failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `scans` and `motions` have different lengths.
+    pub fn localize_ranked_into(
+        &mut self,
+        scans: &[&[f64]],
+        motions: &[Option<MotionMeasurement>],
+        out: &mut Vec<LocationId>,
+    ) -> Result<(), MolocError> {
+        assert_eq!(scans.len(), motions.len(), "one motion interval per scan");
+        let _span = moloc_obs::span("core.batch.localize_trace");
+        self.fuse_steps_into(scans.len(), |i| scans[i], |i| motions[i], out)
     }
 
     /// The shared trace driver behind [`BatchLocalizer::localize_trace_into`]
@@ -650,59 +728,82 @@ impl<'a> BatchLocalizer<'a> {
         query_at: impl Fn(usize) -> &'q [f64],
         motion_at: impl Fn(usize) -> Option<MotionMeasurement>,
         out: &mut Vec<LocationId>,
-    ) -> Result<(), TrackError> {
+    ) -> Result<(), MolocError> {
         // Trace-level span: besides timing the whole trace, it pins the
         // thread-local obs buffer open across every observation, so the
         // few remaining per-trace recorder calls merge locally and hit
         // the registry once when it closes.
         let _span = moloc_obs::span("core.batch.localize_trace");
+        self.rank_steps(len, &query_at);
+        self.fuse_steps_into(len, query_at, motion_at, out)
+    }
+
+    /// Blocked k-NN precompute (DESIGN.md §15): candidate generation
+    /// depends only on the query, so the whole trace's k-NN runs as one
+    /// multi-query block scan before the sequential Eq. 4/7 recursion —
+    /// bit-identical results, with one pass over the index where the
+    /// block's shape allows the f32 mirror. The block stops at the
+    /// first length-invalid query so the first-error-with-partial-
+    /// results contract is untouched (later steps, if any run, use the
+    /// per-query path and report the error exactly where the serial
+    /// loop would). Returns the number of ranked steps.
+    fn rank_steps<'q>(&mut self, len: usize, query_at: impl Fn(usize) -> &'q [f64]) -> usize {
+        let BatchScratch {
+            block,
+            block_scratch,
+            block_out,
+            ..
+        } = &mut self.buf;
+        block_out.clear();
+        let index = self.index.get();
+        let ap = index.ap_count();
+        block.reset(ap);
+        for i in 0..len {
+            let query = query_at(i);
+            if query.len() != ap {
+                break;
+            }
+            block.push(query);
+        }
+        if !block.is_empty() {
+            index.k_nearest_block_into(block, self.config.k, block_scratch, block_out);
+        }
+        block_out.query_count()
+    }
+
+    /// The Eq. 4–7 recursion over a trace, reading the neighbours
+    /// [`BatchLocalizer::rank_steps`] left for its leading steps.
+    ///
+    /// All per-observation metrics accumulate in plain locals across
+    /// the trace and publish once at the end. The clock is read once
+    /// every [`OBSERVE_STRIDE`] steps and at the trace's end, not per
+    /// step: each read closes a stretch of steps and records that
+    /// stretch's mean step time once in `core.batch.observe`, so its
+    /// samples are per-stretch means (count: stretches, not steps).
+    fn fuse_steps_into<'q>(
+        &mut self,
+        len: usize,
+        query_at: impl Fn(usize) -> &'q [f64],
+        motion_at: impl Fn(usize) -> Option<MotionMeasurement>,
+        out: &mut Vec<LocationId>,
+    ) -> Result<(), MolocError> {
         self.reset();
         out.clear();
-        // Blocked k-NN precompute (DESIGN.md §15): candidate
-        // generation depends only on the query, so the whole trace's
-        // k-NN runs as one multi-query block scan before the
-        // sequential Eq. 4/7 recursion — bit-identical results, and
-        // where the block's shape allows the f32 mirror, one pass over
-        // the index instead of one per step. The block stops at the
-        // first length-invalid query so the first-error-with-partial-
-        // results contract is untouched (later steps, if any run, use
-        // the per-query path and report the error exactly where the
-        // serial loop would).
-        let precomputed = if len > 0 {
-            let index = self.index.get();
-            let ap = index.ap_count();
-            let block = &mut self.buf.block;
-            block.reset(ap);
-            for i in 0..len {
-                let query = query_at(i);
-                if query.len() != ap {
-                    break;
-                }
-                block.push(query);
-            }
-            if block.is_empty() {
-                0
-            } else {
-                index.k_nearest_block_into(
-                    block,
-                    self.config.k,
-                    &mut self.buf.block_scratch,
-                    &mut self.buf.block_out,
-                );
-                self.buf.block_out.query_count()
-            }
-        } else {
-            0
-        };
-        // All per-observation metrics accumulate in plain locals across
-        // the trace and publish once at the end — identical totals and
-        // distributions to per-observation emission, without recorder
-        // round trips on the hottest loop in the workspace. Timing uses
-        // chained timestamps: the end of one observation starts the
-        // next, one clock read per pass where a span would pay two.
+        // The ranked prefix this trace can use: from the first scan that
+        // is not the one ranked (bit for bit) on, steps rank their own.
+        let precomputed = (0..self.buf.block_out.query_count().min(len))
+            .take_while(|&i| {
+                let (ranked, query) = (self.buf.block.query(i), query_at(i));
+                ranked.len() == query.len()
+                    && ranked
+                        .iter()
+                        .zip(query)
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+            .count();
         let mut occupancy = RungOccupancy::default();
         let counting = moloc_obs::is_enabled();
-        let mut prev = counting.then(std::time::Instant::now);
+        let mut stretch = counting.then(|| (std::time::Instant::now(), 0u32));
         let mut result = Ok(());
         for step in 0..len {
             let motion = motion_at(step);
@@ -714,18 +815,26 @@ impl<'a> BatchLocalizer<'a> {
             match outcome {
                 Ok(estimate) => {
                     out.push(estimate);
-                    if let Some(p) = prev {
-                        let now = std::time::Instant::now();
-                        self.folds
-                            .observe_seconds
-                            .record(now.duration_since(p).as_secs_f64());
-                        prev = Some(now);
+                    if let Some((start, steps)) = &mut stretch {
+                        *steps += 1;
+                        if *steps == OBSERVE_STRIDE || step + 1 == len {
+                            let now = std::time::Instant::now();
+                            let mean = now.duration_since(*start).as_secs_f64() / f64::from(*steps);
+                            self.folds.observe_seconds.record(mean);
+                            (*start, *steps) = (now, 0);
+                        }
                     }
                     if counting {
                         occupancy.add(self.last_flags);
                     }
                 }
                 Err(e) => {
+                    // The unfinished stretch's successful steps still
+                    // count; its time includes the failed step's.
+                    if let Some((start, steps)) = stretch.filter(|&(_, steps)| steps > 0) {
+                        let mean = start.elapsed().as_secs_f64() / f64::from(steps);
+                        self.folds.observe_seconds.record(mean);
+                    }
                     result = Err(e);
                     break;
                 }
@@ -741,16 +850,24 @@ impl<'a> BatchLocalizer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the first [`TrackError`] encountered.
+    /// Returns the first [`MolocError`] encountered.
     pub fn localize_trace(
         &mut self,
         queries: &[(Fingerprint, Option<MotionMeasurement>)],
-    ) -> Result<Vec<LocationId>, TrackError> {
+    ) -> Result<Vec<LocationId>, MolocError> {
         let mut out = Vec::with_capacity(queries.len());
         self.localize_trace_into(queries, &mut out)?;
         Ok(out)
     }
 }
+
+/// Steps per `core.batch.observe` sample in a trace: the trace driver
+/// reads the clock once per this many steps (and at the trace's end)
+/// and records each stretch's mean step time. A clock read costs
+/// 40–50 ns on a 2-vCPU x86-64 host, several percent of a paper-scale
+/// step, so reading it every step made the enabled recorder the
+/// larger share of a short trace's overhead (DESIGN.md §13).
+const OBSERVE_STRIDE: u32 = 8;
 
 /// Locally summed degradation-ladder occupancy for one trace: the same
 /// taxonomy [`record_rung_occupancy`] emits per observation, folded
@@ -986,6 +1103,47 @@ mod tests {
     }
 
     #[test]
+    fn the_phases_compose_and_a_stale_ranking_is_not_used() {
+        let (fdb, mdb) = world();
+        let config = MoLocConfig::default();
+        let queries = queries();
+        let scans: Vec<&[f64]> = queries.iter().map(|(f, _)| f.values()).collect();
+        let motions: Vec<_> = queries.iter().map(|(_, m)| *m).collect();
+        let mut reference = BatchLocalizer::new(&fdb, &mdb, config);
+        let mut expected = Vec::new();
+        reference
+            .localize_scans_into(&scans, &motions, &mut expected)
+            .unwrap();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
+        assert_eq!(engine.rank_scans(&scans), scans.len());
+        let index = FingerprintIndex::build(&fdb);
+        let nearest: Vec<LocationId> = scans
+            .iter()
+            .map(|scan| {
+                let mut knn = Vec::new();
+                index.k_nearest_into(scan, 1, &mut KnnScratch::new(), &mut knn);
+                knn[0].location
+            })
+            .collect();
+        assert_eq!(engine.ranked_nearest().collect::<Vec<_>>(), nearest);
+        let mut out = Vec::new();
+        engine
+            .localize_ranked_into(&scans, &motions, &mut out)
+            .unwrap();
+        assert_eq!(out, expected);
+        assert_eq!(bits(engine.posterior()), bits(reference.posterior()));
+        // Ranking other scans, then localizing these, ranks each step
+        // afresh instead of reading the other scans' neighbours.
+        let reversed: Vec<&[f64]> = scans.iter().rev().copied().collect();
+        engine.rank_scans(&reversed);
+        engine
+            .localize_ranked_into(&scans, &motions, &mut out)
+            .unwrap();
+        assert_eq!(out, expected);
+        assert_eq!(bits(engine.posterior()), bits(reference.posterior()));
+    }
+
+    #[test]
     fn mid_trace_error_keeps_the_blocked_prefix_output() {
         let (fdb, mdb) = world();
         let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
@@ -1005,7 +1163,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            TrackError::QueryLength {
+            MolocError::QueryLength {
                 expected: 2,
                 found: 1
             }
@@ -1150,7 +1308,7 @@ mod tests {
         let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
         assert_eq!(
             engine.observe(&fp(&[-40.0]), None).unwrap_err(),
-            TrackError::QueryLength {
+            MolocError::QueryLength {
                 expected: 2,
                 found: 1
             }
@@ -1159,7 +1317,7 @@ mod tests {
             engine
                 .observe(&fp(&[-40.0, -70.0]), walk(f64::NAN, 1.0))
                 .unwrap_err(),
-            TrackError::BadMeasurement
+            MolocError::BadMeasurement
         );
     }
 

@@ -6,8 +6,9 @@
 
 use crate::batch::BatchLocalizer;
 use crate::config::MoLocConfig;
+use crate::error::MolocError;
 use crate::matching::build_kernel;
-use crate::tracker::{MotionMeasurement, TrackError};
+use crate::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
@@ -115,11 +116,11 @@ impl MoLoc {
     ///
     /// # Errors
     ///
-    /// Returns the first [`TrackError`] encountered.
+    /// Returns the first [`MolocError`] encountered.
     pub fn localize_sequence(
         &self,
         queries: &[(Fingerprint, Option<MotionMeasurement>)],
-    ) -> Result<Vec<LocationId>, TrackError> {
+    ) -> Result<Vec<LocationId>, MolocError> {
         self.tracker().localize_trace(queries)
     }
 }
@@ -199,6 +200,6 @@ mod tests {
         let err = moloc
             .localize_sequence(&[(fp(&[-41.0]), None)])
             .unwrap_err();
-        assert!(matches!(err, TrackError::QueryLength { .. }));
+        assert!(matches!(err, MolocError::QueryLength { .. }));
     }
 }

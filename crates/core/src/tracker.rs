@@ -3,7 +3,6 @@
 //! Every query after the first carries the RLM measured since the
 //! previous one; [`crate::batch::BatchLocalizer`] folds it into Eq. 7.
 
-use crate::error::MolocError;
 use serde::{Deserialize, Serialize};
 
 /// The motion measured during one localization interval: the direction
@@ -16,10 +15,3 @@ pub struct MotionMeasurement {
     /// Walked distance in meters.
     pub offset_m: f64,
 }
-
-/// Error from a localization step.
-///
-/// An alias of the crate-wide [`MolocError`] hierarchy — kept under its
-/// historical name so existing `TrackError::QueryLength { .. }` call
-/// sites and matches continue to compile unchanged.
-pub type TrackError = MolocError;

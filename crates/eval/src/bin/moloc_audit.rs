@@ -8,16 +8,24 @@
 //!   strategy vs the exhaustive sorted scan (ids exact,
 //!   dissimilarities to 1e-9; the contracts document bit-identity,
 //!   the slack merely decouples the gate from libm). The strategies
-//!   are reached through input shape alone: `knn.blocked` mixes clean
-//!   and masked lanes at the paper's k (the f32 mirror path) and adds
-//!   a k = 17 block and a block holding a 1e16 value (both the
-//!   per-query fallback).
+//!   are reached through input shape alone: `knn.scalar` and
+//!   `knn.blocked` run over the paper's 28-row index and a synthetic
+//!   one of exactly `SMALL_INDEX_ROWS` rows (blocks loop over the
+//!   per-query scan) and one above it (blocks take the f32 mirror).
+//!   `knn.blocked` mixes clean and masked lanes at the paper's k and
+//!   adds, above the crossover, a k = 17 block and a block holding a
+//!   1e16 value (both the per-query fallback).
 //! * `kernel.pair` / `kernel.stay` — the tabulated-CDF motion kernel
 //!   vs the exact `erf` evaluation (documented accuracy 1e-6; gate at
 //!   2e-6). `kernel.pair` probes every ordered pair of the hall and
 //!   ids past the grid (untrained pairs must return the floor prior
 //!   exactly), plus every pair into and out of a synthetic origin
-//!   trained to 70 targets, so long runs are searched too.
+//!   trained to 70 targets, so long runs are searched too. It also
+//!   fills transition blocks (`MotionKernel::transition_block`) over
+//!   the hall's ids and that long run, at measurements that wrap past
+//!   ±180°, leave (−360°, 360°) or saturate the CDF table: every entry
+//!   must be `pair_probability`'s bits and every trained one within
+//!   the gate of the exact value.
 //! * `motion.sanitation` — `MotionDbBuilder` vs the naive
 //!   `oracle::sanitize` pass on seeded random and hostile RLM streams
 //!   over the paper hall (build reports and pair sets exact, Gaussians
@@ -59,18 +67,22 @@
 //!
 //! Divergences and invariant violations are reported as structured
 //! JSON; the process exits nonzero unless the report is clean.
-//! `--self-test` plants divergences in five suites — a perturbed
-//! oracle query in `knn.scalar` and in `eq7.engine`, an untrained
-//! `kernel.pair` expectation moved to the neighbouring run's value, a
-//! `motion.sanitation` coarse offset compared with `<` instead of
-//! `<=`, and three in `live.rebuild`: an epoch compared with a history
-//! that lacks its RLM (what a build that skipped a touched pair would
-//! serve), an epoch whose survey oracle lacks one delta sample, and an
-//! epoch whose kernel oracle serves the previous epoch's statistics
-//! for the pair it revisits (what a table patch that missed the pair
-//! would serve) — and is expected to exit nonzero with a divergence in
-//! all five and from all three `live.rebuild` checks. CI checks the
-//! report to prove each gate can fail.
+//! `--self-test` plants divergences in six suites — a perturbed
+//! oracle query in `knn.scalar` and in `eq7.engine`, a mirror lane of
+//! `knn.blocked` expected without its k-th neighbour's row (a dropped
+//! prefilter survivor), an untrained `kernel.pair` expectation and a
+//! trained transition-block entry each moved to the neighbouring run's
+//! value, a `motion.sanitation` coarse offset compared with `<`
+//! instead of `<=`, and three in `live.rebuild`: an epoch compared with
+//! a history that lacks its RLM (what a build that skipped a touched
+//! pair would serve), an epoch whose survey oracle lacks one delta
+//! sample, and an epoch whose kernel oracle serves the previous
+//! epoch's statistics for the pair it revisits (what a table patch
+//! that missed the pair would serve) — and is expected to exit nonzero
+//! with a divergence in
+//! all six, from both `kernel.pair` plants and from all three
+//! `live.rebuild` checks. CI checks the report to prove each gate can
+//! fail.
 
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
@@ -84,7 +96,7 @@ use moloc_faults::rng::{hash, unit};
 use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SMALL_INDEX_ROWS};
 use moloc_fingerprint::knn::Neighbor;
 use moloc_geometry::LocationId;
 use moloc_live::{DbSnapshot, SnapshotPublisher, UpdateLog};
@@ -279,6 +291,31 @@ fn compare_pairs(
 // k-NN suites: every execution strategy vs the exhaustive oracle.
 // ---------------------------------------------------------------------
 
+/// A synthetic 6-AP survey of `rows` locations (ids 1..=rows), values
+/// drawn like the synthetic corpus queries.
+fn synthetic_rows(seed: u64, salt: u64, rows: usize) -> Vec<(LocationId, Vec<f64>)> {
+    (0..rows)
+        .map(|r| {
+            let values = (0..N_APS)
+                .map(|d| -30.0 - 60.0 * unit(hash(seed, salt, r as u64, d as u64)))
+                .collect();
+            (LocationId::new(r as u32 + 1), values)
+        })
+        .collect()
+}
+
+fn index_of(rows: &[(LocationId, Vec<f64>)]) -> FingerprintIndex {
+    let ids = rows.iter().map(|(id, _)| *id).collect();
+    let matrix = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+    FingerprintIndex::from_rows(ids, matrix, N_APS).expect("synthetic rows are a valid index")
+}
+
+/// The k-NN suites run every route of the index's shape dispatch over
+/// three indices: the setting's (the paper's 28 rows, where blocks loop
+/// over the per-query scan), a synthetic one of exactly
+/// `SMALL_INDEX_ROWS` rows (the last size that loops), and a synthetic
+/// one above it (blocks take the f32 mirror, with its k = 17 and 1e16
+/// per-query fallbacks).
 fn knn_suites(
     setting: &Setting,
     queries: &[Vec<f64>],
@@ -287,12 +324,19 @@ fn knn_suites(
     report: &mut AuditReport,
 ) {
     eprintln!("moloc-audit: k-NN suites ({} queries)", queries.len());
-    let index = FingerprintIndex::build(&setting.fdb);
-    let rows: Vec<(LocationId, Vec<f64>)> = setting
+    let paper: Vec<(LocationId, Vec<f64>)> = setting
         .fdb
         .iter()
         .map(|(id, fp)| (id, fp.values().to_vec()))
         .collect();
+    let crossover = synthetic_rows(seed, 0xA1, SMALL_INDEX_ROWS);
+    let above = synthetic_rows(seed, 0xA2, SMALL_INDEX_ROWS + 37);
+    let surveys = [
+        ("paper", &paper),
+        ("crossover", &crossover),
+        ("above", &above),
+    ];
+    let indices: Vec<FingerprintIndex> = surveys.iter().map(|(_, rows)| index_of(rows)).collect();
     let k = MoLocConfig::paper().k;
     let mut scratch = KnnScratch::new();
     let mut out: Vec<Neighbor> = Vec::new();
@@ -300,42 +344,44 @@ fn knn_suites(
     // Scalar path. In self-test mode the first case feeds the oracle a
     // perturbed query — a planted divergence the gate must catch.
     let mut divs = Vec::new();
-    for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_into(query, k, &mut scratch, &mut out);
-        let oracle_query: Vec<f64> = if self_test && qi == 0 {
-            let mut q = query.clone();
-            q[0] += 1.0;
-            q
-        } else {
-            query.clone()
-        };
-        let expected = oracle::k_nearest(
-            rows.iter().map(|(id, r)| (*id, r.as_slice())),
-            &oracle_query,
-            k,
-        );
-        compare_pairs(
-            "knn.scalar",
-            format!("query {qi}"),
-            &expected,
-            &pairs_of(&out),
-            1e-9,
-            &mut divs,
-        );
+    let mut cases = 0u64;
+    for ((name, rows), index) in surveys.iter().zip(&indices) {
+        for (qi, query) in queries.iter().enumerate() {
+            index.k_nearest_into(query, k, &mut scratch, &mut out);
+            let oracle_query: Vec<f64> = if self_test && cases == 0 {
+                let mut q = query.clone();
+                q[0] += 1.0;
+                q
+            } else {
+                query.clone()
+            };
+            let expected = oracle::k_nearest(
+                rows.iter().map(|(id, r)| (*id, r.as_slice())),
+                &oracle_query,
+                k,
+            );
+            compare_pairs(
+                "knn.scalar",
+                format!("{name} query {qi}"),
+                &expected,
+                &pairs_of(&out),
+                1e-9,
+                &mut divs,
+            );
+            cases += 1;
+        }
     }
-    report.finish_suite("knn.scalar", queries.len() as u64, divs);
+    report.finish_suite("knn.scalar", cases, divs);
 
     // Masked path, including the nothing-observed degenerate case.
+    let (index, rows) = (&indices[0], &paper);
     let mut divs = Vec::new();
     let mut cases = 0u64;
     for (qi, query) in queries.iter().enumerate() {
         let masked = masked_query(query, seed, qi as u64);
         let observed = index.k_nearest_masked_into(&masked, k, &mut scratch, &mut out);
-        let (expected, expected_observed) = oracle::k_nearest_masked(
-            rows.iter().map(|(id, r)| (*id, r.as_slice())),
-            &masked,
-            k,
-        );
+        let (expected, expected_observed) =
+            oracle::k_nearest_masked(rows.iter().map(|(id, r)| (*id, r.as_slice())), &masked, k);
         if observed != expected_observed {
             divs.push(Divergence {
                 suite: "knn.masked".to_string(),
@@ -378,15 +424,18 @@ fn knn_suites(
     report.finish_suite("knn.masked", cases, divs);
 
     // Blocked path, every branch of its shape dispatch: blocks of
-    // eight mixing clean and masked lanes at the paper's k take the
-    // f32 mirror; a k = 17 block (one past the mirror's 16 bound
-    // lanes) and a block holding a 1e16 value (beyond f32-safe) take
-    // the per-query fallback. Each lane must match the per-query
-    // oracle result.
-    let mut blocks: Vec<(String, usize, Vec<Vec<f64>>)> = queries
-        .chunks(8)
-        .enumerate()
-        .map(|(bi, chunk)| {
+    // eight mixing clean and masked lanes at the paper's k, over each
+    // index (the per-query loop at or below the crossover, the f32
+    // mirror above it), and over the index above it a k = 17 block
+    // (one past the mirror's 16 bound lanes) and a block holding a
+    // 1e16 value (beyond f32-safe), both the per-query fallback. Each
+    // lane must match the per-query oracle result. In self-test mode
+    // the first mirror lane expects the oracle's answer without its
+    // k-th neighbour's row — what a prefilter that dropped that
+    // survivor would return.
+    let mut blocks: Vec<(String, usize, usize, Vec<Vec<f64>>)> = Vec::new();
+    for (at, (name, _)) in surveys.iter().enumerate() {
+        for (bi, chunk) in queries.chunks(8).enumerate() {
             let lanes = chunk
                 .iter()
                 .enumerate()
@@ -398,36 +447,49 @@ fn knn_suites(
                     }
                 })
                 .collect();
-            (format!("block {bi}"), k, lanes)
-        })
-        .collect();
-    let first = blocks[0].2.clone();
-    blocks.push(("k = 17 block".to_string(), 17, first.clone()));
+            blocks.push((format!("{name} block {bi}"), at, k, lanes));
+        }
+    }
+    let first = blocks[0].3.clone();
+    blocks.push(("above k = 17 block".to_string(), 2, 17, first.clone()));
     let mut huge = first;
     huge[0][0] = 1e16;
-    blocks.push(("1e16 block".to_string(), k, huge));
+    blocks.push(("above 1e16 block".to_string(), 2, k, huge));
     let mut divs = Vec::new();
     let mut cases = 0u64;
+    let mut plant = self_test;
     let mut block = QueryBlock::new(N_APS);
     let mut block_scratch = BlockScratch::new();
     let mut block_out = BlockNeighbors::new();
-    for (name, block_k, lanes) in &blocks {
+    for (name, at, block_k, lanes) in &blocks {
+        let (index, rows) = (&indices[*at], surveys[*at].1);
         block.reset(N_APS);
         for lane in lanes {
             block.push(lane);
         }
         index.k_nearest_block_into(&mut block, *block_k, &mut block_scratch, &mut block_out);
         for (li, lane) in lanes.iter().enumerate() {
-            let rows = rows.iter().map(|(id, r)| (*id, r.as_slice()));
-            let expected = if lane.iter().all(|v| v.is_finite()) {
-                oracle::k_nearest(rows, lane, *block_k)
-            } else {
-                oracle::k_nearest_masked(rows, lane, *block_k).0
+            let clean = lane.iter().all(|v| v.is_finite());
+            let expected = |skip: Option<LocationId>| {
+                let rows = rows
+                    .iter()
+                    .filter(|(id, _)| Some(*id) != skip)
+                    .map(|(id, r)| (*id, r.as_slice()));
+                if clean {
+                    oracle::k_nearest(rows, lane, *block_k)
+                } else {
+                    oracle::k_nearest_masked(rows, lane, *block_k).0
+                }
             };
+            let mut want = expected(None);
+            if plant && *at == 2 && clean && *block_k == k {
+                want = expected(want.last().map(|&(id, _)| id));
+                plant = false;
+            }
             compare_pairs(
                 "knn.blocked",
                 format!("{name} lane {li}"),
-                &expected,
+                &want,
                 &pairs_of(block_out.query(li)),
                 1e-9,
                 &mut divs,
@@ -469,6 +531,27 @@ fn kernel_suites(
     let (wide_cases, wide_divs) = audit_kernel(&wide, probes, config, seed, false);
     cases += wide_cases;
     divs.extend(wide_divs);
+    // Transition blocks: the hall's ids in lists of eight against each
+    // other, and origin 1's 70-target run of the synthetic database
+    // against its targets in lists of eight.
+    let hall_ids: Vec<u32> = (1..=n).collect();
+    let mut hall_lists: Vec<Vec<u32>> = hall_ids.chunks(8).map(<[u32]>::to_vec).collect();
+    hall_lists.push(vec![1, n + 1, 1, n / 2]);
+    let hall_blocks = hall_lists
+        .iter()
+        .flat_map(|from| hall_lists.iter().map(move |to| (from.clone(), to.clone())));
+    let (block_cases, block_divs) = audit_blocks(db, hall_blocks, config, seed, self_test);
+    cases += block_cases;
+    divs.extend(block_divs);
+    let wide_blocks = (2..=wide_n)
+        .collect::<Vec<_>>()
+        .chunks(8)
+        .map(|to| (vec![1, 2, 3, wide_n], to.to_vec()))
+        .collect::<Vec<_>>();
+    let (block_cases, block_divs) =
+        audit_blocks(&wide, wide_blocks.into_iter(), config, seed, false);
+    cases += block_cases;
+    divs.extend(block_divs);
     report.finish_suite("kernel.pair", cases, divs);
 
     let kernel = build_kernel(db, config);
@@ -567,6 +650,108 @@ fn audit_kernel(
                         "{}->{} d={direction:.3} o={offset:.3}",
                         from.get(),
                         to.get()
+                    ),
+                    expected: format!("{want:.12e}"),
+                    actual: format!("{got:.12e}"),
+                });
+            }
+            cases += 1;
+        }
+    }
+    (cases, divs)
+}
+
+/// Audits `MotionKernel::transition_block` on each `(from, to)` id
+/// list pair at seeded measurements plus the edges of its lane path: a
+/// direction half a turn from a trained pair's mean (the ±180° wrap),
+/// directions outside (−360°, 360°), which take the scalar path, and
+/// offsets far enough out to saturate the CDF table. Every entry must
+/// equal `pair_probability` bit for bit (one case per block), and every
+/// trained entry the exact oracle within [`KERNEL_TOL`] (one case
+/// each). With `plant` set, the first trained entry whose value the
+/// next origin's run would change expects that neighbouring run's
+/// value (its pair, or the floor where that run lacks the target) — a
+/// walk that read the wrong run — and must diverge.
+fn audit_blocks(
+    db: &MotionDb,
+    blocks: impl Iterator<Item = (Vec<u32>, Vec<u32>)>,
+    config: &MoLocConfig,
+    seed: u64,
+    mut plant: bool,
+) -> (u64, Vec<Divergence>) {
+    let kernel = build_kernel(db, config);
+    let mut measurements: Vec<(f64, f64)> = (0..4u64)
+        .map(|s| {
+            let h = |salt: u64| unit(hash(seed, 0xC4, s, salt));
+            (360.0 * h(0), 4.0 * h(1))
+        })
+        .collect();
+    for (_, _, stats) in db.iter().take(2) {
+        let mean = stats.direction.mean();
+        let offset = stats.offset.mean();
+        measurements.extend([(mean + 180.0, offset), (mean - 179.999, offset)]);
+    }
+    measurements.extend([(540.5, 3.0), (-400.0, 1.0), (90.0, 60.0), (270.0, 0.0)]);
+    let ids = |list: &[u32]| list.iter().map(|&i| LocationId::new(i)).collect::<Vec<_>>();
+    let mut divs = Vec::new();
+    let mut cases = 0u64;
+    let mut out = Vec::new();
+    for (from, to) in blocks {
+        let (from, to) = (ids(&from), ids(&to));
+        for &(direction, offset) in &measurements {
+            out.clear();
+            out.resize(from.len() * to.len(), 0.0);
+            kernel.transition_block(&from, &to, direction, offset, &mut out);
+            let mut first = None;
+            for (r, &a) in from.iter().enumerate() {
+                for (c, &b) in to.iter().enumerate() {
+                    let got = out[r * to.len() + c];
+                    let trained = if a == b { None } else { db.get(a, b) };
+                    let mut want = kernel.pair_probability(a, b, direction, offset);
+                    if plant && trained.is_some() {
+                        let next = LocationId::new(a.get() + 1);
+                        let planted = kernel.pair_probability(next, b, direction, offset);
+                        if next != b && planted != want {
+                            want = planted;
+                            plant = false;
+                        }
+                    }
+                    if got.to_bits() != want.to_bits() && first.is_none() {
+                        first = Some((a, b, want, got));
+                    }
+                    let Some(stats) = trained else { continue };
+                    let exact = oracle::pair_probability(
+                        stats.direction.mean(),
+                        stats.direction.std(),
+                        stats.offset.mean(),
+                        stats.offset.std(),
+                        direction,
+                        offset,
+                        config.alpha_deg,
+                        config.beta_m,
+                    );
+                    if (got - exact).abs() > KERNEL_TOL {
+                        divs.push(Divergence {
+                            suite: "kernel.pair".to_string(),
+                            case: format!(
+                                "block {}->{} d={direction:.3} o={offset:.3} exact",
+                                a.get(),
+                                b.get()
+                            ),
+                            expected: format!("{exact:.12e}"),
+                            actual: format!("{got:.12e}"),
+                        });
+                    }
+                    cases += 1;
+                }
+            }
+            if let Some((a, b, want, got)) = first {
+                divs.push(Divergence {
+                    suite: "kernel.pair".to_string(),
+                    case: format!(
+                        "block {}->{} d={direction:.3} o={offset:.3}",
+                        a.get(),
+                        b.get()
                     ),
                     expected: format!("{want:.12e}"),
                     actual: format!("{got:.12e}"),

@@ -158,6 +158,40 @@ impl EvalWorld {
         )
     }
 
+    /// [`EvalWorld::analyze`] with the per-pass nearest neighbours
+    /// already known: `nn_estimates[i]` must be pass `i`'s Eq. 2 pick
+    /// against the setting's database, such as
+    /// [`BatchLocalizer::ranked_nearest`] after the engine ranked the
+    /// trace's scans. A localization round then ranks each scan once.
+    /// The result equals [`EvalWorld::analyze`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace_index` is out of range for `split` or
+    /// `nn_estimates` does not hold one location per pass.
+    pub fn analyze_ranked(
+        &self,
+        split: TraceSplit,
+        trace_index: usize,
+        nn_estimates: Vec<LocationId>,
+        counting: CountingMethod,
+    ) -> TraceAnalysis {
+        let _span = moloc_obs::span("eval.pipeline.analyze_trace");
+        let (trace, intervals) = self.measured(split, trace_index);
+        assert_eq!(
+            nn_estimates.len(),
+            trace.passes.len(),
+            "one nearest neighbour per pass"
+        );
+        analyze_estimated(
+            trace,
+            intervals.to_vec(),
+            nn_estimates,
+            &self.hall,
+            counting,
+        )
+    }
+
     /// Trace `trace_index` of `split` and the intervals the build
     /// measured on it.
     pub(crate) fn measured(
@@ -341,7 +375,18 @@ fn analyze_measured(
                 .expect("scan length matches database")
         })
         .collect();
+    analyze_estimated(trace, intervals, nn_estimates, hall, counting)
+}
 
+/// The analysis of a trace whose intervals and per-pass nearest
+/// neighbours are known: the heading calibration and the offsets.
+fn analyze_estimated(
+    trace: &SensorTrace,
+    intervals: Vec<IntervalMeasurement>,
+    nn_estimates: Vec<LocationId>,
+    hall: &OfficeHall,
+    counting: CountingMethod,
+) -> TraceAnalysis {
     // Zee-style calibration: raw compass direction vs map bearing of
     // the estimated endpoints. Wrong endpoint estimates contaminate the
     // pairs; the 45-degree trimmed circular mean absorbs that (mirror
@@ -465,8 +510,11 @@ pub fn localize_moloc(
 
 /// Runs MoLoc over the test traces against prebuilt serving artifacts.
 ///
-/// Each trace is analyzed by [`EvalWorld::analyze`], from the intervals
-/// the world's build measured. Traces fan out in shards on the
+/// Each trace's scans are ranked once: the engine's blocked k-NN
+/// ([`BatchLocalizer::rank_scans`]) gives both the Eq. 3 candidates
+/// and, as the first of each scan's neighbours, the Eq. 2 picks
+/// [`EvalWorld::analyze_ranked`] calibrates the heading from (with the
+/// intervals the world's build measured). Traces fan out in shards on the
 /// persistent worker pool. Each shard
 /// checks one [`BatchScratch`] working set out of a shared arena and
 /// threads it through every trace's [`BatchLocalizer`] in the shard, so
@@ -497,14 +545,6 @@ pub fn localize_moloc_with(
         for trace_index in range {
             let _span = moloc_obs::span("eval.pipeline.moloc_trace");
             let trace = &world.corpus.test[trace_index];
-            let analysis = world.analyze(
-                TraceSplit::Test,
-                trace_index,
-                &setting.fdb,
-                index,
-                setting.counting,
-                setting.n_aps,
-            );
             let mut engine = BatchLocalizer::with_scratch(index, kernel, config, scratch);
             // Whole-trace localization: the engine batches every pass's
             // k-NN through the multi-query block scan
@@ -515,6 +555,13 @@ pub fn localize_moloc_with(
                 .iter()
                 .map(|scan| &scan[..setting.n_aps])
                 .collect();
+            engine.rank_scans(&scans);
+            let analysis = world.analyze_ranked(
+                TraceSplit::Test,
+                trace_index,
+                engine.ranked_nearest().collect(),
+                setting.counting,
+            );
             let motions: Vec<_> = (0..scans.len())
                 .map(|i| {
                     if i == 0 {
@@ -526,7 +573,7 @@ pub fn localize_moloc_with(
                 .collect();
             let mut estimates = Vec::with_capacity(scans.len());
             engine
-                .localize_scans_into(&scans, &motions, &mut estimates)
+                .localize_ranked_into(&scans, &motions, &mut estimates)
                 .expect("query length matches database");
             let outcomes: Vec<PassOutcome> = trace
                 .passes

@@ -12,6 +12,7 @@
 //! documents equality with `(0..n).map(f)`, and the workloads below
 //! check that equality end-to-end through the real pipeline.
 
+use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_eval::parallel::{par_run, set_worker_override, thread_count};
@@ -429,6 +430,41 @@ fn stored_intervals_equal_a_fresh_measurement_at_every_width() {
                         "{split:?} trace {i}, width {width:?}"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_ranked_nearest_neighbours_analyze_like_the_nn_localizer() {
+    // A localization round ranks each scan once: the engine's blocked
+    // k-NN gives the Eq. 3 candidates, and the first of each scan's
+    // neighbours stands in for `NnLocalizer`'s Eq. 2 pick. The analysis
+    // from those picks must equal `EvalWorld::analyze` bit for bit on
+    // every test trace (both splits, to cover more passes).
+    let config = MoLocConfig::paper();
+    for world in [EvalWorld::small(2013), EvalWorld::paper(1)] {
+        let setting = world.setting(6);
+        let index = FingerprintIndex::build(&setting.fdb);
+        let kernel = build_kernel(&setting.motion_db, &config);
+        let mut engine = BatchLocalizer::new_with_index(&index, &kernel, config);
+        let splits = [
+            (TraceSplit::Train, &world.corpus.train),
+            (TraceSplit::Test, &world.corpus.test),
+        ];
+        for (split, traces) in splits {
+            for (i, trace) in traces.iter().enumerate() {
+                let scans: Vec<&[f64]> = trace.scans.iter().map(|s| &s[..6]).collect();
+                assert_eq!(engine.rank_scans(&scans), scans.len());
+                let (fdb, counting) = (&setting.fdb, setting.counting);
+                let ranked =
+                    world.analyze_ranked(split, i, engine.ranked_nearest().collect(), counting);
+                let reference = world.analyze(split, i, fdb, &index, counting, 6);
+                assert_eq!(
+                    analysis_bits(&ranked),
+                    analysis_bits(&reference),
+                    "{split:?} trace {i}"
+                );
             }
         }
     }

@@ -5,10 +5,13 @@
 //! race-free (integration test binaries run their `#[test]`s on
 //! separate threads).
 
+use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
+use moloc_core::matching::build_kernel;
 use moloc_eval::experiments::robustness::localize_faulted;
 use moloc_eval::pipeline::{localize_moloc, EvalWorld, PassOutcome};
 use moloc_faults::ap::ApDropout;
+use moloc_fingerprint::index::FingerprintIndex;
 
 /// FNV-1a over every field of every outcome, in order — any reordering
 /// or numerical difference changes the digest.
@@ -102,6 +105,34 @@ fn recorder_is_a_pure_observer() {
         "fault plan produced no degraded passes: {counts:?}"
     );
     assert!(!outcomes.is_empty());
+
+    // A trace that fails partway still records its unfinished stretch:
+    // ten good steps, then a scan of the wrong length, give one full
+    // stretch of `OBSERVE_STRIDE` (8) steps and one of two.
+    moloc_obs::reset();
+    let index = FingerprintIndex::build(&setting.fdb);
+    let kernel = build_kernel(&setting.motion_db, &config);
+    let trace = &world.corpus.test[0];
+    let mut scans: Vec<&[f64]> = trace
+        .scans
+        .iter()
+        .map(|s| &s[..6])
+        .cycle()
+        .take(10)
+        .collect();
+    scans.push(&trace.scans[0][..5]);
+    let motions = vec![None; scans.len()];
+    let mut estimates = Vec::new();
+    let failed = BatchLocalizer::new_with_index(&index, &kernel, config).localize_scans_into(
+        &scans,
+        &motions,
+        &mut estimates,
+    );
+    assert!(failed.is_err() && estimates.len() == 10);
+    let observe = moloc_obs::snapshot()
+        .histogram("core.batch.observe")
+        .map_or(0, |h| h.count);
+    assert_eq!(observe, 2, "one full stretch and the unfinished one");
 
     // Leave the process-global recorder the way we found it.
     moloc_obs::set_enabled(false);

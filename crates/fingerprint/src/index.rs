@@ -18,21 +18,21 @@
 //! # Four entry points, chosen by shape
 //!
 //! * [`FingerprintIndex::k_nearest_into`] — one clean query: the scalar
-//!   selection scan at any AP width (fully unrolled for 4–8 APs).
+//!   scan at any AP width (fully unrolled for 4–8 APs), its `k` nearest
+//!   kept in a table sorted as rows arrive.
 //! * [`FingerprintIndex::k_nearest_masked_into`] — one query with
 //!   non-finite values: the degradation path.
 //! * [`FingerprintIndex::k_nearest_block_into`] — a
-//!   [`crate::block::QueryBlock`] of queries: the f32-mirror prefilter
-//!   plus an exact f64 rescore when the width is 4–8 APs, `k ≤ 16` and
-//!   every value is f32-safe; any other block loops over the two
-//!   methods above.
+//!   [`crate::block::QueryBlock`] of queries: on an index of more than
+//!   [`SMALL_INDEX_ROWS`] rows, the f32-mirror prefilter plus an exact
+//!   f64 rescore when the width is 4–8 APs, `k ≤ 16` and every value is
+//!   f32-safe; any other block loops over the two methods above.
 //! * [`FingerprintIndex::rank_all_into`] — every row's distance to one
 //!   query, for full-state emission models.
 //!
-//! Both strategies of the block method are bit-identical to the
-//! per-query scans, and which one runs follows from the input alone:
-//! AP width, `k`, finite or not, and value magnitude. There is no
-//! runtime switch.
+//! Every strategy is bit-identical to the per-query scans, and which
+//! one runs follows from the input alone: row count, AP width, `k`,
+//! finite or not, and value magnitude. There is no runtime switch.
 
 use crate::db::{DbError, FingerprintDb};
 use crate::knn::Neighbor;
@@ -78,10 +78,8 @@ impl Ord for RankEntry {
 /// a given `k`, selection performs no heap allocations.
 #[derive(Debug, Default)]
 pub struct KnnScratch {
-    /// The best `≤ k` candidates seen so far, *unsorted* during the
-    /// scan (replacement targets the current worst slot; keeping the
-    /// table unsorted makes the common reject path a single float
-    /// compare) and sorted once at the end.
+    /// The best `≤ k` candidates seen so far, kept sorted by (rank,
+    /// position) as the scan goes.
     slots: Vec<RankEntry>,
 }
 
@@ -100,39 +98,60 @@ impl KnnScratch {
     }
 }
 
-/// Selects the `k` smallest ranks (ties to lower position) from a
-/// position-ordered rank stream into `slots`, unsorted.
+/// Row count up to which [`FingerprintIndex::k_nearest_block_into`]
+/// loops over the per-query scan instead of taking the f32 mirror.
+/// Measured (DESIGN.md §15, 6 APs, `k = 8`, 15-query blocks, queries
+/// near survey rows): the loop won at 28 rows (420–505 against 734–854
+/// ns per query) and at 56 (844–922 against 922–1,015), the two tied
+/// from 58 to 62, and the mirror won from 64 (840–929 against
+/// 943–1,021), where its 16-row panels leave no scalar tail.
+pub const SMALL_INDEX_ROWS: usize = 56;
+
+/// Selects the `k` smallest ranks of a position-ordered rank stream
+/// into `slots`, *sorted* by (rank, position), so the table needs no
+/// sort afterwards. A row goes in after every retained rank `<=` its
+/// own: all retained positions are lower, so equal ranks keep position
+/// order. Once the table is full, a row enters only on a rank
+/// *strictly* below the last, which it pushes out — the common reject
+/// is a single float compare against a register, and a NaN rank never
+/// passes it.
 ///
-/// Once the table is full, a row can only displace a retained one when
-/// its rank is *strictly* below the cached worst — equal ranks lose the
-/// position tie-break to every retained entry — so the common reject
-/// path is a single float compare. NaN ranks never pass that compare;
-/// a NaN entering during the fill phase is caught by the caller's final
-/// sort (`RankEntry`'s total order panics on NaN).
+/// # Panics
+///
+/// Panics on a NaN rank among the first `k` (ranks must not be NaN).
 #[inline(always)]
-fn select(mut ranks: impl Iterator<Item = f64>, k: usize, slots: &mut Vec<RankEntry>) {
-    // Fill phase: the first `k` rows are all retained.
-    let mut position = 0u32;
-    for rank in ranks.by_ref().take(k) {
-        slots.push(RankEntry { rank, position });
-        position += 1;
+fn select_sorted(ranks: impl Iterator<Item = f64>, k: usize, slots: &mut Vec<RankEntry>) {
+    let mut ranks = (0u32..).zip(ranks);
+    for (position, rank) in ranks.by_ref().take(k) {
+        assert!(!rank.is_nan(), "ranks are finite");
+        let entry = RankEntry { rank, position };
+        slots.push(entry);
+        let last = slots.len() - 1;
+        insert_sorted(slots, last, entry);
     }
     if slots.len() < k {
         return;
     }
-    // Steady state over a fixed-size table: `worst`/`worst_at` live in
-    // registers and the table is only touched on (rare) replacements.
     let slots = slots.as_mut_slice();
-    let mut worst_at = worst_slot(slots);
-    let mut worst = slots[worst_at].rank;
-    for rank in ranks {
+    let mut worst = slots[k - 1].rank;
+    for (position, rank) in ranks {
         if rank < worst {
-            slots[worst_at] = RankEntry { rank, position };
-            worst_at = worst_slot(slots);
-            worst = slots[worst_at].rank;
+            insert_sorted(slots, k - 1, RankEntry { rank, position });
+            worst = slots[k - 1].rank;
         }
-        position += 1;
     }
+}
+
+/// Writes `entry` at `at` or, past every entry ranked above it, lower
+/// in `slots[..=at]` (sorted), shifting those up one place; whatever
+/// was at `at` is dropped.
+#[inline(always)]
+fn insert_sorted(slots: &mut [RankEntry], mut at: usize, entry: RankEntry) {
+    while at > 0 && entry.rank < slots[at - 1].rank {
+        slots[at] = slots[at - 1];
+        at -= 1;
+    }
+    slots[at] = entry;
 }
 
 /// Index of the worst slot under (rank ascending, position ascending) —
@@ -428,12 +447,12 @@ impl FingerprintIndex {
     /// Matches [`moloc_verify::oracle::k_nearest`] exactly (see the
     /// module docs for why the squared ranking preserves order).
     ///
-    /// Selection keeps the best `k` candidates in an unsorted slot
-    /// table with a cached worst rank: rows are visited in ascending
-    /// position, so a later row can only displace a retained one when
-    /// its rank is *strictly* smaller than the current worst (equal
-    /// ranks lose the position tie-break) — the common reject is a
-    /// single float compare with no data-dependent branch history.
+    /// Selection keeps the best `k` in a table sorted as rows arrive,
+    /// with the last retained rank in a register: rows are visited in
+    /// ascending position, so a later row can only displace a retained
+    /// one when its rank is *strictly* smaller than that last rank
+    /// (equal ranks lose the position tie-break) — the common reject is
+    /// a single float compare, and the table needs no final sort.
     ///
     /// # Panics
     ///
@@ -490,8 +509,8 @@ impl FingerprintIndex {
 
     /// Masked k-NN for queries with missing (non-finite) APs: a
     /// dropped AP contributes nothing to any row's distance instead of
-    /// turning every rank into NaN (which would panic the selection
-    /// sort) or being misread as "RSS 0 dBm". Partial sums are rescaled
+    /// turning every rank into NaN (which would panic the selection)
+    /// or being misread as "RSS 0 dBm". Partial sums are rescaled
     /// by `ap_count / observed` so dissimilarities stay comparable to
     /// the full-width metric in expectation. Returns the number of
     /// observed (finite) query dimensions; zero means nothing was
@@ -542,9 +561,9 @@ impl FingerprintIndex {
         slots.clear();
         slots.reserve(k.min(self.len()));
         if self.ap_count == 0 {
-            select((0..self.len()).map(|_| 0.0), k, slots);
+            select_sorted((0..self.len()).map(|_| 0.0), k, slots);
         } else {
-            select(
+            select_sorted(
                 self.matrix.chunks_exact(self.ap_count).map(|row| {
                     let (sum, _) = masked_euclidean_sq(query, row);
                     sum * scale
@@ -602,7 +621,7 @@ impl FingerprintIndex {
     /// K-smallest selection over rows of compile-time width `N`.
     fn k_select<const N: usize>(&self, query: &[f64], k: usize, slots: &mut Vec<RankEntry>) {
         let query: &[f64; N] = query.try_into().expect("query length checked");
-        select(
+        select_sorted(
             self.matrix.chunks_exact(N).map(|row| {
                 let row: &[f64; N] = row.try_into().expect("chunks are N wide");
                 euclidean_sq(query, row)
@@ -616,9 +635,9 @@ impl FingerprintIndex {
     /// degenerate index, whose `len()` rows are all empty).
     fn k_select_dyn(&self, query: &[f64], k: usize, slots: &mut Vec<RankEntry>) {
         if self.ap_count == 0 {
-            select((0..self.len()).map(|_| euclidean_sq(query, &[])), k, slots);
+            select_sorted((0..self.len()).map(|_| euclidean_sq(query, &[])), k, slots);
         } else {
-            select(
+            select_sorted(
                 self.matrix
                     .chunks_exact(self.ap_count)
                     .map(|row| euclidean_sq(query, row)),
@@ -628,14 +647,11 @@ impl FingerprintIndex {
         }
     }
 
-    /// Sorts a finished selection table (`RankEntry`'s total order
-    /// panics on a retained NaN rank) and writes it into `out`
-    /// (cleared first) with each survivor's squared rank finalized to
-    /// its Euclidean dissimilarity. One sort of `k` entries replaces
-    /// per-row ordering work during the scan.
+    /// Writes a finished, sorted selection table into `out` (cleared
+    /// first) with each survivor's squared rank finalized to its
+    /// Euclidean dissimilarity.
     #[inline]
-    fn finish(&self, check: &'static str, slots: &mut [RankEntry], out: &mut Vec<Neighbor>) {
-        slots.sort_unstable();
+    fn finish(&self, check: &'static str, slots: &[RankEntry], out: &mut Vec<Neighbor>) {
         out.clear();
         out.extend(slots.iter().map(|entry| Neighbor {
             location: self.ids[entry.position as usize],
@@ -684,13 +700,14 @@ const MIRROR_CHUNK: usize = 16;
 /// sort.
 const BOUND_LANES: usize = 16;
 
-/// One selection step of the rescore pass, replicating [`select`]'s
-/// semantics for a single query with caller-held state: fill the first
-/// `k` offers unconditionally, then replace the cached worst slot only
-/// on a *strictly* smaller rank (equal ranks lose the position
-/// tie-break to every retained entry). Offers must arrive in ascending
-/// `position` order. `slots` is the query's `k`-wide table; `worst_at`
-/// / `worst` are only meaningful once `filled == k`.
+/// One selection step of the rescore pass for a single query with
+/// caller-held state: fill the first `k` offers unconditionally, then
+/// replace the cached worst slot only on a *strictly* smaller rank
+/// (equal ranks lose the position tie-break to every retained entry),
+/// so the table holds [`select_sorted`]'s entries, unsorted. Offers
+/// must arrive in ascending `position` order. `slots` is the query's
+/// `k`-wide table; `worst_at` / `worst` are only meaningful once
+/// `filled == k`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn offer(
@@ -725,11 +742,13 @@ impl FingerprintIndex {
     /// dissimilarity, ties to lower id) plus its observed AP count in
     /// `out` (cleared first), in query order.
     ///
-    /// The block's shape picks the strategy. With 4–8 APs, `k ≤ 16`
-    /// and every value f32-safe (the index carries its mirror and no
-    /// query value reaches 1e15 in magnitude), clean queries run the
-    /// f32 mirror prefilter ahead of an exact f64 rescore. Any other
-    /// block takes the per-query loop. Either way the output is
+    /// The shapes pick the strategy. On an index of more than
+    /// [`SMALL_INDEX_ROWS`] rows with 4–8 APs, `k ≤ 16` and every value
+    /// f32-safe (the index carries its mirror and no query value
+    /// reaches 1e15 in magnitude), clean queries run the f32 mirror
+    /// prefilter ahead of an exact f64 rescore. Any other block takes
+    /// the per-query loop, its `fingerprint.knn.*` counts added once
+    /// for the block. Either way the output is
     /// **bit-identical** to calling [`FingerprintIndex::k_nearest_into`]
     /// per clean query and [`FingerprintIndex::k_nearest_masked_into`]
     /// per degraded (non-finite) query: the mirror only prefilters,
@@ -759,21 +778,28 @@ impl FingerprintIndex {
             return;
         }
         let q_count = block.len();
+        let clean_count = (0..q_count).filter(|&q| block.is_clean(q)).count();
         moloc_obs::counter_add_batch(&[
             ("fingerprint.knn.block_scans", 1),
             ("fingerprint.knn.block_queries", q_count as u64),
+            ("fingerprint.knn.queries", clean_count as u64),
+            (
+                "fingerprint.knn.candidates_scanned",
+                (clean_count * self.len()) as u64,
+            ),
         ]);
-        let use_mirror = self.mirror.is_some()
+        let use_mirror = self.len() > SMALL_INDEX_ROWS
+            && self.mirror.is_some()
             && (4..=8).contains(&self.ap_count)
             && k <= BOUND_LANES
             && block.max_abs() < F32_SAFE_LIMIT;
         if !use_mirror {
-            // Per-query loop: exactly the calls the caller would have
-            // made without a block (which also keeps their counters).
+            // Per-query loop: exactly the scans the caller would have
+            // made without a block, its clean queries counted above.
             for q in 0..q_count {
                 let query = block.query(q);
                 let observed = if block.is_clean(q) {
-                    self.k_nearest_into(query, k, &mut scratch.knn, &mut scratch.tmp_out);
+                    self.select_into(query, k, &mut scratch.knn, &mut scratch.tmp_out);
                     self.ap_count
                 } else {
                     self.k_nearest_masked_into(query, k, &mut scratch.knn, &mut scratch.tmp_out)
@@ -784,14 +810,6 @@ impl FingerprintIndex {
         }
         block.seal();
         let block = &*block;
-        let clean_count = (0..q_count).filter(|&q| block.is_clean(q)).count();
-        moloc_obs::counter_add_batch(&[
-            ("fingerprint.knn.queries", clean_count as u64),
-            (
-                "fingerprint.knn.candidates_scanned",
-                (clean_count * self.len()) as u64,
-            ),
-        ]);
         // Reset the per-query selection tables (`k ≤ BOUND_LANES`
         // slots each). Masked queries get slots too (their NaN ranks
         // are never selected); their results come from the per-query
@@ -813,11 +831,10 @@ impl FingerprintIndex {
         for q in 0..q_count {
             if block.is_clean(q) {
                 let filled = scratch.filled[q] as usize;
-                self.finish(
-                    "fingerprint.knn.block.ranks",
-                    &mut scratch.slots[q * k..q * k + filled],
-                    &mut scratch.tmp_out,
-                );
+                // `RankEntry`'s total order panics on a retained NaN.
+                let slots = &mut scratch.slots[q * k..q * k + filled];
+                slots.sort_unstable();
+                self.finish("fingerprint.knn.block.ranks", slots, &mut scratch.tmp_out);
                 out.push_query(&scratch.tmp_out, self.ap_count);
             } else {
                 let observed = self.k_nearest_masked_into(
@@ -1693,6 +1710,93 @@ mod tests {
             let result = FingerprintIndex::from_rows(ids, matrix, ap_count);
             proptest::prop_assert_eq!(result.is_ok(), valid);
         }
+    }
+
+    /// A value of a sorted-selection test row: mostly RSS-like,
+    /// sometimes near ±1e154, where a squared difference overflows and
+    /// ranks reach `+∞` (and so tie).
+    fn small_value(kind: u32, v: f64) -> f64 {
+        match kind {
+            0 => 1e154,
+            1 => -1e154,
+            2 => 1.5e154 * v / 100.0,
+            _ => v,
+        }
+    }
+
+    proptest::proptest! {
+        /// The sorted selection against the exhaustive oracle, bit for
+        /// bit in contents and tie order: 1–64 rows (some duplicated,
+        /// so ranks tie exactly), `k` from 1 to past the row count, and
+        /// values whose ranks reach infinity, through the per-query
+        /// scan and the blocked scan, which loops over it up to
+        /// `SMALL_INDEX_ROWS` rows and for every block that is not
+        /// f32-safe.
+        #[test]
+        fn the_sorted_selection_is_the_oracle_bit_for_bit(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0u32..40, -100.0..0.0f64), 6),
+                1..=64,
+            ),
+            duplicates in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+            query in proptest::collection::vec((0u32..40, -100.0..0.0f64), 6),
+            width in 1usize..=6,
+            k in 1usize..80,
+        ) {
+            let mut rows: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|r| r[..width].iter().map(|&(kind, v)| small_value(kind, v)).collect())
+                .collect();
+            for &(from, to) in &duplicates {
+                let n = rows.len();
+                rows[to % n] = rows[from % n].clone();
+            }
+            let query: Vec<f64> = query[..width].iter().map(|&(kind, v)| small_value(kind, v)).collect();
+            let ids: Vec<LocationId> = (1..=rows.len() as u32).map(|i| l(3 * i)).collect();
+            let index = FingerprintIndex::from_rows(ids.clone(), rows.concat(), width).unwrap();
+            let expected: Vec<Neighbor> = oracle::k_nearest(
+                ids.iter().zip(&rows).map(|(&id, r)| (id, r.as_slice())),
+                &query,
+                k,
+            )
+            .into_iter()
+            .map(|(location, dissimilarity)| Neighbor { location, dissimilarity })
+            .collect();
+            assert_same_bits(&scan(&index, &query, k), &expected);
+            let mut block = QueryBlock::new(width);
+            block.push(&query);
+            block.push(&query);
+            let mut out = BlockNeighbors::new();
+            index.k_nearest_block_into(&mut block, k, &mut BlockScratch::new(), &mut out);
+            assert_same_bits(out.query(1), &expected);
+        }
+    }
+
+    #[test]
+    fn exact_ties_keep_position_order_in_the_sorted_selection() {
+        // Five identical rows: every rank ties, so the k nearest are
+        // the k lowest ids, in id order, at every k.
+        let ids: Vec<LocationId> = [2, 4, 9, 11, 30].map(l).to_vec();
+        let index = FingerprintIndex::from_rows(ids.clone(), vec![-50.0; 10], 2).unwrap();
+        for k in 1..=6 {
+            let got: Vec<_> = scan(&index, &[-40.0, -60.0], k)
+                .iter()
+                .map(|n| n.location)
+                .collect();
+            assert_eq!(got, ids[..k.min(5)], "k = {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ranks are finite")]
+    fn a_nan_query_panics_on_a_small_index() {
+        // Every rank is NaN, so one lands among the k kept. A
+        // 28-row index, the paper's size: the sorted selection has no
+        // final sort to trip over it.
+        let ids: Vec<LocationId> = (1..=28).map(l).collect();
+        let matrix: Vec<f64> = (0..28 * 6).map(|i| -40.0 - (i % 37) as f64).collect();
+        let index = FingerprintIndex::from_rows(ids, matrix, 6).unwrap();
+        scan(&index, &[f64::NAN, -50.0, -60.0, -55.0, -70.0, -45.0], 8);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 use crate::publisher::SnapshotReader;
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
-use moloc_core::tracker::{MotionMeasurement, TrackError};
+use moloc_core::error::MolocError;
+use moloc_core::tracker::MotionMeasurement;
 use moloc_core::DegradationFlags;
 use moloc_geometry::LocationId;
 use std::sync::Arc;
@@ -67,14 +68,14 @@ impl LiveLocalizer {
     ///
     /// # Errors
     ///
-    /// Returns [`TrackError`] for mismatched query lengths or
+    /// Returns [`MolocError`] for mismatched query lengths or
     /// non-finite measurements, exactly like
     /// [`BatchLocalizer::observe_slice`].
     pub fn observe(
         &mut self,
         scan: &[f64],
         motion: Option<MotionMeasurement>,
-    ) -> Result<(LocationId, u64), TrackError> {
+    ) -> Result<(LocationId, u64), MolocError> {
         self.observe_held(scan, motion, false)
     }
 
@@ -92,7 +93,7 @@ impl LiveLocalizer {
         scan: &[f64],
         motion: Option<MotionMeasurement>,
         hold: bool,
-    ) -> Result<(LocationId, u64), TrackError> {
+    ) -> Result<(LocationId, u64), MolocError> {
         if self.reader.refresh_unless(hold) {
             let snapshot = self.reader.snapshot();
             let kernel = Arc::new(snapshot.kernel(&self.config));

@@ -58,8 +58,11 @@ pub struct KernelConfig {
 }
 
 /// Scaled parameters of one directed trained pair. Two are equal when
-/// their bits are.
+/// their bits are. `repr(C)` fixes the field order, so the four-lane
+/// path of [`MotionKernel::transition_block`] loads a pair as one
+/// vector.
 #[derive(Debug, Clone, Copy, Default)]
+#[repr(C)]
 struct PairParams {
     /// Mean direction, compass degrees.
     dir_mean: f64,
@@ -220,6 +223,18 @@ impl PairTable {
     fn params_of(&self, from: LocationId, to: LocationId) -> Option<&PairParams> {
         self.position(from, to).map(|at| &self.params[at])
     }
+
+    /// The run of `from`: its trained targets, ascending, and their
+    /// parameters. Empty past the last run.
+    #[inline]
+    fn run(&self, from: LocationId) -> (&[LocationId], &[PairParams]) {
+        let fi = from.index();
+        if fi + 1 >= self.offsets.len() {
+            return (&[], &[]);
+        }
+        let (start, end) = (self.offsets[fi] as usize, self.offsets[fi + 1] as usize);
+        (&self.targets[start..end], &self.params[start..end])
+    }
 }
 
 /// A precomputed view of a [`MotionDb`] for one matching
@@ -329,6 +344,14 @@ impl MotionKernel {
         let Some(p) = self.pairs.params_of(from, to) else {
             return self.missing_pair_prob;
         };
+        self.trained_probability(p, direction_deg, offset_m)
+    }
+
+    /// Eq. 5 for a trained pair with parameters `p`: the scalar
+    /// arithmetic behind both [`MotionKernel::pair_probability`] and
+    /// [`MotionKernel::transition_block`].
+    #[inline(always)]
+    fn trained_probability(&self, p: &PairParams, direction_deg: f64, offset_m: f64) -> f64 {
         // Direction windows are evaluated on the wrapped deviation from
         // the pair mean so the 0°/360° seam never splits a window —
         // identical to the exact path.
@@ -337,6 +360,224 @@ impl MotionKernel {
         let o_mass = Self::window_mass(p.off_mean, p.off_inv_std, offset_m, self.beta_m);
         d_mass * o_mass
     }
+
+    /// One localization step's whole Eq. 5 block:
+    /// `out[r * to.len() + c] = P(from[r] → to[c])` under the measured
+    /// direction and offset, each entry bit for bit
+    /// [`MotionKernel::pair_probability`].
+    ///
+    /// A diagonal entry gets the stay mass, computed once, and every
+    /// other entry the untrained floor, unless `from[r]`'s run trains
+    /// the pair: the run (about three targets) is walked against `to`
+    /// instead of testing all `|from| · |to|` pairs. On AVX2 hosts a
+    /// trained pair's four window-mass CDF reads,
+    /// `[lo_d, hi_d, lo_o, hi_o]`, are one vector: the lanes compute
+    /// `((c − w/2) − mean) · inv` in the scalar's order with no FMA,
+    /// and [`fast_std_normal_cdf_avx2`] reads each lane as the scalar
+    /// table read does. The direction deviation skips `rem_euclid`
+    /// when the raw difference lies in (−360°, 360°), where the two
+    /// agree; any other pair takes the scalar path.
+    ///
+    /// [`fast_std_normal_cdf_avx2`]: moloc_stats::normcdf::fast_std_normal_cdf_avx2
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != from.len() * to.len()`.
+    pub fn transition_block(
+        &self,
+        from: &[LocationId],
+        to: &[LocationId],
+        direction_deg: f64,
+        offset_m: f64,
+        out: &mut [f64],
+    ) {
+        assert_eq!(
+            out.len(),
+            from.len() * to.len(),
+            "a transition block holds |from| x |to| entries"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support verified at runtime.
+            return unsafe { self.transition_block_avx2(from, to, direction_deg, offset_m, out) };
+        }
+        self.fill_block::<false>(from, to, direction_deg, offset_m, out);
+    }
+
+    /// The AVX2 build of [`MotionKernel::fill_block`], whose trained
+    /// pairs take the four-lane CDF.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transition_block_avx2(
+        &self,
+        from: &[LocationId],
+        to: &[LocationId],
+        direction_deg: f64,
+        offset_m: f64,
+        out: &mut [f64],
+    ) {
+        self.fill_block::<true>(from, to, direction_deg, offset_m, out);
+    }
+
+    /// The block fill behind [`MotionKernel::transition_block`]; `LANES`
+    /// evaluates trained pairs with [`MotionKernel::trained_lanes`] and
+    /// is only instantiated inside an AVX2 function.
+    #[inline(always)]
+    fn fill_block<const LANES: bool>(
+        &self,
+        from: &[LocationId],
+        to: &[LocationId],
+        direction_deg: f64,
+        offset_m: f64,
+        out: &mut [f64],
+    ) {
+        let stay = self.stay_probability(offset_m);
+        out.fill(self.missing_pair_prob);
+        let columns = CandidateColumns::of(to);
+        let cols = to.len();
+        for (&origin, row) in from.iter().zip(out.chunks_exact_mut(cols.max(1))) {
+            columns.write(row, to, origin, stay);
+            let (targets, params) = self.pairs.run(origin);
+            for (&target, p) in targets.iter().zip(params) {
+                if !columns.may_hold(target) {
+                    continue;
+                }
+                let value = if LANES {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `LANES` builds run inside
+                    // `transition_block_avx2`, on an AVX2 host.
+                    unsafe {
+                        self.trained_lanes(p, direction_deg, offset_m)
+                    }
+                    #[cfg(not(target_arch = "x86_64"))]
+                    unreachable!("the lane build is x86-64 only")
+                } else {
+                    self.trained_probability(p, direction_deg, offset_m)
+                };
+                columns.write(row, to, target, value);
+            }
+        }
+    }
+
+    /// [`MotionKernel::trained_probability`] with its four CDF reads as
+    /// one AVX2 vector, bit for bit (see
+    /// [`MotionKernel::transition_block`]).
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn trained_lanes(&self, p: &PairParams, direction_deg: f64, offset_m: f64) -> f64 {
+        use moloc_stats::normcdf::fast_std_normal_cdf_avx2;
+        use std::arch::x86_64::*;
+        let Some(dev) = wrapped_deviation(p.dir_mean, direction_deg) else {
+            return self.trained_probability(p, direction_deg, offset_m);
+        };
+        // SAFETY: `PairParams` is `repr(C)`, four f64 in lane order.
+        let params = unsafe { _mm256_loadu_pd((p as *const PairParams).cast()) };
+        // [dir_inv, dir_inv, off_inv, off_inv] and [0, 0, off_mean,
+        // off_mean]: the direction window is centred on the deviation,
+        // so its mean is the scalar's literal 0.0.
+        let inv = _mm256_permute4x64_pd::<0b11_11_01_01>(params);
+        let mean = _mm256_blend_pd::<0b0011>(
+            _mm256_permute4x64_pd::<0b10_10_00_00>(params),
+            _mm256_setzero_pd(),
+        );
+        let center = _mm256_set_pd(offset_m, offset_m, dev, dev);
+        // `c + (−w/2)` is `c − w/2` exactly.
+        let (half_a, half_b) = (self.alpha_deg / 2.0, self.beta_m / 2.0);
+        let half = _mm256_set_pd(half_b, -half_b, half_a, -half_a);
+        let z = _mm256_mul_pd(_mm256_sub_pd(_mm256_add_pd(center, half), mean), inv);
+        let mut cdf = [0.0f64; 4];
+        // SAFETY: AVX2 is enabled here; `cdf` holds four f64.
+        unsafe { _mm256_storeu_pd(cdf.as_mut_ptr(), fast_std_normal_cdf_avx2(z)) };
+        let d_mass = (cdf[1] - cdf[0]).max(0.0);
+        let o_mass = (cdf[3] - cdf[2]).max(0.0);
+        d_mass * o_mass
+    }
+}
+
+/// Where each id of a block's `to` list sits, hashed by `id % 64`: a
+/// bit summary that rejects most run targets with one test, and per
+/// bit the one column holding it, so a write finds its column without
+/// scanning `to`. A bit two candidates share (a repeated id, or ids 64
+/// apart) falls back to the scan.
+struct CandidateColumns {
+    bits: u64,
+    /// `column + 1` of the bit's only candidate, 0 for none, or
+    /// [`CandidateColumns::SHARED`].
+    column: [u8; 64],
+}
+
+impl CandidateColumns {
+    const SHARED: u8 = u8::MAX;
+
+    #[inline(always)]
+    fn of(to: &[LocationId]) -> Self {
+        let mut columns = Self {
+            bits: 0,
+            column: [0; 64],
+        };
+        for (c, t) in to.iter().enumerate() {
+            let bit = t.index() % 64;
+            columns.bits |= 1 << bit;
+            let slot = &mut columns.column[bit];
+            *slot = if *slot == 0 && c + 1 < usize::from(Self::SHARED) {
+                c as u8 + 1
+            } else {
+                Self::SHARED
+            };
+        }
+        columns
+    }
+
+    /// Whether `id` can be in `to`: false means it is not.
+    #[inline(always)]
+    fn may_hold(&self, id: LocationId) -> bool {
+        self.bits & 1 << (id.index() % 64) != 0
+    }
+
+    /// Writes `value` into every slot of `row` whose candidate is `id`.
+    #[inline(always)]
+    fn write(&self, row: &mut [f64], to: &[LocationId], id: LocationId, value: f64) {
+        match self.column[id.index() % 64] {
+            0 => {}
+            Self::SHARED => {
+                for (slot, &candidate) in row.iter_mut().zip(to) {
+                    if candidate == id {
+                        *slot = value;
+                    }
+                }
+            }
+            c => {
+                let c = usize::from(c - 1);
+                if to[c] == id {
+                    row[c] = value;
+                }
+            }
+        }
+    }
+}
+
+/// [`signed_diff_deg`]`(mean, direction)` without its `rem_euclid`,
+/// `None` unless the raw difference lies in (−360°, 360°). There
+/// `d % 360` is `d` exactly, so `rem_euclid` is `d`, or `d + 360` for
+/// `d < 0`, and the wrap that follows is the same arithmetic.
+#[inline(always)]
+fn wrapped_deviation(mean: f64, direction: f64) -> Option<f64> {
+    let d = direction - mean;
+    if !(d > -360.0 && d < 360.0) {
+        return None;
+    }
+    let r = if d < 0.0 { d + 360.0 } else { d };
+    let r = if r >= 360.0 { 0.0 } else { r };
+    Some(if r > 180.0 { r - 360.0 } else { r })
 }
 
 #[cfg(test)]
@@ -656,6 +897,224 @@ mod tests {
                 "({d}, {o}): fast {fast} vs exact {exact}"
             );
         }
+    }
+
+    /// A measurement component drawn from `kind`: mostly `v`, else one
+    /// of the values where Eq. 5's arithmetic turns — wraps past ±180°
+    /// and ±360°, far outside the range, the infinities and NaN.
+    fn measurement(kind: u32, v: f64) -> f64 {
+        match kind {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 1e6 + v,
+            4 => -360.0 - v.abs(),
+            5 => 360.0,
+            6 => -360.0f64.next_up(),
+            7 => 180.0 + v / 1e3,
+            _ => v,
+        }
+    }
+
+    fn assert_block_is_pair_probability(
+        kernel: &MotionKernel,
+        from: &[LocationId],
+        to: &[LocationId],
+        d: f64,
+        o: f64,
+    ) {
+        let mut out = vec![f64::NAN; from.len() * to.len()];
+        kernel.transition_block(from, to, d, o, &mut out);
+        for (r, &a) in from.iter().enumerate() {
+            for (c, &b) in to.iter().enumerate() {
+                let want = kernel.pair_probability(a, b, d, o);
+                let got = out[r * to.len() + c];
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{a}->{b} at ({d}, {o}): {got:e} vs {want:e}"
+                );
+            }
+        }
+    }
+
+    const BLOCK_IDS: u32 = 14;
+
+    proptest! {
+        /// Every entry of a transition block is `pair_probability`'s
+        /// bits: random tables (some ids past the table), candidate
+        /// lists with repeats and measurements that wrap, leave
+        /// (−360°, 360°), saturate the CDF table or are not finite.
+        #[test]
+        fn a_transition_block_is_pair_probability_bit_for_bit(
+            pairs in prop::collection::vec(
+                (1..=BLOCK_IDS - 2, 1..=BLOCK_IDS - 2, 0u32..1000, 0.02..30.0f64),
+                0..40,
+            ),
+            from in prop::collection::vec(1..=BLOCK_IDS, 0..10),
+            to in prop::collection::vec(1..=BLOCK_IDS, 0..10),
+            direction in (0u32..14, -720.0..720.0f64),
+            offset in (0u32..14, -5.0..60.0f64),
+            widths in (0.5..90.0f64, 0.05..8.0f64),
+        ) {
+            let mut db = MotionDb::new((BLOCK_IDS - 2) as usize);
+            for &(a, b, seed, std) in &pairs {
+                if a != b {
+                    let mut stats = pair_stats(seed);
+                    stats.direction = Gaussian::new(stats.direction.mean(), std).unwrap();
+                    stats.offset = Gaussian::new(stats.offset.mean(), std / 10.0).unwrap();
+                    db.insert(l(a), l(b), stats);
+                }
+            }
+            let config = KernelConfig {
+                alpha_deg: widths.0,
+                beta_m: widths.1,
+                ..config()
+            };
+            let kernel = MotionKernel::build(&db, &config);
+            let from: Vec<_> = from.into_iter().map(l).collect();
+            let to: Vec<_> = to.into_iter().map(l).collect();
+            let (d, o) = (measurement(direction.0, direction.1), measurement(offset.0, offset.1));
+            assert_block_is_pair_probability(&kernel, &from, &to, d, o);
+        }
+    }
+
+    /// Both evaluations of one trained pair, called directly: the
+    /// four-lane one when the host has AVX2, else the scalar twice.
+    fn both_evaluations(kernel: &MotionKernel, p: &PairParams, d: f64, o: f64) -> (f64, f64) {
+        let scalar = kernel.trained_probability(p, d, o);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 detected above.
+            return (unsafe { kernel.trained_lanes(p, d, o) }, scalar);
+        }
+        (scalar, scalar)
+    }
+
+    #[test]
+    fn the_lanes_equal_the_scalar_where_z_meets_the_table_edges() {
+        // Unit windows and unit scales: a deviation of ±8 or ±9 puts a
+        // window edge at z = ±8.5 exactly; the sweep also takes the
+        // floats around it.
+        let kernel = MotionKernel::build(
+            &db(),
+            &KernelConfig {
+                alpha_deg: 1.0,
+                beta_m: 1.0,
+                ..config()
+            },
+        );
+        let p = PairParams {
+            dir_mean: 0.0,
+            dir_inv_std: 1.0,
+            off_mean: 0.0,
+            off_inv_std: 1.0,
+        };
+        let mut values = vec![0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for edge in [8.0, 9.0, -8.0, -9.0] {
+            let (mut below, mut above) = (edge, edge);
+            for _ in 0..3 {
+                below = f64::next_down(below);
+                above = f64::next_up(above);
+                values.extend([below, above]);
+            }
+            values.extend([edge, edge - 1e-10, edge + 1e-10]);
+        }
+        for &d in &values {
+            for &o in &values {
+                let (lanes, scalar) = both_evaluations(&kernel, &p, d, o);
+                assert_eq!(lanes.to_bits(), scalar.to_bits(), "({d:e}, {o:e})");
+            }
+        }
+    }
+
+    #[test]
+    fn the_wrapped_deviation_is_signed_diff_deg_inside_its_range() {
+        let means = [
+            0.0,
+            1e-12,
+            90.0,
+            179.999,
+            180.0,
+            359.0,
+            359.999_999_999_999_9,
+        ];
+        let directions = [
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-13,
+            180.0,
+            180.0f64.next_up(),
+            -180.0,
+            359.9,
+            -359.9,
+            540.0,
+            -540.0,
+            720.0,
+            f64::NAN,
+        ];
+        for &mean in &means {
+            for &direction in &directions {
+                let want = signed_diff_deg(mean, direction);
+                match wrapped_deviation(mean, direction) {
+                    Some(dev) => assert_eq!(dev.to_bits(), want.to_bits(), "{mean} {direction}"),
+                    None => assert!(!(direction - mean).abs().lt(&360.0), "{mean} {direction}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_diagonal_gets_the_stay_mass_and_the_rest_the_floor() {
+        let kernel = MotionKernel::build(&db(), &config());
+        let ids = [l(1), l(2), l(3), l(2)];
+        let mut out = [0.0; 16];
+        kernel.transition_block(&ids, &ids, 90.0, 5.0, &mut out);
+        let stay = kernel.stay_probability(5.0);
+        assert_eq!(out[0], stay);
+        assert_eq!(
+            out[4 + 3],
+            stay,
+            "row 1 holds a repeated id on its diagonal"
+        );
+        assert_eq!(out[2], 1e-6);
+        assert!(out[1] > 0.8, "1 -> 2 is trained east");
+        assert_eq!(out[3], out[1]);
+        assert_block_is_pair_probability(&kernel, &ids, &ids, 90.0, 5.0);
+        assert_block_is_pair_probability(&kernel, &[], &ids, 90.0, 5.0);
+        assert_block_is_pair_probability(&kernel, &ids, &[], 90.0, 5.0);
+    }
+
+    #[test]
+    fn candidates_that_share_a_hash_bit_or_pass_255_columns_still_resolve() {
+        // Ids 64 apart share a bit of the per-block hash, and a list
+        // longer than 254 runs out of column slots: both take the scan.
+        let mut db = MotionDb::new(400);
+        for a in (1..=330u32).step_by(7) {
+            db.insert(l(a), l(a + 64), pair_stats(a));
+            db.insert(l(a), l(a + 1), pair_stats(a + 1));
+        }
+        let kernel = MotionKernel::build(&db, &config());
+        let from: Vec<_> = (1..=330u32).step_by(7).map(l).collect();
+        let to: Vec<_> = (1..=400u32).map(l).rev().collect();
+        let shared: Vec<_> = (1..=330u32)
+            .step_by(7)
+            .flat_map(|a| [l(a + 64), l(a + 1), l(a + 128)])
+            .collect();
+        // Pair 1 -> 65's own mean, so trained entries are not all 0.
+        assert!(kernel.pair_probability(l(1), l(65), 37.0, 1.5) > 0.1);
+        for (d, o) in [(37.0, 1.5), (74.0, 2.5), (333.0, 0.7)] {
+            assert_block_is_pair_probability(&kernel, &from, &to, d, o);
+            assert_block_is_pair_probability(&kernel, &from, &shared, d, o);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "|from| x |to|")]
+    fn a_block_of_the_wrong_size_panics() {
+        let kernel = MotionKernel::build(&db(), &config());
+        kernel.transition_block(&[l(1)], &[l(2)], 90.0, 5.0, &mut [0.0; 2]);
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! * [`survey`] — synthetic site surveys: n samples per reference
 //!   location, split into fingerprint/motion/test sets like the paper's
 //!   40/10/10.
-//! * [`correlated`] — AR(1) temporally correlated scanning for
-//!   sensitivity studies.
 //!
 //! # Examples
 //!
@@ -44,7 +42,6 @@
 //! ```
 
 pub mod ap;
-pub mod correlated;
 pub mod dbm;
 pub mod pathloss;
 pub mod sampler;

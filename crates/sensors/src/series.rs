@@ -5,7 +5,8 @@ use serde::{Deserialize, Serialize};
 /// A uniformly sampled scalar signal.
 ///
 /// Deserializing goes through [`TimeSeries::new`]: a sample rate that
-/// is not finite and positive is an error.
+/// is not finite and positive is an error. [`TimeSeries::default`] is
+/// an empty series at 1 Hz, a value `new` accepts, so it round-trips.
 ///
 /// # Examples
 ///
@@ -17,11 +18,23 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.time_at(2) - 0.2).abs() < 1e-12);
 /// assert!((s.duration() - 0.3).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeSeries {
     t0: f64,
     sample_rate_hz: f64,
     values: Vec<f64>,
+}
+
+impl Default for TimeSeries {
+    /// An empty series starting at 0 s, at a placeholder rate of 1 Hz.
+    /// Scratch buffers start here; every `*_into` writer sets the rate.
+    fn default() -> Self {
+        Self {
+            t0: 0.0,
+            sample_rate_hz: 1.0,
+            values: Vec::new(),
+        }
+    }
 }
 
 /// The serialized form of a [`TimeSeries`], before its rate check.

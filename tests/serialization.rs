@@ -375,6 +375,23 @@ fn a_valid_time_series_round_trips_byte_for_byte() {
     assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
 }
 
+#[test]
+fn a_default_time_series_and_a_trace_holding_one_round_trip_byte_for_byte() {
+    let series = TimeSeries::default();
+    let json = serde_json::to_string(&series).expect("serializes");
+    let back: TimeSeries = serde_json::from_str(&json).expect("a default series deserializes");
+    assert_eq!(back, series);
+    assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
+    // A trace whose sensors recorded nothing.
+    let mut trace = short_trace();
+    trace.accel = TimeSeries::default();
+    trace.compass = TimeSeries::default();
+    let json = serde_json::to_string(&trace).expect("serializes");
+    let back: SensorTrace = serde_json::from_str(&json).expect("the trace deserializes");
+    assert_eq!(back, trace);
+    assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
+}
+
 /// A two-pass trace over a 3 × 2 grid.
 fn short_trace() -> SensorTrace {
     let plan = FloorPlan::new(Aabb::new(Vec2::ZERO, Vec2::new(20.0, 10.0)).unwrap());
