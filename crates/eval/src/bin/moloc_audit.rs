@@ -44,11 +44,15 @@
 //! * `parallel.width` — the work-stealing evaluation runtime at worker
 //!   widths 1 vs 4 (bit-identical estimates required).
 //! * `live.rebuild` — incremental epoch publication vs a from-scratch
-//!   rebuild of the same contribution history over 12 epochs (content
+//!   rebuild of the same contribution history over 16 epochs (content
 //!   digests must collide). Each epoch's RLM revisits one of two pairs
 //!   an earlier publish fitted, and a late one is a fine outlier, so
-//!   the builder refits pairs it fitted before and patches its pair
-//!   table. Each epoch's published index rows are also compared bit
+//!   the builder refits pairs it fitted before and writes them into
+//!   its retired buffers. A third pair, whose key sorts below one of
+//!   the two, is built late: that publish moves the positions the
+//!   builder remembers for the pair it wrote in place, and later
+//!   publishes write that pair in place again. Each epoch's published
+//!   index rows are also compared bit
 //!   for bit with `FingerprintIndex::build(&FingerprintDb::from_samples(..))`
 //!   over the merged survey history, an oracle outside `UpdateLog`, and
 //!   its published kernel under the paper config with `build_kernel`
@@ -58,7 +62,8 @@
 //!   so the log must copy the buffers it would otherwise recycle, and
 //!   re-checks its digest after the last epoch (case `epoch 6 held`).
 //!   Its coverage case counts the publishes that wrote retired buffers
-//!   in place and those that copied, and needs both.
+//!   in place and those that copied, and needs both, and needs a motion
+//!   publish in place that writes a pair the late pair moved.
 //! * `session.recover` — kill/recover at several stream prefixes vs
 //!   the uninterrupted run (estimates and final encoded state
 //!   byte-identical).
@@ -1154,7 +1159,10 @@ fn parallel_suite(world: &EvalWorld, setting: &Setting, report: &mut AuditReport
 // ---------------------------------------------------------------------
 
 /// Published epochs in `live.rebuild`.
-const EPOCHS: u64 = 12;
+const EPOCHS: u64 = 16;
+/// The epochs that each add one RLM on the late pair, which the last of
+/// them builds.
+const LATE_PAIR_EPOCHS: std::ops::RangeInclusive<u64> = 10..=12;
 /// The epoch whose RLM is the fine outlier. The self-test compares
 /// its publish with a rebuilt history that lacks that RLM.
 const OUTLIER_EPOCH: u64 = 11;
@@ -1214,24 +1222,41 @@ fn live_suite(
     // fit stays as it was; from epoch 6 both are built. Late in the
     // stream one RLM leaves the map bearing by 15°: inside the coarse
     // band, and beyond the fine filter's 2σ once five RLMs on the map
-    // bearing surround it.
+    // bearing surround it. Epochs 10 to 12 each add an RLM on a third
+    // edge, the one of least key, which sorts below at least one of the
+    // two: epoch 12 builds it, which moves that pair in the database
+    // and the table after publishes wrote it in place.
     let edges: Vec<(LocationId, LocationId)> =
         world.hall.graph.edges().map(|(a, b, _)| (a, b)).collect();
     let first = hash(seed, 0xE2, 0, 0) as usize % edges.len();
     let pairs = [edges[first], edges[(first + edges.len() / 2) % edges.len()]];
-    let delta_rlm = |epoch: u64| -> Rlm {
-        let (a, b) = pairs[(epoch % 2) as usize];
+    let key = |(a, b): (LocationId, LocationId)| (a.min(b), a.max(b));
+    let late_pair = edges
+        .iter()
+        .copied()
+        .filter(|&edge| !pairs.iter().any(|&p| key(p) == key(edge)))
+        .min_by_key(|&edge| key(edge))
+        .expect("the hall has a third edge");
+    let edge_rlm = |(a, b): (LocationId, LocationId), epoch: u64, salt: u64, turn: f64| -> Rlm {
         let direction = map
             .direction_deg(a, b)
             .expect("both endpoints on the hall grid");
-        let outlier = if epoch == OUTLIER_EPOCH { 15.0 } else { 0.0 };
-        let offset = map.offset_m(a, b) + unit(hash(seed, 0xE3, epoch, 0)) - 0.5;
-        let rlm = Rlm::new(a, b, direction + outlier, offset.max(0.1)).expect("valid rlm");
+        let offset = map.offset_m(a, b) + unit(hash(seed, 0xE3, epoch, salt)) - 0.5;
+        let rlm = Rlm::new(a, b, direction + turn, offset.max(0.1)).expect("valid rlm");
         if epoch.is_multiple_of(3) {
             rlm.mirror()
         } else {
             rlm
         }
+    };
+    let delta_rlm = |epoch: u64| -> Rlm {
+        let outlier = if epoch == OUTLIER_EPOCH { 15.0 } else { 0.0 };
+        edge_rlm(pairs[(epoch % 2) as usize], epoch, 0, outlier)
+    };
+    let late_rlm = |epoch: u64| -> Option<Rlm> {
+        LATE_PAIR_EPOCHS
+            .contains(&epoch)
+            .then(|| edge_rlm(late_pair, epoch, 1, 0.0))
     };
 
     let mut log = UpdateLog::new(setting.n_aps, map.clone(), sanitation)
@@ -1254,6 +1279,15 @@ fn live_suite(
     let mut indexes = vec![address(reader.snapshot()).0];
     let mut motion_dbs = vec![address(reader.snapshot()).1];
     let (mut index_paths, mut motion_paths) = ([0u64; 2], [0u64; 2]);
+    // Canonical pairs a motion publish wrote in place; those of them
+    // whose database entry a later publish moved; and the motion
+    // publishes in place that wrote a moved pair again.
+    let mut written = Vec::new();
+    let mut moved = Vec::new();
+    let mut writes_after_a_move = 0u64;
+    let entry_of = |db: &MotionDb, (a, b): (LocationId, LocationId)| {
+        db.iter().position(|(i, j, _)| (i, j) == (a, b))
+    };
     let mut held = None;
     let paper = MoLocConfig::paper();
     let mut previous_db = Arc::clone(&reader.snapshot().motion_db);
@@ -1270,6 +1304,9 @@ fn live_suite(
             log.observe_survey_sample(id, &values).expect("ap count matches");
         }
         log.observe_rlm(delta_rlm(epoch));
+        if let Some(rlm) = late_rlm(epoch) {
+            log.observe_rlm(rlm);
+        }
         let published = publisher.publish(&mut log).expect("publish succeeds");
         reader.refresh();
         let incremental = reader.snapshot().digest();
@@ -1281,6 +1318,18 @@ fn live_suite(
             let in_place = motion_dbs.len() >= 2 && motion_dbs[motion_dbs.len() - 2] == motion_at;
             motion_paths[usize::from(!in_place)] += 1;
             motion_dbs.push(motion_at);
+            let db = &reader.snapshot().motion_db;
+            let revisited = key(pairs[(epoch % 2) as usize]);
+            if in_place {
+                writes_after_a_move += u64::from(moved.contains(&revisited));
+                written.push(revisited);
+            } else if db.pair_count() != previous_db.pair_count() {
+                moved.extend(
+                    written
+                        .iter()
+                        .filter(|&&pair| entry_of(db, pair) != entry_of(&previous_db, pair)),
+                );
+            }
         }
         if epoch == HELD_EPOCH {
             held = Some((Arc::clone(reader.snapshot()), incremental));
@@ -1301,6 +1350,9 @@ fn live_suite(
             }
             if !(plant && e == epoch) {
                 rebuilt.observe_rlm(delta_rlm(e));
+            }
+            if let Some(rlm) = late_rlm(e) {
+                rebuilt.observe_rlm(rlm);
             }
         }
         let rebuilt = rebuilt.build_snapshot(epoch).expect("rebuild snapshot");
@@ -1409,23 +1461,30 @@ fn live_suite(
     }
     cases += 1;
     // The stream must have exercised what it is for: fitted pairs that
-    // later RLMs revisit, a fine rejection among them, and publishes
-    // that wrote retired buffers in place beside ones that copied them.
+    // later RLMs revisit, a fine rejection among them, publishes that
+    // wrote retired buffers in place beside ones that copied them, and
+    // a pair written in place again after a new pair moved it.
     let last = publisher.snapshot();
     let built = last.motion_report.pairs_built;
     let rejected = last.motion_report.rejected_fine;
     let coverage = format!(
         "{built} built, {rejected} fine rejections; index {} in place, {} copied; \
-         motion {} in place, {} copied or laid out anew",
+         motion {} in place, {} copied or laid out anew, {writes_after_a_move} in place \
+         writing a moved pair",
         index_paths[0], index_paths[1], motion_paths[0], motion_paths[1]
     );
     eprintln!("moloc-audit: live.rebuild publishes: {coverage}");
-    if built != 2 || rejected == 0 || index_paths.contains(&0) || motion_paths[0] == 0 {
+    if built != 3
+        || rejected == 0
+        || index_paths.contains(&0)
+        || motion_paths[0] == 0
+        || writes_after_a_move == 0
+    {
         divs.push(Divergence {
             suite: "live.rebuild".to_string(),
             case: "delta stream coverage".to_string(),
-            expected: "2 pairs built, at least 1 fine rejection; index publishes in place and \
-                       copied; motion publishes in place"
+            expected: "3 pairs built, at least 1 fine rejection; index publishes in place and \
+                       copied; motion publishes in place, one writing a moved pair"
                 .to_string(),
             actual: coverage,
         });

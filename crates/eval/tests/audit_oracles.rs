@@ -56,6 +56,29 @@ fn tied_db() -> FingerprintDb {
     .expect("valid db")
 }
 
+/// [`tied_db`]'s six rows, with the twin planted twice more (at ids 40
+/// and 63) in a survey of 64 rows: wide enough that the index keeps the
+/// f32 mirror and blocks take it, and with twins in three of its
+/// 16-row panels.
+fn wide_tied_db() -> FingerprintDb {
+    let twin = tied_db().fingerprint(l(2)).expect("the twin").clone();
+    let mut fps: Vec<(LocationId, Fingerprint)> =
+        tied_db().iter().map(|(id, fp)| (id, fp.clone())).collect();
+    for i in 7..=64u32 {
+        let fp = if i == 40 || i == 63 {
+            twin.clone()
+        } else {
+            Fingerprint::new(
+                (0..N_APS as u32)
+                    .map(|a| -40.0 - f64::from((i * 7 + a * 13) % 23))
+                    .collect(),
+            )
+        };
+        fps.push((l(i), fp));
+    }
+    FingerprintDb::from_fingerprints(fps).expect("valid db")
+}
+
 fn rows(db: &FingerprintDb) -> Vec<(LocationId, Vec<f64>)> {
     db.iter().map(|(id, fp)| (id, fp.values().to_vec())).collect()
 }
@@ -69,38 +92,49 @@ fn pairs(neighbors: &[Neighbor]) -> Vec<(LocationId, f64)> {
 
 #[test]
 fn tied_rows_resolve_by_ascending_id_on_every_knn_path() {
-    let db = tied_db();
-    let rows = rows(&db);
-    let index = FingerprintIndex::build(&db);
-    // Equidistant-ish query sitting on the twin fingerprint: locations
-    // 2, 4, 5 tie at dissimilarity 0 and must come back in id order.
+    // Query sitting on the twin fingerprint: its copies tie at
+    // dissimilarity 0 and must come back in id order, from the six-row
+    // survey (blocks loop over the per-query scan) and from the 64-row
+    // one (blocks take the f32 mirror prefilter, whose exact rescore
+    // must keep id order). Every k from 1 to one past the twins, so
+    // the k-th neighbour falls among the tied rows too.
     let query = vec![-50.0, -61.0, -47.5, -72.0, -55.0, -66.0];
-    let k = 4;
-    let expected = oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), &query, k);
-    assert_eq!(
-        expected.iter().map(|&(id, _)| id).collect::<Vec<_>>()[..3],
-        [l(2), l(4), l(5)],
-        "oracle fixture must actually tie"
-    );
+    for (db, twins, mirror) in [
+        (tied_db(), vec![l(2), l(4), l(5)], false),
+        (wide_tied_db(), vec![l(2), l(4), l(5), l(40), l(63)], true),
+    ] {
+        let rows = rows(&db);
+        let index = FingerprintIndex::build(&db);
+        // 6 APs and RSS-range values: over more than 56 rows the index
+        // keeps the mirror, and blocks with k <= 16 take it.
+        assert_eq!(index.has_mirror(), mirror, "{} rows", index.len());
+        for k in 1..=twins.len() + 1 {
+            let expected =
+                oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), &query, k);
+            let tied = k.min(twins.len());
+            assert_eq!(
+                expected.iter().map(|&(id, _)| id).collect::<Vec<_>>()[..tied],
+                twins[..tied],
+                "oracle fixture must actually tie"
+            );
 
-    let mut scratch = KnnScratch::new();
-    let mut out = Vec::new();
-    index.k_nearest_into(&query, k, &mut scratch, &mut out);
-    assert_eq!(pairs(&out), expected, "scalar path broke the tie contract");
+            let mut scratch = KnnScratch::new();
+            let mut out = Vec::new();
+            index.k_nearest_into(&query, k, &mut scratch, &mut out);
+            assert_eq!(pairs(&out), expected, "scalar path broke the tie contract");
 
-    // Blocked: 6 APs, k <= 16 and RSS-range values put the block on
-    // the f32 mirror prefilter, whose exact rescore must keep id order.
-    assert!(index.has_mirror());
-    let mut block = QueryBlock::new(N_APS);
-    block.push(&query);
-    let mut block_scratch = BlockScratch::new();
-    let mut block_out = BlockNeighbors::new();
-    index.k_nearest_block_into(&mut block, k, &mut block_scratch, &mut block_out);
-    assert_eq!(
-        pairs(block_out.query(0)),
-        expected,
-        "blocked path broke the tie contract"
-    );
+            let mut block = QueryBlock::new(N_APS);
+            block.push(&query);
+            let mut block_scratch = BlockScratch::new();
+            let mut block_out = BlockNeighbors::new();
+            index.k_nearest_block_into(&mut block, k, &mut block_scratch, &mut block_out);
+            assert_eq!(
+                pairs(block_out.query(0)),
+                expected,
+                "blocked path broke the tie contract at k = {k}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -18,7 +18,7 @@ use moloc_core::matching::build_kernel;
 use moloc_eval::parallel::{par_run, set_worker_override, thread_count};
 use moloc_eval::pipeline::{
     analyze_trace, analyze_trace_indexed, localize_moloc, localize_wifi, EvalWorld, PassOutcome,
-    TraceAnalysis, TraceSplit,
+    Setting, TraceAnalysis, TraceSplit,
 };
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_geometry::LocationId;
@@ -368,6 +368,59 @@ fn world_builds_are_pinned_at_every_pool_width() {
         assert_eq!(small, SMALL_2013, "EvalWorld::small(2013), width {width:?}");
         assert_eq!(paper, PAPER_1, "EvalWorld::paper(1), width {width:?}");
     }
+}
+
+/// FNV-1a over every fitted bit of a setting's motion database: the
+/// location count, then each canonical pair's ids, its four Gaussian
+/// parameters and its sample count, in key order, then every counter of
+/// the build report.
+fn motion_digest(setting: &Setting) -> String {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    let db = &setting.motion_db;
+    eat(db.location_count() as u64);
+    eat(db.pair_count() as u64);
+    for (i, j, s) in db.iter() {
+        eat(i.get().into());
+        eat(j.get().into());
+        eat(s.direction.mean().to_bits());
+        eat(s.direction.std().to_bits());
+        eat(s.offset.mean().to_bits());
+        eat(s.offset.std().to_bits());
+        eat(s.sample_count);
+    }
+    let r = setting.build_report;
+    for count in [
+        r.observed,
+        r.rejected_coarse,
+        r.rejected_unmapped,
+        r.rejected_fine,
+        r.underpopulated_pairs,
+        r.pairs_built,
+    ] {
+        eat(count);
+    }
+    format!("{h:016x}")
+}
+
+#[test]
+fn fitted_motion_databases_are_pinned() {
+    // The motion builder's fine filter and Gaussian fit, pinned by
+    // every fitted bit of two worlds' paper settings. The outcome
+    // digest sees only estimates, and the live and audit checks compare
+    // one build of the current code with another, so only this test
+    // catches a refit whose arithmetic moved.
+    const SMALL_2013: &str = "d8149b3ea9435550";
+    const PAPER_1: &str = "f922aed8f114fae9";
+    let small = motion_digest(&EvalWorld::small(2013).setting(6));
+    let paper = motion_digest(&EvalWorld::paper(1).setting(6));
+    assert_eq!(small, SMALL_2013, "EvalWorld::small(2013), setting(6)");
+    assert_eq!(paper, PAPER_1, "EvalWorld::paper(1), setting(6)");
 }
 
 /// Every value of an analysis, floats as bits.

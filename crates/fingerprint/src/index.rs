@@ -99,7 +99,8 @@ impl KnnScratch {
 }
 
 /// Row count up to which [`FingerprintIndex::k_nearest_block_into`]
-/// loops over the per-query scan instead of taking the f32 mirror.
+/// loops over the per-query scan instead of taking the f32 mirror (so
+/// an index this small keeps none).
 /// Measured (DESIGN.md §15, 6 APs, `k = 8`, 15-query blocks, queries
 /// near survey rows): the loop won at 28 rows (420–505 against 734–854
 /// ns per query) and at 56 (844–922 against 922–1,015), the two tied
@@ -245,8 +246,8 @@ pub struct FingerprintIndex {
     /// as a half-bandwidth *prefilter*: contiguous per-AP columns let
     /// the f32 kernel vectorize across rows, and survivors are exactly
     /// rescored from `matrix`, so quantization can never change a
-    /// result. `None` when values are too large to quantize safely
-    /// (see [`F32_SAFE_LIMIT`]).
+    /// result. Kept only where that scan reads it
+    /// ([`blocks_read_mirror`]).
     mirror: Option<Vec<f32>>,
     /// Largest |value| in `matrix`; feeds the mirror's conservative
     /// quantization-error bound.
@@ -260,6 +261,15 @@ pub struct FingerprintIndex {
 /// f32::MAX`). RSS fingerprints live near `[-100, 0]`, so real surveys
 /// never come close.
 pub(crate) const F32_SAFE_LIMIT: f64 = 1e15;
+
+/// Whether blocks over an index of this shape take the f32 mirror
+/// prefilter, so the index keeps one: more than [`SMALL_INDEX_ROWS`]
+/// rows, 4–8 APs (the widths of the mirror kernel), and every value
+/// f32-safe (below [`F32_SAFE_LIMIT`] in magnitude). Any other index
+/// answers blocks with the per-query loop and holds no mirror.
+fn blocks_read_mirror(rows: usize, ap_count: usize, max_abs: f64) -> bool {
+    rows > SMALL_INDEX_ROWS && (4..=8).contains(&ap_count) && max_abs < F32_SAFE_LIMIT
+}
 
 /// Rows per block of the f32 mirror transpose. A block of 64 rows at
 /// 16 APs is 8 KiB of f64 and stays in L1 while each of its columns is
@@ -286,10 +296,10 @@ impl FingerprintIndex {
     /// of them: `matrix` holds `ap_count` values per location, row by
     /// row, in the order of `ids`.
     ///
-    /// The f32 mirror is transposed in blocks of rows. A column at a
-    /// time over every row would keep `ap_count` write cursors
-    /// `rows × 4` bytes apart, which at 2,048 rows all map to the same
-    /// L1 cache sets.
+    /// The f32 mirror, on an index whose blocks read it, is transposed
+    /// in blocks of rows. A column at a time over every row would keep
+    /// `ap_count` write cursors `rows × 4` bytes apart, which at 2,048
+    /// rows all map to the same L1 cache sets.
     ///
     /// # Errors
     ///
@@ -327,8 +337,8 @@ impl FingerprintIndex {
                 .expect("a value is not finite");
             return Err(DbError::NonFinite(ids[at / ap_count]));
         };
-        let mirror =
-            (max_abs < F32_SAFE_LIMIT).then(|| transpose_f32(&matrix, ids.len(), ap_count));
+        let mirror = blocks_read_mirror(ids.len(), ap_count, max_abs)
+            .then(|| transpose_f32(&matrix, ids.len(), ap_count));
         Ok(Self {
             ids,
             matrix,
@@ -341,13 +351,13 @@ impl FingerprintIndex {
     /// Overwrites the rows of the locations `rows` names, in order (a
     /// later entry for one id wins), leaving the index `==` to
     /// [`FingerprintIndex::from_rows`] over the patched matrix: the f32
-    /// mirror columns are written too, and `max_abs` stays exact. It is
-    /// refolded over every value only when a patched row held the old
-    /// maximum; otherwise the new maximum is the old one or a patched
-    /// value. A maximum that crosses `F32_SAFE_LIMIT` (1e15) drops or
-    /// rebuilds the mirror, by the rule of `from_rows`. Costs the
-    /// patched rows, plus one pass over all values on a refold and one
-    /// transpose when the mirror comes back.
+    /// mirror's columns are written too where the index keeps one, and
+    /// `max_abs` stays exact. It is refolded over every value only when
+    /// a patched row held the old maximum; otherwise the new maximum is
+    /// the old one or a patched value. A maximum that crosses
+    /// `F32_SAFE_LIMIT` (1e15) drops or rebuilds the mirror, by the rule
+    /// of `from_rows`. Costs the patched rows, plus one pass over all
+    /// values on a refold and one transpose when the mirror comes back.
     ///
     /// # Errors
     ///
@@ -387,7 +397,10 @@ impl FingerprintIndex {
             })
         };
         let rows_total = self.ids.len();
-        match (self.max_abs < F32_SAFE_LIMIT, &mut self.mirror) {
+        match (
+            blocks_read_mirror(rows_total, ap, self.max_abs),
+            &mut self.mirror,
+        ) {
             (false, mirror) => *mirror = None,
             (true, None) => self.mirror = Some(transpose_f32(&self.matrix, rows_total, ap)),
             (true, Some(mirror)) => {
@@ -401,8 +414,10 @@ impl FingerprintIndex {
         Ok(())
     }
 
-    /// Whether the index carries an f32 mirror (built whenever the
-    /// survey's values fit f32 safely — effectively always for RSS).
+    /// Whether the index carries an f32 mirror, which it does exactly
+    /// when blocks over it take the mirror prefilter (for f32-safe
+    /// queries and `k ≤ 16`): more than [`SMALL_INDEX_ROWS`] rows, 4–8
+    /// APs and every value below 1e15 in magnitude.
     pub fn has_mirror(&self) -> bool {
         self.mirror.is_some()
     }
@@ -742,13 +757,13 @@ impl FingerprintIndex {
     /// dissimilarity, ties to lower id) plus its observed AP count in
     /// `out` (cleared first), in query order.
     ///
-    /// The shapes pick the strategy. On an index of more than
-    /// [`SMALL_INDEX_ROWS`] rows with 4–8 APs, `k ≤ 16` and every value
-    /// f32-safe (the index carries its mirror and no query value
-    /// reaches 1e15 in magnitude), clean queries run the f32 mirror
-    /// prefilter ahead of an exact f64 rescore. Any other block takes
-    /// the per-query loop, its `fingerprint.knn.*` counts added once
-    /// for the block. Either way the output is
+    /// The shapes pick the strategy. On an index that carries the f32
+    /// mirror (more than [`SMALL_INDEX_ROWS`] rows, 4–8 APs and every
+    /// value f32-safe, [`FingerprintIndex::has_mirror`]), with `k ≤ 16`
+    /// and no query value reaching 1e15 in magnitude, clean queries run
+    /// the mirror prefilter ahead of an exact f64 rescore. Any other
+    /// block takes the per-query loop, its `fingerprint.knn.*` counts
+    /// added once for the block. Either way the output is
     /// **bit-identical** to calling [`FingerprintIndex::k_nearest_into`]
     /// per clean query and [`FingerprintIndex::k_nearest_masked_into`]
     /// per degraded (non-finite) query: the mirror only prefilters,
@@ -788,12 +803,13 @@ impl FingerprintIndex {
                 (clean_count * self.len()) as u64,
             ),
         ]);
-        let use_mirror = self.len() > SMALL_INDEX_ROWS
-            && self.mirror.is_some()
-            && (4..=8).contains(&self.ap_count)
-            && k <= BOUND_LANES
-            && block.max_abs() < F32_SAFE_LIMIT;
-        if !use_mirror {
+        // The index keeps a mirror exactly where its shape lets blocks
+        // read one (`blocks_read_mirror`).
+        let mirror = self
+            .mirror
+            .as_deref()
+            .filter(|_| k <= BOUND_LANES && block.max_abs() < F32_SAFE_LIMIT);
+        let Some(mirror) = mirror else {
             // Per-query loop: exactly the scans the caller would have
             // made without a block, its clean queries counted above.
             for q in 0..q_count {
@@ -807,7 +823,7 @@ impl FingerprintIndex {
                 out.push_query(&scratch.tmp_out, observed);
             }
             return;
-        }
+        };
         block.seal();
         let block = &*block;
         // Reset the per-query selection tables (`k ≤ BOUND_LANES`
@@ -826,7 +842,7 @@ impl FingerprintIndex {
         scratch.filled.resize(q_count, 0);
         scratch.worst.clear();
         scratch.worst.resize(q_count, f64::INFINITY);
-        self.block_pass_f32(block, k, scratch);
+        self.block_pass_f32(mirror, block, k, scratch);
         self.block_rescore(block, k, scratch);
         for q in 0..q_count {
             if block.is_clean(q) {
@@ -878,6 +894,7 @@ impl FingerprintIndex {
     /// rescore threshold.
     fn block_pass_f32(
         &self,
+        mirror: &[f32],
         block: &crate::block::QueryBlock,
         k: usize,
         scratch: &mut crate::block::BlockScratch,
@@ -896,10 +913,6 @@ impl FingerprintIndex {
             scratch.ranks32.resize(q_count * rows, 0.0);
         }
         {
-            let mirror = self
-                .mirror
-                .as_deref()
-                .expect("mirror presence checked by caller");
             let crate::block::BlockScratch {
                 ref lanes32,
                 ref mut ranks32,
@@ -1551,14 +1564,16 @@ mod tests {
     }
 
     /// The index as `build` made it before `from_rows`: a sequential
-    /// max fold and a row-at-a-time transpose.
+    /// max fold and, where `mirror` says the index keeps one, a
+    /// row-at-a-time transpose.
     fn reference_parts(
         rows: &[(LocationId, Vec<f64>)],
         ap_count: usize,
+        mirror: bool,
     ) -> (f64, Option<Vec<f32>>) {
         let matrix: Vec<f64> = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
         let max_abs = matrix.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let mirror = (max_abs < F32_SAFE_LIMIT).then(|| {
+        let mirror = mirror.then(|| {
             let mut cols = vec![0.0f32; rows.len() * ap_count];
             for (row, values) in matrix.chunks_exact(ap_count.max(1)).enumerate() {
                 for (a, &v) in values.iter().enumerate() {
@@ -1589,21 +1604,30 @@ mod tests {
                 })
                 .collect()
         };
-        // Row counts around the transpose block, wide and narrow rows,
-        // and values too large for the mirror.
-        for (n, aps, scale) in [
-            (3, 2, 1.0),
-            (64, 16, 1.0),
-            (130, 16, 1.0),
-            (300, 6, 1.0),
-            (70, 4, 1e12),
-            (9, 4, 1e15),
+        // Whether each shape keeps a mirror: only above
+        // `SMALL_INDEX_ROWS` rows at 4–8 APs with f32-safe values, where
+        // blocks read it. Row counts on both sides of that bound and
+        // around the transpose block, widths inside and outside 4–8
+        // (the 16-AP serving shapes among them), and values too large
+        // for the mirror.
+        for (n, aps, scale, keeps_mirror) in [
+            (3, 2, 1.0, false),
+            (56, 6, 1.0, false),
+            (57, 4, 1.0, true),
+            (64, 16, 1.0, false),
+            (130, 16, 1.0, false),
+            (130, 8, 1.0, true),
+            (300, 6, 1.0, true),
+            (70, 4, 1e12, true),
+            (70, 3, 1.0, false),
+            (70, 9, 1.0, false),
+            (90, 4, 1e15, false),
         ] {
             let rows = rows(n, aps, scale);
             let ap_count = aps as usize;
             let (ids, matrix) = flat(&rows);
             let index = FingerprintIndex::from_rows(ids.clone(), matrix.clone(), ap_count).unwrap();
-            let (max_abs, mirror) = reference_parts(&rows, ap_count);
+            let (max_abs, mirror) = reference_parts(&rows, ap_count, keeps_mirror);
             assert_eq!(index.ids, ids);
             assert_eq!(
                 index.matrix.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1615,7 +1639,7 @@ mod tests {
                     .map(|m| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
             };
             assert_eq!(bits(&index.mirror), bits(&mirror), "{n} x {aps}");
-            assert_eq!(index.has_mirror(), scale < 1e14);
+            assert_eq!(index.has_mirror(), keeps_mirror, "{n} x {aps}");
             let db = FingerprintDb::from_fingerprints(
                 rows.iter()
                     .map(|(id, r)| (*id, Fingerprint::new(r.clone())))

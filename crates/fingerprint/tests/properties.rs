@@ -160,14 +160,15 @@ proptest! {
 
     #[test]
     fn block_knn_matches_per_query_scans_including_masked(
-        fps in prop::collection::vec(coarse_fingerprint(6), 2..60),
+        fps in prop::collection::vec(coarse_fingerprint(6), 2..120),
         queries in prop::collection::vec(
             prop::collection::vec(maybe_masked_rss(), 6), 1..12,
         ),
         k in 1usize..12,
     ) {
-        // The multi-query block scan (f32 mirror prefilter included
-        // for k < 16 — coarse grids keep every value f32-safe) must
+        // The multi-query block scan (the f32 mirror prefilter above
+        // 56 rows — coarse grids keep every value f32-safe — and the
+        // per-query loop below) must
         // reproduce the per-query scans exactly, masked queries
         // routed through the masked path with the same observed
         // count. Coarse grids make both cross-query and cross-row
@@ -204,19 +205,35 @@ proptest! {
 
     #[test]
     fn mirror_prefilter_rescore_is_bit_identical_to_serial_scan(
-        fps in prop::collection::vec(fingerprint(6), 2..80),
-        query in fingerprint(6),
-        k in 1usize..12,
+        aps in 4usize..=8,
+        rows in prop::collection::vec(prop::collection::vec(rss(), 8), 57..160),
+        query in prop::collection::vec(rss(), 8),
+        twins in prop::collection::vec((0usize..160, 0usize..160), 0..8),
+        query_row in 0usize..320,
+        k in 1usize..=16,
     ) {
         // The f32 quantized mirror is a *prefilter*: its survivors are
         // exactly rescored in f64, so the top-k indices, values, and
         // tie order must be bitwise equal to the plain f64 scan for
-        // arbitrary surveys. A one-query block at 6 APs and k < 16 over
-        // RSS-range values takes the mirror path.
+        // arbitrary surveys. An index of more than 56 rows at 4–8 APs
+        // with RSS-range values keeps the mirror, so a one-query block
+        // with k ≤ 16 takes it. Planted twin rows, and queries sitting
+        // on a row, make the rescore break exact ties.
+        let mut fps: Vec<Fingerprint> =
+            rows.iter().map(|r| Fingerprint::new(r[..aps].to_vec())).collect();
+        for &(from, to) in &twins {
+            let n = fps.len();
+            fps[to % n] = fps[from % n].clone();
+        }
+        // Half the queries sit on a row, possibly a twin's.
+        let query = match fps.get(query_row) {
+            Some(row) => row.clone(),
+            None => Fingerprint::new(query[..aps].to_vec()),
+        };
         let db = database(&fps);
         let index = FingerprintIndex::build(&db);
         prop_assert!(index.has_mirror());
-        let mut block = QueryBlock::new(6);
+        let mut block = QueryBlock::new(index.ap_count());
         block.push(query.values());
         let mut scratch = BlockScratch::new();
         let mut out = BlockNeighbors::new();

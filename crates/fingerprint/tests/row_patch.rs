@@ -1,10 +1,12 @@
 //! `FingerprintIndex::patch_rows` against `FingerprintIndex::from_rows`
 //! over the patched matrix: after every accepted patch the two indexes
 //! must be `==` (rows, f32 mirror and its presence, and the exact
-//! `max_abs`), and a refused patch must leave the index as it was.
+//! `max_abs`), and a refused patch must leave the index as it was. An
+//! index keeps the mirror only where blocks read it: more than
+//! `SMALL_INDEX_ROWS` rows at 4–8 APs with f32-safe values.
 
 use moloc_fingerprint::db::DbError;
-use moloc_fingerprint::index::FingerprintIndex;
+use moloc_fingerprint::index::{FingerprintIndex, SMALL_INDEX_ROWS};
 use moloc_geometry::LocationId;
 use proptest::prelude::*;
 
@@ -20,6 +22,11 @@ fn max_abs(matrix: &[f64]) -> f64 {
     matrix.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
+/// Whether an index over this matrix keeps the f32 mirror.
+fn keeps_mirror(rows: usize, aps: usize, matrix: &[f64]) -> bool {
+    rows > SMALL_INDEX_ROWS && (4..=8).contains(&aps) && max_abs(matrix) < F32_SAFE_LIMIT
+}
+
 /// One patch entry: which row (0 = the row holding the current
 /// maximum, 1..=5 = row `pick`, 6 = an unknown id), what to write
 /// (0..=3 = RSS, 4 = past the current maximum, 5 = past
@@ -30,7 +37,7 @@ type Entry = (u32, usize, u32, Vec<f64>);
 fn entry() -> impl Strategy<Value = Entry> {
     (
         0u32..7,
-        0usize..64,
+        0usize..200,
         0u32..9,
         prop::collection::vec(-100.0..0.0f64, 10),
     )
@@ -60,10 +67,13 @@ proptest! {
     #[test]
     fn a_patched_index_equals_from_rows_over_the_patched_matrix(
         shape in (1usize..24, 0usize..10, 0u32..4),
-        base in prop::collection::vec(-100.0..0.0f64, 240),
+        mirror_shape in (57usize..100, 4usize..=8, 0u32..4),
+        base in prop::collection::vec(-100.0..0.0f64, 900),
         patches in prop::collection::vec(prop::collection::vec(entry(), 1..6), 1..12),
     ) {
-        let (rows, aps, scale) = shape;
+        // Three cases in four draw a shape whose blocks read the
+        // mirror, so patches write its columns; the rest any small one.
+        let (rows, aps, scale) = if mirror_shape.2 == 0 { shape } else { mirror_shape };
         let ids: Vec<LocationId> = (0..rows).map(id).collect();
         // One base in four starts past the mirror's limit.
         let factor = if scale == 0 { 1e14 } else { 1.0 };
@@ -116,28 +126,41 @@ proptest! {
                     let rebuilt = FingerprintIndex::from_rows(ids.clone(), matrix.clone(), aps)
                         .expect("valid rows");
                     prop_assert!(index == rebuilt, "patched index differs from from_rows");
-                    prop_assert_eq!(index.has_mirror(), max_abs(&matrix) < F32_SAFE_LIMIT);
+                    prop_assert_eq!(index.has_mirror(), keeps_mirror(rows, aps, &matrix));
                 }
             }
         }
     }
 }
 
-/// An index over three 4-AP rows and the matrix it was built from.
-fn small() -> (Vec<LocationId>, Vec<f64>, FingerprintIndex) {
-    let ids = vec![id(0), id(1), id(2)];
-    let matrix = vec![
+/// Rows of the 4-AP test survey.
+const SURVEY_ROWS: usize = SMALL_INDEX_ROWS + 4;
+
+/// An index over 60 4-AP rows, which keeps the mirror, and the matrix
+/// it was built from. Row 1 holds the maximum, 90.
+fn survey() -> (Vec<LocationId>, Vec<f64>, FingerprintIndex) {
+    let ids: Vec<LocationId> = (0..SURVEY_ROWS).map(id).collect();
+    let mut matrix = vec![
         -40.0, -41.0, -42.0, -43.0, //
         -90.0, -40.0, -40.0, -40.0, //
         -50.0, -51.0, -52.0, -53.0,
     ];
+    for r in 3..SURVEY_ROWS {
+        matrix.extend([
+            -45.0 - (r % 40) as f64,
+            -50.0,
+            -55.0,
+            -60.0 + 0.25 * r as f64,
+        ]);
+    }
     let index = FingerprintIndex::from_rows(ids.clone(), matrix.clone(), 4).unwrap();
+    assert!(index.has_mirror());
     (ids, matrix, index)
 }
 
 #[test]
 fn a_patch_moves_the_maximum_and_the_mirror_both_ways() {
-    let (ids, mut matrix, mut index) = small();
+    let (ids, mut matrix, mut index) = survey();
     let steps: [(usize, [f64; 4], bool); 5] = [
         // Raises the maximum from 90 to 95 on a row that did not hold it.
         (0, [-95.0, -40.0, -40.0, -40.0], true),
@@ -162,7 +185,7 @@ fn a_patch_moves_the_maximum_and_the_mirror_both_ways() {
 
 #[test]
 fn a_later_entry_for_one_row_wins() {
-    let (ids, mut matrix, mut index) = small();
+    let (ids, mut matrix, mut index) = survey();
     // The first entry would raise the maximum to 99; the second writes
     // the same row below the old maximum, which another row holds.
     let high = [-99.0; 4];
@@ -176,7 +199,7 @@ fn a_later_entry_for_one_row_wins() {
 
 #[test]
 fn a_refused_patch_writes_nothing() {
-    let (ids, _, mut index) = small();
+    let (ids, _, mut index) = survey();
     let before = index.clone();
     let good = [-1.0; 4];
     let cases: [(LocationId, Vec<f64>, DbError); 4] = [
@@ -209,5 +232,35 @@ fn a_refused_patch_writes_nothing() {
         let patch = [(ids[0], &good[..]), (bad_id, bad.as_slice())];
         assert_eq!(index.patch_rows(&patch), Err(err));
         assert_eq!(index, before);
+    }
+}
+
+#[test]
+fn the_served_shapes_keep_no_mirror_built_or_patched() {
+    // The 2048 x 16 grid of the serving workloads is too wide for the
+    // mirror kernel, and the paper's 28 x 6 too small for blocks to
+    // take it; 2048 x 6 does keep one.
+    for (rows, aps, mirror) in [(2048, 16, false), (28, 6, false), (2048, 6, true)] {
+        let ids: Vec<LocationId> = (0..rows).map(id).collect();
+        let matrix: Vec<f64> = (0..rows * aps)
+            .map(|v| -40.0 - (v % 53) as f64 * 0.5)
+            .collect();
+        let mut index = FingerprintIndex::from_rows(ids.clone(), matrix.clone(), aps).unwrap();
+        assert_eq!(index.has_mirror(), mirror, "{rows} x {aps} built");
+        let row = vec![-62.5; aps];
+        let patch: Vec<(LocationId, &[f64])> = [0, rows / 2, rows - 1]
+            .iter()
+            .map(|&r| (ids[r], row.as_slice()))
+            .collect();
+        index.patch_rows(&patch).unwrap();
+        assert_eq!(index.has_mirror(), mirror, "{rows} x {aps} patched");
+        let mut patched = matrix;
+        for r in [0, rows / 2, rows - 1] {
+            patched[r * aps..(r + 1) * aps].copy_from_slice(&row);
+        }
+        assert_eq!(
+            index,
+            FingerprintIndex::from_rows(ids, patched, aps).unwrap()
+        );
     }
 }

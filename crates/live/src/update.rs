@@ -17,9 +17,10 @@
 //!   database, offered straight to the long-lived
 //!   [`MotionDbBuilder`], which applies the paper's coarse map filter
 //!   on ingestion and the fine 2σ filter and the Gaussian fit at build
-//!   time. It keeps its last two builds, so a publish refits only the
-//!   pairs its deltas touched and, unless a pair appeared or vanished,
-//!   overwrites them in the older build's database and pair table.
+//!   time. It keeps its last two builds and running sums per pair, so a
+//!   publish refits only the pairs its deltas touched and, unless a pair
+//!   appeared or vanished, writes them into the older build's database
+//!   and pair table at the positions it remembers for each pair.
 //!
 //! Both sides keep the epoch before the last one and write the next
 //! epoch into it with `Arc::make_mut`: in place once no reader holds

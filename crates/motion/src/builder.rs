@@ -5,13 +5,15 @@
 //! come from noisy sensors — reassembles them, applies the coarse
 //! map-based filter on ingestion, and at [`MotionDbBuilder::build`] time
 //! applies the fine Gaussian filter and fits the per-pair statistics.
-//! The builder keeps each pair's last fit and its last two builds, each
-//! a database and the database's [`PairTable`]. A snapshot of a builder
-//! that is still ingesting refits only the pairs that RLMs touched since
-//! the last one. When those refits only move the statistics of built
-//! pairs, it overwrites them in the retired build's buffers, so it costs
-//! what its delta touched; when a pair appears or vanishes, it merges
-//! the refits into the previous database and lays out a new table. A
+//! The builder keeps each pair's last fit, running sums of its samples
+//! and its last two builds, each a database and the database's
+//! [`PairTable`]. A snapshot of a builder that is still ingesting
+//! refits only the pairs that RLMs touched since the last one. When
+//! those refits only move the statistics of built pairs, it writes them
+//! into the retired build's buffers at the positions it remembers for
+//! each pair, so it costs what its delta touched; when a pair appears
+//! or vanishes, it merges the refits into the previous database and
+//! lays out a new table, recording where every built pair now sits. A
 //! fresh builder's first build is the same call, with every pair
 //! touched and an empty database to merge into.
 //!
@@ -24,11 +26,13 @@
 //! per-RLM allocation or `O(n)` reset.
 
 use crate::filter::{SanitationConfig, SanitationError};
-use crate::kernel::PairTable;
+use crate::kernel::{PairTable, TableSlots};
 use crate::matrix::{MotionDb, PairStats};
 use crate::rlm::Rlm;
 use moloc_geometry::{LocationId, ReferenceGrid, WalkGraph};
-use moloc_stats::circular::{abs_diff_deg, circular_mean_deg, deviation_std_deg, CircularWelford};
+use moloc_stats::circular::{
+    abs_diff_deg, circular_mean_deg, deviation_std_deg, normalize_deg, ResultantSum,
+};
 use moloc_stats::gaussian::Gaussian;
 use moloc_stats::online::Welford;
 use serde::{Deserialize, Serialize};
@@ -252,9 +256,9 @@ pub struct BuildReport {
 /// The builder keeps its last two builds. A build that only changes
 /// the statistics of pairs the last one built writes the build before
 /// it in place (`Arc::make_mut`: a copy only while someone still holds
-/// that build), overwriting the pairs that either of the last two
-/// builds changed. A build that makes a pair appear or vanish merges a
-/// new database and lays out a new table.
+/// that build), writing the pairs that either of the last two builds
+/// changed at their remembered positions. A build that makes a pair
+/// appear or vanish merges a new database and lays out a new table.
 ///
 /// # Examples
 ///
@@ -282,11 +286,15 @@ pub struct BuildReport {
 pub struct MotionDbBuilder {
     map: MapReference,
     config: SanitationConfig,
-    /// Per canonical pair: its accepted measurements and their last fit.
-    pending: BTreeMap<(u32, u32), PairSamples>,
+    /// Per canonical pair, its place in `pairs`.
+    pending: BTreeMap<(u32, u32), u32>,
+    /// Each pending pair's accepted measurements and their last fit, in
+    /// the order of their first accepted RLM.
+    pairs: Vec<PairSamples>,
     /// Canonical keys of the pairs `observe` accumulated into since the
-    /// last build, in arrival order.
-    touched: Vec<(u32, u32)>,
+    /// last build, in arrival order, with their places in `pairs`: a
+    /// build reaches them without searching `pending`.
+    touched: Vec<((u32, u32), u32)>,
     /// The ingest counters, and the fit counters summed over every
     /// pair's last fit.
     report: BuildReport,
@@ -308,23 +316,49 @@ pub struct MotionDbBuilder {
 struct Spare {
     db: Arc<MotionDb>,
     table: Arc<PairTable>,
-    /// The pairs the last build overwrote, with the statistics it
-    /// wrote (all `Some`): the current build's values where the spare
-    /// differs.
-    stale: Vec<((u32, u32), Option<PairStats>)>,
+    /// The pairs the last build wrote, where it wrote them and what:
+    /// the current build's values where the spare differs. The spare
+    /// has the last build's layout, so the positions hold for it.
+    stale: Vec<PairWrite>,
+}
+
+/// One built pair's statistics and where they go.
+#[derive(Debug, Clone, Copy)]
+struct PairWrite {
+    key: (u32, u32),
+    at: PairSlots,
+    stats: PairStats,
+}
+
+/// Where a built pair sits in the database and its table: its database
+/// entry and the table slots of its two orientations. They move only
+/// when a pair appears or vanishes.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairSlots {
+    entry: u32,
+    table: TableSlots,
 }
 
 /// One canonical pair's accepted measurements and what the last build
 /// made of them.
 #[derive(Debug, Default)]
 struct PairSamples {
-    directions: CircularWelford,
+    /// The directions, normalized into `[0, 360)`, in arrival order.
+    directions: Vec<f64>,
     offsets: Vec<f64>,
+    /// The unit vectors of `directions` and the moments of `offsets`,
+    /// summed in arrival order: a fit's first pass, without a sine,
+    /// cosine or division per sample.
+    resultant: ResultantSum,
+    offset_moments: Welford,
     /// [`MotionDbBuilder::fit`] of the measurements as the last build
     /// saw them, `None` before the pair's first build.
     fit: Option<Fit>,
     /// Whether the pair's key is on the builder's touched list.
     touched: bool,
+    /// Where the pair sits while it is built: recorded by every build
+    /// that lays out a new table.
+    slots: PairSlots,
 }
 
 /// What the fine filter and the Gaussian fit made of one pair.
@@ -364,6 +398,7 @@ impl MotionDbBuilder {
             map,
             config,
             pending: BTreeMap::new(),
+            pairs: Vec::new(),
             touched: Vec::new(),
             report: BuildReport::default(),
             table: Arc::new(PairTable::build(&db)),
@@ -398,12 +433,20 @@ impl MotionDbBuilder {
             return false;
         }
         let key = (canon.from.get(), canon.to.get());
-        let pair = self.pending.entry(key).or_default();
-        pair.directions.push(canon.direction_deg);
+        let next = self.pairs.len() as u32;
+        let at = *self.pending.entry(key).or_insert(next);
+        if at == next {
+            self.pairs.push(PairSamples::default());
+        }
+        let pair = &mut self.pairs[at as usize];
+        let direction = normalize_deg(canon.direction_deg);
+        pair.directions.push(direction);
+        pair.resultant.push(direction);
         pair.offsets.push(canon.offset_m);
+        pair.offset_moments.push(canon.offset_m);
         if !pair.touched {
             pair.touched = true;
-            self.touched.push(key);
+            self.touched.push((key, at));
         }
         true
     }
@@ -448,27 +491,29 @@ impl MotionDbBuilder {
     /// When every changed pair was built before and still is, the
     /// pair set and the table's runs stay, and the next build is the
     /// spare (the build before the last one) with the pairs that either
-    /// of the last two builds changed overwritten in place, in both the
+    /// of the last two builds changed written in place, in both the
     /// database and the table, by the arithmetic of [`PairTable::build`].
-    /// A spare that someone still holds is copied first, so a held
-    /// build never changes; with no spare, the last build is copied.
-    /// When a pair appeared or vanished, the changes are merged into
-    /// the previous database in one pass ([`MotionDb`] keeps its pairs
-    /// sorted), its table is laid out from scratch, and there is no
-    /// spare until the next build.
+    /// Each pair is written where it sits, at the database entry and
+    /// table slots remembered with the pair. A spare that someone still
+    /// holds is copied first, so a held build never changes; with no
+    /// spare, the last build is copied. When a pair appeared or
+    /// vanished, the changes are merged into the previous database in
+    /// one pass ([`MotionDb`] keeps its pairs sorted), its table is laid
+    /// out from scratch, every built pair's position is recorded as it
+    /// is placed, and there is no spare until the next build.
     ///
     /// A pair's fit reads only that pair's measurements, so the result
     /// is bit-identical to consuming a builder fed the same RLM
     /// sequence (the incremental-vs-rebuild equivalence contract).
     pub fn build_snapshot(&mut self) -> (Arc<MotionDb>, Arc<PairTable>, BuildReport) {
         self.touched.sort_unstable();
+        // Every refit that changes the database, for a merge; and those
+        // of pairs that stay built, for writes in place.
         let mut changes = Vec::new();
+        let mut writes = Vec::new();
         let mut reshaped = false;
-        for key in &self.touched {
-            let pair = self
-                .pending
-                .get_mut(key)
-                .expect("a touched pair is pending");
+        for (key, at) in &self.touched {
+            let pair = &mut self.pairs[*at as usize];
             let fit = Self::fit(&self.config, pair, &mut self.keep);
             let before = pair.fit.replace(fit);
             let sums = [
@@ -485,32 +530,57 @@ impl MotionDbBuilder {
                 changes.push((*key, fit.stats));
                 reshaped |= was_built != fit.stats.is_some();
             }
+            if let (true, Some(stats)) = (was_built, fit.stats) {
+                writes.push(PairWrite {
+                    key: *key,
+                    at: pair.slots,
+                    stats,
+                });
+            }
             pair.touched = false;
         }
         self.touched.clear();
         if reshaped {
             let db = self.db.patched(&changes);
-            self.table = Arc::new(PairTable::build(&db));
+            self.table = Arc::new(self.lay_out(&db));
             self.db = Arc::new(db);
             self.spare = None;
-        } else if !changes.is_empty() {
+        } else if !writes.is_empty() {
             let (mut db, mut table, stale) = match self.spare.take() {
                 Some(spare) => (spare.db, spare.table, spare.stale),
                 None => (Arc::clone(&self.db), Arc::clone(&self.table), Vec::new()),
             };
             let (db_mut, table_mut) = (Arc::make_mut(&mut db), Arc::make_mut(&mut table));
-            for &((i, j), stats) in stale.iter().chain(&changes) {
-                let stats = stats.expect("a pair that stays built has statistics");
-                db_mut.overwrite((i, j), stats);
-                table_mut.overwrite(LocationId::new(i), LocationId::new(j), &stats);
+            for w in stale.iter().chain(&writes) {
+                db_mut.write(w.at.entry as usize, w.key, w.stats);
+                table_mut.write(w.at.table, &w.stats);
             }
             self.spare = Some(Spare {
                 db: std::mem::replace(&mut self.db, db),
                 table: std::mem::replace(&mut self.table, table),
-                stale: changes,
+                stale: writes,
             });
         }
         (Arc::clone(&self.db), Arc::clone(&self.table), self.report)
+    }
+
+    /// [`PairTable::build`] of a database whose pair set changed,
+    /// recording where each of its pairs now sits.
+    fn lay_out(&mut self, db: &MotionDb) -> PairTable {
+        // Pairs are placed in key order, the order `pending` iterates.
+        let mut entries = db.iter().enumerate();
+        let mut pending = self.pending.iter();
+        PairTable::build_placing(db, |table| {
+            let (entry, (i, j, _)) = entries.next().expect("one placement per entry");
+            let key = (i.get(), j.get());
+            let (_, &at) = pending
+                .find(|&(&pending, _)| pending == key)
+                .expect("a built pair is pending");
+            self.pairs[at as usize].slots = PairSlots {
+                entry: entry as u32,
+                table,
+            };
+        })
     }
 
     /// Applies the fine filter to one pair's measurements and fits its
@@ -518,9 +588,12 @@ impl MotionDbBuilder {
     ///
     /// The fine filter drops each measurement beyond `k·σ` of the mean
     /// in either channel, from both (the RLM as a whole is the outlier),
-    /// and marks what it keeps in `keep`. The moments it filters by are
-    /// the fit's when it drops nothing; otherwise they are recomputed
-    /// over the kept measurements, in their order.
+    /// and marks what it keeps in `keep`. It filters by the mean
+    /// direction and offset moments of the pair's running sums, which
+    /// hold the bits a pass over the samples would, and by the std of
+    /// the directions' deviations from that mean. They are the fit's
+    /// when it drops nothing; otherwise all three are recomputed over
+    /// the kept measurements, in their order.
     ///
     /// The pair is not built when fewer than `min_samples` measurements
     /// survive, or when a fitted mean or std is not finite: offsets far
@@ -528,13 +601,17 @@ impl MotionDbBuilder {
     /// `Gaussian::new` refuses the infinite std.
     fn fit(config: &SanitationConfig, pair: &PairSamples, keep: &mut Vec<bool>) -> Fit {
         let (dirs, offsets) = (&pair.directions, &pair.offsets);
-        let mut moments = Moments::of(dirs.iter(), offsets.iter().copied());
+        let mut moments = Moments::around(
+            pair.resultant.mean_deg(),
+            dirs.iter().copied(),
+            pair.offset_moments,
+        );
         let mut rejected_fine = 0;
         if let (true, Some((mu_d, sigma_d))) = (config.fine_enabled, moments.direction) {
             let k = config.fine_sigma;
             let (mu_o, sigma_o) = (moments.offsets.mean(), moments.offsets.std());
             keep.clear();
-            keep.extend(dirs.iter().zip(offsets).map(|(d, &o)| {
+            keep.extend(dirs.iter().zip(offsets).map(|(&d, &o)| {
                 let dir_ok = sigma_d == 0.0 || abs_diff_deg(d, mu_d) <= k * sigma_d;
                 let off_ok = sigma_o == 0.0 || (o - mu_o).abs() <= k * sigma_o;
                 dir_ok && off_ok
@@ -544,7 +621,7 @@ impl MotionDbBuilder {
                 moments = Moments::of(
                     dirs.iter()
                         .zip(keep.iter())
-                        .filter_map(|(d, &kept)| kept.then_some(d)),
+                        .filter_map(|(&d, &kept)| kept.then_some(d)),
                     offsets
                         .iter()
                         .zip(keep.iter())
@@ -583,15 +660,24 @@ struct Moments {
 }
 
 impl Moments {
+    /// The moments of samples, in one pass for each sum.
     fn of(
         directions: impl Iterator<Item = f64> + Clone,
         offsets: impl Iterator<Item = f64>,
     ) -> Self {
-        let direction = circular_mean_deg(directions.clone())
-            .map(|mean| (mean, deviation_std_deg(mean, directions)));
+        Self::around(
+            circular_mean_deg(directions.clone()),
+            directions,
+            offsets.collect(),
+        )
+    }
+
+    /// The moments of samples whose circular mean and offset
+    /// accumulator are already summed.
+    fn around(mean: Option<f64>, directions: impl Iterator<Item = f64>, offsets: Welford) -> Self {
         Self {
-            direction,
-            offsets: offsets.collect(),
+            direction: mean.map(|mean| (mean, deviation_std_deg(mean, directions))),
+            offsets,
         }
     }
 }
@@ -808,7 +894,8 @@ mod tests {
             b.observe(rlm(2, 3, 90.0 - jitter, 2.1));
             b.observe(rlm(4, 5, 91.0, 1.9 + 0.1 * jitter));
         }
-        assert_eq!(b.touched, [(1, 2), (2, 3), (4, 5)], "each pair listed once");
+        let keys = |b: &MotionDbBuilder| b.touched.iter().map(|&(key, _)| key).collect::<Vec<_>>();
+        assert_eq!(keys(&b), [(1, 2), (2, 3), (4, 5)], "each pair listed once");
         let (db, table, first) = b.build_snapshot();
         assert!(b.touched.is_empty());
         assert_eq!(first.pairs_built, 3);
@@ -819,12 +906,12 @@ mod tests {
         assert!(b.observe(rlm(2, 3, 90.0, 2.1)));
         assert!(!b.observe(rlm(1, 2, 150.0, 2.0)));
         assert!(!b.observe(rlm(4, 9, 90.0, 2.0)));
-        assert_eq!(b.touched, [(2, 3)]);
+        assert_eq!(keys(&b), [(2, 3)]);
 
         // Marks on the untouched pairs' fits: a build that refitted
         // them would take the marks back out of the report.
         for key in [(1, 2), (4, 5)] {
-            let fit = b.pending.get_mut(&key).unwrap().fit.as_mut().unwrap();
+            let fit = b.pairs[b.pending[&key] as usize].fit.as_mut().unwrap();
             fit.rejected_fine += 1000;
         }
         let (next_db, next_table, second) = b.build_snapshot();
@@ -907,6 +994,94 @@ mod tests {
             assert_eq!(after.observed, before.observed + rlms.len() as u64);
             assert_eq!(after.rejected_unmapped, before.rejected_unmapped + unmapped);
         }
+    }
+
+    #[test]
+    fn remembered_positions_move_with_a_reshape() {
+        // Pair A = 2-3 is written in place at the positions the builder
+        // remembers for it. Then 1-2, whose key sorts below A's, becomes
+        // built: that reshape moves A's database entry and both its
+        // table slots. Then A is revisited in place, into each buffer. A
+        // builder that kept A's old positions across the reshape would
+        // write A over 1-2, and one that wrote the new ones into the
+        // wrong pair would write 1-2 over A.
+        let mut live = MotionDbBuilder::new(map(), SanitationConfig::paper()).unwrap();
+        let mut seen = Vec::new();
+        let mut build = |live: &mut MotionDbBuilder, rlms: &[Rlm]| {
+            for r in rlms {
+                live.observe(*r);
+                seen.push(*r);
+            }
+            let (db, table, _) = assert_snapshot_matches_fresh(live, &seen);
+            (db, table)
+        };
+        let a = |k: u32| rlm(2, 3, 89.0 + 0.5 * f64::from(k), 2.0 + 0.01 * f64::from(k));
+        let address = |db: &Arc<MotionDb>, table: &Arc<PairTable>| {
+            (Arc::as_ptr(db) as usize, Arc::as_ptr(table) as usize)
+        };
+
+        // Build 1 lays out A and 4-5; 1-2 is one RLM short.
+        let (db, table) = build(
+            &mut live,
+            &[
+                a(0),
+                a(1),
+                a(2),
+                rlm(4, 5, 90.0, 2.0),
+                rlm(5, 4, 270.5, 2.05),
+                rlm(4, 5, 91.0, 1.95),
+                rlm(1, 2, 90.0, 2.0),
+                rlm(2, 1, 270.5, 2.02),
+            ],
+        );
+        let a_slots = |live: &MotionDbBuilder| live.pairs[live.pending[&(2, 3)] as usize].slots;
+        let before = a_slots(&live);
+        assert_eq!(before.entry, 0);
+        let first = address(&db, &table);
+        drop((db, table));
+
+        // Build 2 copies build 1 and writes A where build 1 placed it;
+        // build 3 writes A into build 1's buffers, at the same place.
+        drop(build(&mut live, &[a(3)]));
+        let (db, table) = build(&mut live, &[a(4)]);
+        assert_eq!(address(&db, &table), first, "build 3 is written in place");
+        drop((db, table));
+
+        // Build 4: 1-2 is built, and A moves.
+        let (db, table) = build(&mut live, &[rlm(1, 2, 89.5, 1.98)]);
+        let after = a_slots(&live);
+        assert_eq!(after.entry, 1);
+        assert!(after.table.forward != before.table.forward);
+        assert!(after.table.reverse != before.table.reverse);
+        let reshaped = address(&db, &table);
+        drop((db, table));
+
+        // Build 5 copies build 4; builds 6 and 7 write A into build 4's
+        // buffers and then build 5's, in place.
+        let (db, table) = build(&mut live, &[a(5)]);
+        let fifth = address(&db, &table);
+        drop((db, table));
+        let (db, table) = build(&mut live, &[a(6)]);
+        assert_eq!(
+            address(&db, &table),
+            reshaped,
+            "build 6 is written in place"
+        );
+        drop((db, table));
+        let (db7, table7) = build(&mut live, &[a(7)]);
+        assert_eq!(address(&db7, &table7), fifth, "build 7 is written in place");
+
+        // Build 7 is held: build 8 writes build 6's buffers, and build 9
+        // copies build 7's instead of writing them.
+        let held = (bits(&db7), (*table7).clone());
+        drop(build(&mut live, &[a(8)]));
+        let (db, table) = build(&mut live, &[a(9)]);
+        assert_ne!(address(&db, &table), address(&db7, &table7));
+        assert_eq!(
+            (bits(&db7), (*table7).clone()),
+            held,
+            "a held build changed"
+        );
     }
 
     #[test]

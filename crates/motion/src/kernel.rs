@@ -20,8 +20,9 @@
 //!
 //! A database that changed only in the statistics of pairs it already
 //! trained has the same runs, so [`MotionDbBuilder`] moves a table to
-//! the next database by overwriting those pairs' parameters in place
-//! (`PairTable::overwrite`) rather than laying out every pair again.
+//! the next database by writing those pairs' parameters in place, at
+//! the slots it remembers per pair (`PairTable::write`), rather than
+//! laying out every pair again.
 //!
 //! [`MotionDbBuilder`]: crate::builder::MotionDbBuilder
 //!
@@ -140,6 +141,14 @@ impl PairTable {
     /// ascending) before its forward targets (all above it,
     /// ascending): every run comes out sorted.
     pub fn build(db: &MotionDb) -> Self {
+        Self::build_placing(db, |_| {})
+    }
+
+    /// [`PairTable::build`], calling `placed` with the slots of each
+    /// canonical pair of `db` as it places them, in the order of
+    /// [`MotionDb::iter`]. They hold for every table of a database with
+    /// the same pairs, so [`PairTable::write`] can go straight to them.
+    pub(crate) fn build_placing(db: &MotionDb, mut placed: impl FnMut(TableSlots)) -> Self {
         let runs = db.iter().map(|(_, j, _)| j.index() + 1).max().unwrap_or(0);
         let mut offsets = if runs == 0 {
             Vec::new()
@@ -159,15 +168,18 @@ impl PairTable {
         let mut targets = vec![LocationId::new(1); directed];
         let mut params = vec![PairParams::default(); directed];
         let mut place = |from: LocationId, to: LocationId, p: PairParams| {
-            let at = &mut cursor[from.index()];
-            targets[*at as usize] = to;
-            params[*at as usize] = p;
-            *at += 1;
+            let at = cursor[from.index()];
+            targets[at as usize] = to;
+            params[at as usize] = p;
+            cursor[from.index()] += 1;
             target_bits[from.index()] |= 1 << (to.index() % 64);
+            at
         };
         for (i, j, stats) in db.iter() {
-            place(i, j, PairParams::of(stats));
-            place(j, i, PairParams::of(&stats.mirrored()));
+            placed(TableSlots {
+                forward: place(i, j, PairParams::of(stats)),
+                reverse: place(j, i, PairParams::of(&stats.mirrored())),
+            });
         }
         Self {
             location_count: db.location_count(),
@@ -178,22 +190,16 @@ impl PairTable {
         }
     }
 
-    /// Overwrites the parameters of the trained canonical pair `i → j`
-    /// with those of `stats`, in both orientations, by the arithmetic of
+    /// Writes the parameters of `stats` at the slots of a trained
+    /// canonical pair ([`PairTable::build_placing`]), its reverse
+    /// orientation by [`PairStats::mirrored`]: the arithmetic of
     /// [`PairTable::build`]. A database that differs from this table's
     /// only in the statistics of pairs both train has the same runs, so
-    /// after one overwrite per changed pair the table's bits equal a
-    /// build over that database.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i → j` is not canonical (`i < j`) or not trained.
-    pub(crate) fn overwrite(&mut self, i: LocationId, j: LocationId, stats: &PairStats) {
-        assert!(i < j, "({i}, {j}) is not a canonical pair");
-        let trained = |at: Option<usize>| at.unwrap_or_else(|| panic!("({i}, {j}) is not trained"));
-        let (forward, reverse) = (trained(self.position(i, j)), trained(self.position(j, i)));
-        self.params[forward] = PairParams::of(stats);
-        self.params[reverse] = PairParams::of(&stats.mirrored());
+    /// after one write per changed pair the table's bits equal a build
+    /// over that database.
+    pub(crate) fn write(&mut self, at: TableSlots, stats: &PairStats) {
+        self.params[at.forward as usize] = PairParams::of(stats);
+        self.params[at.reverse as usize] = PairParams::of(&stats.mirrored());
     }
 
     /// Where the trained pair `from → to` sits in `targets` and
@@ -235,6 +241,14 @@ impl PairTable {
         let (start, end) = (self.offsets[fi] as usize, self.offsets[fi + 1] as usize);
         (&self.targets[start..end], &self.params[start..end])
     }
+}
+
+/// Where one trained canonical pair sits in a [`PairTable`]: the
+/// slots of its forward and its reverse orientation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TableSlots {
+    pub(crate) forward: u32,
+    pub(crate) reverse: u32,
 }
 
 /// A precomputed view of a [`MotionDb`] for one matching
@@ -785,10 +799,11 @@ mod tests {
         /// A random database goes through batches of edits that replace
         /// the statistics of trained pairs (some pairs twice in one
         /// batch), and after each batch the table, with every changed
-        /// pair overwritten in place, must equal a build over the
-        /// edited database, every array bit for bit.
+        /// pair written in place at the slots the first table had for
+        /// it, must equal a build over the edited database, every array
+        /// bit for bit.
         #[test]
-        fn an_overwritten_table_equals_a_build(
+        fn a_table_written_at_its_slots_equals_a_build(
             seeds in prop::collection::vec((1..=TABLE_IDS, 1..=TABLE_IDS, 0u32..1000), 1..80),
             batches in prop::collection::vec(
                 prop::collection::vec((0usize..1000, 0u32..1000), 1..10),
@@ -802,17 +817,18 @@ mod tests {
                 }
             }
             prop_assume!(!db.is_empty());
-            let keys: Vec<_> = db.iter().map(|(i, j, _)| (i, j)).collect();
-            let mut table = PairTable::build(&db);
+            let mut slots = Vec::new();
+            let mut table = PairTable::build_placing(&db, |at| slots.push(at));
+            let keys: Vec<_> = db.iter().zip(slots).map(|((i, j, _), at)| (i, j, at)).collect();
             for batch in &batches {
-                let mut changed = std::collections::BTreeSet::new();
+                let mut changed = std::collections::BTreeMap::new();
                 for &(pick, seed) in batch {
-                    let (i, j) = keys[pick % keys.len()];
+                    let (i, j, at) = keys[pick % keys.len()];
                     db.insert(i, j, pair_stats(seed));
-                    changed.insert((i, j));
+                    changed.insert((i, j), at);
                 }
-                for &(i, j) in &changed {
-                    table.overwrite(i, j, &db.get(i, j).expect("trained"));
+                for (&(i, j), &at) in &changed {
+                    table.write(at, &db.get(i, j).expect("trained"));
                 }
                 prop_assert_eq!(&table, &PairTable::build(&db));
             }
@@ -820,25 +836,40 @@ mod tests {
     }
 
     #[test]
-    fn overwriting_a_pair_with_its_own_statistics_changes_nothing() {
+    fn writing_a_pair_with_its_own_statistics_changes_nothing() {
         let db = db();
-        let mut table = PairTable::build(&db);
-        table.overwrite(l(1), l(2), &db.get(l(1), l(2)).unwrap());
+        let mut slots = Vec::new();
+        let mut table = PairTable::build_placing(&db, |at| slots.push(at));
+        assert_eq!(
+            slots,
+            [TableSlots {
+                forward: 0,
+                reverse: 1
+            }]
+        );
+        table.write(slots[0], &db.get(l(1), l(2)).unwrap());
         assert_eq!(table, PairTable::build(&db));
     }
 
     #[test]
-    #[should_panic(expected = "not a canonical pair")]
-    fn an_overwrite_names_a_canonical_pair() {
-        let db = db();
-        PairTable::build(&db).overwrite(l(2), l(1), &db.get(l(1), l(2)).unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "not trained")]
-    fn an_overwrite_names_a_trained_pair() {
-        let db = db();
-        PairTable::build(&db).overwrite(l(2), l(3), &db.get(l(1), l(2)).unwrap());
+    fn each_pair_is_placed_where_lookups_find_it() {
+        // Pairs over 90 locations, several per origin in both roles.
+        let mut db = MotionDb::new(90);
+        for s in 0..300u32 {
+            let h = s.wrapping_mul(2_654_435_761);
+            let (a, b) = (1 + h % 90, 1 + (h >> 12) % 90);
+            if a != b {
+                db.insert(l(a), l(b), pair_stats(s));
+            }
+        }
+        let mut slots = Vec::new();
+        let table = PairTable::build_placing(&db, |at| slots.push(at));
+        assert_eq!(table, PairTable::build(&db));
+        assert_eq!(slots.len(), db.pair_count());
+        for ((i, j, _), at) in db.iter().zip(slots) {
+            assert_eq!(table.position(i, j), Some(at.forward as usize), "{i}->{j}");
+            assert_eq!(table.position(j, i), Some(at.reverse as usize), "{j}->{i}");
+        }
     }
 
     #[test]

@@ -219,18 +219,17 @@ impl MotionDb {
         }
     }
 
-    /// Replaces the statistics of the stored canonical pair `key` in
-    /// place: a [`MotionDb::patched`] that keeps every pair, without
-    /// the copy.
+    /// Replaces the statistics of the stored canonical pair `key`,
+    /// which sits at entry `at` (its position in [`MotionDb::iter`]): a
+    /// [`MotionDb::patched`] that keeps every pair, in place.
     ///
     /// # Panics
     ///
-    /// Panics when `key` is not stored.
-    pub(crate) fn overwrite(&mut self, key: (u32, u32), stats: PairStats) {
-        let at = self
-            .find(key)
-            .unwrap_or_else(|_| panic!("{key:?} is not a stored pair"));
-        self.entries[at].1 = stats;
+    /// Panics when entry `at` does not hold `key`.
+    pub(crate) fn write(&mut self, at: usize, key: (u32, u32), stats: PairStats) {
+        let entry = &mut self.entries[at];
+        assert_eq!(entry.0, key, "entry {at} holds another pair");
+        entry.1 = stats;
     }
 
     fn check(&self, id: LocationId) {

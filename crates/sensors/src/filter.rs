@@ -1,11 +1,7 @@
-//! Smoothing filters.
-//!
-//! The step detector smooths the raw magnitude; the paper's future-work
-//! section mentions Kalman-filtered gyroscope headings, which the
-//! reproduction offers as an extension via [`Kalman1D`].
+//! Smoothing filters: the centered moving average with which the step
+//! detector smooths the raw magnitude.
 
 use crate::series::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 /// Centered moving average with the given window (in samples). A window
 /// of 0 or 1 returns the input unchanged; even windows are rounded up to
@@ -38,112 +34,6 @@ pub fn moving_average_into(series: &TimeSeries, window: usize, out: &mut TimeSer
     .expect("rate unchanged");
 }
 
-/// First-order exponential smoothing: `y[i] = α·x[i] + (1−α)·y[i−1]`.
-///
-/// # Panics
-///
-/// Panics if `alpha` is outside `(0, 1]`.
-pub fn exponential(series: &TimeSeries, alpha: f64) -> TimeSeries {
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-    let mut prev = None;
-    series.map(|x| {
-        let y = match prev {
-            None => x,
-            Some(p) => alpha * x + (1.0 - alpha) * p,
-        };
-        prev = Some(y);
-        y
-    })
-}
-
-/// Centered median filter with the given window (odd sizes; even sizes
-/// behave like the next odd size).
-pub fn median(series: &TimeSeries, window: usize) -> TimeSeries {
-    if window <= 1 || series.is_empty() {
-        return series.clone();
-    }
-    let half = window / 2;
-    let v = series.values();
-    let out: Vec<f64> = (0..v.len())
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(v.len());
-            let mut w: Vec<f64> = v[lo..hi].to_vec();
-            // `total_cmp` keeps the sort well-defined when a sensor gap
-            // leaks NaN into the window (NaN sorts above +∞, so finite
-            // neighbors still win the middle slot when they outnumber
-            // the corrupted samples).
-            w.sort_by(f64::total_cmp);
-            w[w.len() / 2]
-        })
-        .collect();
-    TimeSeries::new(series.t0(), series.sample_rate_hz(), out).expect("rate unchanged")
-}
-
-/// A 1-D constant-state Kalman filter (random-walk model).
-///
-/// # Examples
-///
-/// ```
-/// use moloc_sensors::filter::Kalman1D;
-///
-/// let mut kf = Kalman1D::new(0.01, 1.0);
-/// for _ in 0..50 {
-///     kf.update(5.0);
-/// }
-/// assert!((kf.estimate().unwrap() - 5.0).abs() < 0.5);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Kalman1D {
-    process_var: f64,
-    measurement_var: f64,
-    state: Option<(f64, f64)>, // (estimate, error covariance)
-}
-
-impl Kalman1D {
-    /// Creates a filter with process variance `q` and measurement
-    /// variance `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both variances are positive.
-    pub fn new(process_var: f64, measurement_var: f64) -> Self {
-        assert!(
-            process_var > 0.0 && measurement_var > 0.0,
-            "variances must be positive"
-        );
-        Self {
-            process_var,
-            measurement_var,
-            state: None,
-        }
-    }
-
-    /// Incorporates one measurement and returns the new estimate.
-    pub fn update(&mut self, measurement: f64) -> f64 {
-        let (est, p) = match self.state {
-            None => (measurement, self.measurement_var),
-            Some((est, p)) => {
-                let p_pred = p + self.process_var;
-                let k = p_pred / (p_pred + self.measurement_var);
-                (est + k * (measurement - est), (1.0 - k) * p_pred)
-            }
-        };
-        self.state = Some((est, p));
-        est
-    }
-
-    /// The current estimate, `None` before the first update.
-    pub fn estimate(&self) -> Option<f64> {
-        self.state.map(|(e, _)| e)
-    }
-
-    /// Filters a whole series.
-    pub fn filter_series(mut self, series: &TimeSeries) -> TimeSeries {
-        series.map(|x| self.update(x))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,68 +62,5 @@ mod tests {
         let input = s(vec![4.0; 10]);
         let out = moving_average(&input, 5);
         assert!(out.values().iter().all(|&v| (v - 4.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn exponential_converges_to_constant() {
-        let out = exponential(&s(vec![10.0; 100]), 0.2);
-        assert!((out.values()[99] - 10.0).abs() < 1e-9);
-        assert_eq!(out.values()[0], 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn exponential_rejects_zero_alpha() {
-        let _ = exponential(&s(vec![1.0]), 0.0);
-    }
-
-    #[test]
-    fn median_removes_impulse() {
-        let out = median(&s(vec![1.0, 1.0, 99.0, 1.0, 1.0]), 3);
-        assert_eq!(out.values()[2], 1.0);
-    }
-
-    #[test]
-    fn median_tolerates_nan_samples() {
-        // A dropped sensor sample rendered as NaN must not panic the
-        // sort; windows where finite samples hold the majority still
-        // produce a finite median.
-        let out = median(&s(vec![1.0, f64::NAN, 2.0, 2.0, 3.0]), 3);
-        assert_eq!(out.len(), 5);
-        assert_eq!(out.values()[2], 2.0);
-        assert_eq!(out.values()[3], 2.0);
-    }
-
-    #[test]
-    fn kalman_tracks_constant_with_noise() {
-        let mut kf = Kalman1D::new(1e-4, 0.5);
-        let noisy = [4.8, 5.3, 5.1, 4.7, 5.2, 5.0, 4.9, 5.1];
-        let mut last = 0.0;
-        for m in noisy {
-            last = kf.update(m);
-        }
-        assert!((last - 5.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn kalman_first_update_is_measurement() {
-        let mut kf = Kalman1D::new(0.1, 1.0);
-        assert_eq!(kf.estimate(), None);
-        assert_eq!(kf.update(3.5), 3.5);
-        assert_eq!(kf.estimate(), Some(3.5));
-    }
-
-    #[test]
-    fn kalman_filters_series() {
-        let kf = Kalman1D::new(0.01, 1.0);
-        let out = kf.filter_series(&s(vec![1.0, 1.0, 1.0, 1.0]));
-        assert_eq!(out.len(), 4);
-        assert!((out.values()[3] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn kalman_rejects_zero_variance() {
-        let _ = Kalman1D::new(0.0, 1.0);
     }
 }

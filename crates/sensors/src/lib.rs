@@ -17,8 +17,7 @@
 //! * [`compass`] — synthetic compass readings with placement offset.
 //! * [`heading`] — Zee-style placement-independent heading-offset
 //!   estimation and motion-direction extraction.
-//! * [`filter`] — smoothing filters (moving average, exponential,
-//!   median, and a 1-D Kalman filter).
+//! * [`filter`] — the moving-average smoothing of the step detector.
 //! * [`gyro`] / [`fusion`] — the paper's future-work extension:
 //!   synthetic gyroscope turn rates and Kalman compass–gyro heading
 //!   fusion.

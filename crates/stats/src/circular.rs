@@ -3,12 +3,9 @@
 //! Compass headings and motion directions live on a circle: `359°` and
 //! `1°` are two degrees apart, and averaging them must give `0°`, not
 //! `180°`. This module provides normalization, signed differences, the
-//! circular mean, and an online accumulator ([`CircularWelford`]) that
-//! yields the mean direction plus the standard deviation of signed
-//! deviations around it — exactly the `(μᵈ, σᵈ)` pair MoLoc stores per
-//! motion-database entry.
-
-use serde::{Deserialize, Serialize};
+//! circular mean (over an iterator, or from the running sums of a
+//! [`ResultantSum`]), and the spread of signed deviations around a mean:
+//! the `(μᵈ, σᵈ)` pair MoLoc stores per motion-database entry.
 
 /// Normalizes an angle in degrees into `[0, 360)`.
 ///
@@ -68,7 +65,8 @@ pub fn reverse_deg(angle: f64) -> f64 {
 }
 
 /// The circular mean of directions in degrees, or `None` when the input
-/// is empty or the resultant vector is (numerically) zero.
+/// is empty or the resultant vector is (numerically) zero: the
+/// [`ResultantSum::mean_deg`] of the angles pushed in order.
 ///
 /// # Examples
 ///
@@ -78,27 +76,66 @@ pub fn reverse_deg(angle: f64) -> f64 {
 /// assert!(m < 1.0 || m > 359.0);
 /// ```
 pub fn circular_mean_deg<I: IntoIterator<Item = f64>>(angles: I) -> Option<f64> {
-    let (mut s, mut c, mut n) = (0.0, 0.0, 0u64);
+    let mut sum = ResultantSum::default();
     for a in angles {
-        let r = a.to_radians();
-        s += r.sin();
-        c += r.cos();
-        n += 1;
+        sum.push(a);
     }
-    if n == 0 {
-        return None;
+    sum.mean_deg()
+}
+
+/// Running sums of the unit vectors of directions (degrees): the
+/// resultant whose angle is their circular mean. A sum grown by `push`
+/// in the order [`circular_mean_deg`] reads its angles has that mean
+/// bit for bit, so a caller that keeps one per sample set gets the mean
+/// without a sine or cosine per sample.
+///
+/// # Examples
+///
+/// ```
+/// use moloc_stats::circular::{circular_mean_deg, ResultantSum};
+/// let mut sum = ResultantSum::default();
+/// for a in [350.0, 10.0, 20.0] {
+///     sum.push(a);
+/// }
+/// assert_eq!(sum.mean_deg(), circular_mean_deg([350.0, 10.0, 20.0]));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ResultantSum {
+    sin: f64,
+    cos: f64,
+    count: u64,
+}
+
+impl ResultantSum {
+    /// Adds the unit vector of one direction in degrees.
+    #[inline]
+    pub fn push(&mut self, angle_deg: f64) {
+        let r = angle_deg.to_radians();
+        self.sin += r.sin();
+        self.cos += r.cos();
+        self.count += 1;
     }
-    let (s, c) = (s / n as f64, c / n as f64);
-    if s.hypot(c) < 1e-12 {
-        return None;
+
+    /// The circular mean of the directions pushed, in `[0, 360)`, or
+    /// `None` when none were or the mean resultant vector is shorter
+    /// than `1e-12` (opposite directions cancel).
+    pub fn mean_deg(&self) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let n = self.count as f64;
+        let (s, c) = (self.sin / n, self.cos / n);
+        if s.hypot(c) < 1e-12 {
+            return None;
+        }
+        Some(normalize_deg(s.atan2(c).to_degrees()))
     }
-    Some(normalize_deg(s.atan2(c).to_degrees()))
 }
 
 /// The population standard deviation of the signed deviations of
-/// `angles` from `mean` (degrees): the spread [`CircularWelford::std`]
-/// reports around its circular mean, for callers that already hold the
-/// mean. `NaN` for no angles.
+/// `angles` from `mean` (degrees), for callers that already hold the
+/// circular mean: the `σᵈ` of a motion-database pair. `NaN` for no
+/// angles.
 ///
 /// # Examples
 ///
@@ -116,86 +153,6 @@ pub fn deviation_std_deg<I: IntoIterator<Item = f64>>(mean: f64, angles: I) -> f
         })
         .sum();
     (ss / n as f64).sqrt()
-}
-
-/// Online accumulator for directional data.
-///
-/// Tracks the resultant vector for the circular mean and, in a second
-/// conceptual pass that is folded into the same accumulation (deviations
-/// around the running circular mean are not exact, so we keep raw angles
-/// compressed as sin/cos sums *and* the sum of squared deviations around
-/// a provisional reference), the spread of the sample.
-///
-/// For the motion database we need `(μᵈ, σᵈ)` with `σᵈ` measured as the
-/// standard deviation of the *signed deviations* from the mean direction.
-/// This accumulator stores all angles (they are few per location pair) to
-/// compute that exactly; memory is bounded by the crowdsourcing volume
-/// per pair, which is small by construction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CircularWelford {
-    angles: Vec<f64>,
-}
-
-impl CircularWelford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a direction in degrees.
-    pub fn push(&mut self, angle_deg: f64) {
-        self.angles.push(normalize_deg(angle_deg));
-    }
-
-    /// Number of directions pushed.
-    pub fn count(&self) -> usize {
-        self.angles.len()
-    }
-
-    /// The circular mean, or `None` when empty / degenerate.
-    pub fn mean(&self) -> Option<f64> {
-        circular_mean_deg(self.angles.iter().copied())
-    }
-
-    /// Standard deviation of signed deviations around the circular mean
-    /// (population form), or `None` when the mean is undefined.
-    pub fn std(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        Some(deviation_std_deg(mean, self.iter()))
-    }
-
-    /// Iterates over the accumulated (normalized) angles.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + Clone + '_ {
-        self.angles.iter().copied()
-    }
-
-    /// Retains only angles within `max_dev` degrees of the circular mean,
-    /// returning how many were removed. Used by the motion database's
-    /// fine-grained outlier filter.
-    pub fn retain_within(&mut self, max_dev: f64) -> usize {
-        let Some(mean) = self.mean() else {
-            return 0;
-        };
-        let before = self.angles.len();
-        self.angles.retain(|&a| abs_diff_deg(mean, a) <= max_dev);
-        before - self.angles.len()
-    }
-}
-
-impl Extend<f64> for CircularWelford {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for a in iter {
-            self.push(a);
-        }
-    }
-}
-
-impl FromIterator<f64> for CircularWelford {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut acc = Self::new();
-        acc.extend(iter);
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -245,30 +202,59 @@ mod tests {
     }
 
     #[test]
-    fn welford_mean_and_std_simple() {
-        let acc: CircularWelford = [80.0, 90.0, 100.0].iter().copied().collect();
-        let mean = acc.mean().unwrap();
-        assert!((mean - 90.0).abs() < 1e-9);
-        let std = acc.std().unwrap();
-        // deviations −10, 0, +10 → population std sqrt(200/3)
-        assert!((std - (200.0f64 / 3.0).sqrt()).abs() < 1e-9);
+    fn deviation_std_around_the_mean() {
+        for angles in [[80.0, 90.0, 100.0], [350.0, 0.0, 10.0]] {
+            let mean = circular_mean_deg(angles).unwrap();
+            assert!(abs_diff_deg(mean, angles[1]) < 1e-9);
+            // deviations −10, 0, +10 → population std sqrt(200/3)
+            let std = deviation_std_deg(mean, angles);
+            assert!((std - (200.0f64 / 3.0).sqrt()).abs() < 1e-9);
+        }
+    }
+
+    /// The mean of a [`ResultantSum`] grown one angle at a time.
+    fn sum_mean(angles: &[f64]) -> Option<f64> {
+        let mut sum = ResultantSum::default();
+        angles.iter().for_each(|&a| sum.push(a));
+        sum.mean_deg()
     }
 
     #[test]
-    fn welford_handles_wraparound_spread() {
-        let acc: CircularWelford = [350.0, 0.0, 10.0].iter().copied().collect();
-        let mean = acc.mean().unwrap();
-        assert!(abs_diff_deg(mean, 0.0) < 1e-9);
-        let std = acc.std().unwrap();
-        assert!((std - (200.0f64 / 3.0).sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn retain_within_removes_outliers() {
-        let mut acc: CircularWelford = [90.0, 92.0, 88.0, 91.0, 270.0].iter().copied().collect();
-        let removed = acc.retain_within(45.0);
-        assert_eq!(removed, 1);
-        assert_eq!(acc.count(), 4);
-        assert!(abs_diff_deg(acc.mean().unwrap(), 90.25).abs() < 2.0);
+    fn the_sum_form_is_circular_mean_deg_bit_for_bit() {
+        let cases: [&[f64]; 8] = [
+            &[],
+            // Opposite directions: a zero resultant, under 1e-12.
+            &[0.0, 180.0],
+            &[90.0, 270.0, 45.0, 225.0],
+            // Means across the 0°/360° seam, on both sides of it.
+            &[355.0, 5.0],
+            &[359.999, 0.001, 358.0],
+            &[350.0, 0.0, 10.0, 11.5],
+            &[10.0, 20.0, 15.5],
+            &[271.3, 268.9, 270.2, 269.4, 275.0, 91.0],
+        ];
+        for angles in cases {
+            let want = circular_mean_deg(angles.iter().copied());
+            assert_eq!(
+                sum_mean(angles).map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{angles:?}"
+            );
+        }
+        assert_eq!(sum_mean(&[]), None);
+        assert_eq!(sum_mean(&[0.0, 180.0]), None);
+        let seam = sum_mean(&[359.999, 0.001, 358.0]).unwrap();
+        assert!(seam > 359.0, "{seam}");
+        // Pseudo-random angles of every magnitude, summed in order.
+        let mut angles = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            angles.push((x % 720_000) as f64 / 1000.0 - 360.0);
+            let want = circular_mean_deg(angles.iter().copied());
+            assert_eq!(sum_mean(&angles).map(f64::to_bits), want.map(f64::to_bits));
+        }
     }
 }
