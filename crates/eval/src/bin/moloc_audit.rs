@@ -9,12 +9,16 @@
 //!   dissimilarities to 1e-9; the contracts document bit-identity,
 //!   the slack merely decouples the gate from libm). The strategies
 //!   are reached through input shape alone: `knn.scalar` and
-//!   `knn.blocked` run over the paper's 28-row index and a synthetic
-//!   one of exactly `SMALL_INDEX_ROWS` rows (blocks loop over the
-//!   per-query scan) and one above it (blocks take the f32 mirror).
-//!   `knn.blocked` mixes clean and masked lanes at the paper's k and
-//!   adds, above the crossover, a k = 17 block and a block holding a
-//!   1e16 value (both the per-query fallback).
+//!   `knn.blocked` run over the paper's 28-row index, a copy of it
+//!   with every third row planted equal to the one before (ties on
+//!   every query), a synthetic one of exactly `SMALL_INDEX_ROWS` rows
+//!   (blocks loop over the per-query scan) and one above it (blocks
+//!   take the f32 mirror). `knn.scalar` also checks the Eq. 2 pick
+//!   (`NnLocalizer::localize_slice`, clean and masked) against the
+//!   oracle's nearest neighbour on every index, and on the planted
+//!   rows themselves. `knn.blocked` mixes clean and masked lanes at
+//!   the paper's k and adds, above the crossover, a k = 17 block and a
+//!   block holding a 1e16 value (both the per-query fallback).
 //! * `kernel.pair` / `kernel.stay` — the tabulated-CDF motion kernel
 //!   vs the exact `erf` evaluation (documented accuracy 1e-6; gate at
 //!   2e-6). `kernel.pair` probes every ordered pair of the hall and
@@ -103,6 +107,7 @@ use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SMALL_INDEX_ROWS};
 use moloc_fingerprint::knn::Neighbor;
+use moloc_fingerprint::nn_localizer::NnLocalizer;
 use moloc_geometry::LocationId;
 use moloc_live::{DbSnapshot, SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
@@ -316,11 +321,11 @@ fn index_of(rows: &[(LocationId, Vec<f64>)]) -> FingerprintIndex {
 }
 
 /// The k-NN suites run every route of the index's shape dispatch over
-/// three indices: the setting's (the paper's 28 rows, where blocks loop
+/// four indices: the setting's (the paper's 28 rows, where blocks loop
 /// over the per-query scan), a synthetic one of exactly
-/// `SMALL_INDEX_ROWS` rows (the last size that loops), and a synthetic
+/// `SMALL_INDEX_ROWS` rows (the last size that loops), a synthetic
 /// one above it (blocks take the f32 mirror, with its k = 17 and 1e16
-/// per-query fallbacks).
+/// per-query fallbacks), and the setting's with planted twin rows.
 fn knn_suites(
     setting: &Setting,
     queries: &[Vec<f64>],
@@ -336,10 +341,18 @@ fn knn_suites(
         .collect();
     let crossover = synthetic_rows(seed, 0xA1, SMALL_INDEX_ROWS);
     let above = synthetic_rows(seed, 0xA2, SMALL_INDEX_ROWS + 37);
+    // The paper's rows with every third row planted equal to the one
+    // before it: each query ties on every twin pair, and the lower id
+    // must come first.
+    let mut twins = paper.clone();
+    for at in (1..twins.len()).step_by(3) {
+        twins[at].1 = twins[at - 1].1.clone();
+    }
     let surveys = [
         ("paper", &paper),
         ("crossover", &crossover),
         ("above", &above),
+        ("twins", &twins),
     ];
     let indices: Vec<FingerprintIndex> = surveys.iter().map(|(_, rows)| index_of(rows)).collect();
     let k = MoLocConfig::paper().k;
@@ -374,6 +387,45 @@ fn knn_suites(
                 &mut divs,
             );
             cases += 1;
+        }
+    }
+    // Eq. 2: `NnLocalizer`'s pick, clean and masked, must be the
+    // oracle's nearest neighbour. The twin survey also asks for every
+    // planted row itself, a distance-0 tie.
+    for ((name, rows), index) in surveys.iter().zip(&indices) {
+        let db = FingerprintDb::from_fingerprints(
+            rows.iter()
+                .map(|(id, r)| (*id, Fingerprint::new(r.clone())))
+                .collect(),
+        )
+        .expect("synthetic rows are a valid database");
+        let localizer = NnLocalizer::with_index(&db, index);
+        let planted = (*name == "twins").then_some(rows.iter().skip(1).step_by(3));
+        let eq2_queries = queries
+            .iter()
+            .chain(planted.into_iter().flatten().map(|(_, r)| r));
+        for (qi, query) in eq2_queries.enumerate() {
+            let masked = masked_query(query, seed, qi as u64);
+            let rows = || rows.iter().map(|(id, r)| (*id, r.as_slice()));
+            for (kind, q, expected) in [
+                ("", query, oracle::k_nearest(rows(), query, 1)),
+                (
+                    "masked ",
+                    &masked,
+                    oracle::k_nearest_masked(rows(), &masked, 1).0,
+                ),
+            ] {
+                let pick = localizer.localize_slice(q).expect("query length matches");
+                if pick != expected[0].0 {
+                    divs.push(Divergence {
+                        suite: "knn.scalar".to_string(),
+                        case: format!("{name} Eq. 2 {kind}query {qi}"),
+                        expected: expected[0].0.to_string(),
+                        actual: pick.to_string(),
+                    });
+                }
+                cases += 1;
+            }
         }
     }
     report.finish_suite("knn.scalar", cases, divs);

@@ -34,10 +34,10 @@
 //! # Chunking
 //!
 //! Items are batched into contiguous shards before hitting the deques;
-//! the default shard size ([`default_chunk`]) targets four shards per
-//! worker (good load balance for uneven traces without per-item
-//! scheduling cost). Callers that need another size pass it per call
-//! via [`par_run_chunked`].
+//! the default shard size ([`default_chunk`]) deals each worker at
+//! least four shards when there are that many items (good load balance
+//! for uneven traces without per-item scheduling cost). Callers that need another size pass it
+//! per call via [`par_run_chunked`].
 
 use crate::runtime::{shard_ranges, Runtime, SlotVec};
 use moloc_core::error::MolocError;
@@ -164,11 +164,16 @@ pub fn validate_env() -> Result<(), MolocError> {
     Ok(())
 }
 
-/// The default shard size for `n` items on `workers` workers: four
-/// shards per worker, so natural cost imbalance (trace lengths vary)
-/// load-balances through stealing without per-item scheduling.
+/// The default shard size for `n` items on `workers` workers:
+/// `n / (workers × 4)` rounded down, at least 1, so each worker is
+/// dealt at least four shards when `n` allows, and natural cost
+/// imbalance (trace lengths vary) load-balances through stealing
+/// without per-item scheduling.
+/// Rounding down keeps the tail stealable: 34 traces at width 2 make
+/// eight shards of 4 and one of 2, so a worker that runs dry still
+/// finds a shard waiting on the other's deque.
 pub fn default_chunk(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers.max(1) * 4).max(1)
+    (n / (workers.max(1) * 4)).max(1)
 }
 
 /// Applies `f` to `0..n` on the persistent worker pool and returns the
@@ -461,5 +466,8 @@ mod tests {
         assert_eq!(default_chunk(3, 4), 1);
         assert_eq!(default_chunk(1000, 1), 250);
         assert_eq!(default_chunk(0, 8), 1);
+        // Rounded down: a paper round's 34 traces at width 2.
+        assert_eq!(default_chunk(34, 2), 4);
+        assert_eq!(default_chunk(150, 2), 18);
     }
 }

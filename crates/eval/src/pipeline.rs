@@ -26,7 +26,6 @@ use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
-use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_fingerprint::nn_localizer::NnLocalizer;
 use moloc_geometry::LocationId;
@@ -41,7 +40,7 @@ use moloc_motion::matrix::MotionDb;
 use moloc_motion::rlm::Rlm;
 use moloc_radio::survey::{SiteSurvey, SurveySplit};
 use moloc_radio::RadioMap;
-use moloc_sensors::heading::HeadingOffsetEstimator;
+use moloc_sensors::heading::{HeadingOffsetEstimator, TrimmedOffset};
 use moloc_sensors::steps::StepDetector;
 use moloc_sensors::stride::offset_m;
 use moloc_stats::circular::normalize_deg;
@@ -226,15 +225,12 @@ impl EvalWorld {
             n_aps >= 1 && n_aps <= self.survey.ap_count(),
             "invalid AP count {n_aps}"
         );
+        // The survey means fold each scan's first `n_aps` values.
         let fdb = FingerprintDb::from_samples(self.survey.locations().iter().map(|loc| {
+            let samples = loc.fingerprint.iter();
             (
                 loc.location,
-                loc.fingerprint
-                    .iter()
-                    .map(|scan| {
-                        Fingerprint::new(scan.iter().take(n_aps).map(|d| d.value()).collect())
-                    })
-                    .collect::<Vec<_>>(),
+                samples.map(|scan| scan.iter().take(n_aps).map(|d| d.value())),
             )
         }))
         .expect("survey covers every location");
@@ -244,28 +240,13 @@ impl EvalWorld {
         // is identical to a serial run. One index serves every trace,
         // and the intervals are the ones the build measured.
         let index = FingerprintIndex::build(&fdb);
+        let localizer = NnLocalizer::with_index(&fdb, &index);
         let per_trace_rlms: Vec<Vec<Rlm>> = par_run(self.corpus.train.len(), |i| {
-            let analysis = self.analyze(TraceSplit::Train, i, &fdb, &index, counting, n_aps);
-            analysis
-                .intervals
-                .iter()
-                .zip(&analysis.measurements)
-                .filter_map(|(interval, measurement)| {
-                    let m = measurement.as_ref()?;
-                    let from = analysis.nn_estimates[interval.from_index];
-                    let to = analysis.nn_estimates[interval.to_index];
-                    if from == to {
-                        return None;
-                    }
-                    Rlm::new(from, to, m.direction_deg, m.offset_m).ok()
-                })
-                .collect()
+            self.training_rlms(i, &localizer, counting, n_aps)
         });
         let mut builder = MotionDbBuilder::new(self.hall.map.clone(), sanitation)
             .expect("experiment sanitation configs are valid");
-        for rlm in per_trace_rlms.into_iter().flatten() {
-            builder.observe(rlm);
-        }
+        builder.observe_all(per_trace_rlms.into_iter().flatten());
         let (motion_db, build_report) = builder.build();
         Setting {
             n_aps,
@@ -274,6 +255,38 @@ impl EvalWorld {
             build_report,
             counting,
         }
+    }
+
+    /// The RLMs training trace `trace_index` contributes to a setting
+    /// (Sec. IV-B): for each interval whose endpoints' Eq. 2 picks
+    /// differ and whose calibrated measurement survives, the RLM from
+    /// pick to pick. These are the RLMs of [`EvalWorld::analyze`]'s
+    /// picks and measurements, computed from the stored intervals
+    /// without building the analysis.
+    fn training_rlms(
+        &self,
+        trace_index: usize,
+        localizer: &NnLocalizer<'_>,
+        counting: CountingMethod,
+        n_aps: usize,
+    ) -> Vec<Rlm> {
+        let _span = moloc_obs::span("eval.pipeline.analyze_trace");
+        let (trace, intervals) = self.measured(TraceSplit::Train, trace_index);
+        let nn = nn_estimates(trace, localizer, n_aps);
+        let heading_offset_deg =
+            calibrate(intervals, &nn, &self.hall).map_or(0.0, |c| c.offset_deg);
+        let step_length = trace.user.step_length_m();
+        intervals
+            .iter()
+            .filter_map(|interval| {
+                let (from, to) = (nn[interval.from_index], nn[interval.to_index]);
+                if from == to {
+                    return None;
+                }
+                let m = measure(interval, heading_offset_deg, step_length, counting)?;
+                Rlm::new(from, to, m.direction_deg, m.offset_m).ok()
+            })
+            .collect()
     }
 
     /// The paper-default setting: CSC counting, paper sanitation.
@@ -366,7 +379,13 @@ fn analyze_measured(
     counting: CountingMethod,
     n_aps: usize,
 ) -> TraceAnalysis {
-    let nn_estimates: Vec<LocationId> = trace
+    let nn_estimates = nn_estimates(trace, localizer, n_aps);
+    analyze_estimated(trace, intervals, nn_estimates, hall, counting)
+}
+
+/// Each pass's Eq. 2 pick over its scan's first `n_aps` values.
+fn nn_estimates(trace: &SensorTrace, localizer: &NnLocalizer<'_>, n_aps: usize) -> Vec<LocationId> {
+    trace
         .scans
         .iter()
         .map(|scan| {
@@ -374,8 +393,7 @@ fn analyze_measured(
                 .localize_slice(&scan[..n_aps])
                 .expect("scan length matches database")
         })
-        .collect();
-    analyze_estimated(trace, intervals, nn_estimates, hall, counting)
+        .collect()
 }
 
 /// The analysis of a trace whose intervals and per-pass nearest
@@ -387,13 +405,37 @@ fn analyze_estimated(
     hall: &OfficeHall,
     counting: CountingMethod,
 ) -> TraceAnalysis {
-    // Zee-style calibration: raw compass direction vs map bearing of
-    // the estimated endpoints. Wrong endpoint estimates contaminate the
-    // pairs; the 45-degree trimmed circular mean absorbs that (mirror
-    // mistakes on east-west aisles even leave the reference bearing
-    // intact, anchoring the estimate).
+    let calibration = calibrate(&intervals, &nn_estimates, hall);
+    let heading_offset_deg = calibration.map_or(0.0, |c| c.offset_deg);
+    let calibration_reliable = calibration.is_some();
+    let step_length = trace.user.step_length_m();
+    let measurements = intervals
+        .iter()
+        .map(|interval| measure(interval, heading_offset_deg, step_length, counting))
+        .collect();
+
+    TraceAnalysis {
+        nn_estimates,
+        intervals,
+        measurements,
+        heading_offset_deg,
+        calibration_reliable,
+    }
+}
+
+/// A trace's heading calibration, Zee-style: the raw compass direction
+/// of each interval against the map bearing between its endpoints'
+/// estimated locations. Wrong endpoint estimates contaminate the pairs;
+/// the 45-degree trimmed circular mean absorbs that (mirror mistakes on
+/// east-west aisles even leave the reference bearing intact, anchoring
+/// the estimate). `None` without a usable pair.
+fn calibrate(
+    intervals: &[IntervalMeasurement],
+    nn_estimates: &[LocationId],
+    hall: &OfficeHall,
+) -> Option<TrimmedOffset> {
     let mut estimator = HeadingOffsetEstimator::new();
-    for interval in &intervals {
+    for interval in intervals {
         let (from, to) = (
             nn_estimates[interval.from_index],
             nn_estimates[interval.to_index],
@@ -408,41 +450,36 @@ fn analyze_estimated(
         };
         estimator.observe(raw, reference);
     }
-    let calibration = estimator.trimmed_stats(45.0);
-    let heading_offset_deg = calibration.map_or(0.0, |c| c.offset_deg);
-    let calibration_reliable = calibration.is_some();
+    estimator.trimmed_stats(45.0)
+}
 
-    let step_length = trace.user.step_length_m();
-    let measurements = intervals
-        .iter()
-        .map(|interval| {
-            interval
-                .raw_direction_deg
-                .map(|raw| {
-                    let steps = match counting {
-                        CountingMethod::Continuous => interval.steps_csc,
-                        CountingMethod::Discrete => interval.steps_dsc,
-                    };
-                    MotionMeasurement {
-                        direction_deg: normalize_deg(raw - heading_offset_deg),
-                        offset_m: offset_m(steps, step_length),
-                    }
-                })
-                // Degraded sensor input (gaps, jitter) can leak NaN
-                // through step counts; drop the measurement — the
-                // interval localizes fingerprint-only — rather than
-                // hand the engine a `BadMeasurement`.
-                .filter(|m| m.direction_deg.is_finite() && m.offset_m.is_finite())
+/// An interval's motion measurement under a heading offset: its raw
+/// compass direction corrected by the offset and its step count times
+/// the step length. `None` without a compass direction or when a value
+/// is not finite.
+fn measure(
+    interval: &IntervalMeasurement,
+    heading_offset_deg: f64,
+    step_length: f64,
+    counting: CountingMethod,
+) -> Option<MotionMeasurement> {
+    interval
+        .raw_direction_deg
+        .map(|raw| {
+            let steps = match counting {
+                CountingMethod::Continuous => interval.steps_csc,
+                CountingMethod::Discrete => interval.steps_dsc,
+            };
+            MotionMeasurement {
+                direction_deg: normalize_deg(raw - heading_offset_deg),
+                offset_m: offset_m(steps, step_length),
+            }
         })
-        .collect();
-
-    TraceAnalysis {
-        nn_estimates,
-        intervals,
-        measurements,
-        heading_offset_deg,
-        calibration_reliable,
-    }
+        // Degraded sensor input (gaps, jitter) can leak NaN through
+        // step counts; drop the measurement — the interval localizes
+        // fingerprint-only — rather than hand the engine a
+        // `BadMeasurement`.
+        .filter(|m| m.direction_deg.is_finite() && m.offset_m.is_finite())
 }
 
 /// One localization outcome at one reference-location pass.
@@ -641,6 +678,64 @@ mod tests {
             let r = setting.build_report;
             assert!(r.observed >= r.rejected_coarse);
             assert!(r.pairs_built > 0);
+        }
+    }
+
+    #[test]
+    fn survey_means_fold_each_scan_as_a_fingerprint_would() {
+        // The setting folds the survey's scans straight into the means;
+        // one fingerprint per sample must give the same bits.
+        let world = world();
+        for n_aps in [4, 6] {
+            let setting = world.setting(n_aps);
+            let per_sample =
+                FingerprintDb::from_samples(world.survey.locations().iter().map(|loc| {
+                    let samples = loc.fingerprint.iter().map(|scan| {
+                        moloc_fingerprint::fingerprint::Fingerprint::new(
+                            scan.iter().take(n_aps).map(|d| d.value()).collect(),
+                        )
+                    });
+                    (loc.location, samples)
+                }))
+                .unwrap();
+            let bits = |db: &FingerprintDb| {
+                db.iter()
+                    .map(|(id, fp)| (id, fp.values().iter().map(|v| v.to_bits()).collect()))
+                    .collect::<Vec<(LocationId, Vec<u64>)>>()
+            };
+            assert_eq!(bits(&setting.fdb), bits(&per_sample));
+        }
+    }
+
+    #[test]
+    fn training_rlms_are_the_analysis_rlms() {
+        // What each training trace contributes equals the RLMs read off
+        // its full analysis: picks, calibration and offsets.
+        let world = world();
+        let setting = world.setting(5);
+        let index = FingerprintIndex::build(&setting.fdb);
+        let localizer = NnLocalizer::with_index(&setting.fdb, &index);
+        for counting in [CountingMethod::Continuous, CountingMethod::Discrete] {
+            for i in 0..world.corpus.train.len() {
+                let a = world.analyze(TraceSplit::Train, i, &setting.fdb, &index, counting, 5);
+                let want: Vec<Rlm> = a
+                    .intervals
+                    .iter()
+                    .zip(&a.measurements)
+                    .filter_map(|(interval, m)| {
+                        let m = m.as_ref()?;
+                        let from = a.nn_estimates[interval.from_index];
+                        let to = a.nn_estimates[interval.to_index];
+                        (from != to)
+                            .then(|| Rlm::new(from, to, m.direction_deg, m.offset_m).ok())?
+                    })
+                    .collect();
+                assert_eq!(
+                    world.training_rlms(i, &localizer, counting, 5),
+                    want,
+                    "trace {i}"
+                );
+            }
         }
     }
 

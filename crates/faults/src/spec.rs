@@ -23,7 +23,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ap::{ApDropout, ApOutage, RogueAp, StaleDrift};
-use crate::plan::FaultSuite;
 use crate::rlm::RlmCorruption;
 use crate::sensor::{SensorGap, TimestampJitter};
 use crate::stream::{
@@ -32,12 +31,10 @@ use crate::stream::{
 
 /// A declarative fault composition: one optional slot per injector.
 ///
-/// The content-level slots build a [`FaultSuite`] via
-/// [`FaultPlanSpec::build_suite`]; the stream/lifecycle slots
-/// (`scan_reorder`, `scan_duplicate`, `scan_loss`,
-/// `checkpoint_corruption`, `stale_snapshot`) are consumed by the
-/// session and live layers directly, since they act on transport and
-/// lifecycle rather than on input contents.
+/// The first eight slots act on input contents; the stream/lifecycle
+/// slots (`scan_reorder`, `scan_duplicate`, `scan_loss`,
+/// `checkpoint_corruption`, `stale_snapshot`) act on transport and
+/// lifecycle, and the session and live layers consume them directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlanSpec {
     /// Per-reading AP dropout.
@@ -69,38 +66,6 @@ pub struct FaultPlanSpec {
 }
 
 impl FaultPlanSpec {
-    /// Builds the content-level [`FaultSuite`] this spec describes, in
-    /// the fixed field order (so composition order is part of the
-    /// spec's meaning and reproduces exactly).
-    pub fn build_suite(&self) -> FaultSuite {
-        let mut suite = FaultSuite::new();
-        if let Some(p) = self.ap_dropout {
-            suite = suite.with(p);
-        }
-        if let Some(p) = self.ap_outage {
-            suite = suite.with(p);
-        }
-        if let Some(p) = self.rogue_ap {
-            suite = suite.with(p);
-        }
-        if let Some(p) = self.stale_drift {
-            suite = suite.with(p);
-        }
-        if let Some(p) = self.sensor_gap {
-            suite = suite.with(p);
-        }
-        if let Some(p) = self.timestamp_jitter {
-            suite = suite.with(p);
-        }
-        if let Some(p) = self.rlm_corruption {
-            suite = suite.with(p);
-        }
-        if let Some(p) = self.clock_skew {
-            suite = suite.with(p);
-        }
-        suite
-    }
-
     /// Names of the active injectors, in composition order.
     pub fn active(&self) -> Vec<&'static str> {
         let mut names = Vec::new();
@@ -246,12 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_spec_round_trips_and_builds_an_empty_suite() {
+    fn empty_spec_round_trips() {
         let spec = FaultPlanSpec::default();
         let back = FaultPlanSpec::from_json(&spec.to_json().expect("serializes")).expect("parses");
         assert_eq!(spec, back);
-        assert!(spec.build_suite().is_empty());
         assert!(spec.active().is_empty());
+        assert_eq!(full_spec().active().len(), 13);
     }
 
     #[test]
@@ -264,16 +229,6 @@ mod tests {
         let d = a.find("ap_dropout").expect("present");
         let s = a.find("stale_snapshot").expect("present");
         assert!(d < s);
-    }
-
-    #[test]
-    fn build_suite_composes_only_content_level_plans() {
-        let spec = full_spec();
-        let suite = spec.build_suite();
-        // 8 content-level injectors; 5 stream/lifecycle ones are
-        // consumed by the session and live layers instead.
-        assert_eq!(suite.len(), 8);
-        assert_eq!(spec.active().len(), 13);
     }
 
     #[test]

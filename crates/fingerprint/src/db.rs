@@ -163,41 +163,52 @@ impl FingerprintDb {
 
     /// Builds a database by averaging per-location survey samples.
     ///
-    /// `samples` yields `(location, sample fingerprints)`; each
-    /// location's stored fingerprint is the mean of its samples,
-    /// accumulated per AP with the streaming [`Welford`] estimator so
-    /// no intermediate sample buffer is materialized (site surveys can
-    /// carry hundreds of samples per location).
+    /// `samples` yields `(location, samples)`, and each sample is any
+    /// sequence of per-AP values: a [`Fingerprint`], a `Vec<f64>`, or
+    /// an iterator over a scan, so a caller folds its survey without a
+    /// fingerprint per sample. Each location's stored fingerprint is
+    /// the mean of its samples, accumulated per AP with the streaming
+    /// [`Welford`] estimator in sample order, so no intermediate sample
+    /// buffer is materialized (site surveys can carry hundreds of
+    /// samples per location).
     ///
     /// # Errors
     ///
     /// Returns [`DbError::Empty`] when `samples` is empty or any
     /// location has no samples, [`DbError::InconsistentLength`] when
-    /// samples of one location differ in length, [`DbError::NonFinite`]
-    /// when a location's mean is not finite, plus the length/duplicate
-    /// errors of [`FingerprintDb::from_fingerprints`].
-    pub fn from_samples<I, S>(samples: I) -> Result<Self, DbError>
+    /// samples of one location differ in length (`expected` is the
+    /// first sample's), [`DbError::NonFinite`] when a location's mean
+    /// is not finite, plus the length/duplicate errors of
+    /// [`FingerprintDb::from_fingerprints`].
+    pub fn from_samples<I, S, T>(samples: I) -> Result<Self, DbError>
     where
         I: IntoIterator<Item = (LocationId, S)>,
-        S: IntoIterator<Item = Fingerprint>,
+        S: IntoIterator<Item = T>,
+        T: IntoIterator<Item = f64>,
     {
         let mut entries = Vec::new();
         for (id, set) in samples {
-            let mut accumulators: Option<Vec<Welford>> = None;
+            let mut set = set.into_iter();
+            let first = set.next().ok_or(DbError::Empty)?;
+            let mut accumulators: Vec<Welford> = first
+                .into_iter()
+                .map(|value| std::iter::once(value).collect())
+                .collect();
             for sample in set {
-                let accumulators =
-                    accumulators.get_or_insert_with(|| vec![Welford::new(); sample.len()]);
-                if sample.len() != accumulators.len() {
+                let mut values = sample.into_iter();
+                let mut found = 0;
+                for (acc, value) in accumulators.iter_mut().zip(&mut values) {
+                    acc.push(value);
+                    found += 1;
+                }
+                let found = found + values.count();
+                if found != accumulators.len() {
                     return Err(DbError::InconsistentLength {
                         expected: accumulators.len(),
-                        found: sample.len(),
+                        found,
                     });
                 }
-                for (acc, &value) in accumulators.iter_mut().zip(sample.values()) {
-                    acc.push(value);
-                }
             }
-            let accumulators = accumulators.ok_or(DbError::Empty)?;
             let values: Vec<f64> = accumulators.iter().map(Welford::mean).collect();
             // Survey samples arriving through deserialization can carry
             // NaN/inf past `Fingerprint::new`'s constructor check; a

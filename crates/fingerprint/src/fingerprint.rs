@@ -19,6 +19,17 @@ pub struct Fingerprint {
     values: Vec<f64>,
 }
 
+/// A fingerprint's per-AP values, in AP order: a fingerprint is one
+/// survey sample for [`crate::db::FingerprintDb::from_samples`].
+impl IntoIterator for Fingerprint {
+    type Item = f64;
+    type IntoIter = std::vec::IntoIter<f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.values.into_iter()
+    }
+}
+
 impl Fingerprint {
     /// Creates a fingerprint from per-AP RSS values in dBm.
     ///

@@ -143,6 +143,27 @@ fn select_sorted(ranks: impl Iterator<Item = f64>, k: usize, slots: &mut Vec<Ran
     }
 }
 
+/// The position of the smallest rank of a non-empty, position-ordered
+/// rank stream under a strict `<`: the first of equal ranks wins, and a
+/// NaN rank never does. The head of [`select_sorted`]'s table at
+/// `k = 1`.
+///
+/// # Panics
+///
+/// Panics on an empty stream or a NaN first rank.
+#[inline(always)]
+fn argmin(ranks: impl Iterator<Item = f64>) -> usize {
+    let mut ranks = ranks.enumerate();
+    let (mut at, mut min) = ranks.next().expect("an index holds a row");
+    assert!(!min.is_nan(), "ranks are finite");
+    for (position, rank) in ranks {
+        if rank < min {
+            (at, min) = (position, rank);
+        }
+    }
+    at
+}
+
 /// Writes `entry` at `at` or, past every entry ranked above it, lower
 /// in `slots[..=at]` (sorted), shifting those up one place; whatever
 /// was at `at` is dropped.
@@ -491,11 +512,11 @@ impl FingerprintIndex {
 
     /// [`FingerprintIndex::k_nearest_into`] without the
     /// `fingerprint.knn.*` counters, which count Eq. 3 candidate
-    /// generation. The fingerprint-only baselines scan through here:
-    /// the WiFi baseline's Eq. 2 pick
-    /// ([`crate::nn_localizer::NnLocalizer`], `k = 1`, which trace
-    /// analysis runs) and the weighted centroid
-    /// ([`crate::centroid::CentroidLocalizer`]).
+    /// generation. The weighted-centroid baseline
+    /// ([`crate::centroid::CentroidLocalizer`]) scans through here; the
+    /// WiFi baseline's Eq. 2 pick
+    /// ([`crate::nn_localizer::NnLocalizer`], which trace analysis
+    /// runs) takes [`FingerprintIndex::nearest`], uncounted too.
     pub(crate) fn select_into(
         &self,
         query: &[f64],
@@ -547,7 +568,13 @@ impl FingerprintIndex {
         scratch: &mut KnnScratch,
         out: &mut Vec<Neighbor>,
     ) -> usize {
-        let observed = self.select_masked_into(query, k, scratch, out);
+        assert!(k > 0, "k must be positive");
+        let (observed, ranks) = self.masked_ranks(query);
+        let slots = &mut scratch.slots;
+        slots.clear();
+        slots.reserve(k.min(self.len()));
+        select_sorted(ranks, k, slots);
+        self.finish("fingerprint.knn.masked.ranks", slots, out);
         moloc_obs::counter_add_batch(&[
             ("fingerprint.knn.masked_queries", 1),
             ("fingerprint.knn.candidates_scanned", self.len() as u64),
@@ -555,16 +582,48 @@ impl FingerprintIndex {
         observed
     }
 
-    /// [`FingerprintIndex::k_nearest_masked_into`] without the
-    /// counters; see [`FingerprintIndex::select_into`].
-    pub(crate) fn select_masked_into(
-        &self,
-        query: &[f64],
-        k: usize,
-        scratch: &mut KnnScratch,
-        out: &mut Vec<Neighbor>,
-    ) -> usize {
-        assert!(k > 0, "k must be positive");
+    /// The nearest location to a clean query, Eq. 2: the argmin of the
+    /// rows' squared ranks under a strict `<`, so the first row, the
+    /// lowest id, wins a tie. That is the head of
+    /// [`FingerprintIndex::k_nearest_into`]'s table at `k = 1`, read
+    /// without the table, its square root or its rank-order check,
+    /// which one pick passes by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query length does not match the index's AP count
+    /// or the first row's rank is NaN (ranks must be finite).
+    pub(crate) fn nearest(&self, query: &[f64]) -> LocationId {
+        self.check_query(query);
+        let position = match self.ap_count {
+            4 => argmin(self.ranks::<4>(query)),
+            5 => argmin(self.ranks::<5>(query)),
+            6 => argmin(self.ranks::<6>(query)),
+            7 => argmin(self.ranks::<7>(query)),
+            8 => argmin(self.ranks::<8>(query)),
+            _ => argmin((0..self.len()).map(|p| euclidean_sq(query, self.row(p)))),
+        };
+        self.ids[position]
+    }
+
+    /// [`FingerprintIndex::nearest`] for a query with missing
+    /// (non-finite) APs: the argmin of the masked ranks of
+    /// [`FingerprintIndex::k_nearest_masked_into`], the head of its
+    /// table at `k = 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query length does not match the index's AP count.
+    pub(crate) fn nearest_masked(&self, query: &[f64]) -> LocationId {
+        let (_, ranks) = self.masked_ranks(query);
+        self.ids[argmin(ranks)]
+    }
+
+    /// The number of observed (finite) values of `query`, and each
+    /// row's masked rank to it in position order: the squared distance
+    /// over the observed APs, rescaled by `ap_count / observed` (`0`
+    /// for every row when nothing is observed).
+    fn masked_ranks<'a>(&'a self, query: &'a [f64]) -> (usize, impl Iterator<Item = f64> + 'a) {
         self.check_query(query);
         let observed = query.iter().filter(|v| v.is_finite()).count();
         let scale = if observed == 0 {
@@ -572,23 +631,8 @@ impl FingerprintIndex {
         } else {
             self.ap_count as f64 / observed as f64
         };
-        let slots = &mut scratch.slots;
-        slots.clear();
-        slots.reserve(k.min(self.len()));
-        if self.ap_count == 0 {
-            select_sorted((0..self.len()).map(|_| 0.0), k, slots);
-        } else {
-            select_sorted(
-                self.matrix.chunks_exact(self.ap_count).map(|row| {
-                    let (sum, _) = masked_euclidean_sq(query, row);
-                    sum * scale
-                }),
-                k,
-                slots,
-            );
-        }
-        self.finish("fingerprint.knn.masked.ranks", slots, out);
-        observed
+        let ranks = (0..self.len()).map(move |p| masked_euclidean_sq(query, self.row(p)).0 * scale);
+        (observed, ranks)
     }
 
     /// The Euclidean dissimilarity of every row to `query`, in row
@@ -635,15 +679,18 @@ impl FingerprintIndex {
 
     /// K-smallest selection over rows of compile-time width `N`.
     fn k_select<const N: usize>(&self, query: &[f64], k: usize, slots: &mut Vec<RankEntry>) {
+        select_sorted(self.ranks::<N>(query), k, slots);
+    }
+
+    /// Each row's squared rank to `query`, in position order, over rows
+    /// of compile-time width `N`.
+    #[inline(always)]
+    fn ranks<'a, const N: usize>(&'a self, query: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         let query: &[f64; N] = query.try_into().expect("query length checked");
-        select_sorted(
-            self.matrix.chunks_exact(N).map(|row| {
-                let row: &[f64; N] = row.try_into().expect("chunks are N wide");
-                euclidean_sq(query, row)
-            }),
-            k,
-            slots,
-        );
+        self.matrix.chunks_exact(N).map(move |row| {
+            let row: &[f64; N] = row.try_into().expect("chunks are N wide");
+            euclidean_sq(query, row)
+        })
     }
 
     /// K-smallest selection for uncommon row widths (and the zero-AP

@@ -6,22 +6,13 @@
 
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
-use crate::index::{FingerprintIndex, KnnScratch};
-use crate::knn::Neighbor;
+use crate::index::FingerprintIndex;
 use moloc_geometry::LocationId;
 use std::borrow::Cow;
-use std::cell::RefCell;
 
-thread_local! {
-    /// The k = 1 selection buffers of the index path. `localize_slice`
-    /// takes `&self` and one localizer serves every pool worker, so the
-    /// buffers live with the thread: after its first query a thread
-    /// localizes without touching the heap.
-    static NEAREST: RefCell<(KnnScratch, Vec<Neighbor>)> = RefCell::default();
-}
-
-/// Nearest-neighbor WiFi localizer (Eq. 2): the [`FingerprintIndex`]
-/// selection scan at `k = 1`.
+/// Nearest-neighbor WiFi localizer (Eq. 2): the argmin of the
+/// [`FingerprintIndex`] ranks, the nearest neighbour of its `k = 1`
+/// scan.
 ///
 /// # Examples
 ///
@@ -116,18 +107,13 @@ impl<'a> NnLocalizer<'a> {
         // Degradation path: a query with missing (non-finite) APs is
         // ranked on the observed dimensions only — a NaN entering the
         // clean scan would poison the ranking. Clean queries never take
-        // the masked branch. The strict `<` of the selection keeps the
+        // the masked branch. The strict `<` of the argmin keeps the
         // lowest id among equal distances.
-        let masked = query.iter().any(|v| !v.is_finite());
-        Ok(NEAREST.with(|buffers| {
-            let (scratch, nearest) = &mut *buffers.borrow_mut();
-            if masked {
-                self.index.select_masked_into(query, 1, scratch, nearest);
-            } else {
-                self.index.select_into(query, 1, scratch, nearest);
-            }
-            nearest[0].location
-        }))
+        Ok(if query.iter().all(|v| v.is_finite()) {
+            self.index.nearest(query)
+        } else {
+            self.index.nearest_masked(query)
+        })
     }
 }
 
@@ -180,6 +166,78 @@ mod tests {
             assert_eq!(owned.localize_slice(&query).unwrap(), expected);
         }
         assert!(shared.localize_slice(&[-40.0]).is_err());
+    }
+
+    /// The first neighbour of the index's `k = 1` table, clean or
+    /// masked: the pick the argmin replaced.
+    fn k1_pick(index: &FingerprintIndex, query: &[f64]) -> LocationId {
+        let (mut scratch, mut out) = (crate::index::KnnScratch::new(), Vec::new());
+        if query.iter().all(|v| v.is_finite()) {
+            index.k_nearest_into(query, 1, &mut scratch, &mut out);
+        } else {
+            index.k_nearest_masked_into(query, 1, &mut scratch, &mut out);
+        }
+        out[0].location
+    }
+
+    #[test]
+    fn the_argmin_picks_what_the_k1_table_picks() {
+        // Rows on a coarse lattice so many tie, some planted equal to an
+        // earlier row (the lower id must win), rows ~1e200 apart whose
+        // ranks overflow to +inf, and a one-row index, at the unrolled
+        // widths 4–8 and the generic 16. Queries: every row itself
+        // (a rank-0 tie with its twins), lattice points, values 1e200
+        // away from every row, and masked copies of each.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for ap in [4, 5, 6, 7, 8, 16] {
+            for rows in [1usize, 2, 9, 40] {
+                let mut values: Vec<Vec<f64>> = (0..rows)
+                    .map(|_| (0..ap).map(|_| -40.0 - (next() % 4) as f64).collect())
+                    .collect();
+                for r in (3..rows).step_by(3) {
+                    values[r] = values[(next() as usize) % r].clone();
+                }
+                if rows > 2 {
+                    values[1] = vec![1e200; ap];
+                    values[2] = vec![-1e200; ap];
+                }
+                let db = FingerprintDb::from_fingerprints(
+                    values
+                        .iter()
+                        .enumerate()
+                        .map(|(r, v)| (l(r as u32 + 1), Fingerprint::new(v.clone())))
+                        .collect(),
+                )
+                .unwrap();
+                let index = FingerprintIndex::build(&db);
+                let localizer = NnLocalizer::with_index(&db, &index);
+                let mut queries = values.clone();
+                queries
+                    .extend((0..8).map(|_| (0..ap).map(|_| -40.0 - (next() % 4) as f64).collect()));
+                queries.push(vec![1e200; ap]);
+                queries.push(vec![-1e200; ap]);
+                queries.push(vec![0.0; ap]);
+                for (qi, query) in queries.iter().enumerate() {
+                    let mut masked = query.clone();
+                    masked[qi % ap] = f64::NAN;
+                    for q in [query, &masked] {
+                        assert_eq!(
+                            localizer.localize_slice(q).unwrap(),
+                            k1_pick(&index, q),
+                            "{ap} APs, {rows} rows, query {q:?}"
+                        );
+                    }
+                }
+                let blind = vec![f64::NAN; ap];
+                assert_eq!(localizer.localize_slice(&blind).unwrap(), l(1));
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! API fuzz of `FingerprintDb::from_samples`: hostile survey samples
 //! (ragged lengths, locations without samples, duplicate ids, infinite
 //! readings and pairs whose running mean overflows) must each yield a
-//! database or the typed error the input calls for, never a panic.
+//! database or the typed error the input calls for, never a panic, and
+//! the same one, bit for bit, whether the samples are fingerprints or
+//! plain value iterators.
 
 use moloc_fingerprint::db::{DbError, FingerprintDb};
 use moloc_fingerprint::fingerprint::Fingerprint;
@@ -82,8 +84,32 @@ fn build(input: &[Location]) -> Result<FingerprintDb, DbError> {
     }))
 }
 
+/// `from_samples` over each sample's values as a plain iterator, the
+/// form a caller folding raw scans passes: the same fold as over
+/// fingerprints.
+fn build_from_values(input: &[Location]) -> Result<FingerprintDb, DbError> {
+    FingerprintDb::from_samples(input.iter().map(|(id, samples)| {
+        (
+            LocationId::new(*id),
+            samples.iter().map(|s| s.iter().copied()),
+        )
+    }))
+}
+
+/// Every row's id and value bits.
+fn row_bits(db: &FingerprintDb) -> Vec<(LocationId, Vec<u64>)> {
+    db.iter()
+        .map(|(id, fp)| (id, fp.values().iter().map(|v| v.to_bits()).collect()))
+        .collect()
+}
+
 fn check(input: &[Location]) -> Result<(), TestCaseError> {
     let result = build(input);
+    match (&result, build_from_values(input)) {
+        (Ok(db), Ok(from_values)) => prop_assert_eq!(row_bits(db), row_bits(&from_values)),
+        (Err(e), Err(from_values)) => prop_assert_eq!(e, &from_values),
+        (a, b) => prop_assert!(false, "fingerprints gave {a:?}, values {b:?}"),
+    }
     let empty = input.is_empty() || input.iter().any(|(_, samples)| samples.is_empty());
     let lengths: BTreeSet<usize> = input.iter().flat_map(|(_, s)| s).map(Vec::len).collect();
     let ids: BTreeSet<u32> = input.iter().map(|(id, _)| *id).collect();

@@ -21,9 +21,13 @@
 //! keeps the walk graph and one connected-component label per node and
 //! answers each walk distance with a Dijkstra that stops at the pair's
 //! far end. The filter bounds that search by the measured offset plus
-//! the threshold and runs it in one scratch the builder reuses, so one
-//! RLM costs the nodes within that radius: no `n × n` table, and no
-//! per-RLM allocation or `O(n)` reset.
+//! the threshold and runs it in one scratch the builder reuses, so a
+//! search costs the nodes within that radius: no `n × n` table, and no
+//! per-search allocation or `O(n)` reset. Within one ingest call
+//! ([`MotionDbBuilder::observe_all`]) the builder remembers each
+//! canonical pair's bearing and what its searches found, so a pair that
+//! many RLMs name is searched once, or again only for a larger radius;
+//! the memo is emptied when the call returns.
 
 use crate::filter::{SanitationConfig, SanitationError};
 use crate::kernel::{PairTable, TableSlots};
@@ -36,6 +40,7 @@ use moloc_stats::circular::{
 use moloc_stats::gaussian::Gaussian;
 use moloc_stats::online::Welford;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering::Greater;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -116,6 +121,8 @@ impl MapReference {
             f64::INFINITY,
             &mut WalkScratch::new(self.graph.node_count()),
         )
+        .within(f64::INFINITY)
+        .flatten()
         .expect("an unbounded search settles every connected node")
     }
 
@@ -133,31 +140,32 @@ impl MapReference {
 
     /// The map offset of a covered pair: the straight line when the
     /// graph does not connect it, else the walk distance by a Dijkstra
-    /// from `a` that stops once `b` is settled, or `None` once the
-    /// nearest unsettled node lies beyond `limit`. Only the nodes within
-    /// that radius are visited. The pop order (distance, then node
-    /// index) and the strict relaxation are those of
+    /// from `a` that stops once `b` is settled, or [`MapOffset::Beyond`]
+    /// `limit` once the nearest unsettled node lies beyond it. Only the
+    /// nodes within that radius are visited. The pop order (distance,
+    /// then node index) and the strict relaxation are those of
     /// [`moloc_geometry::shortest_path::dijkstra`], so a settled
-    /// distance has the same bits as a full search from `a`.
+    /// distance has the same bits as a full search from `a`, at any
+    /// limit that settles it.
     fn offset_within(
         &self,
         a: LocationId,
         b: LocationId,
         limit: f64,
         scratch: &mut WalkScratch,
-    ) -> Option<f64> {
+    ) -> MapOffset {
         if !self.walkably_connected(a, b) {
-            return Some(self.grid.distance(a, b));
+            return MapOffset::Line(self.grid.distance(a, b));
         }
         scratch.begin();
         scratch.relax(a.index(), 0.0);
         while let Some(Reverse((bits, node))) = scratch.heap.pop() {
             let d = f64::from_bits(bits);
             if d > limit {
-                return None;
+                return MapOffset::Beyond(limit);
             }
             if node == b.index() {
-                return Some(d);
+                return MapOffset::Walk(d);
             }
             if d > scratch.dist(node) {
                 continue;
@@ -169,12 +177,134 @@ impl MapReference {
                 }
             }
         }
-        None
+        MapOffset::Beyond(limit)
     }
 
     /// The reference grid.
     pub fn grid(&self) -> &ReferenceGrid {
         &self.grid
+    }
+}
+
+/// What a bounded search found of a covered pair's map offset, and so
+/// what every later search of the pair returns, up to a limit.
+#[derive(Debug, Clone, Copy)]
+enum MapOffset {
+    /// The straight line of a pair the walk graph does not connect,
+    /// returned at every limit.
+    Line(f64),
+    /// The walk distance, settled: a search at any limit returns these
+    /// bits, or nothing when the limit is below them.
+    Walk(f64),
+    /// The walk is longer than this limit: a search at this limit or a
+    /// smaller one returns nothing, and only a search can answer a
+    /// larger one.
+    Beyond(f64),
+}
+
+impl MapOffset {
+    /// What [`MapReference::offset_within`] returns at `limit`: the
+    /// offset, or `None` when the search gives up first. The outer
+    /// `None` is a limit only a new search can answer.
+    fn within(self, limit: f64) -> Option<Option<f64>> {
+        match self {
+            MapOffset::Line(d) => Some(Some(d)),
+            // The search's own test: it gives up on `d > limit` only,
+            // so a NaN limit still settles.
+            MapOffset::Walk(d) => Some((d.partial_cmp(&limit) != Some(Greater)).then_some(d)),
+            MapOffset::Beyond(searched) => (limit <= searched).then_some(None),
+        }
+    }
+}
+
+/// One canonical pair's map facts, as far as one ingest call asked.
+#[derive(Debug, Clone, Copy)]
+struct PairFacts {
+    /// [`MapReference::direction_deg`] of the pair.
+    bearing: Option<f64>,
+    /// What the pair's walk searches found; `None` before the first.
+    offset: Option<MapOffset>,
+}
+
+/// The coarse filter's memo: each canonical pair's [`PairFacts`], kept
+/// for one ingest call, in a chained table of at least four buckets
+/// per grid location. A pair's bucket is `from · K + to` modulo the
+/// bucket count, so for one first location every second location has a
+/// bucket of its own: whatever pairs a call names, a chain holds at
+/// most one pair per first location, and a lookup compares at most as
+/// many pairs as the grid has locations. It needs no hasher and no
+/// seed. Each bucket is stamped with the call that last started its
+/// chain, so emptying the memo between calls is `O(1)` and keeps its
+/// capacity.
+#[derive(Debug)]
+struct FactsMemo {
+    /// Per bucket, the call that last started its chain and the chain's
+    /// head in `entries`.
+    heads: Vec<(u32, u32)>,
+    call: u32,
+    /// This call's pairs: the pair, the next entry in its bucket, and
+    /// its facts.
+    entries: Vec<((LocationId, LocationId), u32, PairFacts)>,
+}
+
+/// The end of a [`FactsMemo`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// The multiplier of a pair's first location in its [`FactsMemo`]
+/// bucket: odd, so consecutive first locations land far apart.
+const BUCKET_SPREAD: usize = 0x9E37_79B9;
+
+impl FactsMemo {
+    fn new(locations: usize) -> Self {
+        Self {
+            heads: vec![(0, CHAIN_END); (4 * locations).next_power_of_two()],
+            call: 1,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The facts of the pair `(from, to)`, made by `fresh` when this
+    /// call has not met the pair. Both ids must be on the grid.
+    fn facts(
+        &mut self,
+        from: LocationId,
+        to: LocationId,
+        fresh: impl FnOnce() -> PairFacts,
+    ) -> &mut PairFacts {
+        let bucket = from
+            .index()
+            .wrapping_mul(BUCKET_SPREAD)
+            .wrapping_add(to.index())
+            & (self.heads.len() - 1);
+        let (call, head) = &mut self.heads[bucket];
+        if *call != self.call {
+            (*call, *head) = (self.call, CHAIN_END);
+        }
+        let mut at = *head;
+        while at != CHAIN_END {
+            let (pair, next, _) = self.entries[at as usize];
+            if pair == (from, to) {
+                return &mut self.entries[at as usize].2;
+            }
+            at = next;
+        }
+        let at = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&at| at != CHAIN_END)
+            .expect("one call names fewer than 2^32 - 1 pairs");
+        self.entries.push(((from, to), *head, fresh()));
+        *head = at;
+        &mut self.entries[at as usize].2
+    }
+
+    /// Forgets this call's pairs, keeping the capacity.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.call = self.call.wrapping_add(1);
+        if self.call == 0 {
+            self.heads.fill((0, CHAIN_END));
+            self.call = 1;
+        }
     }
 }
 
@@ -307,6 +437,10 @@ pub struct MotionDbBuilder {
     spare: Option<Spare>,
     /// The coarse filter's search scratch, sized once to the graph.
     walk: WalkScratch,
+    /// Per canonical pair, its map facts: kept for one ingest call,
+    /// then emptied (its capacity stays), so the memo holds no more
+    /// pairs than the largest call named.
+    memo: FactsMemo,
     /// The fine filter's keep mask, reused across fits.
     keep: Vec<bool>,
 }
@@ -395,6 +529,7 @@ impl MotionDbBuilder {
         let db = MotionDb::new(map.grid.len());
         Ok(Self {
             walk: WalkScratch::new(map.graph.node_count()),
+            memo: FactsMemo::new(map.grid.len()),
             map,
             config,
             pending: BTreeMap::new(),
@@ -413,9 +548,30 @@ impl MotionDbBuilder {
         &self.map
     }
 
-    /// Offers one crowdsourced RLM. Reassembles it, applies the coarse
-    /// filter, and accumulates it. Returns whether it was accepted.
+    /// Offers one crowdsourced RLM: [`MotionDbBuilder::observe_all`]
+    /// of a batch of one. Returns whether it was accepted.
     pub fn observe(&mut self, rlm: Rlm) -> bool {
+        self.observe_all([rlm]) == 1
+    }
+
+    /// Offers crowdsourced RLMs in order. Each is reassembled, checked
+    /// by the coarse filter and accumulated; the report counts every
+    /// one. Returns how many were accepted.
+    ///
+    /// The coarse filter computes a pair's bearing once per call, and
+    /// searches its walk distance once, or again for an RLM whose
+    /// search radius passes the one a search gave up at. Every answer
+    /// is the one a search of its own would give, so a batch builds
+    /// what offering its RLMs one at a time builds. The memo holds the
+    /// pairs this call named and is emptied before it returns.
+    pub fn observe_all(&mut self, rlms: impl IntoIterator<Item = Rlm>) -> usize {
+        let accepted = rlms.into_iter().filter(|&rlm| self.ingest(rlm)).count();
+        self.memo.clear();
+        accepted
+    }
+
+    /// Reassembles, filters and accumulates one RLM.
+    fn ingest(&mut self, rlm: Rlm) -> bool {
         self.report.observed += 1;
         let canon = rlm.canonical();
         // A pair the database cannot hold is dropped regardless of the
@@ -451,8 +607,15 @@ impl MotionDbBuilder {
         true
     }
 
+    /// The coarse filter of a covered canonical pair, reading and
+    /// filling the pair's map facts.
     fn coarse_accepts(&mut self, canon: &Rlm) -> bool {
-        let Some(map_dir) = self.map.direction_deg(canon.from, canon.to) else {
+        let map = &self.map;
+        let facts = self.memo.facts(canon.from, canon.to, || PairFacts {
+            bearing: map.direction_deg(canon.from, canon.to),
+            offset: None,
+        });
+        let Some(map_dir) = facts.bearing else {
             return false;
         };
         if abs_diff_deg(canon.direction_deg, map_dir) > self.config.coarse_direction_deg {
@@ -464,8 +627,15 @@ impl MotionDbBuilder {
         // up on a distance the exact test would accept.
         let radius = canon.offset_m + self.config.coarse_offset_m;
         let limit = radius + 1e-9 * (1.0 + radius);
-        self.map
-            .offset_within(canon.from, canon.to, limit, &mut self.walk)
+        let map_off = match facts.offset.and_then(|known| known.within(limit)) {
+            Some(answer) => answer,
+            None => {
+                let found = map.offset_within(canon.from, canon.to, limit, &mut self.walk);
+                facts.offset = Some(found);
+                found.within(limit).expect("a search answers its own limit")
+            }
+        };
+        map_off
             .is_some_and(|map_off| (canon.offset_m - map_off).abs() <= self.config.coarse_offset_m)
     }
 
@@ -1190,6 +1360,116 @@ mod tests {
             "exactly 3 m beyond the walk"
         );
         assert!(!b.observe(rlm(2, 1, 270.0, 9.5)));
+    }
+
+    /// Asserts that one `observe_all` of `stream` builds what offering
+    /// it one RLM at a time builds (each `observe` is a call of its
+    /// own, so it searches every RLM afresh), bit for bit, with the same
+    /// report and acceptance count, and that the memo is empty after.
+    fn assert_batch_matches_one_at_a_time(map: &MapReference, stream: &[Rlm]) -> BuildReport {
+        let mut batch = MotionDbBuilder::new(map.clone(), SanitationConfig::paper()).unwrap();
+        let accepted = batch.observe_all(stream.iter().copied());
+        assert!(batch.memo.entries.is_empty(), "the memo outlived its call");
+        let mut single = MotionDbBuilder::new(map.clone(), SanitationConfig::paper()).unwrap();
+        let singly = stream.iter().filter(|&&r| single.observe(r)).count();
+        assert_eq!(accepted, singly);
+        let ((batch_db, batch_report), (single_db, single_report)) =
+            (batch.build(), single.build());
+        assert_eq!(bits(&batch_db), bits(&single_db));
+        assert_eq!(batch_report, single_report);
+        batch_report
+    }
+
+    #[test]
+    fn a_batch_answers_each_rlm_as_its_own_search_would() {
+        // The partition of `bounded_walks_match_full_dijkstra`: 1 → 2
+        // walks 6 m around it against 2 m straight.
+        let grid = ReferenceGrid::new(Vec2::new(1.0, 3.0), 3, 2, 2.0, 2.0).unwrap();
+        let mut plan = FloorPlan::new(Aabb::new(Vec2::ZERO, Vec2::new(8.0, 5.0)).unwrap());
+        plan.add_wall(moloc_geometry::Wall::partition(
+            Vec2::new(2.0, 2.0),
+            Vec2::new(2.0, 5.0),
+            5.0,
+        ));
+        let walled = MapReference::new(&grid, &WalkGraph::from_grid(&grid, &plan));
+        let self_loop = Rlm {
+            from: l(2),
+            to: l(2),
+            direction_deg: 0.0,
+            offset_m: 0.0,
+        };
+        let stream = [
+            // Radius 4 m: the search gives up short of the 6 m walk.
+            rlm(1, 2, 90.0, 1.0),
+            // Radius 3.2 m, inside the one given up at: rejected unsearched.
+            rlm(1, 2, 90.0, 0.2),
+            // Radius 6 m passes it: searched again, settles 6 m, accepted.
+            rlm(2, 1, 270.0, 3.0),
+            // Smaller and larger radii, both read off the settled walk.
+            rlm(1, 2, 90.0, 2.0),
+            rlm(1, 2, 90.0, 9.0),
+            rlm(1, 2, 90.0, 9.5),
+            rlm(2, 1, 270.0, 4.0),
+            // A wild direction never searches; a revisit then does.
+            rlm(1, 4, 90.0, 2.0),
+            rlm(4, 1, 0.0, 2.0),
+            rlm(1, 4, 180.0, 2.5),
+            rlm(1, 7, 90.0, 2.0),
+            self_loop,
+            rlm(2, 1, 270.0, 6.0),
+        ];
+        let report = assert_batch_matches_one_at_a_time(&walled, &stream);
+        assert_eq!(report.observed, 13);
+        assert_eq!((report.rejected_unmapped, report.rejected_coarse), (2, 5));
+        assert_eq!(report.pairs_built, 1, "1-2 from its four accepted RLMs");
+
+        // The grid over the walk graph of its top row: 1 → 4 and 6 → 1
+        // are not connected, so they take the straight line at every
+        // radius.
+        let row = ReferenceGrid::new(Vec2::new(1.0, 3.0), 3, 1, 2.0, 2.0).unwrap();
+        let open = FloorPlan::new(Aabb::new(Vec2::ZERO, Vec2::new(8.0, 5.0)).unwrap());
+        let unconnected = MapReference::new(&grid, &WalkGraph::from_grid(&row, &open));
+        let report = assert_batch_matches_one_at_a_time(
+            &unconnected,
+            &[
+                rlm(1, 4, 180.0, 2.0),
+                rlm(4, 1, 0.0, 4.9),
+                rlm(1, 4, 180.0, 6.0),
+                rlm(1, 4, 180.0, 0.1),
+                rlm(1, 3, 90.0, 4.0),
+                rlm(3, 1, 270.0, 9.0),
+                rlm(1, 3, 90.0, 0.5),
+                rlm(9, 4, 0.0, 2.0),
+                self_loop,
+            ],
+        );
+        assert_eq!((report.rejected_unmapped, report.rejected_coarse), (2, 3));
+    }
+
+    #[test]
+    fn a_hostile_batch_leaves_no_memo_behind() {
+        // A 64 × 32 open grid, 2,048 locations: every RLM of the batch
+        // names a distinct pair across the hall, on its bearing (so the
+        // walk is searched), with a measured offset short enough that
+        // the search gives up.
+        let grid = ReferenceGrid::new(Vec2::new(1.0, 1.0), 64, 32, 1.0, 1.0).unwrap();
+        let plan = FloorPlan::new(Aabb::new(Vec2::ZERO, Vec2::new(66.0, 34.0)).unwrap());
+        let map = MapReference::new(&grid, &WalkGraph::from_grid(&grid, &plan));
+        let n = grid.len() as u32;
+        let rlms: Vec<Rlm> = (1..=n / 2)
+            .flat_map(|a| [n + 1 - a, n / 2 + a].map(move |b| (a, b)))
+            .filter(|&(a, b)| grid.distance(l(a), l(b)) > 8.0)
+            .map(|(a, b)| {
+                let bearing = map.direction_deg(l(a), l(b)).unwrap();
+                rlm(a, b, bearing, 1.0)
+            })
+            .collect();
+        let mut b = MotionDbBuilder::new(map, SanitationConfig::paper()).unwrap();
+        assert_eq!(b.observe_all(rlms.iter().copied()), 0);
+        let left = b.memo.entries.len();
+        assert_eq!(left, 0, "{left} pairs left in the memo");
+        assert_eq!(b.report.rejected_coarse, rlms.len() as u64);
+        assert!(b.pairs.is_empty() && b.pending.is_empty());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! corrected readings into the direction measurement `d` of an RLM.
 
 use crate::series::TimeSeries;
-use moloc_stats::circular::{circular_mean_deg, normalize_deg, signed_diff_deg};
+use moloc_stats::circular::{
+    circular_mean_deg, normalize_deg, signed_diff_deg, unit_vector, ResultantSum,
+};
 use serde::{Deserialize, Serialize};
 
 /// Estimates the constant compass-to-motion heading offset.
@@ -72,15 +74,26 @@ impl HeadingOffsetEstimator {
     /// residual spread means the user's location estimates (and hence
     /// the reference bearings) were unreliable, and motion measurements
     /// derived from this offset should not be trusted either.
+    ///
+    /// Each pair's unit vector is computed once and summed into both
+    /// means, in pair order, so each mean has the bits of
+    /// [`circular_mean_deg`] over its pairs.
     pub fn trimmed_stats(&self, max_dev_deg: f64) -> Option<TrimmedOffset> {
-        let initial = self.offset_deg()?;
-        let kept: Vec<f64> = self
-            .diffs
-            .iter()
-            .copied()
-            .filter(|&d| deviation(d, initial) <= max_dev_deg)
-            .collect();
-        let (offset_deg, pool): (f64, &[f64]) = match circular_mean_deg(kept.iter().copied()) {
+        let units: Vec<(f64, f64)> = self.diffs.iter().map(|&d| unit_vector(d)).collect();
+        let mut all = ResultantSum::default();
+        for &unit in &units {
+            all.push_unit(unit);
+        }
+        let initial = all.mean_deg()?;
+        let mut trimmed = ResultantSum::default();
+        let mut kept = Vec::with_capacity(self.diffs.len());
+        for (&d, &unit) in self.diffs.iter().zip(&units) {
+            if deviation(d, initial) <= max_dev_deg {
+                trimmed.push_unit(unit);
+                kept.push(d);
+            }
+        }
+        let (offset_deg, pool): (f64, &[f64]) = match trimmed.mean_deg() {
             Some(m) => (m, &kept),
             None => (initial, &self.diffs),
         };

@@ -6,10 +6,11 @@ use moloc_sensors::counting::{csc, dsc};
 use moloc_sensors::filter::moving_average;
 use moloc_sensors::gyro::{integrate_rates, GyroSynthesizer};
 use moloc_sensors::heading::HeadingOffsetEstimator;
+use moloc_sensors::heading::TrimmedOffset;
 use moloc_sensors::series::TimeSeries;
 use moloc_sensors::steps::{StepDetector, StepEvent};
 use moloc_sensors::stride::StepLengthModel;
-use moloc_stats::circular::abs_diff_deg;
+use moloc_stats::circular::{abs_diff_deg, circular_mean_deg, normalize_deg, signed_diff_deg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,6 +101,25 @@ proptest! {
     }
 
     #[test]
+    fn trimmed_stats_match_the_two_pass_reference_bit_for_bit(
+        offset in -30.0..30.0f64,
+        pairs in prop::collection::vec((0.0..360.0f64, -200.0..200.0f64), 0..24),
+        max_dev in 0.0..180.0f64,
+    ) {
+        // Offsets near 0 put the differences on both sides of 0°/360°;
+        // noise up to ±200° makes wild pairs, and a small `max_dev`
+        // often trims every pair (the untrimmed fallback).
+        let mut est = HeadingOffsetEstimator::new();
+        let mut diffs = Vec::new();
+        for &(reference, noise) in &pairs {
+            let reading = reference + offset + noise;
+            est.observe(reading, reference);
+            diffs.push(normalize_deg(signed_diff_deg(reference, reading)));
+        }
+        assert_trimmed_stats_match(&est, &diffs, max_dev)?;
+    }
+
+    #[test]
     fn gyro_integration_inverts_synthesis_without_noise(
         headings in prop::collection::vec(0.0..360.0f64, 2..40),
     ) {
@@ -163,5 +183,84 @@ proptest! {
             prop_assert!(sub.t0() >= lo - 1e-9);
             prop_assert!(sub.t0() + sub.duration() <= hi + s.dt() + 1e-9);
         }
+    }
+}
+
+/// `trimmed_stats` as two passes of `circular_mean_deg`: the mean of
+/// every difference, then the mean of those within `max_dev` of it, or
+/// the first mean over every difference when none is kept.
+fn two_pass_trimmed(diffs: &[f64], max_dev: f64) -> Option<TrimmedOffset> {
+    let initial = circular_mean_deg(diffs.iter().copied())?;
+    let kept: Vec<f64> = diffs
+        .iter()
+        .copied()
+        .filter(|&d| signed_diff_deg(d, initial).abs() <= max_dev)
+        .collect();
+    let (offset_deg, pool) = match circular_mean_deg(kept.iter().copied()) {
+        Some(m) => (m, &kept[..]),
+        None => (initial, diffs),
+    };
+    let n = pool.len() as f64;
+    let std_deg = (pool
+        .iter()
+        .map(|&d| signed_diff_deg(d, offset_deg).abs().powi(2))
+        .sum::<f64>()
+        / n)
+        .sqrt();
+    Some(TrimmedOffset {
+        offset_deg,
+        std_deg,
+        kept: pool.len(),
+        total: diffs.len(),
+    })
+}
+
+fn assert_trimmed_stats_match(
+    est: &HeadingOffsetEstimator,
+    diffs: &[f64],
+    max_dev: f64,
+) -> Result<(), TestCaseError> {
+    let bits = |t: Option<TrimmedOffset>| {
+        t.map(|t| (t.offset_deg.to_bits(), t.std_deg.to_bits(), t.kept, t.total))
+    };
+    prop_assert_eq!(
+        bits(est.trimmed_stats(max_dev)),
+        bits(two_pass_trimmed(diffs, max_dev))
+    );
+    Ok(())
+}
+
+#[test]
+fn trimmed_stats_match_the_reference_at_the_corners() {
+    // (reading, reference) pairs, the trim radius and the pairs kept:
+    // differences across 0°/360° (one wild pair trimmed); pairs all
+    // farther than the radius from their mean (every pair trimmed, so
+    // the untrimmed mean and all pairs are kept); a resultant that
+    // cancels (no estimate); and no pairs at all.
+    type Case<'a> = (&'a [(f64, f64)], f64, Option<usize>);
+    let cases: [Case; 5] = [
+        (
+            &[(5.0, 350.0), (10.0, 355.0), (350.0, 340.0), (1.0, 200.0)],
+            45.0,
+            Some(3),
+        ),
+        (&[(0.0, 0.0), (90.0, 0.0)], 10.0, Some(2)),
+        (&[(10.0, 0.0), (100.0, 0.0), (200.0, 0.0)], 0.0, Some(3)),
+        (&[(0.0, 0.0), (180.0, 0.0)], 45.0, None),
+        (&[], 45.0, None),
+    ];
+    for (pairs, max_dev, kept) in cases {
+        let mut est = HeadingOffsetEstimator::new();
+        let mut diffs = Vec::new();
+        for &(reading, reference) in pairs {
+            est.observe(reading, reference);
+            diffs.push(normalize_deg(signed_diff_deg(reference, reading)));
+        }
+        assert_trimmed_stats_match(&est, &diffs, max_dev).unwrap();
+        assert_eq!(
+            est.trimmed_stats(max_dev).map(|s| s.kept),
+            kept,
+            "{pairs:?}"
+        );
     }
 }

@@ -83,6 +83,14 @@ pub fn circular_mean_deg<I: IntoIterator<Item = f64>>(angles: I) -> Option<f64> 
     sum.mean_deg()
 }
 
+/// The unit vector `(sin, cos)` of a direction in degrees, as
+/// [`ResultantSum::push`] adds it.
+#[inline]
+pub fn unit_vector(angle_deg: f64) -> (f64, f64) {
+    let r = angle_deg.to_radians();
+    (r.sin(), r.cos())
+}
+
 /// Running sums of the unit vectors of directions (degrees): the
 /// resultant whose angle is their circular mean. A sum grown by `push`
 /// in the order [`circular_mean_deg`] reads its angles has that mean
@@ -110,9 +118,16 @@ impl ResultantSum {
     /// Adds the unit vector of one direction in degrees.
     #[inline]
     pub fn push(&mut self, angle_deg: f64) {
-        let r = angle_deg.to_radians();
-        self.sin += r.sin();
-        self.cos += r.cos();
+        self.push_unit(unit_vector(angle_deg));
+    }
+
+    /// Adds a unit vector that [`unit_vector`] computed: the sums
+    /// [`ResultantSum::push`] of its direction makes, without a second
+    /// sine and cosine when one direction feeds several resultants.
+    #[inline]
+    pub fn push_unit(&mut self, (sin, cos): (f64, f64)) {
+        self.sin += sin;
+        self.cos += cos;
         self.count += 1;
     }
 
